@@ -12,7 +12,6 @@ from .partitions import (
     count_distinct_partitions,
     count_partitions,
     enum_distinct_odd_balanced,
-    enum_odd_partitions,
     enum_partitions,
     weighted_odd_partition_sum,
 )

@@ -22,10 +22,9 @@ def _default_order() -> int:
     if raw is None:
         return qseries.DEFAULT_ORDER
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"sheaf-census: bad SHEAF_CENSUS_ORDER {raw!r}") from exc
-    return value
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"bad SHEAF_CENSUS_ORDER {raw!r}") from None
 
 
 def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> dict:
@@ -43,7 +42,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sheaf-census-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sheaf-census-")
+    except OSError as exc:
+        raise OSError(f"cannot write {out}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
@@ -79,11 +81,17 @@ def _render_csv(headers: list[str], rows: list[list]) -> str:
 # orbits
 # ---------------------------------------------------------------------------
 
+def _require(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a family's invocation that lacks one of its size flags."""
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"{args.subcommand} {args.family} needs {' and '.join(missing)}")
+
+
 def _cmd_orbits(args: argparse.Namespace) -> int:
     rows = []
     if args.family == "bdi":
-        if args.p is None or args.q is None:
-            raise SystemExit(2)
+        _require(args, "p", "q")
         if args.richardson:
             members = diagrams.enum_sigma_b(args.p, args.q)
         else:
@@ -103,10 +111,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
                     rows.append([str(d), delta, cls.a, cls.b, cls.r,
                                  f"sigma{cls.index}", k0, k1])
     else:
-        if args.n is None:
-            raise SystemExit(2)
+        _require(args, "n")
         if args.orbit_class:
-            raise SystemExit(2)
+            raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
         for d in members:
             k1 = groups.kappa1_data_DIII(d).count
@@ -123,8 +130,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 def _census_reports(args: argparse.Namespace) -> list[census.CensusReport]:
     if args.family == "bdi":
-        if args.p is None or args.q is None:
-            raise SystemExit(2)
+        _require(args, "p", "q")
         table = {"k0": lambda: [census.census_bdi_k0(args.p, args.q)],
                  "k1": lambda: [census.census_bdi_k1(args.p, args.q)]}
         if args.central == "both":
@@ -132,8 +138,7 @@ def _census_reports(args: argparse.Namespace) -> list[census.CensusReport]:
         else:
             reports = table[args.central]()
     else:
-        if args.n is None:
-            raise SystemExit(2)
+        _require(args, "n")
         k0, k1 = census.census_diii(args.n)
         reports = {"k0": [k0], "k1": [k1], "both": [k0, k1]}[args.central]
     return [census.subset_report(r, args.subset) for r in reports]
@@ -197,10 +202,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # series
 # ---------------------------------------------------------------------------
 
-def _fmt_rational(value) -> str:
-    return str(value)
-
-
 def _cmd_series(args: argparse.Namespace) -> int:
     try:
         series = qseries.parse_series_expr(args.expr, args.order)
@@ -218,12 +219,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
         values = list(series.coeffs)
         exponents = list(range(series.order + 1))
     payload = {"expr": args.expr, "order": args.order,
-               "coefficients": {str(e): _fmt_rational(v)
+               "coefficients": {str(e): str(v)
                                 for e, v in zip(exponents, values)}}
     if args.format == "json":
         _emit(json.dumps(_envelope(args, payload, []), indent=2), args.out)
     else:
-        text = ", ".join(_fmt_rational(v) for v in values)
+        text = ", ".join(map(str, values))
         _emit(text, args.out)
     return 0
 
@@ -311,15 +312,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args._argv = ["sheaf-census"] + argv
-    if getattr(args, "order", None) is None and args.subcommand in ("verify", "series"):
-        args.order = _default_order()
     try:
+        if getattr(args, "order", None) is None and args.subcommand in ("verify", "series"):
+            args.order = _default_order()
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"sheaf-census: {exc}\n")
-        return 2
+        # a tripped integrality or halving guard in the census formulas is a
+        # failed check; anything else is a usage or input error
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

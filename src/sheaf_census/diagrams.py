@@ -17,12 +17,19 @@ The sets implemented here:
 * ``enum_lambda(n)`` / ``enum_lambda_b(n)`` -- the n=n split variants: odd
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
+
+``enum_sigma``, ``enum_sigma_b`` and ``enum_lambda`` build exactly their sets:
+each takes the row lengths from one partition generator (all partitions of
+p+q, the odd partitions of p+q, the partitions of n with every multiplicity
+doubled) and assigns only admissible signs to each length group. The first
+two read from a per-size table keyed by signature.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, product
 
 from .partitions import BiPartition, Partition, _gen_partitions
 
@@ -189,28 +196,31 @@ def orbit_multiplicity(d: SignedYoungDiagram) -> int:
 DELTA_NAMES = ("I", "II", "III", "IV")
 
 
-def _sign_splits(mult: int, length: int):
-    """All (plus, minus) splits of a group, subject to even lengths being
-    balanced; plus descending for determinism."""
+def _group_rows(partition) -> list[tuple[int, int]]:
+    """(length, multiplicity) for each distinct part of a decreasing partition."""
+    return [(length, len(list(rows))) for length, rows in groupby(partition)]
+
+
+def _signed_diagrams(groups, rows):
+    """Every diagram that gives each group (length, mult) one of the signed
+    rows (length, plus, minus) in rows(length, mult), first group varying
+    slowest. The diagrams built from one partition share their row tuples."""
+    for choice in product(*(rows(length, mult) for length, mult in groups)):
+        yield SignedYoungDiagram(choice)
+
+
+def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
+    """Even lengths balanced; odd lengths any split, plus descending."""
     if length % 2 == 0:
-        if mult % 2 == 0:
-            yield mult // 2, mult // 2
-        return
-    for plus in range(mult, -1, -1):
-        yield plus, mult - plus
+        return [(length, mult // 2, mult // 2)] if mult % 2 == 0 else []
+    return [(length, plus, mult - plus) for plus in range(mult, -1, -1)]
 
 
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
     table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
     for partition in _gen_partitions(n, n):
-        groups: list[tuple[int, int]] = []
-        for length in partition:
-            if groups and groups[-1][0] == length:
-                groups[-1] = (length, groups[-1][1] + 1)
-            else:
-                groups.append((length, 1))
-        for d in _assign_signs(groups, 0, ()):
+        for d in _signed_diagrams(_group_rows(partition), _sigma_rows):
             table.setdefault(d.signature(), []).append(d)
     return {sig: tuple(ds) for sig, ds in table.items()}
 
@@ -220,37 +230,6 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
     return list(_sigma_by_signature(p + q).get((p, q), ()))
-
-
-def _assign_signs(groups, i, acc):
-    if i == len(groups):
-        yield SignedYoungDiagram(acc)
-        return
-    length, mult = groups[i]
-    for plus, minus in _sign_splits(mult, length):
-        yield from _assign_signs(groups, i + 1, acc + ((length, plus, minus),))
-
-
-def _odd_grouped_candidates(n: int):
-    """Grouped all-odd diagrams of total size n with one sign per group."""
-    for partition in _gen_partitions(n, n if n % 2 else n - 1 if n else 0):
-        if any(part % 2 == 0 for part in partition):
-            continue
-        groups: list[tuple[int, int]] = []
-        for length in partition:
-            if groups and groups[-1][0] == length:
-                groups[-1] = (length, groups[-1][1] + 1)
-            else:
-                groups.append((length, 1))
-        for signs in _sign_vectors(len(groups)):
-            yield SignedYoungDiagram(tuple(
-                (length, mult if s == 0 else 0, 0 if s == 0 else mult)
-                for (length, mult), s in zip(groups, signs)))
-
-
-def _sign_vectors(k: int):
-    for bits in range(1 << k):
-        yield tuple((bits >> (k - 1 - j)) & 1 for j in range(k))
 
 
 def _row_parities(d: SignedYoungDiagram) -> list[int]:
@@ -263,15 +242,13 @@ def _row_parities(d: SignedYoungDiagram) -> list[int]:
     return out
 
 
-def is_sigma_b(d: SignedYoungDiagram, literal_top_sign: bool = False) -> bool:
+def is_sigma_b(d: SignedYoungDiagram) -> bool:
     """Richardson-set membership test, intrinsic to the diagram.
 
-    The operative condition pairs consecutive rows (starting from the second
-    row for odd total size, from the first for even) and requires constant
-    parity of (sign bit + half-length) within each pair. The
-    ``literal_top_sign`` flag additionally enforces the top-row sign
-    congruence epsilon_1 = min(p, q) mod 2; that stricter reading fails the
-    series cross-checks and is kept only for comparison.
+    The diagram must be nonempty with all lengths odd and one sign per
+    length group. Consecutive rows pair up (starting from the second row for
+    odd total size, from the first for even), and (sign bit + half-length)
+    must have constant parity within each pair.
     """
     if d.is_empty:
         return False
@@ -281,63 +258,70 @@ def is_sigma_b(d: SignedYoungDiagram, literal_top_sign: bool = False) -> bool:
         if plus and minus:
             return False
     parities = _row_parities(d)
-    n = d.size
-    start = 1 if n % 2 else 0
+    start = 1 if d.size % 2 else 0
     for i in range(start, len(parities) - 1, 2):
         if parities[i] != parities[i + 1]:
-            return False
-    if literal_top_sign and n % 2:
-        p, q = d.signature()
-        eps1 = 0 if d.rows[0][1] else 1
-        if eps1 % 2 != min(p, q) % 2:
             return False
     return True
 
 
-@lru_cache(maxsize=None)
-def _sigma_b_cache(p: int, q: int, literal: bool) -> tuple[SignedYoungDiagram, ...]:
-    return tuple(d for d in _odd_grouped_candidates(p + q)
-                 if d.signature() == (p, q) and is_sigma_b(d, literal))
+def _richardson_signs(groups, start: int) -> list[tuple[int, ...]]:
+    """Sign bits (0 for +), one per group, in lexicographic order, such that
+    every row pair (start + 2k, start + 2k + 1) has constant parity of sign
+    bit + half-length. Rows inside a group share their parity, so only a pair
+    straddling two groups constrains anything: it forces the later sign."""
+    vectors: list[tuple[int, ...]] = [()]
+    row = prev_mu = 0
+    for length, mult in groups:
+        mu = (length - 1) // 2
+        if row > start and (row - start) % 2 == 1:
+            vectors = [v + ((v[-1] + prev_mu - mu) % 2,) for v in vectors]
+        else:
+            vectors = [v + (bit,) for v in vectors for bit in (0, 1)]
+        row += mult
+        prev_mu = mu
+    return vectors
 
 
-def enum_sigma_b(p: int, q: int, literal_top_sign: bool = False) -> list[SignedYoungDiagram]:
+@lru_cache(maxsize=64)
+def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
+    table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
+    # the empty diagram (n = 0) is not Richardson
+    for partition in _gen_partitions(n, n, odd=True) if n else ():
+        groups = _group_rows(partition)
+        rows = [((length, mult, 0), (length, 0, mult)) for length, mult in groups]
+        for signs in _richardson_signs(groups, n % 2):
+            d = SignedYoungDiagram(tuple(row[s] for row, s in zip(rows, signs)))
+            table.setdefault(d.signature(), []).append(d)
+    return {sig: tuple(ds) for sig, ds in table.items()}
+
+
+def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     """Members of the Richardson subset with signature (p, q)."""
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
-    return list(_sigma_b_cache(p, q, literal_top_sign))
+    return list(_sigma_b_by_signature(p + q).get((p, q), ()))
+
+
+def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
+    """Signings of a group of 2*mult rows: odd lengths matched, even lengths
+    with even per-sign counts, plus descending."""
+    if length % 2:
+        return [(length, mult, mult)]
+    return [(length, plus, 2 * mult - plus) for plus in range(2 * mult, -1, -2)]
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     """All diagrams of size 2n with odd lengths matched and even lengths
-    carrying even per-sign row counts (the signature is forced to (n, n))."""
+    carrying even per-sign row counts (the signature is forced to (n, n)).
+    Every row count is even, so the row lengths are a partition of n with
+    each multiplicity doubled."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [SignedYoungDiagram()]
     out = []
-    for partition in _gen_partitions(2 * n, 2 * n):
-        groups: list[tuple[int, int]] = []
-        for length in partition:
-            if groups and groups[-1][0] == length:
-                groups[-1] = (length, groups[-1][1] + 1)
-            else:
-                groups.append((length, 1))
-        if any(mult % 2 for _, mult in groups):
-            continue
-        out.extend(_assign_lambda_signs(groups, 0, ()))
+    for partition in _gen_partitions(n, n):
+        out.extend(_signed_diagrams(_group_rows(partition), _lambda_rows))
     return out
-
-
-def _assign_lambda_signs(groups, i, acc):
-    if i == len(groups):
-        yield SignedYoungDiagram(acc)
-        return
-    length, mult = groups[i]
-    if length % 2 == 1:
-        yield from _assign_lambda_signs(groups, i + 1, acc + ((length, mult // 2, mult // 2),))
-    else:
-        for plus in range(mult, -1, -2):
-            yield from _assign_lambda_signs(groups, i + 1, acc + ((length, plus, mult - plus),))
 
 
 def in_lambda_b(d: SignedYoungDiagram) -> bool:

@@ -59,20 +59,15 @@ def _pair_parity_of(d: SignedYoungDiagram) -> str:
     return "even-outer" if p % 2 else "even-inner"
 
 
-def kappa1_data_BDI(d: SignedYoungDiagram, pair_parity: str | None = None) -> Kappa1Data:
+def kappa1_data_BDI(d: SignedYoungDiagram) -> Kappa1Data:
     """Count/dimension of kappa1-irreducibles of the component group upstairs.
 
-    pair_parity is one of 'odd', 'even-outer', 'even-inner'; when omitted it
-    is derived from the signature (outer means both signature entries odd).
+    The case split is on the pair parity derived from the signature: 'odd',
+    'even-outer' (both signature entries odd) or 'even-inner'.
     """
     if not in_sigma(d):
         raise ValueError(f"{d} is not in the orthogonal classification set")
-    derived = _pair_parity_of(d)
-    if pair_parity is None:
-        pair_parity = derived
-    elif pair_parity != derived:
-        raise ValueError(f"pair parity {pair_parity!r} inconsistent with signature "
-                         f"{d.signature()} (expected {derived!r})")
+    pair_parity = _pair_parity_of(d)
     for length, plus, minus in d.rows:
         if length % 2 == 1 and (plus >= 2 or minus >= 2):
             return Kappa1Data(0, None)
@@ -194,7 +189,7 @@ def l_of(d: SignedYoungDiagram) -> int:
     return len(omega_set(d))
 
 
-def pi_size(d: SignedYoungDiagram, n_parity: int | None = None) -> int:
+def pi_size(d: SignedYoungDiagram) -> int:
     """Number of admissible component-group characters on the Richardson
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved
     again when it is even. A negative exponent signals an upstream bug."""
@@ -202,8 +197,6 @@ def pi_size(d: SignedYoungDiagram, n_parity: int | None = None) -> int:
     if cls.index not in (1, 2):
         raise ValueError("Richardson diagrams are never of class 3")
     parity = d.size % 2
-    if n_parity is not None and n_parity % 2 != parity:
-        raise ValueError(f"parity flag {n_parity} inconsistent with size {d.size}")
     l = l_of(d)
     exponent = l - (1 if cls.index == 1 else 0) - (1 if parity == 0 else 0)
     if exponent < 0:

@@ -63,13 +63,19 @@ def _as_int(x) -> int | None:
     return None
 
 
-def _gen_partitions(n: int, max_part: int):
+def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False):
+    """Partitions of n with parts at most max_part, lexicographically
+    decreasing; `odd` allows only odd parts, `distinct` no repeated part."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
+    step = 2 if odd else 1
+    first = min(n, max_part)
+    if odd and first % 2 == 0:
+        first -= 1
+    for part in range(first, 0, -step):
+        for rest in _gen_partitions(n - part, part - step if distinct else part, odd, distinct):
+            yield (part,) + rest
 
 
 def enum_partitions(n: int) -> list[Partition]:
@@ -142,50 +148,17 @@ def count_distinct_odd_partitions(x) -> int:
     return _distinct_odd_table(n)[n]
 
 
-def _gen_distinct_odd(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    first = min(n, max_part)
-    if first % 2 == 0:
-        first -= 1
-    while first >= 1:
-        for rest in _gen_distinct_odd(n - first, first - 2):
-            yield (first,) + rest
-        first -= 2
-
-
 def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
     """Partitions of n into distinct odd parts whose count of parts congruent
     to 1 mod 4 exceeds the count congruent to 3 mod 4 by exactly t."""
     if n < 0:
         return []
     out = []
-    for parts in _gen_distinct_odd(n, n):
+    for parts in _gen_partitions(n, n, odd=True, distinct=True):
         balance = sum(1 if p % 4 == 1 else -1 for p in parts)
         if balance == t:
             out.append(Partition(parts))
     return out
-
-
-def _gen_odd_partitions(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    first = min(n, max_part)
-    if first % 2 == 0:
-        first -= 1
-    while first >= 1:
-        for rest in _gen_odd_partitions(n - first, first):
-            yield (first,) + rest
-        first -= 2
-
-
-def enum_odd_partitions(n: int) -> list[Partition]:
-    """All partitions of n into odd parts, lexicographically decreasing."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _gen_odd_partitions(n, n)]
 
 
 def weighted_odd_partition_sum(n: int) -> int:
@@ -199,7 +172,7 @@ def weighted_odd_partition_sum(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = 0
-    for parts in _gen_odd_partitions(n, n):
+    for parts in _gen_partitions(n, n, odd=True):
         mu = [(p - 1) // 2 for p in parts]
         s = len(mu)
         if s % 2 == 1:

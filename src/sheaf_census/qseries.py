@@ -78,13 +78,6 @@ class FormalSeries:
             raise ValueError("cannot extend a truncated series")
         return FormalSeries(self.coeffs[: order + 1])
 
-    def valuation(self) -> int | None:
-        """Lowest exponent with nonzero coefficient, None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -497,10 +490,10 @@ class _Parser:
             self.t.next()
             if not self._at_prod_group():
                 raise self.t.error("expected '(1+x^{...})' after prod")
-            series = FormalSeries.one(self.order)
+            factors = []
             while self._at_prod_group():
-                series = self._prod_group(series)
-            return series
+                factors.append(self._prod_group())
+            return eval_product(ProductSpec(tuple(factors)), self.order)
         if tok == "inv":
             self.t.next()
             self.t.expect("(")
@@ -521,7 +514,7 @@ class _Parser:
             return inner
         raise self.t.error("expected a factor")
 
-    def _prod_group(self, series: FormalSeries) -> FormalSeries:
+    def _prod_group(self) -> ProductFactor:
         self.t.expect("(")
         self.t.expect("1")
         sign = 1 if self.t.next() == "+" else -1
@@ -543,11 +536,7 @@ class _Parser:
             power = self._int()
         if stride < 1 or stride + offset < 1:
             raise self.t.error("product factor must have lowest exponent >= 1")
-        s = 1
-        while stride * s + offset <= self.order:
-            series = series.mul_binomial(sign, stride * s + offset, power)
-            s += 1
-        return series
+        return ProductFactor(sign, stride, offset, power)
 
     def _int(self) -> int:
         tok = self.t.peek()

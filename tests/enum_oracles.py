@@ -1,0 +1,115 @@
+"""Reference implementations kept only as test oracles.
+
+These are the generate-then-filter enumerators and the three separate
+partition generators that the library used before its enumerators built
+their sets directly. They walk a superset and filter it, which is slow but
+easy to trust, and they must not change: the differential tests compare the
+library against them list for list, order included.
+"""
+from sheaf_census.diagrams import SignedYoungDiagram
+
+
+def gen_partitions(n, max_part):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in gen_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def gen_odd_partitions(n, max_part):
+    if n == 0:
+        yield ()
+        return
+    first = min(n, max_part)
+    if first % 2 == 0:
+        first -= 1
+    while first >= 1:
+        for rest in gen_odd_partitions(n - first, first):
+            yield (first,) + rest
+        first -= 2
+
+
+def gen_distinct_odd(n, max_part):
+    if n == 0:
+        yield ()
+        return
+    first = min(n, max_part)
+    if first % 2 == 0:
+        first -= 1
+    while first >= 1:
+        for rest in gen_distinct_odd(n - first, first - 2):
+            yield (first,) + rest
+        first -= 2
+
+
+def _group(partition):
+    groups = []
+    for length in partition:
+        if groups and groups[-1][0] == length:
+            groups[-1] = (length, groups[-1][1] + 1)
+        else:
+            groups.append((length, 1))
+    return groups
+
+
+def odd_grouped_candidates(n):
+    """Grouped all-odd diagrams of total size n with one sign per group."""
+    for partition in gen_partitions(n, n if n % 2 else n - 1 if n else 0):
+        if any(part % 2 == 0 for part in partition):
+            continue
+        groups = _group(partition)
+        k = len(groups)
+        for bits in range(1 << k):
+            signs = tuple((bits >> (k - 1 - j)) & 1 for j in range(k))
+            yield SignedYoungDiagram(tuple(
+                (length, mult if s == 0 else 0, 0 if s == 0 else mult)
+                for (length, mult), s in zip(groups, signs)))
+
+
+def is_sigma_b(d):
+    """Richardson membership: all lengths odd, one sign per group, and
+    constant parity of (sign bit + half-length) inside each row pair, pairs
+    starting at the second row for odd size and at the first for even."""
+    if d.is_empty or not d.all_parts_odd():
+        return False
+    if any(plus and minus for _, plus, minus in d.rows):
+        return False
+    parities = []
+    for length, plus, minus in d.rows:
+        eps = 0 if plus else 1
+        parities.extend([(eps + (length - 1) // 2) % 2] * (plus + minus))
+    start = 1 if d.size % 2 else 0
+    return all(parities[i] == parities[i + 1]
+               for i in range(start, len(parities) - 1, 2))
+
+
+def enum_sigma_b(p, q):
+    return [d for d in odd_grouped_candidates(p + q)
+            if d.signature() == (p, q) and is_sigma_b(d)]
+
+
+def _assign_lambda_signs(groups, i, acc):
+    if i == len(groups):
+        yield SignedYoungDiagram(acc)
+        return
+    length, mult = groups[i]
+    if length % 2 == 1:
+        yield from _assign_lambda_signs(groups, i + 1, acc + ((length, mult // 2, mult // 2),))
+    else:
+        for plus in range(mult, -1, -2):
+            yield from _assign_lambda_signs(groups, i + 1, acc + ((length, plus, mult - plus),))
+
+
+def enum_lambda(n):
+    """Walk every partition of 2n and keep those with even multiplicities."""
+    if n == 0:
+        return [SignedYoungDiagram()]
+    out = []
+    for partition in gen_partitions(2 * n, 2 * n):
+        groups = _group(partition)
+        if any(mult % 2 for _, mult in groups):
+            continue
+        out.extend(_assign_lambda_signs(groups, 0, ()))
+    return out

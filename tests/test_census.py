@@ -189,3 +189,14 @@ def test_orbit_label_validation():
     with pytest.raises(ValueError):
         cs.OrbitLabel(dg.parse_diagram("5+"), "III")  # only two orbits
     cs.OrbitLabel(dg.parse_diagram("5+"), "II")
+
+
+def test_cross_route_sweep_25_to_32():
+    # beyond the acceptance sweep (p+q <= 24): census, closed formula and
+    # component-group orbit sum agree for every pair with 25 <= p+q <= 32
+    for total in range(25, 33):
+        for p in range(total + 1):
+            q = total - p
+            k0 = cs.census_bdi_k0(p, q).total
+            assert k0 == cs.count_formula_k0(p, q) == cs.kappa0_orbit_sum(p, q), (p, q)
+            assert cs.census_bdi_k1(p, q).total == cs.count_formula_k1(p, q), (p, q)

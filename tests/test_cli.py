@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, JSON schema stability, round-trips."""
 import json
+import os
 import subprocess
 import sys
 
-from sheaf_census import diagrams as dg
+import pytest
+
+from sheaf_census import census, diagrams as dg
 from sheaf_census.cli import main
 
 
@@ -180,3 +183,64 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["reports"][0]["total"] == 6
+
+
+def _broken_formula(p, q):
+    raise ArithmeticError(f"non-integer count 1/2 at ({p},{q})")
+
+
+# (argv, env, patched census attributes) -> (exit code, stderr prefix);
+# "{tmp}" in argv is replaced by a fresh temporary directory
+ERROR_CASES = {
+    "bad-order-env": (["series", "--expr", "x^0"], {"SHEAF_CENSUS_ORDER": "abc"}, {},
+                      2, "sheaf-census: bad SHEAF_CENSUS_ORDER 'abc'"),
+    "orbits-missing-q": (["orbits", "bdi", "--p", "3"], {}, {},
+                         2, "sheaf-census: orbits bdi needs --q"),
+    "orbits-missing-p-q": (["orbits", "bdi"], {}, {},
+                           2, "sheaf-census: orbits bdi needs --p and --q"),
+    "orbits-missing-n": (["orbits", "diii"], {}, {},
+                         2, "sheaf-census: orbits diii needs --n"),
+    "orbits-diii-class": (["orbits", "diii", "--n", "3", "--class", "sigma1"], {}, {},
+                          2, "sheaf-census: --class applies to the bdi family only"),
+    "census-missing-q": (["census", "bdi", "--p", "3"], {}, {},
+                         2, "sheaf-census: census bdi needs --q"),
+    "census-missing-n": (["census", "diii"], {}, {},
+                         2, "sheaf-census: census diii needs --n"),
+    "out-missing-dir": (["census", "bdi", "--p", "3", "--q", "2", "--out",
+                         "{tmp}/missing/report.json"], {}, {},
+                        2, "sheaf-census: cannot write {tmp}/missing/report.json"),
+    "unknown-check": (["verify", "--suite", "nope"], {}, {}, 2, "sheaf-census: unknown"),
+    "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
+                     2, "sheaf-census: series parse error"),
+    "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",
+                          "--check"], {}, {"count_formula_k0": _broken_formula},
+                         1, "sheaf-census: non-integer count 1/2 at (3,2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_paths(case, capsys, monkeypatch, tmp_path):
+    argv, env, patches, code, prefix = ERROR_CASES[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    for name, value in patches.items():
+        monkeypatch.setattr(census, name, value)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert err.startswith(prefix.replace("{tmp}", str(tmp_path))), err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_python_dash_m_entry_point():
+    base = [sys.executable, "-m", "sheaf_census"]
+    proc = subprocess.run(base + ["census", "bdi", "--p", "3", "--q", "2", "--central", "k1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["payload"]["reports"][0]["total"] == 6
+    # the exit code of the process itself, not only of main()
+    proc = subprocess.run(base + ["series", "--expr", "x^0"], capture_output=True, text=True,
+                          env={**os.environ, "SHEAF_CENSUS_ORDER": "abc"})
+    assert proc.returncode == 2
+    assert proc.stderr == "sheaf-census: bad SHEAF_CENSUS_ORDER 'abc'\n"

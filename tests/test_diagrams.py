@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enum_oracles as oracles
 from sheaf_census import diagrams as dg
 from sheaf_census.partitions import count_bipartitions, enum_partitions
 
@@ -103,11 +104,21 @@ def test_enum_sigma_b_examples():
     assert {str(d) for d in dg.enum_sigma_b(4, 2)} == {"5+ 1+", "3+^2", "3- 1+^3"}
 
 
-def test_sigma_b_literal_flag_differs():
-    default = {str(d) for d in dg.enum_sigma_b(3, 2)}
-    literal = {str(d) for d in dg.enum_sigma_b(3, 2, literal_top_sign=True)}
-    assert literal == {"5+"}
-    assert literal < default
+def test_enum_sigma_b_matches_filter_oracle():
+    # ordered-list equality with the generate-then-filter enumerator
+    for total in range(25):
+        for p in range(total + 1):
+            assert dg.enum_sigma_b(p, total - p) == oracles.enum_sigma_b(p, total - p), \
+                (p, total - p)
+
+
+def test_enum_sigma_b_members_pass_membership_test():
+    for total in range(13):
+        for p in range(total + 1):
+            for d in dg.enum_sigma_b(p, total - p):
+                assert dg.is_sigma_b(d) and oracles.is_sigma_b(d), str(d)
+    assert dg.enum_sigma_b(0, 0) == []
+    assert not dg.is_sigma_b(dg.SignedYoungDiagram())
 
 
 def test_sigma_b_never_class3():
@@ -147,6 +158,11 @@ def test_enum_lambda_examples():
     assert {str(d) for d in dg.enum_lambda_b(3)} == \
         {"3+ 3-", "2+^2 1+ 1-", "2-^2 1+ 1-"}
     assert dg.enum_lambda_b(0) == [dg.SignedYoungDiagram()]
+
+
+def test_enum_lambda_matches_filter_oracle():
+    for n in range(17):
+        assert dg.enum_lambda(n) == oracles.enum_lambda(n), n
 
 
 def test_mu_t():

@@ -28,11 +28,14 @@ def test_kappa1_bdi_examples():
     assert gp.kappa1_data_BDI(D("3+ 1+")) == gp.Kappa1Data(1, 1)
 
 
-def test_kappa1_bdi_parity_flag():
-    d = D("3+ 1+ 1-")
-    assert gp.kappa1_data_BDI(d, "odd").count == 2
-    with pytest.raises(ValueError):
-        gp.kappa1_data_BDI(d, "even-inner")
+def test_kappa1_bdi_derived_pair_parity():
+    # the case split follows the parity of the signature: (3, 2) is odd,
+    # (3, 3) even-outer (class 1 there counts 1, not the even-inner 4) and
+    # (2, 2) even-inner, shown for class 3 and class 2
+    assert gp.kappa1_data_BDI(D("3+ 1+ 1-")) == gp.Kappa1Data(2, 1)
+    assert gp.kappa1_data_BDI(D("3+ 3-")) == gp.Kappa1Data(1, 1)
+    assert gp.kappa1_data_BDI(D("2+ 2-")) == gp.Kappa1Data(1, 1)
+    assert gp.kappa1_data_BDI(D("3+ 1-")) == gp.Kappa1Data(2, 1)
 
 
 def test_count_dim_square_invariant():
@@ -133,8 +136,6 @@ def test_pi_size_examples():
     assert gp.pi_size(D("3- 1-^2")) == 1
     assert gp.pi_size(D("3- 1+^2")) == 1  # class 2, l = 0
     assert gp.pi_size(D("3+ 1-")) == 1  # even size, class 2, l = 1
-    with pytest.raises(ValueError):
-        gp.pi_size(D("5+"), n_parity=0)
 
 
 def test_pi_size_class2_matches_character_enumeration():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import enum_oracles as oracles
 from sheaf_census import partitions as pt
 
 
@@ -25,6 +26,20 @@ def brute_partitions(n):
 def test_enum_matches_bruteforce():
     for n in range(11):
         assert [p.parts for p in pt.enum_partitions(n)] == brute_partitions(n)
+
+
+def test_generator_modes_match_oracles():
+    # each mode of the one generator against the separate generator it
+    # replaced: every n <= 30 at max_part = n, every max_part for n <= 12
+    cases = [(n, n) for n in range(31)] + [(n, m) for n in range(13) for m in range(n)]
+    for n, m in cases:
+        assert list(pt._gen_partitions(n, m)) == list(oracles.gen_partitions(n, m))
+        assert list(pt._gen_partitions(n, m, odd=True)) == \
+            list(oracles.gen_odd_partitions(n, m))
+        assert list(pt._gen_partitions(n, m, odd=True, distinct=True)) == \
+            list(oracles.gen_distinct_odd(n, m))
+        assert list(pt._gen_partitions(n, m, distinct=True)) == \
+            [p for p in oracles.gen_partitions(n, m) if len(set(p)) == len(p)]
 
 
 def test_enum_examples():
