@@ -3,7 +3,6 @@
 the component-group data attached to each orbit."""
 from sheaf_census import (
     classify,
-    component_group_barK,
     diii_kappa1_bijection,
     enum_lambda,
     enum_lambda_b,
@@ -51,7 +50,9 @@ print()
 print("== Component groups ==")
 for text in ("3+ 1+ 1-", "1+^3 1-^2", "2+ 2-"):
     d = parse_diagram(text)
-    print(f"  {text:10s} downstairs {component_group_barK(d).label:8s}"
+    r = classify(d).r
+    label = f"(Z/2)^{r}" if r else "1"
+    print(f"  {text:10s} downstairs {label:8s}"
           f" kappa1 data {kappa1_data_BDI(d)}")
 
 print()

@@ -18,13 +18,9 @@ from .partitions import (
 from .qseries import (
     FormalSeries,
     ProductFactor,
-    ProductSpec,
     bilateral_sum,
-    check_identity,
-    eval_product,
     parse_series_expr,
     prod_series,
-    product_spec,
 )
 from .diagrams import (
     SignedYoungDiagram,
@@ -42,17 +38,13 @@ from .diagrams import (
     parse_diagram,
 )
 from .groups import (
-    GroupDescriptor,
     Kappa1Data,
-    component_group_barK,
     eta,
-    imt_descriptor,
     kappa1_data_BDI,
     kappa1_data_DIII,
     l_of,
     omega_set,
     pi_size,
-    stabilizer_type,
 )
 from .census import (
     CensusReport,

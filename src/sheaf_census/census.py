@@ -50,18 +50,14 @@ LOW_RANK_WARNING = "low-rank pair: outside the stable range (total size < 5)"
 # ---------------------------------------------------------------------------
 
 def hecke_count(family: str, n: int) -> int:
-    """Number of irreducibles for the four Coxeter/Hecke families used here.
+    """Number of irreducibles for the two Coxeter/Hecke families used here.
 
-    A: symmetric group at parameter -1 (distinct partitions).
     B: type B at equal parameter -1.
     D: type D at parameter -1; the generating series carries constant 1/2
        but the trivial group has one irreducible, so n=0 returns 1.
-    B11: type B at unequal parameters (1, -1), counted by partitions.
     """
     if n < 0:
         return 0
-    if family == "A":
-        return count_distinct_partitions(n)
     if family == "B":
         return sum(count_distinct_partitions(j)
                    * count_distinct_partitions((n - j) // 2)
@@ -74,8 +70,6 @@ def hecke_count(family: str, n: int) -> int:
             raise ArithmeticError(f"odd two-sided count {c} at n={n}; "
                                   "the halving convention would break")
         return c // 2
-    if family == "B11":
-        return count_partitions(n)
     raise ValueError(f"unknown Hecke family {family!r}")
 
 
@@ -335,8 +329,7 @@ def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
     for k in range(n // 2 + 1):
         residual = n - 2 * k
         pk = count_partitions(k)
-        mus = enum_lambda_b(residual) if residual else [_EMPTY]
-        for mu in mus:
+        for mu in enum_lambda_b(residual):
             support = join(diagram((1, 2 * k, 2 * k)) if k else _EMPTY, mu)
             entries.append(StratumEntry(OrbitLabel(support), 2 * k, 0, mu, pk, "diii"))
     warnings = (LOW_RANK_WARNING,) if 2 * n < 5 else ()
@@ -376,14 +369,9 @@ def count_formula_k0(p: int, q: int) -> int:
         term2 = base2.scale(Fraction(3, 2))
         total = term1 + term2 + base3.scale(Fraction(9, 4))
     else:
-        term1 = base1.scale(Fraction(1, 2))
-        if t <= order:
-            term1 = term1.mul_binomial(1, t, -1)
-        term2 = base2.scale(Fraction(3, 2))
-        if t <= order:
-            term2 = term2.mul_binomial(1, t, 1)
-        if 2 * t <= order:
-            term2 = term2.mul_binomial(1, 2 * t, -1)
+        term1 = base1.scale(Fraction(1, 2)).mul_binomial(1, t, -1)
+        term2 = (base2.scale(Fraction(3, 2)).mul_binomial(1, t, 1)
+                 .mul_binomial(1, 2 * t, -1))
         total = term1 + term2
     c = total.coeff(q)
     if c.denominator != 1:
@@ -492,8 +480,7 @@ def kappa1_orbit_sum(p: int, q: int) -> int:
 
 def sigma23_r_sum(p: int, q: int) -> int:
     """Sum of 2^r over the class-2 and class-3 diagrams of the pair."""
-    return sum(2 ** classify(d).r for d in enum_sigma(p, q)
-               if classify(d).index in (2, 3))
+    return sum(2 ** c.r for c in map(classify, enum_sigma(p, q)) if c.index in (2, 3))
 
 
 def diii_closure_total(n: int) -> int:
@@ -568,7 +555,7 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
     if subset == "all":
         return diii_closure_total(n)
     if subset == "nilpotent":
-        return len(enum_lambda_b(n)) if n else 1
+        return len(enum_lambda_b(n))
     if subset == "full":
         return count_partitions(n // 2)
     return 0

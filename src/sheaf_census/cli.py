@@ -180,6 +180,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = [piece for chunk in args.suite for piece in chunk.split(",") if piece]
     selection = "all" if ids == ["all"] else ids
+    if args.order is None:
+        args.order = _default_order()
     try:
         results = verify.run_suite(selection, order=args.order, sweep=args.sweep)
     except KeyError as exc:
@@ -203,6 +205,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    source = "--order"
+    if args.order is None:
+        args.order, source = _default_order(), "SHEAF_CENSUS_ORDER"
+    if args.order < 0:
+        raise ValueError(f"series needs a nonnegative order: {source} is {args.order}")
     try:
         series = qseries.parse_series_expr(args.expr, args.order)
     except qseries.SeriesParseError as exc:
@@ -313,8 +320,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     args._argv = ["sheaf-census"] + argv
     try:
-        if getattr(args, "order", None) is None and args.subcommand in ("verify", "series"):
-            args.order = _default_order()
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"sheaf-census: {exc}\n")

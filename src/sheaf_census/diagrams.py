@@ -18,11 +18,11 @@ The sets implemented here:
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
 
-``enum_sigma``, ``enum_sigma_b`` and ``enum_lambda`` build exactly their sets:
-each takes the row lengths from one partition generator (all partitions of
-p+q, the odd partitions of p+q, the partitions of n with every multiplicity
-doubled) and assigns only admissible signs to each length group. The first
-two read from a per-size table keyed by signature.
+Every enumerator builds exactly its set: each takes the row lengths from one
+partition generator (all partitions of p+q, the odd partitions of p+q, the
+partitions of n with every multiplicity doubled) and assigns only admissible
+signs to each length group. The first two read from a per-size table keyed
+by signature.
 """
 from __future__ import annotations
 
@@ -311,35 +311,37 @@ def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
     return [(length, plus, 2 * mult - plus) for plus in range(2 * mult, -1, -2)]
 
 
+def _lambda_b_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
+    """The Richardson signings of a group of 2*mult rows: an odd length holds
+    one row of each sign, an even length a single sign, plus first."""
+    if length % 2:
+        return [(length, 1, 1)] if mult == 1 else []
+    return [(length, 2 * mult, 0), (length, 0, 2 * mult)]
+
+
+def _doubled_diagrams(n: int, rows) -> list[SignedYoungDiagram]:
+    """Diagrams whose row lengths are a partition of n with every
+    multiplicity doubled, signed by rows(length, mult)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = []
+    for partition in _gen_partitions(n, n):
+        out.extend(_signed_diagrams(_group_rows(partition), rows))
+    return out
+
+
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     """All diagrams of size 2n with odd lengths matched and even lengths
     carrying even per-sign row counts (the signature is forced to (n, n)).
     Every row count is even, so the row lengths are a partition of n with
     each multiplicity doubled."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = []
-    for partition in _gen_partitions(n, n):
-        out.extend(_signed_diagrams(_group_rows(partition), _lambda_rows))
-    return out
-
-
-def in_lambda_b(d: SignedYoungDiagram) -> bool:
-    """Odd lengths with exactly one row of each sign; even lengths single-signed."""
-    for length, plus, minus in d.rows:
-        if length % 2 == 1 and not (plus == minus == 1):
-            return False
-        if length % 2 == 0 and plus * minus != 0:
-            return False
-    return in_lambda(d)
+    return _doubled_diagrams(n, _lambda_rows)
 
 
 def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [SignedYoungDiagram()]
-    return [d for d in enum_lambda(n) if in_lambda_b(d)]
+    """The Richardson members of ``enum_lambda(n)``, in the same order: odd
+    lengths carry exactly one row of each sign, even lengths one sign."""
+    return _doubled_diagrams(n, _lambda_b_rows)
 
 
 def mu_t(t: int) -> SignedYoungDiagram:

@@ -9,24 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import SignedYoungDiagram, classify, in_lambda, in_sigma, is_sigma_b, mu_t
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """kind: trivial | elementary-abelian | central-extension-by-Z2;
-    rank is that of the 2-group quotient, so the order is 2^rank for the
-    first two kinds and 2^(rank+1) for an extension."""
-
-    kind: str
-    rank: int
-    label: str
-
-    @property
-    def order(self) -> int:
-        if self.kind == "central-extension-by-Z2":
-            return 2 ** (self.rank + 1)
-        return 2 ** self.rank
+from .diagrams import SignedYoungDiagram, classify, in_lambda, in_sigma, is_sigma_b
 
 
 @dataclass(frozen=True)
@@ -42,14 +25,6 @@ class Kappa1Data:
             raise ValueError("count must be nonnegative")
         if self.count > 0 and (self.dim is None or self.dim < 1):
             raise ValueError("nonzero count needs a positive dimension")
-
-
-def component_group_barK(d: SignedYoungDiagram) -> GroupDescriptor:
-    """Component group downstairs: elementary abelian of rank r."""
-    r = classify(d).r
-    if r == 0:
-        return GroupDescriptor("trivial", 0, "1")
-    return GroupDescriptor("elementary-abelian", r, f"(Z/2)^{r}")
 
 
 def _pair_parity_of(d: SignedYoungDiagram) -> str:
@@ -104,50 +79,6 @@ def eta(m: int, t: int) -> int:
     if t % 2:
         return 2
     return 4 if m % 2 == (t // 2) % 2 else 1
-
-
-def imt_descriptor(m: int, t: int) -> tuple[GroupDescriptor, Kappa1Data]:
-    """Isotropy data on the dual stratum indexed by (m, t), |t| >= 2.
-
-    For m >= 1 the group is a 2-variable Clifford-type extension times an
-    elementary abelian factor; its kappa1 part has 2^(m-1) irreducibles of
-    dimension 2^((|t|-1)/2) for odd t and 2^m of dimension 2^((|t|-2)/2) for
-    even t. For m = 0 it is the component group of the staircase orbit.
-    """
-    at = abs(t)
-    if at < 2:
-        raise ValueError("|t| >= 2 required; split pairs take the other path")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        rank = at - 2
-        desc = GroupDescriptor("central-extension-by-Z2", rank,
-                               f"A({mu_t(t)})")
-        data = kappa1_data_BDI(mu_t(t))
-        return desc, data
-    rank = at + m - 2
-    desc = GroupDescriptor("central-extension-by-Z2", rank,
-                           f"Gamma_{at} x (Z/2)^{m - 1}")
-    if t % 2:
-        data = Kappa1Data(2 ** (m - 1), 2 ** ((at - 1) // 2))
-    else:
-        data = Kappa1Data(2 ** m, 2 ** ((at - 2) // 2))
-    return desc, data
-
-
-def stabilizer_type(m: int, t: int) -> tuple[int, str]:
-    """(number of orbits of the type-B Weyl group on the kappa1-irreducibles,
-    stabilizer shape): one orbit with stabilizer S_m when eta is 1, one orbit
-    with stabilizer S_m extended by an involution when eta is 2, two orbits
-    each with the extended stabilizer when eta is 4."""
-    if m < 1 or abs(t) < 2:
-        raise ValueError("need m >= 1 and |t| >= 2")
-    e = eta(m, t)
-    if e == 1:
-        return 1, "S_m"
-    if e == 2:
-        return 1, "S_m x <tau>"
-    return 2, "S_m x <tau>"
 
 
 def _grouped_odd(d: SignedYoungDiagram) -> list[tuple[int, int, int]]:

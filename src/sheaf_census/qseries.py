@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 DEFAULT_ORDER = 40
 
@@ -72,14 +72,6 @@ class FormalSeries:
         if k > self.order:
             raise ValueError(f"exponent {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> FormalSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return FormalSeries(self.coeffs[: order + 1])
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __add__(self, other: FormalSeries) -> FormalSeries:
         n = min(self.order, other.order)
@@ -175,60 +167,15 @@ class ProductFactor:
             raise ValueError("lowest factor exponent must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """A scalar times x^shift times a list of infinite product factors."""
-
-    factors: tuple[ProductFactor, ...] = ()
-    scalar: Fraction = _ONE
-    shift: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shift < 0:
-            raise ValueError("monomial shift must be nonnegative")
-
-
-def product_spec(factors: Sequence[tuple[int, int, int, int]],
-                 scalar=1, shift: int = 0) -> ProductSpec:
-    """Build a ProductSpec from (sign, stride, offset, power) tuples."""
-    return ProductSpec(tuple(ProductFactor(*f) for f in factors), Fraction(scalar), shift)
-
-
-def eval_product(spec: ProductSpec, order: int) -> FormalSeries:
-    """Expand the product to the given truncation order."""
-    series = FormalSeries.monomial(spec.shift, spec.scalar, order)
-    for f in spec.factors:
-        s = 1
-        while True:
-            exponent = f.stride * s + f.offset
-            if exponent > order:
-                break
-            series = series.mul_binomial(f.sign, exponent, f.power)
-            s += 1
-    return series
-
-
 def prod_series(order: int, *factors: tuple[int, int, int, int],
                 scalar=1, shift: int = 0) -> FormalSeries:
-    """Shorthand: expand prod (1+sign*x^(stride*s+offset))^power terms."""
-    return eval_product(product_spec(factors, scalar, shift), order)
-
-
-def poch_inf(sign: int, exponent: int, order: int) -> FormalSeries:
-    """(A; x)_infinity with A = sign*x^exponent: prod_{s>=0}(1 - A x^s)."""
-    if exponent < 1:
-        raise ValueError("need a positive starting exponent")
-    return prod_series(order, (-sign, 1, exponent - 1, 1))
-
-
-def poch(sign: int, exponent: int, n: int, order: int) -> FormalSeries:
-    """(A; x)_n with A = sign*x^exponent: prod_{s=0}^{n-1}(1 - A x^s)."""
-    series = FormalSeries.one(order)
-    for s in range(n):
-        e = exponent + s
-        if e > order:
-            break
-        series = series.mul_binomial(-sign, e, 1)
+    """Expand scalar * x^shift times, for each (sign, stride, offset, power)
+    factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order."""
+    families = [ProductFactor(*f) for f in factors]
+    series = FormalSeries.monomial(shift, scalar, order)
+    for f in families:
+        for exponent in range(f.stride + f.offset, order + 1, f.stride):
+            series = series.mul_binomial(f.sign, exponent, f.power)
     return series
 
 
@@ -262,40 +209,6 @@ def bilateral_sum(constant_term, pos_term: Callable[[int], FormalSeries],
     for k in range(1, order + 1):
         total = total + pos_term(k) + neg_term(k)
     return total
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Result of an identity check: PASS, or the first disagreement."""
-
-    ok: bool
-    order: int
-    exponent: int | None = None
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"PASS (order {self.order})"
-        return (f"FAIL at x^{self.exponent}: lhs={self.lhs} rhs={self.rhs} "
-                f"(order {self.order})")
-
-
-def check_identity(lhs: FormalSeries, rhs: FormalSeries,
-                   order: int | None = None, start: int = 0) -> Verdict:
-    """Compare coefficients for exponents start..order."""
-    n = min(lhs.order, rhs.order)
-    if order is not None:
-        if order > n:
-            raise ValueError(f"operands only defined to order {n}, asked for {order}")
-        n = order
-    for k in range(start, n + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            return Verdict(False, n, k, lhs.coeffs[k], rhs.coeffs[k])
-    return Verdict(True, n)
 
 
 class BiSeries:
@@ -493,7 +406,7 @@ class _Parser:
             factors = []
             while self._at_prod_group():
                 factors.append(self._prod_group())
-            return eval_product(ProductSpec(tuple(factors)), self.order)
+            return prod_series(self.order, *factors)
         if tok == "inv":
             self.t.next()
             self.t.expect("(")
@@ -514,7 +427,7 @@ class _Parser:
             return inner
         raise self.t.error("expected a factor")
 
-    def _prod_group(self) -> ProductFactor:
+    def _prod_group(self) -> tuple[int, int, int, int]:
         self.t.expect("(")
         self.t.expect("1")
         sign = 1 if self.t.next() == "+" else -1
@@ -536,7 +449,7 @@ class _Parser:
             power = self._int()
         if stride < 1 or stride + offset < 1:
             raise self.t.error("product factor must have lowest exponent >= 1")
-        return ProductFactor(sign, stride, offset, power)
+        return sign, stride, offset, power
 
     def _int(self) -> int:
         tok = self.t.peek()

@@ -44,17 +44,21 @@ class IdentityCheck:
 
 
 def _from_cells(check_id: str, description: str, cells, scope_note: str) -> IdentityCheck:
-    """cells: iterable of (location, lhs, rhs); first mismatch is the witness."""
-    count = 0
+    """cells: iterable of (location, lhs, rhs); first mismatch is the witness,
+    reported with the number of cells that disagree."""
+    count = mismatches = 0
     witness = None
     for location, lhs, rhs in cells:
         count += 1
-        if witness is None and lhs != rhs:
-            witness = {"location": location, "lhs": str(lhs), "rhs": str(rhs)}
+        if lhs != rhs:
+            mismatches += 1
+            if witness is None:
+                witness = {"location": location, "lhs": str(lhs), "rhs": str(rhs)}
     scope = f"{count} cells, {scope_note}"
     if witness is None:
         return IdentityCheck(check_id, description, scope, "PASS")
-    return IdentityCheck(check_id, description, scope, "FAIL", witness)
+    return IdentityCheck(check_id, description, scope, "FAIL",
+                         {**witness, "mismatches": mismatches})
 
 
 def _series_cells(lhs: FormalSeries, rhs: FormalSeries, start: int = 0):
@@ -116,10 +120,7 @@ def _check_kappa1_orbit_sum(order: int, sweep: int) -> IdentityCheck:
 def _lemma_n1_series(t: int, order: int) -> FormalSeries:
     s = prod_series(order, (1, 2, 0, 2), (-1, 2, 0, -3))
     if t:
-        if t <= order:
-            s = s.mul_binomial(1, t, 1)
-        if 2 * t <= order:
-            s = s.mul_binomial(1, 2 * t, -1)
+        s = s.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1)
     return s
 
 
@@ -313,9 +314,7 @@ def _check_bb_even(order: int, sweep: int) -> IdentityCheck:
 def _check_tb1(order: int, sweep: int) -> IdentityCheck:
     def cells():
         for t in (1, 3, 5):
-            series = prod_series(sweep, (1, 2, -1, 2), (-1, 2, 0, -2))
-            if t <= sweep:
-                series = series.mul_binomial(1, t, -1)
+            series = prod_series(sweep, (1, 2, -1, 2), (-1, 2, 0, -2)).mul_binomial(1, t, -1)
             for q in range(sweep + 1):
                 if 2 * q + t > sweep:
                     break
@@ -325,7 +324,7 @@ def _check_tb1(order: int, sweep: int) -> IdentityCheck:
             series = prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -2))
             if t == 0:
                 series = series.scale(HALF)
-            elif t <= sweep:
+            else:
                 series = series.mul_binomial(1, t, -1)
             for q in range(0, sweep + 1, 2):
                 if 2 * q + t > sweep or (t == 0 and q == 0):
@@ -485,11 +484,8 @@ def _nilcoro_series(t: int, order: int, odd_side: bool) -> FormalSeries:
     if t == 0:
         a = a.scale(HALF)
     else:
-        if t <= order:
-            a = a.mul_binomial(1, t, -1)
-            b = b.mul_binomial(1, t, 1)
-        if 2 * t <= order:
-            b = b.mul_binomial(1, 2 * t, -1)
+        a = a.mul_binomial(1, t, -1)
+        b = b.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1)
     return a + b
 
 

@@ -1,12 +1,14 @@
 """Reference implementations kept only as test oracles.
 
-These are the generate-then-filter enumerators and the three separate
+These are the generate-then-filter enumerators, the membership test the
+Richardson equal-signature set was once filtered by, and the three separate
 partition generators that the library used before its enumerators built
 their sets directly. They walk a superset and filter it, which is slow but
 easy to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
 """
-from sheaf_census.diagrams import SignedYoungDiagram
+from sheaf_census import diagrams
+from sheaf_census.diagrams import SignedYoungDiagram, in_lambda
 
 
 def gen_partitions(n, max_part):
@@ -113,3 +115,20 @@ def enum_lambda(n):
             continue
         out.extend(_assign_lambda_signs(groups, 0, ()))
     return out
+
+
+def in_lambda_b(d):
+    """Odd lengths with exactly one row of each sign; even lengths single-signed."""
+    for length, plus, minus in d.rows:
+        if length % 2 == 1 and not (plus == minus == 1):
+            return False
+        if length % 2 == 0 and plus * minus != 0:
+            return False
+    return in_lambda(d)
+
+
+def enum_lambda_b(n):
+    """Filter the library's enum_lambda(n) by in_lambda_b."""
+    if n == 0:
+        return [SignedYoungDiagram()]
+    return [d for d in diagrams.enum_lambda(n) if in_lambda_b(d)]

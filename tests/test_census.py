@@ -9,12 +9,10 @@ from sheaf_census.partitions import count_bipartitions, count_partitions
 
 
 def test_hecke_counts():
-    assert [cs.hecke_count("A", n) for n in range(6)] == [1, 1, 1, 2, 2, 3]
     assert cs.hecke_count("B", 2) == 2
     assert [cs.hecke_count("B", n) for n in range(5)] == [1, 1, 2, 3, 4]
     assert cs.hecke_count("D", 0) == 1
     assert [cs.hecke_count("D", n) for n in range(6)] == [1, 1, 1, 2, 3, 4]
-    assert cs.hecke_count("B11", 6) == count_partitions(6)
     with pytest.raises(ValueError):
         cs.hecke_count("E", 3)
 

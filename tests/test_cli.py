@@ -210,6 +210,11 @@ ERROR_CASES = {
                          "{tmp}/missing/report.json"], {}, {},
                         2, "sheaf-census: cannot write {tmp}/missing/report.json"),
     "unknown-check": (["verify", "--suite", "nope"], {}, {}, 2, "sheaf-census: unknown"),
+    "series-negative-order": (["series", "--order", "-1", "--expr", "x^0"], {}, {}, 2,
+                              "sheaf-census: series needs a nonnegative order: --order is -1"),
+    "series-negative-order-env": (["series", "--expr", "x^0"], {"SHEAF_CENSUS_ORDER": "-1"},
+                                  {}, 2, "sheaf-census: series needs a nonnegative order: "
+                                  "SHEAF_CENSUS_ORDER is -1"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",

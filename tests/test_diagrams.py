@@ -165,6 +165,11 @@ def test_enum_lambda_matches_filter_oracle():
         assert dg.enum_lambda(n) == oracles.enum_lambda(n), n
 
 
+def test_enum_lambda_b_matches_filter_oracle():
+    for n in range(21):
+        assert dg.enum_lambda_b(n) == oracles.enum_lambda_b(n), n
+
+
 def test_mu_t():
     assert str(dg.mu_t(2)) == "3+ 1+"
     assert dg.mu_t(0) == dg.SignedYoungDiagram()

@@ -1,5 +1,5 @@
-"""Component-group numerics: the case table for the double cover, eta, the
-isotropy descriptors, and the admissible-character counts."""
+"""Component-group numerics: the case table for the double cover, eta, and
+the admissible-character counts."""
 import pytest
 
 from sheaf_census import diagrams as dg
@@ -8,14 +8,6 @@ from sheaf_census import groups as gp
 
 def D(text):
     return dg.parse_diagram(text)
-
-
-def test_component_group_barK():
-    assert gp.component_group_barK(D("1+^3 1-^2")).rank == 0
-    assert gp.component_group_barK(D("1+^3 1-^2")).kind == "trivial"
-    g = gp.component_group_barK(D("3+ 1+ 1-"))
-    assert (g.kind, g.rank, g.order) == ("elementary-abelian", 1, 2)
-    assert gp.component_group_barK(dg.SignedYoungDiagram()).kind == "trivial"
 
 
 def test_kappa1_bdi_examples():
@@ -76,37 +68,6 @@ def test_eta_period_two():
         for t in range(-6, 7):
             assert gp.eta(m, t) == gp.eta(m + 2, t)
             assert (gp.eta(m, t) == 2) == (t % 2 == 1)
-
-
-def test_imt_descriptor():
-    desc, data = gp.imt_descriptor(1, 3)
-    assert (data.count, data.dim) == (1, 2)
-    assert desc.kind == "central-extension-by-Z2"
-    desc, data = gp.imt_descriptor(2, 2)
-    assert (data.count, data.dim) == (4, 1)
-    # m=0 reduces to the staircase component group; count matches eta
-    _, data = gp.imt_descriptor(0, 2)
-    assert data.count == gp.eta(0, 2) == 1
-    _, data = gp.imt_descriptor(0, 4)
-    assert data.count == gp.eta(0, 4) == 4
-    with pytest.raises(ValueError):
-        gp.imt_descriptor(1, 1)
-
-
-def test_imt_count_dim_square():
-    for m in range(0, 6):
-        for t in range(2, 7):
-            desc, data = gp.imt_descriptor(m, t)
-            assert data.count * data.dim ** 2 == 2 ** desc.rank, (m, t)
-
-
-def test_stabilizer_type():
-    assert gp.stabilizer_type(2, 2) == (1, "S_m")
-    assert gp.stabilizer_type(1, 3) == (1, "S_m x <tau>")
-    assert gp.stabilizer_type(4, 3) == (1, "S_m x <tau>")
-    assert gp.stabilizer_type(1, 2) == (2, "S_m x <tau>")
-    with pytest.raises(ValueError):
-        gp.stabilizer_type(0, 2)
 
 
 def test_omega_examples():

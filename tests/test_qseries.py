@@ -44,7 +44,7 @@ def test_eval_product_examples():
     # the type-D series keeps its 1/2 constant
     s = qs.prod_series(1, (1, 2, -1, 1), (1, 1, 0, 1), scalar=Fraction(1, 2))
     assert list(s.coeffs) == [Fraction(1, 2), 1]
-    assert qs.eval_product(qs.ProductSpec(), 5) == FormalSeries.one(5)
+    assert qs.prod_series(5) == FormalSeries.one(5)
 
 
 def test_coeff_examples():
@@ -62,14 +62,11 @@ def test_product_spec_validation():
         qs.ProductFactor(1, 1, -1)  # lowest exponent 0
     with pytest.raises(ValueError):
         qs.ProductFactor(2, 1, 0)
-
-
-def test_pochhammer_helpers():
-    # (x; x)_inf = prod (1 - x^s)
-    assert qs.poch_inf(1, 1, 10) == qs.prod_series(10, (-1, 1, 0, 1))
-    # (-x; x)_2 = (1+x)(1+x^2)
-    expected = FormalSeries.one(10).mul_binomial(1, 1, 1).mul_binomial(1, 2, 1)
-    assert qs.poch(-1, 1, 2, 10) == expected
+    # prod_series validates every factor, and the shift, before expanding
+    with pytest.raises(ValueError):
+        qs.prod_series(5, (1, 1, 0, 1), (1, 1, -1, 1))
+    with pytest.raises(ValueError):
+        qs.prod_series(5, (1, 1, 0, 1), shift=-1)
 
 
 def test_bilateral_constant_term():
@@ -79,19 +76,14 @@ def test_bilateral_constant_term():
     assert total.coeff(0) == Fraction(1, 2)
 
 
-def test_check_identity_reports_first_mismatch():
-    a = FormalSeries.from_values([1, 2, 3], order=5)
-    b = FormalSeries.from_values([1, 2, 4], order=5)
-    verdict = qs.check_identity(a, b)
-    assert not verdict.ok
-    assert verdict.exponent == 2
-    assert (verdict.lhs, verdict.rhs) == (3, 4)
-    assert qs.check_identity(a, a).ok
-
-
-def test_integrality_helper():
-    assert qs.prod_series(10, (1, 1, 0, 3)).is_integral()
-    assert not qs.prod_series(10, (1, 1, 0, 1), scalar=Fraction(1, 2)).is_integral()
+def test_mul_binomial_past_order_is_identity():
+    # callers multiply by (1+x^t)^(+-1) without checking t against the order
+    s = FormalSeries.from_values([1, 2, Fraction(1, 3), -4], order=5)
+    for exponent in (6, 7, 20):
+        for sign in (1, -1):
+            for power in (1, 3, -1, -2):
+                assert s.mul_binomial(sign, exponent, power) == s
+    assert s.mul_binomial(1, 5, -1) != s
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -72,7 +72,7 @@ def test_failure_carries_witness():
     cells = [("x^0", 1, 1), ("x^1", 2, 3), ("x^2", 5, 7)]
     check = verify._from_cells("demo", "description", iter(cells), "unit test")
     assert check.status == "FAIL"
-    assert check.detail == {"location": "x^1", "lhs": "2", "rhs": "3"}
+    assert check.detail == {"location": "x^1", "lhs": "2", "rhs": "3", "mismatches": 2}
     assert "3 cells" in check.scope
     data = check.to_json_dict()
     assert data["status"] == "FAIL" and data["detail"]["location"] == "x^1"
