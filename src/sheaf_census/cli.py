@@ -27,6 +27,16 @@ def _default_order() -> int:
         raise ValueError(f"bad SHEAF_CENSUS_ORDER {raw!r}") from None
 
 
+def _resolve_order(args: argparse.Namespace, least: int, refusal: str) -> None:
+    """Fill args.order from the environment if unset; refuse it below least,
+    naming --order or SHEAF_CENSUS_ORDER, whichever set it."""
+    source = "--order"
+    if args.order is None:
+        args.order, source = _default_order(), "SHEAF_CENSUS_ORDER"
+    if args.order < least:
+        raise ValueError(f"{refusal}: {source} is {args.order}")
+
+
 def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> dict:
     return {
         "tool": "sheaf-census",
@@ -180,8 +190,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = [piece for chunk in args.suite for piece in chunk.split(",") if piece]
     selection = "all" if ids == ["all"] else ids
-    if args.order is None:
-        args.order = _default_order()
+    _resolve_order(args, verify.MIN_ORDER, f"verify needs an order of at least {verify.MIN_ORDER}")
     try:
         results = verify.run_suite(selection, order=args.order, sweep=args.sweep)
     except KeyError as exc:
@@ -205,11 +214,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    source = "--order"
-    if args.order is None:
-        args.order, source = _default_order(), "SHEAF_CENSUS_ORDER"
-    if args.order < 0:
-        raise ValueError(f"series needs a nonnegative order: {source} is {args.order}")
+    _resolve_order(args, 0, "series needs a nonnegative order")
     try:
         series = qseries.parse_series_expr(args.expr, args.order)
     except qseries.SeriesParseError as exc:

@@ -3,6 +3,9 @@
 Everything here is exact: coefficients are Fractions, binary operations
 truncate to the smaller order, and infinite products are expanded factor by
 factor with early exit once a factor's lowest exponent passes the order.
+Products of factors, inverses and products of two series are computed over
+Python ints (denominators cleared first) and converted to one Fraction per
+coefficient at the end.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`).
@@ -12,6 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 from typing import Callable, Iterable
 
 DEFAULT_ORDER = 40
@@ -86,16 +91,11 @@ class FormalSeries:
 
     def __mul__(self, other: FormalSeries) -> FormalSeries:
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [_ZERO] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, n - i) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return FormalSeries(tuple(out))
+        da, a = _cleared(self.coeffs[: n + 1])
+        db, b = _cleared(other.coeffs[: n + 1])
+        den = da * db
+        return FormalSeries(tuple(Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den)
+                                  for k in range(n + 1)))
 
     def scale(self, scalar) -> FormalSeries:
         s = Fraction(scalar)
@@ -111,15 +111,15 @@ class FormalSeries:
     def inverse(self) -> FormalSeries:
         if not self.coeffs[0]:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [_ZERO] * self.order
+        # with den*self = ints and c0 = ints[0], the inverse is m_k*den/c0^(k+1)
+        # where m_0 = 1 and m_k = -sum_{j>=1} ints_j*c0^(j-1)*m_(k-j)
+        den, ints = _cleared(self.coeffs)
+        c0 = ints[0]
+        w = [a * c0 ** j for j, a in enumerate(ints[1:])]
+        m = [1]
         for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc += self.coeffs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return FormalSeries(tuple(out))
+            m.append(-sum(map(mul, w[k - 1::-1], m)))
+        return FormalSeries(tuple(Fraction(mk * den, c0 ** (k + 1)) for k, mk in enumerate(m)))
 
     def mul_binomial(self, sign: int, exponent: int, power: int = 1) -> FormalSeries:
         """Multiply by (1 + sign*x^exponent)^power; power may be negative."""
@@ -128,16 +128,7 @@ class FormalSeries:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         vals = list(self.coeffs)
-        n = self.order
-        for _ in range(abs(power)):
-            if power > 0:
-                for k in range(n, exponent - 1, -1):
-                    if vals[k - exponent]:
-                        vals[k] += sign * vals[k - exponent]
-            else:
-                for k in range(exponent, n + 1):
-                    if vals[k - exponent]:
-                        vals[k] -= sign * vals[k - exponent]
+        _mul_binomial(vals, sign, exponent, power)
         return FormalSeries(tuple(vals))
 
     def __str__(self) -> str:
@@ -167,16 +158,48 @@ class ProductFactor:
             raise ValueError("lowest factor exponent must be >= 1")
 
 
+def _cleared(coeffs) -> tuple[int, list[int]]:
+    """A common denominator of the rationals coeffs, and their numerators over it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _mul_binomial(vals: list, sign: int, exponent: int, power: int) -> None:
+    """Multiply the coefficient list vals in place by (1 + sign*x^exponent)^power,
+    truncated to its length; the cost is bounded by the order, not by power."""
+    n, m = len(vals) - 1, abs(power)
+    # the binomial terms C(m, j)*sign^j*x^(j*exponent) that fall within the order
+    terms = [(j * exponent, comb(m, j) * sign ** j) for j in range(1, min(m, n // exponent) + 1)]
+    if power < 0:
+        # divide: ascending, so vals[k - shift] already holds the quotient
+        for k in range(exponent, n + 1):
+            acc = 0
+            for shift, c in terms:
+                if shift > k:
+                    break
+                acc += c * vals[k - shift]
+            vals[k] -= acc
+    else:
+        # multiply: add each shifted term of the input, read from a copy
+        src = vals[:]
+        for shift, c in terms:
+            vals[shift:] = [v + c * u for v, u in zip(vals[shift:], src)]
+
+
 def prod_series(order: int, *factors: tuple[int, int, int, int],
                 scalar=1, shift: int = 0) -> FormalSeries:
     """Expand scalar * x^shift times, for each (sign, stride, offset, power)
     factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order."""
     families = [ProductFactor(*f) for f in factors]
-    series = FormalSeries.monomial(shift, scalar, order)
+    if shift < 0:
+        raise ValueError("negative exponents are not representable")
+    vals = [1] + [0] * order
     for f in families:
         for exponent in range(f.stride + f.offset, order + 1, f.stride):
-            series = series.mul_binomial(f.sign, exponent, f.power)
-    return series
+            _mul_binomial(vals, f.sign, exponent, f.power)
+    s = Fraction(scalar)
+    vals = ([0] * shift + [v * s.numerator for v in vals])[: order + 1]
+    return FormalSeries(tuple(Fraction(v, s.denominator) for v in vals))
 
 
 def geometric_alternating(start: int, step: int, order: int) -> FormalSeries:

@@ -14,6 +14,7 @@ from . import census, diagrams, groups, partitions, qseries
 from .qseries import BiSeries, FormalSeries, geometric_alternating, prod_series
 
 DEFAULT_SWEEP = 24
+MIN_ORDER = 10
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -688,8 +689,8 @@ def run_suite(selection="all", order: int = qseries.DEFAULT_ORDER,
               sweep: int = DEFAULT_SWEEP) -> list[IdentityCheck]:
     """Run the selected checks (all of them by default) and return their
     results in registry order; failures never abort the suite."""
-    if order < 10:
-        raise ValueError("order must be at least 10")
+    if order < MIN_ORDER:
+        raise ValueError(f"order must be at least {MIN_ORDER}")
     if sweep < 0:
         raise ValueError("sweep must be nonnegative")
     if selection == "all":

@@ -215,6 +215,11 @@ ERROR_CASES = {
     "series-negative-order-env": (["series", "--expr", "x^0"], {"SHEAF_CENSUS_ORDER": "-1"},
                                   {}, 2, "sheaf-census: series needs a nonnegative order: "
                                   "SHEAF_CENSUS_ORDER is -1"),
+    "verify-small-order": (["verify", "--suite", "psi1-a", "--order", "5"], {}, {}, 2,
+                           "sheaf-census: verify needs an order of at least 10: --order is 5"),
+    "verify-small-order-env": (["verify", "--suite", "psi1-a"], {"SHEAF_CENSUS_ORDER": "5"},
+                               {}, 2, "sheaf-census: verify needs an order of at least 10: "
+                               "SHEAF_CENSUS_ORDER is 5"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",

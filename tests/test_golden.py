@@ -39,6 +39,14 @@ COMMANDS = {
     "orbits_diii_6_richardson": ["orbits", "diii", "--n", "6", "--richardson"],
     "orbits_bdi_5_4_richardson": ["orbits", "bdi", "--p", "5", "--q", "4", "--richardson"],
     "census_diii_6_both_check": ["census", "diii", "--n", "6", "--central", "both", "--check"],
+    # series at large order: big integers, rational scalars, inverses of products
+    "series_inv_prod_order400": ["series", "--expr",
+                                 "3/7*inv(prod(1+x^{2s+1})(1+x^{3s-1}))", "--order", "400"],
+    "series_prod_diff_order400_csv": ["series", "--expr",
+                                      "5/4*prod(1+x^{2s})-7/9*prod(1-x^{3s-1})^2",
+                                      "--order", "400", "--format", "csv"],
+    "series_inv_nonunit_order60_csv": ["series", "--expr", "inv(2/3*prod(1-x^{1s}) + 1/5*x^3)",
+                                       "--order", "60", "--format", "csv"],
 }
 
 

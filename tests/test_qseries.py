@@ -1,11 +1,14 @@
 """Ring behaviour, product expansion, bilateral sums, and the expression
 grammar."""
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import series_oracles as oracles
 from sheaf_census import qseries as qs
+from sheaf_census.cli import main
 from sheaf_census.qseries import FormalSeries
 
 
@@ -122,6 +125,67 @@ def test_unit_inverse(values):
         values = [Fraction(1)] + values[1:]
     s = FormalSeries.from_values(values)
     assert s * s.inverse() == FormalSeries.one(5)
+
+
+def _binomial(p, k):
+    """C(p, k) for any integer p, negative included."""
+    return prod(range(p - k + 1, p + 1)) // prod(range(1, k + 1))
+
+
+def test_huge_power_costs_one_pass():
+    # prod (1 + sign*x^s)^P: x^1 comes from s=1 only, x^2 from s=1 twice or s=2 once
+    for power in (10 ** 9, -10 ** 9, 7, -7, 1, -1):
+        for sign in (1, -1):
+            s = qs.prod_series(10, (sign, 1, 0, power))
+            assert s.coeff(1) == sign * _binomial(power, 1)
+            assert s.coeff(2) == _binomial(power, 2) + sign * _binomial(power, 1)
+            assert all(type(c) is Fraction for c in s.coeffs)
+    assert _binomial(5, 2) == comb(5, 2) and _binomial(-3, 2) == 6
+    assert qs.prod_series(10, (1, 1, 0, 0)) == FormalSeries.one(10)
+
+
+def test_huge_power_from_the_command_line(capsys):
+    assert main(["series", "--expr", "prod(1+x^{1s})^1000000000", "--order", "10"]) == 0
+    assert '"1": "1000000000"' in capsys.readouterr().out
+
+
+# --- differential tests against the Fraction-only oracles ---------------------
+
+factor_families = st.integers(1, 5).flatmap(lambda stride: st.tuples(
+    st.sampled_from((1, -1)), st.just(stride), st.integers(1 - stride, 3),
+    st.integers(-4, 4)))
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 60), st.lists(factor_families, max_size=4),
+       rationals, st.integers(0, 8))
+def test_prod_series_matches_oracle(order, factors, scalar, shift):
+    got = qs.prod_series(order, *factors, scalar=scalar, shift=shift)
+    assert got == oracles.prod_series(order, *factors, scalar=scalar, shift=shift)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=40),
+       st.lists(rationals, min_size=1, max_size=40))
+def test_inverse_and_product_match_oracle(a, b):
+    A, B = FormalSeries.from_values(a), FormalSeries.from_values(b)
+    assert A * B == oracles.product(A, B)
+    assert all(type(c) is Fraction for c in (A * B).coeffs)
+    if a[0]:
+        assert A.inverse() == oracles.inverse(A)
+        assert all(type(c) is Fraction for c in A.inverse().coeffs)
+
+
+@pytest.mark.parametrize("c0", [Fraction(2, 3), Fraction(-5), Fraction(-7, 4), Fraction(1)])
+def test_inverse_non_unit_constant_term(c0):
+    s = qs.prod_series(40, (-1, 1, 0, 1), (1, 2, -1, 2), scalar=Fraction(3, 5))
+    s = FormalSeries((c0,) + s.coeffs[1:])
+    assert s.inverse() == oracles.inverse(s)
+    assert s * s.inverse() == FormalSeries.one(40)
+    t = qs.prod_series(30, (1, 3, -1, -2), scalar=Fraction(-5, 7))
+    assert s * t == oracles.product(s, t)
 
 
 def test_biseries_matches_single_variable_diagonal():
