@@ -249,11 +249,13 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
     N = p + q
-    b_variant = N % 2 == 1
+    side = "B" if N % 2 else "D"
     entries: list[StratumEntry] = []
     for m in range(min(p, q) + 1):
         if N % 2 == 0 and (m - q) % 2:
             continue
+        # the induced module families depend on m and the parity only
+        f1, f2 = theta_k0_count(f"ind1-{side}", m), theta_k0_count(f"ind2-{side}", m)
         for k in range((min(p, q) - m) // 2 + 1):
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
@@ -273,11 +275,9 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
                 pi = pi_size(mu)
                 support = _support(m, k, mu)
                 if cls.index == 1:
-                    f1 = theta_k0_count("ind1-B" if b_variant else "ind1-D", m)
                     entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
                                                 f1 * pk * pi, "sigma-b1"))
                 elif m > 0:
-                    f2 = theta_k0_count("ind2-B" if b_variant else "ind2-D", m)
                     entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
                                                 f2 * pk * pi, "sigma-b2"))
                 else:

@@ -189,6 +189,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = [piece for chunk in args.suite for piece in chunk.split(",") if piece]
+    if not ids:
+        raise ValueError(f"verify needs at least one check id: --suite is {' '.join(args.suite)!r}")
+    if args.sweep < verify.MIN_SWEEP:
+        raise ValueError(f"verify needs a sweep of at least {verify.MIN_SWEEP}: "
+                         f"--sweep is {args.sweep}")
     selection = "all" if ids == ["all"] else ids
     _resolve_order(args, verify.MIN_ORDER, f"verify needs an order of at least {verify.MIN_ORDER}")
     try:
@@ -221,6 +226,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         sys.stderr.write("sheaf-census: series parse error: " + exc.diagnostic() + "\n")
         return 2
     if args.coeff is not None:
+        if args.coeff < 0:
+            sys.stderr.write(f"sheaf-census: series needs a nonnegative coefficient: "
+                             f"--coeff is {args.coeff}\n")
+            return 2
         if args.coeff > series.order:
             sys.stderr.write(f"sheaf-census: coefficient {args.coeff} beyond "
                              f"order {series.order}\n")

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import census, diagrams, groups, partitions, qseries
 from .qseries import BiSeries, FormalSeries, geometric_alternating, prod_series
 
 DEFAULT_SWEEP = 24
 MIN_ORDER = 10
+MIN_SWEEP = 1
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -62,83 +64,123 @@ def _from_cells(check_id: str, description: str, cells, scope_note: str) -> Iden
                          {**witness, "mismatches": mismatches})
 
 
-def _series_cells(lhs: FormalSeries, rhs: FormalSeries, start: int = 0):
+CHECKS: dict = {}
+
+
+def _check(check_id: str, description: str):
+    """Register a body returning (cells, scope_note) as the check check_id;
+    the registry keeps the order in which the checks are defined."""
+    def register(body):
+        CHECKS[check_id] = lambda order, sweep: _from_cells(
+            check_id, description, *body(order, sweep))
+        return body
+    return register
+
+
+# ---------------------------------------------------------------------------
+# shared cell builders
+# ---------------------------------------------------------------------------
+
+def _series_cells(lhs: FormalSeries, rhs: FormalSeries, prefix: str = ""):
     n = min(lhs.order, rhs.order)
-    for k in range(start, n + 1):
-        yield f"x^{k}", lhs.coeffs[k], rhs.coeffs[k]
+    for k in range(n + 1):
+        yield f"{prefix}x^{k}", lhs.coeffs[k], rhs.coeffs[k]
 
 
-def _pairs_upto(sweep: int):
-    for total in range(sweep + 1):
-        for p in range(total + 1):
-            yield p, total - p
-
-
-# ---------------------------------------------------------------------------
-# individual checks; each returns an IdentityCheck
-# ---------------------------------------------------------------------------
-
-def _check_number1_k0(order: int, sweep: int) -> IdentityCheck:
+def _pair_cells(sweep: int, lhs, rhs):
+    """Cells and scope comparing lhs(p, q) with rhs(p, q) for all p+q <= sweep."""
     def cells():
-        for p, q in _pairs_upto(sweep):
-            direct = census.census_bdi_k0(p, q).total
-            formula = census.count_formula_k0(p, q)
-            orbit = census.kappa0_orbit_sum(p, q)
-            yield f"(p,q)=({p},{q})", (direct, orbit), (formula, formula)
-    return _from_cells(
-        "number1-k0",
+        for total in range(sweep + 1):
+            for p in range(total + 1):
+                q = total - p
+                yield f"(p,q)=({p},{q})", lhs(p, q), rhs(p, q)
+    return cells(), f"all (p,q) with p+q <= {sweep}"
+
+
+def _tq_cells(sweep: int, ts, series_of, count, step: int):
+    """Cells t=..,q=.. with 2q+t <= sweep comparing count(q+t, q) with the
+    coefficient of x^q in series_of(t); q runs in steps of `step`, and even
+    steps skip t = q = 0."""
+    for t in ts:
+        series = series_of(t)
+        for q in range(0, (sweep - t) // 2 + 1, step):
+            if step == 1 or t or q:
+                yield f"t={t},q={q}", Fraction(count(q + t, q)), series.coeff(q)
+
+
+def _total(count, N: int):
+    """count(p, q) summed over p+q = N."""
+    return sum(count(p, N - p) for p in range(N + 1))
+
+
+def _half_cells(count, rhs: FormalSeries, odd: bool):
+    """Cells x^n comparing the totals over p+q = 2n+1 (odd) or p+q = 2n (even)
+    with the coefficients of rhs, for n up to its order. Even sides start at
+    n = 1: the empty pair carries no Richardson diagram, but the series
+    start at a nonzero constant."""
+    for n in range(0 if odd else 1, rhs.order + 1):
+        yield f"x^{n}", Fraction(_total(count, 2 * n + odd)), rhs.coeff(n)
+
+
+def _split_sum(order: int, odd_side: bool, scalar) -> FormalSeries:
+    """scalar prod (1+x^(2s-1))^2 (1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)
+    on the odd side; 2s and 4s replace 2s-1 and 4s-2 on the even side."""
+    off = 1 if odd_side else 0
+    return (prod_series(order, (1, 2, -off, 2), (1, 1, 0, 2), scalar=scalar)
+            + prod_series(order, (1, 4, -2 * off, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
+
+
+def _t_ratio(s: FormalSeries, t: int) -> FormalSeries:
+    """s (1+x^t)/(1+x^2t), which is s itself at t = 0."""
+    return s.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1) if t else s
+
+
+def _class2_count(p: int, q: int) -> int:
+    return census.richardson_pi_sums(p, q)[1]
+
+
+def _nilpotent_k0_count(p: int, q: int) -> int:
+    return census.nilpotent_support_counts(p, q)[0]
+
+
+# ---------------------------------------------------------------------------
+# the checks, in registry order; each body returns (cells, scope_note)
+# ---------------------------------------------------------------------------
+
+@_check("number1-k0",
         "stratum census and orbit sum both equal the coefficient of x^q in "
         "1/(2(1+x^t)) prod (1+x^s)/(1-x^s)^3 + 3(1+x^t)/(2(1+x^2t)) "
-        "prod (1+x^2s)^2/(1-x^2s)^3 + (9/4)[t=0] prod 1/(1-x^2s)",
-        cells(), f"all (p,q) with p+q <= {sweep}")
+        "prod (1+x^2s)^2/(1-x^2s)^3 + (9/4)[t=0] prod 1/(1-x^2s)")
+def _number1_k0(order: int, sweep: int):
+    return _pair_cells(
+        sweep,
+        lambda p, q: (census.census_bdi_k0(p, q).total, census.kappa0_orbit_sum(p, q)),
+        lambda p, q: (census.count_formula_k0(p, q),) * 2)
 
 
-def _check_number1_k1(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for p, q in _pairs_upto(sweep):
-            yield (f"(p,q)=({p},{q})", census.census_bdi_k1(p, q).total,
-                   census.count_formula_k1(p, q))
-    return _from_cells(
-        "number1-k1",
+@_check("number1-k1",
         "stratum census equals eta * coefficient of x^(N-t^2) in "
-        "prod 1/((1-x^4s)(1-x^2s))",
-        cells(), f"all (p,q) with p+q <= {sweep}")
+        "prod 1/((1-x^4s)(1-x^2s))")
+def _number1_k1(order: int, sweep: int):
+    return _pair_cells(sweep, lambda p, q: census.census_bdi_k1(p, q).total,
+                       census.count_formula_k1)
 
 
-def _check_kappa1_orbit_sum(order: int, sweep: int) -> IdentityCheck:
-    bound = min(sweep, 20)
-    def cells():
-        for p, q in _pairs_upto(bound):
-            yield (f"(p,q)=({p},{q})", census.kappa1_orbit_sum(p, q),
-                   census.count_formula_k1(p, q))
-    return _from_cells(
-        "kappa1-orbit-sum",
+@_check("kappa1-orbit-sum",
         "orbit multiplicities times component-group kappa1 counts equal the "
-        "closed kappa1 formula",
-        cells(), f"all (p,q) with p+q <= {bound}")
+        "closed kappa1 formula")
+def _kappa1_orbit_sum(order: int, sweep: int):
+    return _pair_cells(min(sweep, 20), census.kappa1_orbit_sum, census.count_formula_k1)
 
 
-def _lemma_n1_series(t: int, order: int) -> FormalSeries:
-    s = prod_series(order, (1, 2, 0, 2), (-1, 2, 0, -3))
-    if t:
-        s = s.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1)
-    return s
-
-
-def _check_lemma_n1(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for t in range(6):
-            series = _lemma_n1_series(t, sweep)
-            for q in range(sweep + 1):
-                if 2 * q + t > sweep:
-                    break
-                yield (f"t={t},q={q}", Fraction(census.sigma23_r_sum(q + t, q)),
-                       series.coeff(q))
-    return _from_cells(
-        "lemma-n1",
+@_check("lemma-n1",
         "sum of 2^r over class-2/3 diagrams equals the coefficient of x^q in "
-        "(1+x^t)/(1+x^2t) prod (1+x^2s)^2/(1-x^2s)^3",
-        cells(), f"t <= 5, 2q+t <= {sweep}")
+        "(1+x^t)/(1+x^2t) prod (1+x^2s)^2/(1-x^2s)^3")
+def _lemma_n1(order: int, sweep: int):
+    def series_of(t):
+        return _t_ratio(prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -3)), t)
+    return (_tq_cells(sweep, range(6), series_of, census.sigma23_r_sum, 1),
+            f"t <= 5, 2q+t <= {sweep}")
 
 
 def _two_variable_product(ou: int, ov: int) -> BiSeries:
@@ -166,7 +208,10 @@ def _two_variable_product(ou: int, ov: int) -> BiSeries:
     return half(False).add(half(True))
 
 
-def _check_lemma_n1_2var(order: int, sweep: int) -> IdentityCheck:
+@_check("lemma-n1-2var",
+        "two-variable signature-marked product (and its u=v diagonal) equals "
+        "twice the class-2/3 sums of 2^r")
+def _lemma_n1_2var(order: int, sweep: int):
     bound = min(sweep, 16)
     two_var = _two_variable_product(bound, bound)
     def cells():
@@ -176,16 +221,15 @@ def _check_lemma_n1_2var(order: int, sweep: int) -> IdentityCheck:
                        Fraction(2 * census.sigma23_r_sum(p, q)))
         diag = two_var.diagonal()
         for n in range(bound + 1):
-            total = sum(2 * census.sigma23_r_sum(p, n - p) for p in range(n + 1))
-            yield f"diagonal x^{n}", diag.coeff(n), Fraction(total)
-    return _from_cells(
-        "lemma-n1-2var",
-        "two-variable signature-marked product (and its u=v diagonal) equals "
-        "twice the class-2/3 sums of 2^r",
-        cells(), f"u,v exponents <= {bound}")
+            yield (f"diagonal x^{n}", diag.coeff(n),
+                   Fraction(2 * _total(census.sigma23_r_sum, n)))
+    return cells(), f"u,v exponents <= {bound}"
 
 
-def _check_numbert_closure(order: int, sweep: int) -> IdentityCheck:
+@_check("numbert-closure",
+        "summing censuses over p+q=N matches the three closed series for the "
+        "aggregated trivial-character totals")
+def _numbert_closure(order: int, sweep: int):
     t0 = [census.aggregate_T(N) for N in range(sweep + 1)]
     s_all = (prod_series(sweep, (1, 2, -1, 2), (-1, 4, 0, -1), (-1, 2, -1, -2), scalar=QUARTER)
              + prod_series(sweep, (1, 2, -1, 1), (-1, 4, 0, -1), (-1, 2, -1, -1), scalar=THREE_HALVES)
@@ -204,23 +248,18 @@ def _check_numbert_closure(order: int, sweep: int) -> IdentityCheck:
             if 2 * n + 1 <= sweep:
                 yield f"series odd, x^{n}", s_odd.coeff(n), Fraction(t0[2 * n + 1][0])
             yield f"series even, x^{n}", s_even.coeff(n), Fraction(t0[2 * n][0])
-    return _from_cells(
-        "numbert-closure",
-        "summing censuses over p+q=N matches the three closed series for the "
-        "aggregated trivial-character totals",
-        cells(), f"N <= {sweep}")
+    return cells(), f"N <= {sweep}"
 
 
-def _check_psi1_a(order: int, sweep: int) -> IdentityCheck:
+@_check("psi1-a",
+        "bilateral sum of x^k/(1+x^2k) equals (1/2) prod (1+x^(2s-1))^2 "
+        "(1-x^2s)^2 / ((1-x^(2s-1))^2 (1+x^2s)^2)")
+def _psi1_a(order: int, sweep: int):
     lhs = qseries.bilateral_sum(HALF, lambda k: geometric_alternating(k, 2 * k, order),
                                 order=order)
     rhs = prod_series(order, (1, 2, -1, 2), (-1, 2, 0, 2), (-1, 2, -1, -2), (1, 2, 0, -2),
                       scalar=HALF)
-    return _from_cells(
-        "psi1-a",
-        "bilateral sum of x^k/(1+x^2k) equals (1/2) prod (1+x^(2s-1))^2 "
-        "(1-x^2s)^2 / ((1-x^(2s-1))^2 (1+x^2s)^2)",
-        _series_cells(lhs, rhs), f"order {order}")
+    return _series_cells(lhs, rhs), f"order {order}"
 
 
 def _b_term(k: int, order: int) -> FormalSeries:
@@ -228,17 +267,19 @@ def _b_term(k: int, order: int) -> FormalSeries:
             + geometric_alternating(3 * k, 4 * k, order))
 
 
-def _check_psi1_b(order: int, sweep: int) -> IdentityCheck:
+@_check("psi1-b",
+        "bilateral sum of x^k(1+x^2k)/(1+x^4k) equals prod (1+x^(2s-1)) "
+        "(1-x^4s)^2 / ((1-x^(2s-1)) (1+x^4s)^2)")
+def _psi1_b(order: int, sweep: int):
     lhs = qseries.bilateral_sum(1, lambda k: _b_term(k, order), order=order)
     rhs = prod_series(order, (1, 2, -1, 1), (-1, 4, 0, 2), (-1, 2, -1, -1), (1, 4, 0, -2))
-    return _from_cells(
-        "psi1-b",
-        "bilateral sum of x^k(1+x^2k)/(1+x^4k) equals prod (1+x^(2s-1)) "
-        "(1-x^4s)^2 / ((1-x^(2s-1)) (1+x^4s)^2)",
-        _series_cells(lhs, rhs), f"order {order}")
+    return _series_cells(lhs, rhs), f"order {order}"
 
 
-def _check_psi1_c(order: int, sweep: int) -> IdentityCheck:
+@_check("psi1-c",
+        "odd-index and even-index halves of the second bilateral sum match "
+        "their own product forms")
+def _psi1_c(order: int, sweep: int):
     zero = FormalSeries.zero(order)
     odd_sum = qseries.bilateral_sum(
         0, lambda k: _b_term(k, order) if k % 2 else zero, order=order)
@@ -248,197 +289,135 @@ def _check_psi1_c(order: int, sweep: int) -> IdentityCheck:
                           (1, 8, -4, -2), scalar=2, shift=1)
     even_rhs = prod_series(order, (1, 4, -2, 1), (-1, 8, 0, 2), (-1, 4, -2, -1),
                            (1, 8, 0, -2))
-    def cells():
-        for loc, lhs, rhs in _series_cells(odd_sum, odd_rhs):
-            yield "odd-k " + loc, lhs, rhs
-        for loc, lhs, rhs in _series_cells(even_sum, even_rhs):
-            yield "even-k " + loc, lhs, rhs
-    return _from_cells(
-        "psi1-c",
-        "odd-index and even-index halves of the second bilateral sum match "
-        "their own product forms",
-        cells(), f"order {order}")
+    return (chain(_series_cells(odd_sum, odd_rhs, "odd-k "),
+                  _series_cells(even_sum, even_rhs, "even-k ")),
+            f"order {order}")
 
 
-def _check_oe_split(order: int, sweep: int) -> IdentityCheck:
+@_check("oe-split",
+        "prod (1+x^(2s-1))/(1-x^(2s-1)) splits as 2x prod (1+x^8s)^2 (1+x^4s)"
+        " (1+x^2s)^2 + prod (1+x^(8s-4))^2 (1+x^4s) (1+x^2s)^2")
+def _oe_split(order: int, sweep: int):
     lhs = prod_series(order, (1, 2, -1, 1), (-1, 2, -1, -1))
     rhs = (prod_series(order, (1, 8, 0, 2), (1, 4, 0, 1), (1, 2, 0, 2), scalar=2, shift=1)
            + prod_series(order, (1, 8, -4, 2), (1, 4, 0, 1), (1, 2, 0, 2)))
-    return _from_cells(
-        "oe-split",
-        "prod (1+x^(2s-1))/(1-x^(2s-1)) splits as 2x prod (1+x^8s)^2 (1+x^4s)"
-        " (1+x^2s)^2 + prod (1+x^(8s-4))^2 (1+x^4s) (1+x^2s)^2",
-        _series_cells(lhs, rhs), f"order {order}")
+    return _series_cells(lhs, rhs), f"order {order}"
 
 
-def _check_eqn_oeterms(order: int, sweep: int) -> IdentityCheck:
+@_check("eqn-oeterms",
+        "prod ((1+x^(2s-1))/(1-x^(2s-1)))^2 equals 4x prod (1+x^4s)^4 "
+        "(1+x^2s)^4 + prod (1+x^(4s-2))^4 (1+x^2s)^4")
+def _eqn_oeterms(order: int, sweep: int):
     lhs = prod_series(order, (1, 2, -1, 2), (-1, 2, -1, -2))
     rhs = (prod_series(order, (1, 4, 0, 4), (1, 2, 0, 4), scalar=4, shift=1)
            + prod_series(order, (1, 4, -2, 4), (1, 2, 0, 4)))
-    return _from_cells(
-        "eqn-oeterms",
-        "prod ((1+x^(2s-1))/(1-x^(2s-1)))^2 equals 4x prod (1+x^4s)^4 "
-        "(1+x^2s)^4 + prod (1+x^(4s-2))^4 (1+x^2s)^4",
-        _series_cells(lhs, rhs), f"order {order}")
+    return _series_cells(lhs, rhs), f"order {order}"
 
 
-def _check_bb_odd(order: int, sweep: int) -> IdentityCheck:
-    half_order = (sweep - 1) // 2
-    rhs = prod_series(half_order, (1, 1, 0, 2), (1, 2, 0, 2), scalar=2)
-    def cells():
-        for n in range(half_order + 1):
-            direct = sum(census.b_tilde(p, 2 * n + 1 - p) for p in range(2 * n + 2))
-            yield f"x^{n}", Fraction(direct), rhs.coeff(n)
-    return _from_cells(
-        "bb-odd",
+@_check("bb-odd",
         "aggregated Richardson character counts (odd total size) equal "
-        "2 prod (1+x^s)^2 (1+x^2s)^2",
-        cells(), f"2n+1 <= {sweep}")
+        "2 prod (1+x^s)^2 (1+x^2s)^2")
+def _bb_odd(order: int, sweep: int):
+    rhs = prod_series((sweep - 1) // 2, (1, 1, 0, 2), (1, 2, 0, 2), scalar=2)
+    return _half_cells(census.b_tilde, rhs, odd=True), f"2n+1 <= {sweep}"
 
 
-def _check_bb_even(order: int, sweep: int) -> IdentityCheck:
-    half_order = sweep // 2
-    rhs = prod_series(half_order, (1, 1, 0, 2), (1, 2, -1, 2), scalar=HALF)
-    def cells():
-        # constant terms differ by convention: the empty pair carries no
-        # Richardson diagram but the series starts at 1/2
-        for n in range(1, half_order + 1):
-            direct = sum(census.b_tilde(p, 2 * n - p) for p in range(2 * n + 1))
-            yield f"x^{n}", Fraction(direct), rhs.coeff(n)
-    return _from_cells(
-        "bb-even",
+@_check("bb-even",
         "aggregated Richardson character counts (even total size) equal "
-        "(1/2) prod (1+x^s)^2 (1+x^(2s-1))^2",
-        cells(), f"1 <= n, 2n <= {sweep}")
+        "(1/2) prod (1+x^s)^2 (1+x^(2s-1))^2")
+def _bb_even(order: int, sweep: int):
+    rhs = prod_series(sweep // 2, (1, 1, 0, 2), (1, 2, -1, 2), scalar=HALF)
+    return _half_cells(census.b_tilde, rhs, odd=False), f"1 <= n, 2n <= {sweep}"
 
 
-def _check_tb1(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for t in (1, 3, 5):
-            series = prod_series(sweep, (1, 2, -1, 2), (-1, 2, 0, -2)).mul_binomial(1, t, -1)
-            for q in range(sweep + 1):
-                if 2 * q + t > sweep:
-                    break
-                yield (f"t={t},q={q}", Fraction(census.b_tilde(q + t, q)),
-                       series.coeff(q))
-        for t in (0, 2, 4):
-            series = prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -2))
-            if t == 0:
-                series = series.scale(HALF)
-            else:
-                series = series.mul_binomial(1, t, -1)
-            for q in range(0, sweep + 1, 2):
-                if 2 * q + t > sweep or (t == 0 and q == 0):
-                    continue
-                yield (f"t={t},q={q}", Fraction(census.b_tilde(q + t, q)),
-                       series.coeff(q))
-    return _from_cells(
-        "tb1",
+def _tb1_series(t: int, order: int) -> FormalSeries:
+    """The parity-matched square product over 1+x^t, halved at t = 0."""
+    s = prod_series(order, (1, 2, -(t % 2), 2), (-1, 2, 0, -2))
+    return s.scale(HALF) if t == 0 else s.mul_binomial(1, t, -1)
+
+
+@_check("tb1",
         "per-pair Richardson character counts match 1/(1+x^t) times the "
-        "parity-matched square products",
-        cells(), f"|t| <= 5, 2q+t <= {sweep}")
+        "parity-matched square products")
+def _tb1(order: int, sweep: int):
+    def series_of(t):
+        return _tb1_series(t, sweep)
+    return (chain(_tq_cells(sweep, (1, 3, 5), series_of, census.b_tilde, 1),
+                  _tq_cells(sweep, (0, 2, 4), series_of, census.b_tilde, 2)),
+            f"|t| <= 5, 2q+t <= {sweep}")
 
 
-def _check_b2_odd(order: int, sweep: int) -> IdentityCheck:
-    half_order = (sweep - 1) // 2
-    rhs = prod_series(half_order, (1, 1, 0, 2), (1, 4, 0, 1), scalar=2)
-    def cells():
-        for n in range(half_order + 1):
-            direct = sum(census.richardson_pi_sums(p, 2 * n + 1 - p)[1]
-                         for p in range(2 * n + 2))
-            yield f"x^{n}", Fraction(direct), rhs.coeff(n)
-    return _from_cells(
-        "b2-odd",
+@_check("b2-odd",
         "class-2 Richardson character counts (odd total size) equal "
-        "2 prod (1+x^s)^2 (1+x^4s)",
-        cells(), f"2n+1 <= {sweep}")
+        "2 prod (1+x^s)^2 (1+x^4s)")
+def _b2_odd(order: int, sweep: int):
+    rhs = prod_series((sweep - 1) // 2, (1, 1, 0, 2), (1, 4, 0, 1), scalar=2)
+    return _half_cells(_class2_count, rhs, odd=True), f"2n+1 <= {sweep}"
 
 
-def _check_b2_even(order: int, sweep: int) -> IdentityCheck:
-    half_order = sweep // 2
-    rhs = prod_series(half_order, (1, 1, 0, 2), (1, 4, -2, 1))
-    def cells():
-        for n in range(1, half_order + 1):
-            direct = sum(census.richardson_pi_sums(p, 2 * n - p)[1]
-                         for p in range(2 * n + 1))
-            yield f"x^{n}", Fraction(direct), rhs.coeff(n)
-    return _from_cells(
-        "b2-even",
+@_check("b2-even",
         "class-2 Richardson character counts (even total size) equal "
-        "prod (1+x^s)^2 (1+x^(4s-2))",
-        cells(), f"1 <= n, 2n <= {sweep}")
+        "prod (1+x^s)^2 (1+x^(4s-2))")
+def _b2_even(order: int, sweep: int):
+    rhs = prod_series(sweep // 2, (1, 1, 0, 2), (1, 4, -2, 1))
+    return _half_cells(_class2_count, rhs, odd=False), f"1 <= n, 2n <= {sweep}"
 
 
-def _check_b2_weighted(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for N in range(1, sweep + 1):
-            direct = sum(census.richardson_pi_sums(p, N - p)[1] for p in range(N + 1))
-            yield (f"N={N}", direct, 2 * partitions.weighted_odd_partition_sum(N))
-    return _from_cells(
-        "b2-weighted-oracle",
+@_check("b2-weighted-oracle",
         "class-2 Richardson counts equal twice the gap-weighted sums over "
-        "odd-part partitions",
-        cells(), f"1 <= N <= {sweep}")
+        "odd-part partitions")
+def _b2_weighted(order: int, sweep: int):
+    cells = ((f"N={N}", _total(_class2_count, N),
+              2 * partitions.weighted_odd_partition_sum(N)) for N in range(1, sweep + 1))
+    return cells, f"1 <= N <= {sweep}"
 
 
 def _fn_cells(variant: str, series: FormalSeries, start: int):
-    top = min(series.order, 30)
-    for m in range(start, top + 1):
-        yield f"m={m}", Fraction(census.theta_k0_count(variant, m)), series.coeff(m)
+    """Cells m=.. comparing the module-family counts of variant with the
+    coefficients of series (of order at most 30) from x^start."""
+    cells = ((f"m={m}", Fraction(census.theta_k0_count(variant, m)), series.coeff(m))
+             for m in range(start, series.order + 1))
+    return cells, "m <= 30" if start == 0 else "1 <= m <= 30"
 
 
-def _check_fn1B(order: int, sweep: int) -> IdentityCheck:
-    rhs = prod_series(min(order, 30), (1, 2, 0, 2), (1, 1, 0, 2))
-    return _from_cells(
-        "fn1B", "induced class-1 counts (B side) match prod (1+x^2s)^2 (1+x^s)^2",
-        _fn_cells("ind1-B", rhs, 0), "m <= 30")
+@_check("fn1B", "induced class-1 counts (B side) match prod (1+x^2s)^2 (1+x^s)^2")
+def _fn1B(order: int, sweep: int):
+    return _fn_cells("ind1-B", prod_series(min(order, 30), (1, 2, 0, 2), (1, 1, 0, 2)), 0)
 
 
-def _check_fn1D(order: int, sweep: int) -> IdentityCheck:
-    rhs = prod_series(min(order, 30), (1, 2, -1, 2), (1, 1, 0, 2))
-    return _from_cells(
-        "fn1D", "induced class-1 counts (D side) match prod (1+x^(2s-1))^2 (1+x^s)^2",
-        _fn_cells("ind1-D", rhs, 0), "m <= 30")
+@_check("fn1D", "induced class-1 counts (D side) match prod (1+x^(2s-1))^2 (1+x^s)^2")
+def _fn1D(order: int, sweep: int):
+    return _fn_cells("ind1-D", prod_series(min(order, 30), (1, 2, -1, 2), (1, 1, 0, 2)), 0)
 
 
-def _check_fn2B(order: int, sweep: int) -> IdentityCheck:
-    n = min(order, 30)
-    rhs = (prod_series(n, (1, 2, 0, 2), (1, 1, 0, 2), scalar=HALF)
-           + prod_series(n, (1, 4, 0, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
-    return _from_cells(
-        "fn2B",
+@_check("fn2B",
         "split/induced class-2 counts (B side) match (1/2) prod (1+x^2s)^2 "
         "(1+x^s)^2 + (3/2) prod (1+x^4s)(1+x^2s); constants differ by the "
-        "boundary convention",
-        _fn_cells("split-B", rhs, 1), "1 <= m <= 30")
+        "boundary convention")
+def _fn2B(order: int, sweep: int):
+    return _fn_cells("split-B", _split_sum(min(order, 30), False, HALF), 1)
 
 
-def _check_fn_split_D(order: int, sweep: int) -> IdentityCheck:
-    n = min(order, 30)
-    rhs = (prod_series(n, (1, 2, -1, 2), (1, 1, 0, 2), scalar=QUARTER)
-           + prod_series(n, (1, 4, -2, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
-    return _from_cells(
-        "fn-split-D",
+@_check("fn-split-D",
         "split counts (D side) match (1/4) prod (1+x^(2s-1))^2 (1+x^s)^2 + "
-        "(3/2) prod (1+x^(4s-2))(1+x^2s) away from the half-constant boundary",
-        _fn_cells("split-D", rhs, 1), "1 <= m <= 30")
+        "(3/2) prod (1+x^(4s-2))(1+x^2s) away from the half-constant boundary")
+def _fn_split_D(order: int, sweep: int):
+    return _fn_cells("split-D", _split_sum(min(order, 30), True, QUARTER), 1)
 
 
-def _check_fn_ind2_D(order: int, sweep: int) -> IdentityCheck:
-    n = min(order, 30)
-    rhs = (prod_series(n, (1, 2, -1, 2), (1, 1, 0, 2), scalar=HALF)
-           + prod_series(n, (1, 4, -2, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
-    return _from_cells(
-        "fn-ind2-D",
+@_check("fn-ind2-D",
         "induced class-2 counts (D side) match (1/2) prod (1+x^(2s-1))^2 "
-        "(1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)",
-        _fn_cells("ind2-D", rhs, 1), "1 <= m <= 30")
+        "(1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)")
+def _fn_ind2_D(order: int, sweep: int):
+    return _fn_cells("ind2-D", _split_sum(min(order, 30), True, HALF), 1)
 
 
-def _check_coro_cuspidal_k0(order: int, sweep: int) -> IdentityCheck:
+@_check("coro-cuspidal-k0",
+        "trivial-character cuspidal counts on split pairs match the three "
+        "closed series (near-split, odd split, even split)")
+def _coro_cuspidal_k0(order: int, sweep: int):
     n = min(order, 30)
-    near = (prod_series(n, (1, 2, 0, 2), (1, 1, 0, 2), scalar=HALF)
-            + prod_series(n, (1, 4, 0, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
+    near = _split_sum(n, False, HALF)
     odd = prod_series(n, (1, 4, 0, 4), (1, 2, 0, 4), shift=1)
     even = (prod_series(n, (1, 4, -2, 4), (1, 2, 0, 4), scalar=QUARTER)
             + prod_series(n, (1, 4, -2, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
@@ -450,81 +429,53 @@ def _check_coro_cuspidal_k0(order: int, sweep: int) -> IdentityCheck:
             series = odd if m % 2 else even
             yield (f"split m={m}",
                    Fraction(census.cuspidal_counts(m, m)[0]), series.coeff(m))
-    return _from_cells(
-        "coro-cuspidal-k0",
-        "trivial-character cuspidal counts on split pairs match the three "
-        "closed series (near-split, odd split, even split)",
-        cells(), "1 <= n <= 30")
+    return cells(), "1 <= n <= 30"
 
 
-def _check_coro_cuspidal_k1(order: int, sweep: int) -> IdentityCheck:
-    dist = prod_series(sweep, (1, 1, 0, 1))
-    def cells():
-        for p, q in _pairs_upto(sweep):
-            t = p - q
-            D = p + q - t * t
-            expected = Fraction(0)
-            if D >= 0:
-                expected = dist.coeff(D // 2) * groups.eta(D // 2, t)
-            yield (f"(p,q)=({p},{q})",
-                   Fraction(census.cuspidal_counts(p, q)[1]), expected)
-    return _from_cells(
-        "coro-cuspidal-k1",
+@_check("coro-cuspidal-k1",
         "nontrivial-character cuspidal counts equal eta times coefficients "
-        "of prod (1+x^s)",
-        cells(), f"all (p,q) with p+q <= {sweep}")
+        "of prod (1+x^s)")
+def _coro_cuspidal_k1(order: int, sweep: int):
+    dist = prod_series(sweep, (1, 1, 0, 1))
+    def expected(p: int, q: int) -> Fraction:
+        t = p - q
+        D = p + q - t * t
+        if D < 0:
+            return Fraction(0)
+        return dist.coeff(D // 2) * groups.eta(D // 2, t)
+    return _pair_cells(sweep, lambda p, q: Fraction(census.cuspidal_counts(p, q)[1]),
+                       expected)
 
 
-def _nilcoro_series(t: int, order: int, odd_side: bool) -> FormalSeries:
-    if odd_side:
-        a = prod_series(order, (1, 2, -1, 2), (-1, 2, 0, -2), scalar=HALF)
-        b = prod_series(order, (1, 4, -2, 1), (-1, 2, 0, -2), scalar=THREE_HALVES)
-    else:
-        a = prod_series(order, (1, 2, 0, 2), (-1, 2, 0, -2), scalar=HALF)
-        b = prod_series(order, (1, 4, 0, 1), (-1, 2, 0, -2), scalar=THREE_HALVES)
-    if t == 0:
-        a = a.scale(HALF)
-    else:
-        a = a.mul_binomial(1, t, -1)
-        b = b.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1)
-    return a + b
+def _nilcoro_series(t: int, order: int) -> FormalSeries:
+    """(1/2) _tb1_series(t) + (3/2) (1+x^t)/(1+x^2t) prod (1+x^(4s-2))/(1-x^2s)^2
+    for odd t, with 1+x^4s in place of 1+x^(4s-2) for even t."""
+    rest = prod_series(order, (1, 4, -2 * (t % 2), 1), (-1, 2, 0, -2), scalar=THREE_HALVES)
+    return _tb1_series(t, order).scale(HALF) + _t_ratio(rest, t)
 
 
-def _check_nilcoro_k0_odd(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for t in (1, 3, 5):
-            series = _nilcoro_series(t, sweep, odd_side=True)
-            for q in range(sweep + 1):
-                if 2 * q + t > sweep:
-                    break
-                yield (f"t={t},q={q}",
-                       Fraction(census.nilpotent_support_counts(q + t, q)[0]),
-                       series.coeff(q))
-    return _from_cells(
-        "nilcoro-k0-odd",
+@_check("nilcoro-k0-odd",
         "nilpotent-support trivial-character counts (odd t) match their "
-        "closed series",
-        cells(), f"t in {{1,3,5}}, 2q+t <= {sweep}")
+        "closed series")
+def _nilcoro_k0_odd(order: int, sweep: int):
+    return (_tq_cells(sweep, (1, 3, 5), lambda t: _nilcoro_series(t, sweep),
+                      _nilpotent_k0_count, 1),
+            f"t in {{1,3,5}}, 2q+t <= {sweep}")
 
 
-def _check_nilcoro_k0_even(order: int, sweep: int) -> IdentityCheck:
-    def cells():
-        for t in (0, 2, 4):
-            series = _nilcoro_series(t, sweep, odd_side=False)
-            for q in range(0, sweep + 1, 2):
-                if 2 * q + t > sweep or (t == 0 and q == 0):
-                    continue
-                yield (f"t={t},q={q}",
-                       Fraction(census.nilpotent_support_counts(q + t, q)[0]),
-                       series.coeff(q))
-    return _from_cells(
-        "nilcoro-k0-even",
+@_check("nilcoro-k0-even",
         "nilpotent-support trivial-character counts (t, q even) match their "
-        "closed series",
-        cells(), f"t in {{0,2,4}}, q even, 2q+t <= {sweep}")
+        "closed series")
+def _nilcoro_k0_even(order: int, sweep: int):
+    return (_tq_cells(sweep, (0, 2, 4), lambda t: _nilcoro_series(t, sweep),
+                      _nilpotent_k0_count, 2),
+            f"t in {{0,2,4}}, q even, 2q+t <= {sweep}")
 
 
-def _check_nilcoro_k1(order: int, sweep: int) -> IdentityCheck:
+@_check("nilcoro-k1",
+        "nontrivial-character nilpotent-support counts at the staircase "
+        "pairs equal eta(0, t), also via the component-group case table")
+def _nilcoro_k1(order: int, sweep: int):
     def cells():
         t = 0
         while t * t <= sweep:
@@ -537,27 +488,27 @@ def _check_nilcoro_k1(order: int, sweep: int) -> IdentityCheck:
             yield (f"t={t} component-group route", mult * per_orbit,
                    groups.eta(0, t))
             t += 1
-    return _from_cells(
-        "nilcoro-k1",
-        "nontrivial-character nilpotent-support counts at the staircase "
-        "pairs equal eta(0, t), also via the component-group case table",
-        cells(), f"t^2 <= {sweep}")
+    return cells(), f"t^2 <= {sweep}"
 
 
-def _check_diii_k0_closure(order: int, sweep: int) -> IdentityCheck:
-    bound = min(sweep, 20)
-    def cells():
-        for n in range(bound + 1):
-            k0, _ = census.census_diii(n)
-            yield f"n={n}", k0.total, census.diii_closure_total(n)
-    return _from_cells(
-        "diii-k0-closure",
+@_check("diii-k0-closure",
         "the equal-signature trivial-character census equals the orbit count "
-        "(one local system per orbit)",
-        cells(), f"n <= {bound}")
+        "(one local system per orbit)")
+def _diii_k0_closure(order: int, sweep: int):
+    bound = min(sweep, 20)
+    cells = ((f"n={n}", census.census_diii(n)[0].total, census.diii_closure_total(n))
+             for n in range(bound + 1))
+    return cells, f"n <= {bound}"
 
 
-def _check_diii_k1_bijection(order: int, sweep: int) -> IdentityCheck:
+def _bipartition_key(b):
+    return (tuple(b.first.parts), tuple(b.second.parts))
+
+
+@_check("diii-k1-bijection",
+        "all-even diagrams biject onto bipartitions of n/2, matching the "
+        "nontrivial-character census")
+def _diii_k1_bijection(order: int, sweep: int):
     bound = min(sweep, 20)
     def cells():
         for n in range(2, bound + 1, 2):
@@ -574,18 +525,11 @@ def _check_diii_k1_bijection(order: int, sweep: int) -> IdentityCheck:
                 sorted(map(_bipartition_key, expected))
             _, k1 = census.census_diii(n)
             yield f"n={n} census", k1.total, partitions.count_bipartitions(n // 2)
-    return _from_cells(
-        "diii-k1-bijection",
-        "all-even diagrams biject onto bipartitions of n/2, matching the "
-        "nontrivial-character census",
-        cells(), f"even n <= {bound}")
+    return cells(), f"even n <= {bound}"
 
 
-def _bipartition_key(b):
-    return (tuple(b.first.parts), tuple(b.second.parts))
-
-
-def _check_pnt_formula(order: int, sweep: int) -> IdentityCheck:
+@_check("PNt-formula", "balanced distinct-odd partition counts equal p((N-(2t^2-t))/4)")
+def _pnt_formula(order: int, sweep: int):
     def cells():
         for N in range(61):
             for t in range(-5, 6):
@@ -593,13 +537,13 @@ def _check_pnt_formula(order: int, sweep: int) -> IdentityCheck:
                     Fraction(N - (2 * t * t - t), 4))
                 yield (f"N={N},t={t}",
                        len(partitions.enum_distinct_odd_balanced(N, t)), expected)
-    return _from_cells(
-        "PNt-formula",
-        "balanced distinct-odd partition counts equal p((N-(2t^2-t))/4)",
-        cells(), "N <= 60, |t| <= 5")
+    return cells(), "N <= 60, |t| <= 5"
 
 
-def _check_jacobi(order: int, sweep: int) -> IdentityCheck:
+@_check("jacobi-t",
+        "x^(t^2) prod (1-x^4s)(1+x^2s) equals the lattice sum over exponents "
+        "2t1^2-t1+2t2^2-t2 with t1-t2=t")
+def _jacobi(order: int, sweep: int):
     def cells():
         for t in range(-3, 4):
             lhs = prod_series(order, (-1, 4, 0, 1), (1, 2, 0, 1), shift=t * t)
@@ -611,25 +555,22 @@ def _check_jacobi(order: int, sweep: int) -> IdentityCheck:
                 if 0 <= e <= order:
                     vals[e] += 1
             rhs = FormalSeries(tuple(vals))
-            for loc, a, b in _series_cells(lhs, rhs):
-                yield f"t={t} {loc}", a, b
-    return _from_cells(
-        "jacobi-t",
-        "x^(t^2) prod (1-x^4s)(1+x^2s) equals the lattice sum over exponents "
-        "2t1^2-t1+2t2^2-t2 with t1-t2=t",
-        cells(), f"|t| <= 3, order {order}")
+            yield from _series_cells(lhs, rhs, f"t={t} ")
+    return cells(), f"|t| <= 3, order {order}"
 
 
-def _check_k1_rewrite(order: int, sweep: int) -> IdentityCheck:
+@_check("k1-series-rewrite",
+        "prod 1/(1-x^4s)^2 (1+x^2s) equals prod 1/((1-x^4s)(1-x^2s))")
+def _k1_rewrite(order: int, sweep: int):
     lhs = prod_series(order, (-1, 4, 0, -2), (1, 2, 0, 1))
     rhs = prod_series(order, (-1, 4, 0, -1), (-1, 2, 0, -1))
-    return _from_cells(
-        "k1-series-rewrite",
-        "prod 1/(1-x^4s)^2 (1+x^2s) equals prod 1/((1-x^4s)(1-x^2s))",
-        _series_cells(lhs, rhs), f"order {order}")
+    return _series_cells(lhs, rhs), f"order {order}"
 
 
-def _check_euler_smoke(order: int, sweep: int) -> IdentityCheck:
+@_check("euler-smoke",
+        "prod 1/(1-x^s) generates p(n) and prod (1+x^s) generates the "
+        "distinct-part counts")
+def _euler_smoke(order: int, sweep: int):
     inv = prod_series(order, (-1, 1, 0, -1))
     dist = prod_series(order, (1, 1, 0, 1))
     def cells():
@@ -637,48 +578,7 @@ def _check_euler_smoke(order: int, sweep: int) -> IdentityCheck:
             yield f"p({n})", Fraction(partitions.count_partitions(n)), inv.coeff(n)
             yield (f"distinct({n})",
                    Fraction(partitions.count_distinct_partitions(n)), dist.coeff(n))
-    return _from_cells(
-        "euler-smoke",
-        "prod 1/(1-x^s) generates p(n) and prod (1+x^s) generates the "
-        "distinct-part counts",
-        cells(), f"n <= {order}")
-
-
-CHECKS = {
-    "number1-k0": _check_number1_k0,
-    "number1-k1": _check_number1_k1,
-    "kappa1-orbit-sum": _check_kappa1_orbit_sum,
-    "lemma-n1": _check_lemma_n1,
-    "lemma-n1-2var": _check_lemma_n1_2var,
-    "numbert-closure": _check_numbert_closure,
-    "psi1-a": _check_psi1_a,
-    "psi1-b": _check_psi1_b,
-    "psi1-c": _check_psi1_c,
-    "oe-split": _check_oe_split,
-    "eqn-oeterms": _check_eqn_oeterms,
-    "bb-odd": _check_bb_odd,
-    "bb-even": _check_bb_even,
-    "tb1": _check_tb1,
-    "b2-odd": _check_b2_odd,
-    "b2-even": _check_b2_even,
-    "b2-weighted-oracle": _check_b2_weighted,
-    "fn1B": _check_fn1B,
-    "fn1D": _check_fn1D,
-    "fn2B": _check_fn2B,
-    "fn-split-D": _check_fn_split_D,
-    "fn-ind2-D": _check_fn_ind2_D,
-    "coro-cuspidal-k0": _check_coro_cuspidal_k0,
-    "coro-cuspidal-k1": _check_coro_cuspidal_k1,
-    "nilcoro-k0-odd": _check_nilcoro_k0_odd,
-    "nilcoro-k0-even": _check_nilcoro_k0_even,
-    "nilcoro-k1": _check_nilcoro_k1,
-    "diii-k0-closure": _check_diii_k0_closure,
-    "diii-k1-bijection": _check_diii_k1_bijection,
-    "PNt-formula": _check_pnt_formula,
-    "jacobi-t": _check_jacobi,
-    "k1-series-rewrite": _check_k1_rewrite,
-    "euler-smoke": _check_euler_smoke,
-}
+    return cells(), f"n <= {order}"
 
 
 def suite_ids() -> list[str]:
@@ -687,17 +587,17 @@ def suite_ids() -> list[str]:
 
 def run_suite(selection="all", order: int = qseries.DEFAULT_ORDER,
               sweep: int = DEFAULT_SWEEP) -> list[IdentityCheck]:
-    """Run the selected checks (all of them by default) and return their
-    results in registry order; failures never abort the suite."""
+    """Run the selected checks (all of them, in registry order, by default)
+    and return their results in selection order; failures never abort the
+    suite."""
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
-    if sweep < 0:
-        raise ValueError("sweep must be nonnegative")
-    if selection == "all":
-        chosen = list(CHECKS)
-    else:
-        chosen = list(selection)
-        unknown = [c for c in chosen if c not in CHECKS]
-        if unknown:
-            raise KeyError(f"unknown check ids: {', '.join(unknown)}")
+    if sweep < MIN_SWEEP:
+        raise ValueError(f"sweep must be at least {MIN_SWEEP}")
+    chosen = list(CHECKS) if selection == "all" else list(selection)
+    if not chosen:
+        raise ValueError("no checks selected")
+    unknown = [c for c in chosen if c not in CHECKS]
+    if unknown:
+        raise KeyError(f"unknown check ids: {', '.join(unknown)}")
     return [CHECKS[c](order, sweep) for c in chosen]

@@ -220,6 +220,13 @@ ERROR_CASES = {
     "verify-small-order-env": (["verify", "--suite", "psi1-a"], {"SHEAF_CENSUS_ORDER": "5"},
                                {}, 2, "sheaf-census: verify needs an order of at least 10: "
                                "SHEAF_CENSUS_ORDER is 5"),
+    "verify-empty-suite": (["verify", "--suite", ","], {}, {}, 2,
+                           "sheaf-census: verify needs at least one check id: --suite is ','"),
+    "verify-zero-sweep": (["verify", "--sweep", "0"], {}, {}, 2,
+                          "sheaf-census: verify needs a sweep of at least 1: --sweep is 0"),
+    "series-negative-coeff": (["series", "--expr", "x^0", "--coeff", "-2"], {}, {}, 2,
+                              "sheaf-census: series needs a nonnegative coefficient: "
+                              "--coeff is -2"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",

@@ -32,6 +32,10 @@ COMMANDS = {
     "census_diii_4_k1": ["census", "diii", "--n", "4", "--central", "k1"],
     "verify_all_40_24": ["verify", "--suite", "all", "--order", "40", "--sweep", "24"],
     "verify_tb1_euler_20": ["verify", "--suite", "tb1", "euler-smoke", "--order", "20"],
+    # an odd sweep, and orders below and above the m <= 30 cap of the fn checks
+    "verify_all_12_9": ["verify", "--suite", "all", "--order", "12", "--sweep", "9"],
+    "verify_all_50_13_csv": ["verify", "--suite", "all", "--order", "50", "--sweep", "13",
+                             "--format", "csv"],
     "series_prod_order10": ["series", "--expr", "prod(1+x^{2s})(1+x^{1s})", "--order", "10"],
     "series_half_coeff0": ["series", "--expr", "1/2 * prod(1+x^{2s-1})(1+x^{1s})",
                            "--coeff", "0"],

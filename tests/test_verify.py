@@ -33,6 +33,14 @@ def test_order_floor():
         run_suite(["euler-smoke"], order=5)
 
 
+def test_refuses_vacuous_or_crashing_runs():
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_suite([])
+    for sweep in (0, -1):
+        with pytest.raises(ValueError, match="sweep must be at least 1"):
+            run_suite(["bb-odd"], sweep=sweep)
+
+
 def test_euler_smoke():
     (result,) = run_suite(["euler-smoke"], order=60)
     assert result.status == "PASS"
@@ -42,6 +50,9 @@ def test_euler_smoke():
 def test_selection_preserves_registry_order():
     results = run_suite(["tb1", "psi1-a", "euler-smoke"], order=12, sweep=8)
     assert [r.id for r in results] == ["tb1", "psi1-a", "euler-smoke"]
+    # results follow the selection, not the registry
+    results = run_suite(["euler-smoke", "psi1-a", "tb1"], order=12, sweep=8)
+    assert [r.id for r in results] == ["euler-smoke", "psi1-a", "tb1"]
 
 
 def test_fast_pass_of_light_checks():
@@ -59,6 +70,27 @@ def test_number1_cell_counts():
     assert result.status == "PASS"
     # one cell per pair (p, q) with p+q <= sweep
     assert result.scope.startswith(str(sum(N + 1 for N in range(11))))
+
+
+def test_cell_labels_and_order(monkeypatch):
+    # labels only reach the output with a failure, so pin them here
+    seen = {}
+    real = verify._from_cells
+
+    def record(check_id, description, cells, scope_note):
+        cells = list(cells)
+        seen[check_id] = [location for location, _, _ in cells]
+        return real(check_id, description, iter(cells), scope_note)
+
+    monkeypatch.setattr(verify, "_from_cells", record)
+    run_suite(["number1-k1", "tb1", "bb-odd", "bb-even", "fn1B"], order=10, sweep=5)
+    assert seen["number1-k1"][:6] == ["(p,q)=(0,0)", "(p,q)=(0,1)", "(p,q)=(1,0)",
+                                      "(p,q)=(0,2)", "(p,q)=(1,1)", "(p,q)=(2,0)"]
+    assert seen["tb1"] == ["t=1,q=0", "t=1,q=1", "t=1,q=2", "t=3,q=0", "t=3,q=1",
+                           "t=5,q=0", "t=0,q=2", "t=2,q=0", "t=4,q=0"]
+    assert seen["bb-odd"] == ["x^0", "x^1", "x^2"]
+    assert seen["bb-even"] == ["x^1", "x^2"]
+    assert seen["fn1B"] == [f"m={m}" for m in range(11)]
 
 
 def test_deterministic_reports():
