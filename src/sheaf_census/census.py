@@ -115,29 +115,22 @@ def theta_k0_count(variant: str, n: int) -> int:
     if n == 0:
         return 1
     if variant in ("split-B", "ind2-B"):
-        atom = lambda k: hecke_count("B", k)
-        return _paired_count(atom, n, diagonal_weight=2, off_weight=1)
+        return _paired_count(lambda k: hecke_count("B", k), n)
     if variant == "ind2-D":
-        return _paired_count(_unequal_parameter_count, n, diagonal_weight=2, off_weight=1)
-    # split-D: every interior cell doubles, the middle cell quadruples on the
-    # diagonal, and the k=0 cell contributes singly
+        return _paired_count(_unequal_parameter_count, n)
+    # split-D: every cell of the paired count doubles, except the k=0 cell,
+    # which contributes singly (hecke_count("D", 0) is 1)
     hD = lambda k: hecke_count("D", k)
-    total = hD(n)
-    for m in range(1, (n + 1) // 2):
-        total += 2 * hD(m) * hD(n - m)
-    if n % 2 == 0:
-        h = hD(n // 2)
-        total += 2 * (h * (h - 1) // 2) + 4 * h
-    return total
+    return 2 * _paired_count(hD, n) - hD(n)
 
 
-def _paired_count(atom, n: int, diagonal_weight: int, off_weight: int) -> int:
-    total = 0
-    for k in range((n + 1) // 2):
-        total += off_weight * atom(k) * atom(n - k)
+def _paired_count(atom, n: int) -> int:
+    """Pairs of atoms of sizes k <= n-k summing to n: each pair of two
+    different atoms once, each atom paired with itself twice."""
+    total = sum(atom(k) * atom(n - k) for k in range((n + 1) // 2))
     if n % 2 == 0:
         h = atom(n // 2)
-        total += off_weight * (h * (h - 1) // 2) + diagonal_weight * h
+        total += h * (h - 1) // 2 + 2 * h
     return total
 
 
@@ -555,7 +548,8 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
     if subset == "all":
         return diii_closure_total(n)
     if subset == "nilpotent":
-        return len(enum_lambda_b(n))
+        # |Lambda_b(n)| = p(n): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
+        return count_partitions(n)
     if subset == "full":
         return count_partitions(n // 2)
     return 0

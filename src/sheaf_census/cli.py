@@ -227,13 +227,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         return 2
     if args.coeff is not None:
         if args.coeff < 0:
-            sys.stderr.write(f"sheaf-census: series needs a nonnegative coefficient: "
-                             f"--coeff is {args.coeff}\n")
-            return 2
+            raise ValueError(f"series needs a nonnegative coefficient: --coeff is {args.coeff}")
         if args.coeff > series.order:
-            sys.stderr.write(f"sheaf-census: coefficient {args.coeff} beyond "
-                             f"order {series.order}\n")
-            return 2
+            raise ValueError(f"coefficient {args.coeff} beyond order {series.order}")
         values = [series.coeff(args.coeff)]
         exponents = [args.coeff]
     else:

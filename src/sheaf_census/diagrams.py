@@ -18,18 +18,22 @@ The sets implemented here:
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
 
-Every enumerator builds exactly its set: each takes the row lengths from one
-partition generator (all partitions of p+q, the odd partitions of p+q, the
-partitions of n with every multiplicity doubled) and assigns only admissible
-signs to each length group. The first two read from a per-size table keyed
-by signature.
+Every enumerator builds exactly its set: each takes its length groups from
+the one partition generator, which yields every partition already grouped as
+(length, multiplicity) pairs (all partitions of p+q, the odd partitions of
+p+q, the partitions of n with every multiplicity doubled), and assigns only
+admissible signs to each group. The first two read from a per-size table
+keyed by signature.
+
+``diagram()`` is the one place that merges groups of equal length: the
+parser and ``join`` both build through it.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 
 from .partitions import BiPartition, Partition, _gen_partitions
 
@@ -68,13 +72,6 @@ class SignedYoungDiagram:
             q += plus * down + minus * up
         return p, q
 
-    def parts(self) -> list[int]:
-        """Row lengths with multiplicity, decreasing."""
-        out: list[int] = []
-        for length, plus, minus in self.rows:
-            out.extend([length] * (plus + minus))
-        return out
-
     def sign_swap(self) -> SignedYoungDiagram:
         return SignedYoungDiagram(tuple((l, m, p) for l, p, m in self.rows))
 
@@ -111,7 +108,7 @@ def parse_diagram(text: str) -> SignedYoungDiagram:
     text = text.strip()
     if text == "0" or text == "":
         return SignedYoungDiagram()
-    counts: dict[int, list[int]] = {}
+    groups = []
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
@@ -119,11 +116,8 @@ def parse_diagram(text: str) -> SignedYoungDiagram:
         length, sign, mult = int(m.group(1)), m.group(2), int(m.group(3) or 1)
         if mult < 1:
             raise ValueError(f"bad multiplicity in token {tok!r}")
-        entry = counts.setdefault(length, [0, 0])
-        entry[0 if sign == "+" else 1] += mult
-    rows = tuple((length, counts[length][0], counts[length][1])
-                 for length in sorted(counts, reverse=True))
-    return SignedYoungDiagram(rows)
+        groups.append((length, mult, 0) if sign == "+" else (length, 0, mult))
+    return diagram(*groups)
 
 
 def diagram(*groups: tuple[int, int, int]) -> SignedYoungDiagram:
@@ -196,11 +190,6 @@ def orbit_multiplicity(d: SignedYoungDiagram) -> int:
 DELTA_NAMES = ("I", "II", "III", "IV")
 
 
-def _group_rows(partition) -> list[tuple[int, int]]:
-    """(length, multiplicity) for each distinct part of a decreasing partition."""
-    return [(length, len(list(rows))) for length, rows in groupby(partition)]
-
-
 def _signed_diagrams(groups, rows):
     """Every diagram that gives each group (length, mult) one of the signed
     rows (length, plus, minus) in rows(length, mult), first group varying
@@ -219,8 +208,8 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
     table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
-    for partition in _gen_partitions(n, n):
-        for d in _signed_diagrams(_group_rows(partition), _sigma_rows):
+    for groups in _gen_partitions(n, n):
+        for d in _signed_diagrams(groups, _sigma_rows):
             table.setdefault(d.signature(), []).append(d)
     return {sig: tuple(ds) for sig, ds in table.items()}
 
@@ -287,8 +276,7 @@ def _richardson_signs(groups, start: int) -> list[tuple[int, ...]]:
 def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
     table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
     # the empty diagram (n = 0) is not Richardson
-    for partition in _gen_partitions(n, n, odd=True) if n else ():
-        groups = _group_rows(partition)
+    for groups in _gen_partitions(n, n, odd=True) if n else ():
         rows = [((length, mult, 0), (length, 0, mult)) for length, mult in groups]
         for signs in _richardson_signs(groups, n % 2):
             d = SignedYoungDiagram(tuple(row[s] for row, s in zip(rows, signs)))
@@ -325,8 +313,8 @@ def _doubled_diagrams(n: int, rows) -> list[SignedYoungDiagram]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
-    for partition in _gen_partitions(n, n):
-        out.extend(_signed_diagrams(_group_rows(partition), rows))
+    for groups in _gen_partitions(n, n):
+        out.extend(_signed_diagrams(groups, rows))
     return out
 
 

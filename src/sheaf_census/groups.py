@@ -135,25 +135,3 @@ def pi_size(d: SignedYoungDiagram) -> int:
                          "upstream classification is inconsistent")
     return 2 ** exponent
 
-
-def count_sign_characters(d: SignedYoungDiagram) -> int:
-    """Independent oracle for class-2 Richardson diagrams: enumerate all sign
-    vectors on the s-1 adjacent-pair generators and keep those trivial
-    outside the admissible set."""
-    cls = classify(d)
-    if cls.index != 2:
-        raise ValueError("direct character enumeration applies to class 2 only")
-    groups = _grouped_odd(d)
-    s = len(groups)
-    omega = omega_set(d)
-    count = 0
-    for bits in range(1 << (s - 1)):
-        ok = True
-        for r in range(1, s):
-            value = (bits >> (r - 1)) & 1
-            if value and (r + 1) not in omega:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count

@@ -65,7 +65,8 @@ def _as_int(x) -> int | None:
 
 def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False):
     """Partitions of n with parts at most max_part, lexicographically
-    decreasing; `odd` allows only odd parts, `distinct` no repeated part."""
+    decreasing, each as ((part, multiplicity), ...) with parts decreasing;
+    `odd` allows only odd parts, `distinct` no repeated part."""
     if n == 0:
         yield ()
         return
@@ -74,15 +75,19 @@ def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = F
     if odd and first % 2 == 0:
         first -= 1
     for part in range(first, 0, -step):
-        for rest in _gen_partitions(n - part, part - step if distinct else part, odd, distinct):
-            yield (part,) + rest
+        mult = 1 if distinct else n // part
+        while mult:
+            for rest in _gen_partitions(n - part * mult, part - step, odd, distinct):
+                yield ((part, mult),) + rest
+            mult -= 1
 
 
 def enum_partitions(n: int) -> list[Partition]:
     """All partitions of n, in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(p) for p in _gen_partitions(n, n)]
+    return [Partition(tuple(part for part, mult in groups for _ in range(mult)))
+            for groups in _gen_partitions(n, n)]
 
 
 @lru_cache(maxsize=None)
@@ -154,32 +159,31 @@ def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
     if n < 0:
         return []
     out = []
-    for parts in _gen_partitions(n, n, odd=True, distinct=True):
-        balance = sum(1 if p % 4 == 1 else -1 for p in parts)
-        if balance == t:
-            out.append(Partition(parts))
+    for groups in _gen_partitions(n, n, odd=True, distinct=True):
+        if sum(1 if p % 4 == 1 else -1 for p, _ in groups) == t:
+            out.append(Partition(tuple(p for p, _ in groups)))
     return out
 
 
 def weighted_odd_partition_sum(n: int) -> int:
     """Sum of wt over partitions of n into odd parts.
 
-    Writing the parts as 2*mu_1+1 >= ... >= 2*mu_s+1, wt doubles once for
-    each index j with a gap mu >= 2 at the prescribed alternating positions:
-    pairs (2j-1, 2j) when the number of parts is odd, pairs (2j, 2j+1) when
-    it is even.
+    Writing the s parts as 2*mu_1+1 >= ... >= 2*mu_s+1, wt doubles once for
+    each gap mu_j >= mu_(j+1) + 2 at the prescribed alternating positions:
+    pairs (2j-1, 2j) when s is odd, pairs (2j, 2j+1) when s is even. Equal
+    parts share mu, so such a gap sits at the boundary of two groups, and it
+    is at a prescribed position exactly when the number of rows above the
+    boundary has the parity of s.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = 0
-    for parts in _gen_partitions(n, n, odd=True):
-        mu = [(p - 1) // 2 for p in parts]
-        s = len(mu)
-        if s % 2 == 1:
-            gaps = sum(1 for j in range(1, (s - 1) // 2 + 1)
-                       if mu[2 * j - 2] >= mu[2 * j - 1] + 2)
-        else:
-            gaps = sum(1 for j in range(1, s // 2)
-                       if mu[2 * j - 1] >= mu[2 * j] + 2)
+    for groups in _gen_partitions(n, n, odd=True):
+        s = sum(mult for _, mult in groups)
+        gaps = above = 0
+        for (hi, mult), (lo, _) in zip(groups, groups[1:]):
+            above += mult
+            if hi - lo >= 4 and above % 2 == s % 2:
+                gaps += 1
         total += 2 ** gaps
     return total

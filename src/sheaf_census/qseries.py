@@ -101,13 +101,6 @@ class FormalSeries:
         s = Fraction(scalar)
         return FormalSeries(tuple(c * s for c in self.coeffs))
 
-    def shift(self, exponent: int) -> FormalSeries:
-        """Multiply by x^exponent, keeping the order."""
-        if exponent < 0:
-            raise ValueError("negative shifts are not representable")
-        vals = (_ZERO,) * exponent + self.coeffs
-        return FormalSeries(vals[: self.order + 1])
-
     def inverse(self) -> FormalSeries:
         if not self.coeffs[0]:
             raise ZeroDivisionError("series with zero constant term has no inverse")
@@ -271,22 +264,25 @@ class BiSeries:
         return out
 
     def mul_binomial(self, sign: int, ue: int, ve: int, power: int = 1) -> BiSeries:
-        """Multiply by (1 + sign*u^ue*v^ve)^power in place-ish; power may be
-        negative. Requires ue+ve >= 1."""
+        """Multiply by (1 + sign*u^ue*v^ve)^power; power may be negative.
+        Requires ue+ve >= 1. The factor acts independently on each line of
+        cells (i0 + t*ue, j0 + t*ve), t >= 0, with i0 < ue or j0 < ve, as
+        (1 + sign*w)^power on a series in w."""
         if ue < 0 or ve < 0 or ue + ve < 1:
             raise ValueError("factor exponents must be nonnegative with positive total")
         out = [row[:] for row in self.m]
-        for _ in range(abs(power)):
-            if power > 0:
-                for i in range(self.u_order, ue - 1, -1):
-                    for j in range(self.v_order, ve - 1, -1):
-                        if out[i - ue][j - ve]:
-                            out[i][j] += sign * out[i - ue][j - ve]
-            else:
-                for i in range(ue, self.u_order + 1):
-                    for j in range(ve, self.v_order + 1):
-                        if out[i - ue][j - ve]:
-                            out[i][j] -= sign * out[i - ue][j - ve]
+        far = self.u_order + self.v_order
+        for i0 in range(self.u_order + 1):
+            for j0 in range(self.v_order + 1) if i0 < ue else range(min(ve, self.v_order + 1)):
+                steps = min((self.u_order - i0) // ue if ue else far,
+                            (self.v_order - j0) // ve if ve else far)
+                cells = [(i0 + t * ue, j0 + t * ve) for t in range(steps + 1)]
+                line = [out[i][j] for i, j in cells]
+                # a line that is zero before its last cell is unchanged
+                if any(line[:-1]):
+                    _mul_binomial(line, sign, 1, power)
+                    for (i, j), c in zip(cells, line):
+                        out[i][j] = c
         return BiSeries(self.u_order, self.v_order, out)
 
     def diagonal(self) -> FormalSeries:

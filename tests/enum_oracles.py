@@ -1,13 +1,15 @@
 """Reference implementations kept only as test oracles.
 
 These are the generate-then-filter enumerators, the membership test the
-Richardson equal-signature set was once filtered by, and the three separate
+Richardson equal-signature set was once filtered by, the three separate
 partition generators that the library used before its enumerators built
-their sets directly. They walk a superset and filter it, which is slow but
-easy to trust, and they must not change: the differential tests compare the
+their sets directly, the per-row gap-weighted odd-partition sum, and the
+direct enumeration of sign characters on a class-2 Richardson orbit. They
+walk a superset and filter it, or count row by row, which is slow but easy
+to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
 """
-from sheaf_census import diagrams
+from sheaf_census import diagrams, groups
 from sheaf_census.diagrams import SignedYoungDiagram, in_lambda
 
 
@@ -132,3 +134,36 @@ def enum_lambda_b(n):
     if n == 0:
         return [SignedYoungDiagram()]
     return [d for d in diagrams.enum_lambda(n) if in_lambda_b(d)]
+
+
+def weighted_odd_partition_sum(n):
+    """The gap-weighted odd-partition sum computed row by row: wt doubles for
+    each mu_j >= mu_(j+1) + 2 at 1-based pairs (2j-1, 2j) for an odd number
+    s of parts, (2j, 2j+1) for even s."""
+    total = 0
+    for parts in gen_odd_partitions(n, n):
+        mu = [(p - 1) // 2 for p in parts]
+        s = len(mu)
+        if s % 2 == 1:
+            gaps = sum(1 for j in range(1, (s - 1) // 2 + 1)
+                       if mu[2 * j - 2] >= mu[2 * j - 1] + 2)
+        else:
+            gaps = sum(1 for j in range(1, s // 2)
+                       if mu[2 * j - 1] >= mu[2 * j] + 2)
+        total += 2 ** gaps
+    return total
+
+
+def count_sign_characters(d):
+    """Independent count for class-2 Richardson diagrams: enumerate all sign
+    vectors on the s-1 adjacent-pair generators and keep those trivial
+    outside the admissible set."""
+    if diagrams.classify(d).index != 2:
+        raise ValueError("direct character enumeration applies to class 2 only")
+    s = len(groups._grouped_odd(d))
+    omega = groups.omega_set(d)
+    count = 0
+    for bits in range(1 << (s - 1)):
+        if all(not (bits >> (r - 1)) & 1 or (r + 1) in omega for r in range(1, s)):
+            count += 1
+    return count

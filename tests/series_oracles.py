@@ -3,9 +3,10 @@
 These are the Fraction-only loops the library used before its kernels moved
 to Python ints: the product expansion seeds a monomial and multiplies by each
 binomial factor one pass per unit of power, the inverse and the product of
-two series run on Fractions throughout. They are slow but easy to trust, and
-they must not change: the differential tests compare the library against them
-coefficient for coefficient.
+two series run on Fractions throughout, and the two-variable binomial
+multiply makes one pass over the whole matrix per unit of power. They are
+slow but easy to trust, and they must not change: the differential tests
+compare the library against them coefficient for coefficient.
 """
 from fractions import Fraction
 
@@ -65,3 +66,21 @@ def product(a, b):
             if b.coeffs[j]:
                 out[i + j] += a.coeffs[i] * b.coeffs[j]
     return FormalSeries(tuple(out))
+
+
+def bi_mul_binomial(matrix, sign, ue, ve, power=1):
+    """matrix times (1 + sign*u^ue*v^ve)^power, |power| passes of one term."""
+    out = [row[:] for row in matrix]
+    u_order, v_order = len(out) - 1, len(out[0]) - 1
+    for _ in range(abs(power)):
+        if power > 0:
+            for i in range(u_order, ue - 1, -1):
+                for j in range(v_order, ve - 1, -1):
+                    if out[i - ue][j - ve]:
+                        out[i][j] += sign * out[i - ue][j - ve]
+        else:
+            for i in range(ue, u_order + 1):
+                for j in range(ve, v_order + 1):
+                    if out[i - ue][j - ve]:
+                        out[i][j] -= sign * out[i - ue][j - ve]
+    return out

@@ -29,6 +29,26 @@ def test_theta_k0_examples():
     assert cs.theta_k0_count("ind1-D", 1) == 4
 
 
+def _split_d_by_cells(n):
+    """split-D summed cell by cell: the k=0 cell singly, every other cell
+    doubled, the middle cell's diagonal quadrupled."""
+    if n == 0:
+        return 1
+    hD = lambda k: cs.hecke_count("D", k)
+    total = hD(n)
+    for m in range(1, (n + 1) // 2):
+        total += 2 * hD(m) * hD(n - m)
+    if n % 2 == 0:
+        h = hD(n // 2)
+        total += 2 * (h * (h - 1) // 2) + 4 * h
+    return total
+
+
+def test_split_d_is_doubled_paired_count():
+    for n in range(60):
+        assert cs.theta_k0_count("split-D", n) == _split_d_by_cells(n), n
+
+
 def test_theta_k1_examples():
     assert cs.theta_k1_count(3, 1) == 4
     assert cs.theta_k1_count(2, 1) == 2

@@ -226,7 +226,9 @@ ERROR_CASES = {
                           "sheaf-census: verify needs a sweep of at least 1: --sweep is 0"),
     "series-negative-coeff": (["series", "--expr", "x^0", "--coeff", "-2"], {}, {}, 2,
                               "sheaf-census: series needs a nonnegative coefficient: "
-                              "--coeff is -2"),
+                              "--coeff is -2\n"),
+    "series-coeff-beyond-order": (["series", "--expr", "x^0", "--order", "3", "--coeff", "4"],
+                                  {}, {}, 2, "sheaf-census: coefficient 4 beyond order 3\n"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",
@@ -248,6 +250,19 @@ def test_error_paths(case, capsys, monkeypatch, tmp_path):
     assert err.startswith(prefix.replace("{tmp}", str(tmp_path))), err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch):
+    # the check's p(n) does not come from enum_lambda_b, so an enumerator that
+    # loses the minus signing of even lengths fails it
+    argv = ["census", "diii", "--n", "4", "--subset", "nilpotent", "--check"]
+    assert run_cli(capsys, *argv)[0] == 0
+    plus_only = dg._lambda_b_rows
+    monkeypatch.setattr(dg, "_lambda_b_rows", lambda length, mult: (
+        plus_only(length, mult)[:1] if length % 2 == 0 else plus_only(length, mult)))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "nilpotent" in err
 
 
 def test_python_dash_m_entry_point():

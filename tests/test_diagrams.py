@@ -170,6 +170,23 @@ def test_enum_lambda_b_matches_filter_oracle():
         assert dg.enum_lambda_b(n) == oracles.enum_lambda_b(n), n
 
 
+def test_enum_lambda_b_has_p_of_n_members():
+    # prod(1+x^s) / prod(1-x^(2s)) = prod 1/(1-x^s): the independent count
+    # that census --check uses for the diii nilpotent subset
+    from sheaf_census.partitions import count_partitions
+    for n in range(17):
+        assert len(dg.enum_lambda_b(n)) == count_partitions(n), n
+
+
+def test_parse_merges_groups_through_diagram():
+    assert dg.parse_diagram("1+ 3- 1+ 1-") == dg.diagram((3, 0, 1), (1, 2, 1))
+    assert dg.parse_diagram("1+ 3- 1+ 1-") == dg.parse_diagram("3- 1+^2 1-")
+    for text, message in (("3x", "bad diagram token"), ("1+^0", "bad multiplicity"),
+                          ("0+", "row lengths must be positive")):
+        with pytest.raises(ValueError, match=message):
+            dg.parse_diagram(text)
+
+
 def test_mu_t():
     assert str(dg.mu_t(2)) == "3+ 1+"
     assert dg.mu_t(0) == dg.SignedYoungDiagram()

@@ -28,17 +28,28 @@ def test_enum_matches_bruteforce():
         assert [p.parts for p in pt.enum_partitions(n)] == brute_partitions(n)
 
 
+def flat(n, m, **mode):
+    """The grouped generator's partitions with every group expanded, after
+    checking that each has strictly decreasing parts and positive
+    multiplicities."""
+    out = []
+    for groups in pt._gen_partitions(n, m, **mode):
+        parts = [part for part, _ in groups]
+        assert parts == sorted(set(parts), reverse=True), groups
+        assert all(mult >= 1 for _, mult in groups), groups
+        out.append(tuple(part for part, mult in groups for _ in range(mult)))
+    return out
+
+
 def test_generator_modes_match_oracles():
     # each mode of the one generator against the separate generator it
     # replaced: every n <= 30 at max_part = n, every max_part for n <= 12
     cases = [(n, n) for n in range(31)] + [(n, m) for n in range(13) for m in range(n)]
     for n, m in cases:
-        assert list(pt._gen_partitions(n, m)) == list(oracles.gen_partitions(n, m))
-        assert list(pt._gen_partitions(n, m, odd=True)) == \
-            list(oracles.gen_odd_partitions(n, m))
-        assert list(pt._gen_partitions(n, m, odd=True, distinct=True)) == \
-            list(oracles.gen_distinct_odd(n, m))
-        assert list(pt._gen_partitions(n, m, distinct=True)) == \
+        assert flat(n, m) == list(oracles.gen_partitions(n, m))
+        assert flat(n, m, odd=True) == list(oracles.gen_odd_partitions(n, m))
+        assert flat(n, m, odd=True, distinct=True) == list(oracles.gen_distinct_odd(n, m))
+        assert flat(n, m, distinct=True) == \
             [p for p in oracles.gen_partitions(n, m) if len(set(p)) == len(p)]
 
 
@@ -147,6 +158,11 @@ def test_weighted_odd_sum_oracle():
                     weight *= 2
             total += weight
         assert pt.weighted_odd_partition_sum(n) == total
+
+
+def test_weighted_odd_sum_matches_per_row_oracle():
+    for n in range(41):
+        assert pt.weighted_odd_partition_sum(n) == oracles.weighted_odd_partition_sum(n), n
 
 
 def test_partition_validation():

@@ -188,6 +188,34 @@ def test_inverse_non_unit_constant_term(c0):
     assert s * t == oracles.product(s, t)
 
 
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from((1, -1)), st.integers(-4, 4), st.data())
+def test_biseries_mul_binomial_matches_oracle(u_order, v_order, ue, ve, sign, power, data):
+    if ue + ve < 1:
+        ue = 1
+    matrix = data.draw(st.lists(st.lists(sparse_rationals, min_size=v_order + 1,
+                                         max_size=v_order + 1),
+                                min_size=u_order + 1, max_size=u_order + 1))
+    got = qs.BiSeries(u_order, v_order, matrix).mul_binomial(sign, ue, ve, power)
+    assert got.m == oracles.bi_mul_binomial(matrix, sign, ue, ve, power)
+    assert all(type(c) is Fraction for row in got.m for c in row)
+
+
+def test_biseries_huge_power():
+    # (1 + sign*uv)^P puts sign^k*C(P, k) at u^k v^k and nothing off the diagonal
+    for power in (10 ** 5, -10 ** 5):
+        for sign in (1, -1):
+            b = qs.BiSeries.one(4, 4).mul_binomial(sign, 1, 1, power)
+            for i in range(5):
+                for j in range(5):
+                    expected = sign ** i * _binomial(power, i) if i == j else 0
+                    assert b.coeff(i, j) == expected, (power, sign, i, j)
+
+
 def test_biseries_matches_single_variable_diagonal():
     # (1+uv)/(1-uv) collapsed on the diagonal is (1+x^2)/(1-x^2)
     b = qs.BiSeries.one(8, 8).mul_binomial(1, 1, 1, 1).mul_binomial(-1, 1, 1, -1)
