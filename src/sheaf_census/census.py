@@ -28,10 +28,9 @@ from .diagrams import (
     enum_sigma_b,
     format_diagram,
     in_sigma,
-    join,
     mu_t,
+    orbit_deltas,
     orbit_multiplicity,
-    DELTA_NAMES,
 )
 from .groups import eta, kappa1_data_BDI, pi_size
 from .partitions import (
@@ -80,14 +79,6 @@ def _mixed_distinct_count(n: int) -> int:
                for j in range(n + 1))
 
 
-def _unequal_parameter_count(n: int) -> int:
-    # type B Weyl group at parameters (-1, 1); equals the full two-sided
-    # count (no halving), with one irreducible for the trivial group
-    if n == 0:
-        return 1
-    return _mixed_distinct_count(n)
-
-
 # ---------------------------------------------------------------------------
 # Cardinalities of the full-support representation sets
 # ---------------------------------------------------------------------------
@@ -109,15 +100,17 @@ def theta_k0_count(variant: str, n: int) -> int:
     if variant == "ind1-B":
         h = hecke_count
         return sum(h("B", k) * h("B", n - k) for k in range(n + 1))
+    # ind1-D and ind2-D count over the type B Weyl group at parameters
+    # (-1, 1): the full two-sided count, no halving (1 at n = 0)
     if variant == "ind1-D":
-        return sum(_unequal_parameter_count(k) * _unequal_parameter_count(n - k)
+        return sum(_mixed_distinct_count(k) * _mixed_distinct_count(n - k)
                    for k in range(n + 1))
     if n == 0:
         return 1
     if variant in ("split-B", "ind2-B"):
         return _paired_count(lambda k: hecke_count("B", k), n)
     if variant == "ind2-D":
-        return _paired_count(_unequal_parameter_count, n)
+        return _paired_count(_mixed_distinct_count, n)
     # split-D: every cell of the paired count doubles, except the k=0 cell,
     # which contributes singly (hecke_count("D", 0) is 1)
     hD = lambda k: hecke_count("D", k)
@@ -150,23 +143,20 @@ def theta_k1_count(m: int, t: int) -> int:
 class OrbitLabel:
     """A diagram plus the decoration naming one orbit over it.
 
-    A given decoration is validated against the orbit multiplicity; census
-    emitters always attach decorations where the orbit set splits (the n=n
-    family never splits, whatever the diagram's orthogonal class would say).
+    A given decoration must be one of ``orbit_deltas(diagram)``; the bdi
+    census emitters attach exactly those. The n=n family never splits,
+    whatever the diagram's orthogonal class would say, so its labels carry
+    no decoration.
     """
 
     diagram: SignedYoungDiagram
     delta: str | None = None
 
     def __post_init__(self) -> None:
-        if self.delta is None:
-            return
-        mult = orbit_multiplicity(self.diagram) if in_sigma(self.diagram) else 1
-        if mult == 1:
-            raise ValueError(f"{self.diagram} carries a single orbit")
-        if self.delta not in DELTA_NAMES[:mult]:
-            raise ValueError(f"decoration {self.delta!r} out of range for "
-                             f"multiplicity {mult}")
+        if self.delta is not None and not (in_sigma(self.diagram) and
+                                           self.delta in orbit_deltas(self.diagram)):
+            raise ValueError(f"decoration {self.delta!r} names no orbit over "
+                             f"{self.diagram}")
 
     def __str__(self) -> str:
         base = format_diagram(self.diagram)
@@ -229,7 +219,24 @@ _EMPTY = SignedYoungDiagram()
 
 
 def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
-    return join(diagram((1, m, m), (2, k, k)) if m or k else _EMPTY, mu)
+    """mu plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-."""
+    return diagram((1, m, m), (2, k, k), *mu.rows)
+
+
+def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, per_orbit_count: int,
+                   family: str) -> list[StratumEntry]:
+    """One entry per orbit over the (m, k, mu) stratum's support, each
+    carrying the per-orbit local-system count."""
+    support = _support(m, k, mu)
+    return [StratumEntry(OrbitLabel(support, delta), m, k, mu, per_orbit_count, family)
+            for delta in orbit_deltas(support)]
+
+
+@lru_cache(maxsize=None)
+def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, int, int], ...]:
+    """(mu, class index, pi_size(mu)) for every Richardson diagram of
+    signature (p, q), each invariant computed once."""
+    return tuple((mu, classify(mu).index, pi_size(mu)) for mu in enum_sigma_b(p, q))
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
@@ -237,7 +244,10 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
 
     Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
     residual signature (or empty when the pair is split down to nothing);
-    for even total size only m of the same parity as q occurs.
+    for even total size only m of the same parity as q occurs. Each orbit
+    over a stratum's support carries theta * p(k) * pi(mu) local systems,
+    theta the induced family of mu's class (split-D, and pi = 1, for an
+    empty mu).
     """
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
@@ -248,68 +258,39 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
         if N % 2 == 0 and (m - q) % 2:
             continue
         # the induced module families depend on m and the parity only
-        f1, f2 = theta_k0_count(f"ind1-{side}", m), theta_k0_count(f"ind2-{side}", m)
+        theta = {i: theta_k0_count(f"ind{i}-{side}", m) for i in (1, 2)}
         for k in range((min(p, q) - m) // 2 + 1):
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
             if p1 == 0 and q1 == 0:
-                support = _support(m, k, _EMPTY)
-                if m > 0:
-                    count = theta_k0_count("split-D", m) * pk
-                    entries.append(StratumEntry(OrbitLabel(support), m, k,
-                                                _EMPTY, count, "empty-mu"))
-                else:
-                    for delta in DELTA_NAMES:
-                        entries.append(StratumEntry(OrbitLabel(support, delta),
-                                                    m, k, _EMPTY, pk, "empty-mu"))
+                entries += _orbit_entries(m, k, _EMPTY, theta_k0_count("split-D", m) * pk,
+                                          "empty-mu")
                 continue
-            for mu in enum_sigma_b(p1, q1):
-                cls = classify(mu)
-                pi = pi_size(mu)
-                support = _support(m, k, mu)
-                if cls.index == 1:
-                    entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
-                                                f1 * pk * pi, "sigma-b1"))
-                elif m > 0:
-                    entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
-                                                f2 * pk * pi, "sigma-b2"))
-                else:
-                    for delta in DELTA_NAMES[:2]:
-                        entries.append(StratumEntry(OrbitLabel(support, delta),
-                                                    m, k, mu, pk * pi, "sigma-b2"))
+            for mu, index, pi in _richardson(p1, q1):
+                entries += _orbit_entries(m, k, mu, theta[index] * pk * pi,
+                                          f"sigma-b{index}")
     warnings = (LOW_RANK_WARNING,) if N < 5 else ()
     return CensusReport(("bdi", p, q), "k0", tuple(entries), warnings)
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
     """Direct census at the nontrivial central character: strata (m, k) with
-    2m + 4k = N - t^2 over the uniform staircase, empty when N < t^2."""
+    2m + 4k = N - t^2 over the uniform staircase, empty when N < t^2. The
+    stratum's base * theta_k1(m, t) local systems are shared evenly by the
+    orbits over its support (there are several only at m = 0, where theta_k1
+    is eta(0, t), their number)."""
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
     N, t = p + q, p - q
     entries: list[StratumEntry] = []
     D = N - t * t
-    if D >= 0:
-        staircase = mu_t(t)
-        for k in range(D // 4 + 1):
-            m = (D - 4 * k) // 2
-            base = count_bipartitions(k)
-            if base == 0:
-                continue
-            support = _support(m, k, staircase)
-            if m > 0:
-                count = base * eta(m, t) * count_distinct_partitions(m)
-                entries.append(StratumEntry(OrbitLabel(support), m, k,
-                                            staircase, count, "kappa1-staircase"))
-            else:
-                mult = orbit_multiplicity(support)
-                if mult == 1:
-                    entries.append(StratumEntry(OrbitLabel(support), m, k, staircase,
-                                                base * eta(0, t), "kappa1-staircase"))
-                else:
-                    for delta in DELTA_NAMES[:mult]:
-                        entries.append(StratumEntry(OrbitLabel(support, delta), m, k,
-                                                    staircase, base, "kappa1-staircase"))
+    staircase = mu_t(t)
+    for k in range(D // 4 + 1):
+        m = (D - 4 * k) // 2
+        orbits = orbit_multiplicity(_support(m, k, staircase))
+        entries += _orbit_entries(m, k, staircase,
+                                  count_bipartitions(k) * theta_k1_count(m, t) // orbits,
+                                  "kappa1-staircase")
     warnings = (LOW_RANK_WARNING,) if N < 5 else ()
     return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
 
@@ -323,15 +304,14 @@ def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
         residual = n - 2 * k
         pk = count_partitions(k)
         for mu in enum_lambda_b(residual):
-            support = join(diagram((1, 2 * k, 2 * k)) if k else _EMPTY, mu)
-            entries.append(StratumEntry(OrbitLabel(support), 2 * k, 0, mu, pk, "diii"))
+            entries.append(StratumEntry(OrbitLabel(_support(2 * k, 0, mu)), 2 * k, 0, mu,
+                                        pk, "diii"))
     warnings = (LOW_RANK_WARNING,) if 2 * n < 5 else ()
     k0 = CensusReport(("diii", n), "k0", tuple(entries), warnings)
 
     k1_entries: list[StratumEntry] = []
     if n >= 2 and n % 2 == 0:
-        support = diagram((1, n, n))
-        k1_entries.append(StratumEntry(OrbitLabel(support), n, 0, _EMPTY,
+        k1_entries.append(StratumEntry(OrbitLabel(_support(n, 0, _EMPTY)), n, 0, _EMPTY,
                                        count_bipartitions(n // 2), "diii"))
     k1 = CensusReport(("diii", n), "k1", tuple(k1_entries), warnings)
     return k0, k1
@@ -423,25 +403,17 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
 
 
 def full_support_counts(p: int, q: int) -> tuple[int, int]:
-    """Counts of sheaves with full support; nonzero only for split pairs."""
-    N, t = p + q, p - q
-    if abs(t) > 1:
-        return 0, 0
-    k0 = theta_k0_count("split-B" if N % 2 else "split-D", min(p, q))
-    k1 = theta_k1_count((N - t * t) // 2, t)
-    return k0, k1
+    """Counts of sheaves with full support; nonzero only for split pairs,
+    where both parts are the cuspidal ones."""
+    return cuspidal_counts(p, q) if abs(p - q) <= 1 else (0, 0)
 
 
-@lru_cache(maxsize=None)
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     """Sums of character counts over class-1 and class-2 Richardson diagrams."""
-    b1 = b2 = 0
-    for mu in enum_sigma_b(p, q):
-        if classify(mu).index == 1:
-            b1 += pi_size(mu)
-        else:
-            b2 += pi_size(mu)
-    return b1, b2
+    sums = {1: 0, 2: 0}
+    for _, index, pi in _richardson(p, q):
+        sums[index] += pi
+    return sums[1], sums[2]
 
 
 def b_tilde(p: int, q: int) -> int:

@@ -116,8 +116,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
                 rows.append([str(d), None, cls.a, cls.b, cls.r,
                              f"sigma{cls.index}", k0, k1])
             else:
-                mult = diagrams.orbit_multiplicity(d)
-                for delta in (diagrams.DELTA_NAMES[:mult] if mult > 1 else [None]):
+                for delta in diagrams.orbit_deltas(d):
                     rows.append([str(d), delta, cls.a, cls.b, cls.r,
                                  f"sigma{cls.index}", k0, k1])
     else:

@@ -190,6 +190,13 @@ def orbit_multiplicity(d: SignedYoungDiagram) -> int:
 DELTA_NAMES = ("I", "II", "III", "IV")
 
 
+def orbit_deltas(d: SignedYoungDiagram) -> tuple[str | None, ...]:
+    """The decorations naming the orbits over the diagram, one per orbit:
+    (None,) for a single orbit."""
+    mult = orbit_multiplicity(d)
+    return DELTA_NAMES[:mult] if mult > 1 else (None,)
+
+
 def _signed_diagrams(groups, rows):
     """Every diagram that gives each group (length, mult) one of the signed
     rows (length, plus, minus) in rows(length, mult), first group varying

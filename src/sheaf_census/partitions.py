@@ -153,16 +153,23 @@ def count_distinct_odd_partitions(x) -> int:
     return _distinct_odd_table(n)[n]
 
 
+@lru_cache(maxsize=None)
+def _balanced_table(n: int) -> dict[int, tuple[Partition, ...]]:
+    """The distinct-odd partitions of n keyed by balance (parts 1 mod 4
+    minus parts 3 mod 4), in generator order, from one walk."""
+    table: dict[int, list[Partition]] = {}
+    for groups in _gen_partitions(n, n, odd=True, distinct=True):
+        balance = sum(1 if p % 4 == 1 else -1 for p, _ in groups)
+        table.setdefault(balance, []).append(Partition(tuple(p for p, _ in groups)))
+    return {balance: tuple(ps) for balance, ps in table.items()}
+
+
 def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
     """Partitions of n into distinct odd parts whose count of parts congruent
     to 1 mod 4 exceeds the count congruent to 3 mod 4 by exactly t."""
     if n < 0:
         return []
-    out = []
-    for groups in _gen_partitions(n, n, odd=True, distinct=True):
-        if sum(1 if p % 4 == 1 else -1 for p, _ in groups) == t:
-            out.append(Partition(tuple(p for p, _ in groups)))
-    return out
+    return list(_balanced_table(n).get(t, ()))
 
 
 def weighted_odd_partition_sum(n: int) -> int:

@@ -86,9 +86,6 @@ class FormalSeries:
         n = min(self.order, other.order)
         return FormalSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
 
-    def __neg__(self) -> FormalSeries:
-        return FormalSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: FormalSeries) -> FormalSeries:
         n = min(self.order, other.order)
         da, a = _cleared(self.coeffs[: n + 1])
@@ -209,21 +206,15 @@ def geometric_alternating(start: int, step: int, order: int) -> FormalSeries:
 
 
 def bilateral_sum(constant_term, pos_term: Callable[[int], FormalSeries],
-                  neg_term: Callable[[int], FormalSeries] | None = None,
                   order: int = DEFAULT_ORDER) -> FormalSeries:
-    """Symmetrized bilateral sum: k=0 term plus sum over k>=1 of the k and -k
-    terms, each already rewritten as a power series of positive valuation.
-
-    neg_term(k) must give the rewritten term at index -k; it defaults to
-    pos_term (all the sums used here are symmetric under k -> -k).
-    """
-    if neg_term is None:
-        neg_term = pos_term
+    """Bilateral sum symmetric under k -> -k: the k=0 term plus twice each
+    k>=1 term pos_term(k), rewritten as a power series of positive valuation."""
     total = FormalSeries.constant(constant_term, order)
     # term k has valuation >= k in every family used here, so indices past
     # the truncation order contribute nothing
     for k in range(1, order + 1):
-        total = total + pos_term(k) + neg_term(k)
+        term = pos_term(k)
+        total = total + term + term
     return total
 
 

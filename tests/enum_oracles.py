@@ -4,13 +4,20 @@ These are the generate-then-filter enumerators, the membership test the
 Richardson equal-signature set was once filtered by, the three separate
 partition generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
-direct enumeration of sign characters on a class-2 Richardson orbit. They
+direct enumeration of sign characters on a class-2 Richardson orbit, and
+the two bdi censuses with their orbit decorations branched out by hand. They
 walk a superset and filter it, or count row by row, which is slow but easy
 to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
 """
 from sheaf_census import diagrams, groups
-from sheaf_census.diagrams import SignedYoungDiagram, in_lambda
+from sheaf_census.census import (LOW_RANK_WARNING, CensusReport, OrbitLabel,
+                                 StratumEntry, theta_k0_count)
+from sheaf_census.diagrams import (DELTA_NAMES, SignedYoungDiagram, classify, diagram,
+                                   in_lambda, join, mu_t, orbit_multiplicity)
+from sheaf_census.groups import eta, pi_size
+from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
+                                     count_partitions)
 
 
 def gen_partitions(n, max_part):
@@ -167,3 +174,84 @@ def count_sign_characters(d):
         if all(not (bits >> (r - 1)) & 1 or (r + 1) in omega for r in range(1, s)):
             count += 1
     return count
+
+
+_EMPTY = SignedYoungDiagram()
+
+
+def _support(m, k, mu):
+    return join(diagram((1, m, m), (2, k, k)) if m or k else _EMPTY, mu)
+
+
+def census_bdi_k0(p, q):
+    """The trivial-character census with each orbit count branched by hand:
+    four orbits over an empty mu at m = 0, two over a class-2 mu at m = 0,
+    one otherwise."""
+    N = p + q
+    side = "B" if N % 2 else "D"
+    entries = []
+    for m in range(min(p, q) + 1):
+        if N % 2 == 0 and (m - q) % 2:
+            continue
+        f1, f2 = theta_k0_count(f"ind1-{side}", m), theta_k0_count(f"ind2-{side}", m)
+        for k in range((min(p, q) - m) // 2 + 1):
+            p1, q1 = p - m - 2 * k, q - m - 2 * k
+            pk = count_partitions(k)
+            if p1 == 0 and q1 == 0:
+                support = _support(m, k, _EMPTY)
+                if m > 0:
+                    count = theta_k0_count("split-D", m) * pk
+                    entries.append(StratumEntry(OrbitLabel(support), m, k,
+                                                _EMPTY, count, "empty-mu"))
+                else:
+                    for delta in DELTA_NAMES:
+                        entries.append(StratumEntry(OrbitLabel(support, delta),
+                                                    m, k, _EMPTY, pk, "empty-mu"))
+                continue
+            for mu in diagrams.enum_sigma_b(p1, q1):
+                cls = classify(mu)
+                pi = pi_size(mu)
+                support = _support(m, k, mu)
+                if cls.index == 1:
+                    entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
+                                                f1 * pk * pi, "sigma-b1"))
+                elif m > 0:
+                    entries.append(StratumEntry(OrbitLabel(support), m, k, mu,
+                                                f2 * pk * pi, "sigma-b2"))
+                else:
+                    for delta in DELTA_NAMES[:2]:
+                        entries.append(StratumEntry(OrbitLabel(support, delta),
+                                                    m, k, mu, pk * pi, "sigma-b2"))
+    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
+    return CensusReport(("bdi", p, q), "k0", tuple(entries), warnings)
+
+
+def census_bdi_k1(p, q):
+    """The nontrivial-character census with the m = 0 orbits branched by
+    hand: each of several orbits carries the bipartition count alone."""
+    N, t = p + q, p - q
+    entries = []
+    D = N - t * t
+    if D >= 0:
+        staircase = mu_t(t)
+        for k in range(D // 4 + 1):
+            m = (D - 4 * k) // 2
+            base = count_bipartitions(k)
+            if base == 0:
+                continue
+            support = _support(m, k, staircase)
+            if m > 0:
+                count = base * eta(m, t) * count_distinct_partitions(m)
+                entries.append(StratumEntry(OrbitLabel(support), m, k,
+                                            staircase, count, "kappa1-staircase"))
+            else:
+                mult = orbit_multiplicity(support)
+                if mult == 1:
+                    entries.append(StratumEntry(OrbitLabel(support), m, k, staircase,
+                                                base * eta(0, t), "kappa1-staircase"))
+                else:
+                    for delta in DELTA_NAMES[:mult]:
+                        entries.append(StratumEntry(OrbitLabel(support, delta), m, k,
+                                                    staircase, base, "kappa1-staircase"))
+    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
+    return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import enum_oracles as oracles
 from sheaf_census import census as cs
 from sheaf_census import diagrams as dg
 from sheaf_census.partitions import count_bipartitions, count_partitions
@@ -144,6 +145,11 @@ def test_full_support_counts():
     assert cs.full_support_counts(3, 2)[0] == cs.cuspidal_counts(3, 2)[0]
     assert cs.full_support_counts(4, 2) == (0, 0)
     assert cs.full_support_counts(3, 3)[1] == cs.theta_k1_count(3, 0)
+    # both parts are the cuspidal ones on split pairs, and zero elsewhere
+    for N in range(31):
+        for p in range(N + 1):
+            expected = cs.cuspidal_counts(p, N - p) if abs(2 * p - N) <= 1 else (0, 0)
+            assert cs.full_support_counts(p, N - p) == expected, (p, N - p)
 
 
 def test_aggregate_T():
@@ -175,11 +181,21 @@ def test_stratum_delta_structure():
 
 
 def test_support_join_invariant():
-    for report in (cs.census_bdi_k0(4, 3), cs.census_bdi_k1(5, 1)):
+    for report in (cs.census_bdi_k0(4, 3), cs.census_bdi_k1(5, 1), cs.census_diii(6)[0]):
         for e in report.entries:
             rebuilt = dg.join(dg.diagram((1, e.m, e.m), (2, e.k, e.k))
                               if e.m or e.k else dg.SignedYoungDiagram(), e.mu)
             assert rebuilt == e.support.diagram
+
+
+def test_bdi_censuses_match_hand_branched_oracles():
+    for N in range(19):
+        for p in range(N + 1):
+            q = N - p
+            assert (cs.census_bdi_k0(p, q).to_json_dict()
+                    == oracles.census_bdi_k0(p, q).to_json_dict()), (p, q)
+            assert (cs.census_bdi_k1(p, q).to_json_dict()
+                    == oracles.census_bdi_k1(p, q).to_json_dict()), (p, q)
 
 
 def test_subset_report_totals():

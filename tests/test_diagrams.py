@@ -64,6 +64,9 @@ def test_orbit_multiplicity():
     assert dg.orbit_multiplicity(dg.parse_diagram("1+^3 1-^2")) == 1
     assert dg.orbit_multiplicity(dg.parse_diagram("5+")) == 2
     assert dg.orbit_multiplicity(dg.parse_diagram("2+ 2-")) == 4
+    assert dg.orbit_deltas(dg.parse_diagram("1+^3 1-^2")) == (None,)
+    assert dg.orbit_deltas(dg.parse_diagram("5+")) == ("I", "II")
+    assert dg.orbit_deltas(dg.parse_diagram("2+ 2-")) == ("I", "II", "III", "IV")
 
 
 def test_invariant_parity():

@@ -135,6 +135,16 @@ def test_balanced_distinct_odd_formula():
             assert len(pt.enum_distinct_odd_balanced(n, t)) == expected, (n, t)
 
 
+def test_balanced_table_matches_filtered_oracle():
+    for n in range(41):
+        members = list(oracles.gen_distinct_odd(n, n))
+        for t in range(-6, 7):
+            expected = [parts for parts in members
+                        if sum(1 if x % 4 == 1 else -1 for x in parts) == t]
+            assert [p.parts for p in pt.enum_distinct_odd_balanced(n, t)] == expected, (n, t)
+    assert pt.enum_distinct_odd_balanced(-1, 0) == []
+
+
 def test_weighted_odd_sum_examples():
     assert pt.weighted_odd_partition_sum(0) == 1
     assert pt.weighted_odd_partition_sum(1) == 1
