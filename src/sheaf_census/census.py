@@ -30,9 +30,9 @@ from .diagrams import (
     in_sigma,
     mu_t,
     orbit_deltas,
-    orbit_multiplicity,
+    sigma_classes,
 )
-from .groups import eta, kappa1_data_BDI, pi_size
+from .groups import _kappa1_data, eta, pi_size
 from .partitions import (
     count_bipartitions,
     count_distinct_odd_partitions,
@@ -223,13 +223,23 @@ def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
     return diagram((1, m, m), (2, k, k), *mu.rows)
 
 
-def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, per_orbit_count: int,
-                   family: str) -> list[StratumEntry]:
+def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
+    """OrbitLabel(diagram, delta) for a delta taken from
+    orbit_deltas(diagram), without classifying the diagram again."""
+    label = object.__new__(OrbitLabel)
+    label.__dict__.update(diagram=diagram, delta=delta)
+    return label
+
+
+def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: str,
+                   shared: bool = False) -> list[StratumEntry]:
     """One entry per orbit over the (m, k, mu) stratum's support, each
-    carrying the per-orbit local-system count."""
+    carrying count local systems, or an even share of them when shared."""
     support = _support(m, k, mu)
-    return [StratumEntry(OrbitLabel(support, delta), m, k, mu, per_orbit_count, family)
-            for delta in orbit_deltas(support)]
+    deltas = orbit_deltas(support)
+    per_orbit = count // len(deltas) if shared else count
+    return [StratumEntry(_label(support, delta), m, k, mu, per_orbit, family)
+            for delta in deltas]
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +297,8 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
     staircase = mu_t(t)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
-        orbits = orbit_multiplicity(_support(m, k, staircase))
-        entries += _orbit_entries(m, k, staircase,
-                                  count_bipartitions(k) * theta_k1_count(m, t) // orbits,
-                                  "kappa1-staircase")
+        entries += _orbit_entries(m, k, staircase, count_bipartitions(k) * theta_k1_count(m, t),
+                                  "kappa1-staircase", shared=True)
     warnings = (LOW_RANK_WARNING,) if N < 5 else ()
     return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
 
@@ -433,19 +441,19 @@ def aggregate_T(N: int) -> tuple[int, int]:
 def kappa0_orbit_sum(p: int, q: int) -> int:
     """Third route for the trivial character: orbits weighted by their
     component-group character counts."""
-    return sum(orbit_multiplicity(d) * 2 ** classify(d).r for d in enum_sigma(p, q))
+    return sum(c.orbits * 2 ** c.r for c in sigma_classes(p, q))
 
 
 def kappa1_orbit_sum(p: int, q: int) -> int:
     """Third route for the nontrivial character, via the case table for the
     double cover's component groups."""
-    return sum(orbit_multiplicity(d) * kappa1_data_BDI(d).count
-               for d in enum_sigma(p, q))
+    return sum(c.orbits * _kappa1_data(d, c).count
+               for d, c in zip(enum_sigma(p, q), sigma_classes(p, q)))
 
 
 def sigma23_r_sum(p: int, q: int) -> int:
     """Sum of 2^r over the class-2 and class-3 diagrams of the pair."""
-    return sum(2 ** c.r for c in map(classify, enum_sigma(p, q)) if c.index in (2, 3))
+    return sum(2 ** c.r for c in sigma_classes(p, q) if c.index in (2, 3))
 
 
 def diii_closure_total(n: int) -> int:
@@ -502,13 +510,24 @@ def _subset_predicate(report: CensusReport, subset: str):
 
 
 def expected_subset_total(report: CensusReport, subset: str) -> int:
-    """Independent expected total for --check: the closed formulas."""
+    """Expected total for --check, by route. bdi: all, the closed series
+    count_formula_k0/k1; k1 cuspidal and full, eta(D/2, t) times the x^(D/2)
+    coefficient of prod (1+x^s) (the coro-cuspidal-k1 route); k1 nilpotent,
+    eta(0, t) as in the census; k0 cuspidal, full (the split theta) and
+    nilpotent (richardson_pi_sums) share the census's helpers. diii k0: all
+    counts enum_lambda (the census walks enum_lambda_b), nilpotent p(n), full
+    p(n // 2); diii k1: all and full p2(n/2), as in the census; else 0."""
     kind = report.pair[0]
     central = 0 if report.central == "k0" else 1
     if kind == "bdi":
         _, p, q = report.pair
         if subset == "all":
             return count_formula_k0(p, q) if central == 0 else count_formula_k1(p, q)
+        if central == 1 and subset in ("cuspidal", "full"):
+            t, D = p - q, p + q - (p - q) ** 2
+            if D < 0 or subset == "full" and abs(t) > 1:
+                return 0
+            return eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
         table = {"cuspidal": cuspidal_counts, "nilpotent": nilpotent_support_counts,
                  "full": full_support_counts}
         return table[subset](p, q)[central]

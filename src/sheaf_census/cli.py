@@ -47,6 +47,30 @@ def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> d
     }
 
 
+_encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
+
+
+def _json_text(obj, depth: int = 1) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for obj whose items sit at
+    the given indent depth. Each container of scalars is one encode() call
+    (json.dumps with an indent runs the pure-Python encoder)."""
+    if depth not in _encoders:
+        _encoders[depth] = json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+    encode, containers = _encoders[depth], (dict, list, tuple)
+    if not isinstance(obj, containers) or not obj:
+        return encode(obj)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if any(isinstance(v, containers) for v in values):
+        items = [_json_text(v, depth + 1) for v in values]
+        if is_dict:  # a key as json renders it: the object {key: 0} less "{" and ": 0}"
+            items = [f"{encode({key: 0})[1:-4]}: {item}" for key, item in zip(obj, items)]
+        text = ("{%s}" if is_dict else "[%s]") % (",\n" + "  " * depth).join(items)
+    else:
+        text = encode(obj)
+    return text[0] + "\n" + "  " * depth + text[1:-1] + "\n" + "  " * (depth - 1) + text[-1]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -104,21 +128,17 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         _require(args, "p", "q")
         if args.richardson:
             members = diagrams.enum_sigma_b(args.p, args.q)
+            classes = map(diagrams.classify, members)
         else:
             members = diagrams.enum_sigma(args.p, args.q)
-        for d in members:
-            cls = diagrams.classify(d)
+            classes = diagrams.sigma_classes(args.p, args.q)
+        for d, cls in zip(members, classes):
             if args.orbit_class and cls.index != int(args.orbit_class[-1]):
                 continue
-            k0 = 2 ** cls.r
-            k1 = groups.kappa1_data_BDI(d).count
-            if args.richardson:
-                rows.append([str(d), None, cls.a, cls.b, cls.r,
-                             f"sigma{cls.index}", k0, k1])
-            else:
-                for delta in diagrams.orbit_deltas(d):
-                    rows.append([str(d), delta, cls.a, cls.b, cls.r,
-                                 f"sigma{cls.index}", k0, k1])
+            row = [cls.a, cls.b, cls.r, f"sigma{cls.index}", 2 ** cls.r,
+                   groups._kappa1_data(d, cls).count]
+            for delta in (None,) if args.richardson else cls.deltas:
+                rows.append([str(d), delta, *row])
     else:
         _require(args, "n")
         if args.orbit_class:
@@ -238,7 +258,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                "coefficients": {str(e): str(v)
                                 for e, v in zip(exponents, values)}}
     if args.format == "json":
-        _emit(json.dumps(_envelope(args, payload, []), indent=2), args.out)
+        _emit(_json_text(_envelope(args, payload, [])), args.out)
     else:
         text = ", ".join(map(str, values))
         _emit(text, args.out)
@@ -248,7 +268,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _finish(args: argparse.Namespace, payload: dict, warnings: list[str],
             headers: list[str], rows: list[list]) -> int:
     if args.format == "json":
-        _emit(json.dumps(_envelope(args, payload, warnings), indent=2), args.out)
+        _emit(_json_text(_envelope(args, payload, warnings)), args.out)
     elif args.format == "csv":
         _emit(_render_csv(headers, rows), args.out)
     else:

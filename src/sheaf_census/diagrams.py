@@ -23,7 +23,8 @@ the one partition generator, which yields every partition already grouped as
 (length, multiplicity) pairs (all partitions of p+q, the odd partitions of
 p+q, the partitions of n with every multiplicity doubled), and assigns only
 admissible signs to each group. The first two read from a per-size table
-keyed by signature.
+keyed by signature, which ``sigma_classes`` annotates with classes when first
+read. Enumerator output is valid by construction and skips the checks.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -38,7 +39,7 @@ from itertools import product
 from .partitions import BiPartition, Partition, _gen_partitions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedYoungDiagram:
     """Grouped rows (length, plus-row count, minus-row count), lengths
     strictly decreasing, every group nonempty."""
@@ -83,6 +84,16 @@ class SignedYoungDiagram:
 
     def __str__(self) -> str:
         return format_diagram(self)
+
+
+_set_rows = SignedYoungDiagram.rows.__set__  # the slot's setter, past the frozen guard
+
+
+def _unchecked(rows: tuple[tuple[int, int, int], ...]) -> SignedYoungDiagram:
+    """SignedYoungDiagram(rows) without the checks, for enumerator output."""
+    d = object.__new__(SignedYoungDiagram)
+    _set_rows(d, rows)
+    return d
 
 
 def format_diagram(d: SignedYoungDiagram) -> str:
@@ -154,6 +165,9 @@ def in_lambda(d: SignedYoungDiagram) -> bool:
     return True
 
 
+DELTA_NAMES = ("I", "II", "III", "IV")
+
+
 @dataclass(frozen=True)
 class DiagramClass:
     """The (a, b) invariants, the class index 1|2|3, and the 2-group rank r."""
@@ -162,6 +176,26 @@ class DiagramClass:
     b: int
     index: int
     r: int
+
+    @property
+    def orbits(self) -> int:
+        """Number of orbits over a diagram of the class: 1, 2, or 4."""
+        return 1 << (self.index - 1)
+
+    @property
+    def deltas(self) -> tuple[str | None, ...]:
+        """The decorations naming those orbits, one per orbit."""
+        return DELTA_NAMES[:self.orbits] if self.index > 1 else (None,)
+
+
+@lru_cache(maxsize=None)
+def _class_of(a: int, b: int) -> DiagramClass:
+    """The one shared DiagramClass of each (a, b)."""
+    if a > 0 and b > 0:
+        return DiagramClass(a, b, 1, a + b - 2)
+    if a + b > 0:
+        return DiagramClass(a, b, 2, a + b - 1)
+    return DiagramClass(0, 0, 3, 0)
 
 
 def classify(d: SignedYoungDiagram) -> DiagramClass:
@@ -175,26 +209,18 @@ def classify(d: SignedYoungDiagram) -> DiagramClass:
         elif length % 4 == 3:
             a += minus > 0
             b += plus > 0
-    if a > 0 and b > 0:
-        return DiagramClass(a, b, 1, a + b - 2)
-    if a + b > 0:
-        return DiagramClass(a, b, 2, a + b - 1)
-    return DiagramClass(0, 0, 3, 0)
+    return _class_of(a, b)
 
 
 def orbit_multiplicity(d: SignedYoungDiagram) -> int:
     """Number of orbits lying over the diagram: 1, 2, or 4 by class."""
-    return {1: 1, 2: 2, 3: 4}[classify(d).index]
-
-
-DELTA_NAMES = ("I", "II", "III", "IV")
+    return classify(d).orbits
 
 
 def orbit_deltas(d: SignedYoungDiagram) -> tuple[str | None, ...]:
     """The decorations naming the orbits over the diagram, one per orbit:
     (None,) for a single orbit."""
-    mult = orbit_multiplicity(d)
-    return DELTA_NAMES[:mult] if mult > 1 else (None,)
+    return classify(d).deltas
 
 
 def _signed_diagrams(groups, rows):
@@ -202,7 +228,7 @@ def _signed_diagrams(groups, rows):
     rows (length, plus, minus) in rows(length, mult), first group varying
     slowest. The diagrams built from one partition share their row tuples."""
     for choice in product(*(rows(length, mult) for length, mult in groups)):
-        yield SignedYoungDiagram(choice)
+        yield _unchecked(choice)
 
 
 def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
@@ -226,6 +252,13 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
     return list(_sigma_by_signature(p + q).get((p, q), ()))
+
+
+@lru_cache(maxsize=None)
+def sigma_classes(p: int, q: int) -> tuple[DiagramClass, ...]:
+    """classify(d) for every d of enum_sigma(p, q), in the same order, each
+    diagram classified once per signature."""
+    return tuple(map(classify, enum_sigma(p, q)))
 
 
 def _row_parities(d: SignedYoungDiagram) -> list[int]:
@@ -286,7 +319,7 @@ def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiag
     for groups in _gen_partitions(n, n, odd=True) if n else ():
         rows = [((length, mult, 0), (length, 0, mult)) for length, mult in groups]
         for signs in _richardson_signs(groups, n % 2):
-            d = SignedYoungDiagram(tuple(row[s] for row, s in zip(rows, signs)))
+            d = _unchecked(tuple(row[s] for row, s in zip(rows, signs)))
             table.setdefault(d.signature(), []).append(d)
     return {sig: tuple(ds) for sig, ds in table.items()}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import SignedYoungDiagram, classify, in_lambda, in_sigma, is_sigma_b
+from .diagrams import DiagramClass, SignedYoungDiagram, classify, in_lambda, is_sigma_b
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,16 @@ def kappa1_data_BDI(d: SignedYoungDiagram) -> Kappa1Data:
     The case split is on the pair parity derived from the signature: 'odd',
     'even-outer' (both signature entries odd) or 'even-inner'.
     """
-    if not in_sigma(d):
-        raise ValueError(f"{d} is not in the orthogonal classification set")
+    return _kappa1_data(d, classify(d))
+
+
+def _kappa1_data(d: SignedYoungDiagram, cls: DiagramClass) -> Kappa1Data:
+    """kappa1_data_BDI(d) for a diagram of the orthogonal set whose class
+    cls = classify(d) is already known."""
     pair_parity = _pair_parity_of(d)
     for length, plus, minus in d.rows:
         if length % 2 == 1 and (plus >= 2 or minus >= 2):
             return Kappa1Data(0, None)
-    cls = classify(d)
     r = cls.r
     if pair_parity == "odd":
         if cls.index == 1:

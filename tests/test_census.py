@@ -6,6 +6,7 @@ import pytest
 import enum_oracles as oracles
 from sheaf_census import census as cs
 from sheaf_census import diagrams as dg
+from sheaf_census import groups as gp
 from sheaf_census.partitions import count_bipartitions, count_partitions
 
 
@@ -234,3 +235,39 @@ def test_cross_route_sweep_25_to_32():
             k0 = cs.census_bdi_k0(p, q).total
             assert k0 == cs.count_formula_k0(p, q) == cs.kappa0_orbit_sum(p, q), (p, q)
             assert cs.census_bdi_k1(p, q).total == cs.count_formula_k1(p, q), (p, q)
+
+
+def _count_classify(monkeypatch):
+    calls = []
+    real = dg.classify
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+    # every module that classifies looks the name up in diagrams or groups
+    monkeypatch.setattr(dg, "classify", counted)
+    monkeypatch.setattr(gp, "classify", counted)
+    monkeypatch.setattr(cs, "classify", counted)
+    return calls
+
+
+def test_orbit_sums_classify_each_diagram_once(monkeypatch):
+    dg.sigma_classes.cache_clear()
+    calls = _count_classify(monkeypatch)
+    p, q = 7, 6
+    first = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
+    assert len(calls) == len(dg.enum_sigma(p, q))
+    for _ in range(3):
+        again = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
+        assert again == first
+    assert len(calls) == len(dg.enum_sigma(p, q))
+
+
+def test_censuses_classify_each_support_once(monkeypatch):
+    p, q = 7, 6
+    cs.census_bdi_k0(p, q)  # fills the cached Richardson table
+    calls = _count_classify(monkeypatch)
+    for census in (cs.census_bdi_k0, cs.census_bdi_k1):
+        del calls[:]
+        supports = {e.support.diagram for e in census(p, q).entries}
+        assert sorted(map(str, calls)) == sorted(map(str, supports))

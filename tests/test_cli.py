@@ -5,9 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheaf_census import census, diagrams as dg
-from sheaf_census.cli import main
+from sheaf_census.cli import _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -276,3 +277,29 @@ def test_python_dash_m_entry_point():
                           env={**os.environ, "SHEAF_CENSUS_ORDER": "abc"})
     assert proc.returncode == 2
     assert proc.stderr == "sheaf-census: bad SHEAF_CENSUS_ORDER 'abc'\n"
+
+
+def test_k1_cuspidal_and_full_checks_catch_a_broken_theta(capsys, monkeypatch):
+    # the expected totals come from the series route, not from theta_k1_count
+    argvs = [["census", "bdi", "--p", "3", "--q", "2", "--central", "k1", "--subset", subset,
+              "--check"] for subset in ("cuspidal", "full")]
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+    real = census.theta_k1_count
+    monkeypatch.setattr(census, "theta_k1_count", lambda m, t: 2 * real(m, t))
+    for argv in argvs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert argv[-2] in err
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+# json renders non-string keys as strings: 1 as "1", True as "true", None as "null"
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_SCALARS, inner, max_size=4), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)

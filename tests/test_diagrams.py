@@ -1,6 +1,7 @@
 """Diagram enumeration against brute-force oracles and the structural
 invariants (sign swap, parity of the invariants, staircase signatures)."""
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,3 +257,47 @@ def test_diagram_validation():
         dg.SignedYoungDiagram(((2, 0, 0),))  # empty group
     with pytest.raises(ValueError):
         dg.SignedYoungDiagram(((0, 1, 0),))  # zero length
+
+
+def test_sigma_classes_match_classify():
+    for total in range(25):
+        for p in range(total + 1):
+            q = total - p
+            assert dg.sigma_classes(p, q) == tuple(map(dg.classify, dg.enum_sigma(p, q))), (p, q)
+    with pytest.raises(ValueError):
+        dg.sigma_classes(-1, 3)
+
+
+def test_classes_are_shared_and_carry_their_orbits():
+    c = dg.classify(dg.parse_diagram("5+"))
+    assert c is dg.classify(dg.parse_diagram("3- 2+ 2-"))  # both (a, b) = (1, 0)
+    assert c == dg.DiagramClass(1, 0, 2, 0)
+    for text, orbits in (("1+^3 1-^2", 1), ("5+", 2), ("2+ 2-", 4)):
+        cls = dg.classify(dg.parse_diagram(text))
+        assert (cls.orbits, len(cls.deltas)) == (orbits, orbits)
+
+
+def test_enumerated_diagrams_pass_the_public_checks():
+    # enumerator output skips the constructor's checks; it must pass them
+    pools = [dg.enum_lambda(n) + dg.enum_lambda_b(n) for n in range(11)]
+    for total in range(21):
+        for p in range(total + 1):
+            pools.append(dg.enum_sigma(p, total - p) + dg.enum_sigma_b(p, total - p))
+    for pool in pools:
+        for d in pool:
+            checked = dg.SignedYoungDiagram(d.rows)
+            assert checked == d and hash(checked) == hash(d)
+
+
+def test_diagram_builders_keep_validating():
+    with pytest.raises(ValueError):
+        dg.diagram((0, 1, 0))
+    with pytest.raises(ValueError):
+        dg.parse_diagram("0+ 1-")
+
+
+def test_slotted_diagram_pickles():
+    for d in (dg.parse_diagram("3- 1+^2"), dg.enum_sigma(3, 2)[0], dg.SignedYoungDiagram()):
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d) and str(back) == str(d)
+    assert not hasattr(d, "__dict__")

@@ -43,6 +43,10 @@ COMMANDS = {
     "orbits_diii_6_richardson": ["orbits", "diii", "--n", "6", "--richardson"],
     "orbits_bdi_5_4_richardson": ["orbits", "bdi", "--p", "5", "--q", "4", "--richardson"],
     "census_diii_6_both_check": ["census", "diii", "--n", "6", "--central", "both", "--check"],
+    # class-3 rows carry four decorations; the class filter on a non-Richardson listing
+    "orbits_bdi_6_6": ["orbits", "bdi", "--p", "6", "--q", "6"],
+    "orbits_bdi_6_5_sigma2_csv": ["orbits", "bdi", "--p", "6", "--q", "5", "--class", "sigma2",
+                                  "--format", "csv"],
     # series at large order: big integers, rational scalars, inverses of products
     "series_inv_prod_order400": ["series", "--expr",
                                  "3/7*inv(prod(1+x^{2s+1})(1+x^{3s-1}))", "--order", "400"],
