@@ -10,6 +10,9 @@ Two fully independent routes are kept apart on purpose:
   :mod:`sheaf_census.qseries`.
 
 Their agreement over sweeps is the artifact's central correctness check.
+
+Each piece is computed once: supports are assembled row by row, and
+``theta_k0_count``, ``_richardson`` and ``count_formula_k0`` are memoised.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from functools import lru_cache
 from . import qseries
 from .diagrams import (
     SignedYoungDiagram,
+    _unchecked,
     classify,
     diagram,
     enum_lambda,
@@ -32,7 +36,7 @@ from .diagrams import (
     orbit_deltas,
     sigma_classes,
 )
-from .groups import _kappa1_data, eta, pi_size
+from .groups import _kappa1_data, _pi_size, eta
 from .partitions import (
     count_bipartitions,
     count_distinct_odd_partitions,
@@ -86,6 +90,7 @@ def _mixed_distinct_count(n: int) -> int:
 _THETA_VARIANTS = ("split-B", "split-D", "ind1-B", "ind1-D", "ind2-B", "ind2-D")
 
 
+@lru_cache(maxsize=None)
 def theta_k0_count(variant: str, n: int) -> int:
     """Cardinality of the trivial-central-character module family.
 
@@ -220,7 +225,12 @@ _EMPTY = SignedYoungDiagram()
 
 def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
     """mu plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-."""
-    return diagram((1, m, m), (2, k, k), *mu.rows)
+    rows, tail = list(mu.rows), []
+    for length, added in ((1, m), (2, k)):
+        plus, minus = rows.pop()[1:] if rows and rows[-1][0] == length else (0, 0)
+        if plus + minus + added:
+            tail.append((length, plus + added, minus + added))
+    return _unchecked(tuple(rows + tail[::-1]))
 
 
 def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
@@ -246,7 +256,8 @@ def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: s
 def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, int, int], ...]:
     """(mu, class index, pi_size(mu)) for every Richardson diagram of
     signature (p, q), each invariant computed once."""
-    return tuple((mu, classify(mu).index, pi_size(mu)) for mu in enum_sigma_b(p, q))
+    classified = ((mu, classify(mu)) for mu in enum_sigma_b(p, q))
+    return tuple((mu, cls.index, _pi_size(mu, cls)) for mu, cls in classified)
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
@@ -337,27 +348,30 @@ def _k0_bases(order: int):
     return odd_all, even_sq, part_even
 
 
+def _as_count(c: Fraction, p: int, q: int) -> int:
+    if c.denominator != 1:
+        raise ArithmeticError(f"non-integer count {c} at ({p},{q})")
+    return int(c)
+
+
+def _t_ratio(s: qseries.FormalSeries, t: int) -> qseries.FormalSeries:
+    """s (1+x^t)/(1+x^2t), which is s itself at t = 0."""
+    return s.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1) if t else s
+
+
+@lru_cache(maxsize=None)
 def count_formula_k0(p: int, q: int) -> int:
     """Coefficient extraction for the trivial-character total; inputs with
     p < q are swapped first (the census is symmetric under sign swap)."""
     if p < q:
         p, q = q, p
     t = p - q
-    order = q
-    base1, base2, base3 = _k0_bases(order)
+    base1, base2, base3 = _k0_bases(q)
     if t == 0:
-        term1 = base1.scale(Fraction(1, 4))
-        term2 = base2.scale(Fraction(3, 2))
-        total = term1 + term2 + base3.scale(Fraction(9, 4))
+        total = base1.scale(Fraction(1, 4)) + base3.scale(Fraction(9, 4))
     else:
-        term1 = base1.scale(Fraction(1, 2)).mul_binomial(1, t, -1)
-        term2 = (base2.scale(Fraction(3, 2)).mul_binomial(1, t, 1)
-                 .mul_binomial(1, 2 * t, -1))
-        total = term1 + term2
-    c = total.coeff(q)
-    if c.denominator != 1:
-        raise ArithmeticError(f"non-integer count {c} at ({p},{q})")
-    return int(c)
+        total = base1.scale(Fraction(1, 2)).mul_binomial(1, t, -1)
+    return _as_count((total + _t_ratio(base2.scale(Fraction(3, 2)), t)).coeff(q), p, q)
 
 
 @lru_cache(maxsize=None)
@@ -371,10 +385,22 @@ def count_formula_k1(p: int, q: int) -> int:
     D = p + q - t * t
     if D < 0:
         return 0
-    c = _k1_base(D).coeff(D)
-    if c.denominator != 1:
-        raise ArithmeticError(f"non-integer count {c} at ({p},{q})")
-    return eta(D // 2, t) * int(c)
+    return eta(D // 2, t) * _as_count(_k1_base(D).coeff(D), p, q)
+
+
+def _tb1_series(t: int, order: int) -> qseries.FormalSeries:
+    """The parity-matched square product over 1+x^t, halved at t = 0."""
+    s = qseries.prod_series(order, (1, 2, -(t % 2), 2), (-1, 2, 0, -2))
+    return s.scale(Fraction(1, 2)) if t == 0 else s.mul_binomial(1, t, -1)
+
+
+def _nilcoro_series(t: int, order: int) -> qseries.FormalSeries:
+    """(1/2) _tb1_series(t) + (3/2) (1+x^t)/(1+x^2t) prod (1+x^(4s-2))/(1-x^2s)^2
+    for odd t, with 1+x^4s in place of 1+x^(4s-2) for even t: the closed
+    nilpotent-support k0 count of (q+t, q) is its x^q coefficient."""
+    rest = qseries.prod_series(order, (1, 4, -2 * (t % 2), 1), (-1, 2, 0, -2),
+                               scalar=Fraction(3, 2))
+    return _tb1_series(t, order).scale(Fraction(1, 2)) + _t_ratio(rest, t)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +537,32 @@ def _subset_predicate(report: CensusReport, subset: str):
 
 def expected_subset_total(report: CensusReport, subset: str) -> int:
     """Expected total for --check, by route. bdi: all, the closed series
-    count_formula_k0/k1; k1 cuspidal and full, eta(D/2, t) times the x^(D/2)
-    coefficient of prod (1+x^s) (the coro-cuspidal-k1 route); k1 nilpotent,
-    eta(0, t) as in the census; k0 cuspidal, full (the split theta) and
-    nilpotent (richardson_pi_sums) share the census's helpers. diii k0: all
-    counts enum_lambda (the census walks enum_lambda_b), nilpotent p(n), full
-    p(n // 2); diii k1: all and full p2(n/2), as in the census; else 0."""
+    count_formula_k0/k1; k0 nilpotent, the x^min(p, q) coefficient of
+    _nilcoro_series(|t|); k0 cuspidal and full, the split theta (as in the
+    census) times the orbit count over the split support 1+^p 1-^q (4 at
+    p = q = 0, 2 at p + q = 1, else 1); k1 cuspidal and full, eta(D/2, t)
+    times the x^(D/2) coefficient of prod (1+x^s) (coro-cuspidal-k1); k1
+    nilpotent, eta(0, t) as in the census. diii k0: all counts enum_lambda
+    (the census walks enum_lambda_b), nilpotent p(n), full p(n // 2); diii
+    k1: all and full p2(n/2), as in the census; else 0."""
     kind = report.pair[0]
     central = 0 if report.central == "k0" else 1
     if kind == "bdi":
         _, p, q = report.pair
+        t, D = p - q, p + q - (p - q) ** 2
         if subset == "all":
             return count_formula_k0(p, q) if central == 0 else count_formula_k1(p, q)
-        if central == 1 and subset in ("cuspidal", "full"):
-            t, D = p - q, p + q - (p - q) ** 2
-            if D < 0 or subset == "full" and abs(t) > 1:
-                return 0
-            return eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
-        table = {"cuspidal": cuspidal_counts, "nilpotent": nilpotent_support_counts,
-                 "full": full_support_counts}
-        return table[subset](p, q)[central]
+        if subset == "nilpotent":
+            if central == 1:
+                return eta(0, t) if D == 0 else 0
+            if p + q == 0:
+                return 0  # no Richardson diagram, though the series starts at 7/4
+            return _as_count(_nilcoro_series(abs(t), min(p, q)).coeff(min(p, q)), p, q)
+        if central == 0:
+            return cuspidal_counts(p, q)[0] * classify(diagram((1, p, q))).orbits
+        if D < 0 or subset == "full" and abs(t) > 1:
+            return 0
+        return eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
     n = report.pair[1]
     if central == 1:
         if subset in ("all", "full"):

@@ -22,9 +22,10 @@ Every enumerator builds exactly its set: each takes its length groups from
 the one partition generator, which yields every partition already grouped as
 (length, multiplicity) pairs (all partitions of p+q, the odd partitions of
 p+q, the partitions of n with every multiplicity doubled), and assigns only
-admissible signs to each group. The first two read from a per-size table
-keyed by signature, which ``sigma_classes`` annotates with classes when first
-read. Enumerator output is valid by construction and skips the checks.
+admissible signs to each group. Three per-size tables are cached: those of
+``enum_sigma`` and ``enum_sigma_b``, keyed by a signature summed group by
+group as signs are chosen (``sigma_classes`` annotates the first), and
+``enum_lambda_b``'s. Enumerator output skips the checks (valid by construction).
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -223,14 +224,6 @@ def orbit_deltas(d: SignedYoungDiagram) -> tuple[str | None, ...]:
     return classify(d).deltas
 
 
-def _signed_diagrams(groups, rows):
-    """Every diagram that gives each group (length, mult) one of the signed
-    rows (length, plus, minus) in rows(length, mult), first group varying
-    slowest. The diagrams built from one partition share their row tuples."""
-    for choice in product(*(rows(length, mult) for length, mult in groups)):
-        yield _unchecked(choice)
-
-
 def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
     """Even lengths balanced; odd lengths any split, plus descending."""
     if length % 2 == 0:
@@ -238,13 +231,30 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
     return [(length, plus, mult - plus) for plus in range(mult, -1, -1)]
 
 
+def _by_signature(n: int, partitions, signings) -> dict:
+    """The diagrams of every (rows, p) in signings(groups), over the grouped
+    partitions, keyed by signature (p, n - p) in generator order."""
+    table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
+    for groups in partitions:
+        for rows, p in signings(groups):
+            table.setdefault((p, n - p), []).append(_unchecked(rows))
+    return {sig: tuple(ds) for sig, ds in table.items()}
+
+
+def _sigma_signings(groups) -> list[tuple[tuple, int]]:
+    """(rows, p) for every signing of the groups by _sigma_rows, first group
+    varying slowest; p, the plus-box count, accumulates group by group."""
+    out = [((), 0)]
+    for length, mult in groups:
+        half, odd = length // 2, length % 2
+        options = [(row, mult * half + odd * row[1]) for row in _sigma_rows(length, mult)]
+        out = [(rows + (row,), p + dp) for rows, p in out for row, dp in options]
+    return out
+
+
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
-    table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
-    for groups in _gen_partitions(n, n):
-        for d in _signed_diagrams(groups, _sigma_rows):
-            table.setdefault(d.signature(), []).append(d)
-    return {sig: tuple(ds) for sig, ds in table.items()}
+    return _by_signature(n, _gen_partitions(n, n), _sigma_signings)
 
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
@@ -294,34 +304,30 @@ def is_sigma_b(d: SignedYoungDiagram) -> bool:
     return True
 
 
-def _richardson_signs(groups, start: int) -> list[tuple[int, ...]]:
-    """Sign bits (0 for +), one per group, in lexicographic order, such that
-    every row pair (start + 2k, start + 2k + 1) has constant parity of sign
-    bit + half-length. Rows inside a group share their parity, so only a pair
-    straddling two groups constrains anything: it forces the later sign."""
-    vectors: list[tuple[int, ...]] = [()]
+def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
+    """(rows, p), p summed group by group, with one sign bit (0 for +) per
+    group in lexicographic order, such that every row pair (start + 2k, start
+    + 2k + 1) has constant parity of sign bit + half-length. Rows inside a
+    group share their parity, so only a pair straddling two groups
+    constrains anything: it forces the later sign."""
+    out = [((), 0)]
     row = prev_mu = 0
     for length, mult in groups:
         mu = (length - 1) // 2
-        if row > start and (row - start) % 2 == 1:
-            vectors = [v + ((v[-1] + prev_mu - mu) % 2,) for v in vectors]
-        else:
-            vectors = [v + (bit,) for v in vectors for bit in (0, 1)]
+        signed = (((length, mult, 0), mult * (mu + 1)), ((length, 0, mult), mult * mu))
+        forced = row > start and (row - start) % 2 == 1
+        out = [(rows + (signed[bit][0],), p + signed[bit][1]) for rows, p in out
+               for bit in ((((rows[-1][2] > 0) + prev_mu - mu) % 2,) if forced else (0, 1))]
         row += mult
         prev_mu = mu
-    return vectors
+    return out
 
 
 @lru_cache(maxsize=64)
 def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
-    table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
     # the empty diagram (n = 0) is not Richardson
-    for groups in _gen_partitions(n, n, odd=True) if n else ():
-        rows = [((length, mult, 0), (length, 0, mult)) for length, mult in groups]
-        for signs in _richardson_signs(groups, n % 2):
-            d = _unchecked(tuple(row[s] for row, s in zip(rows, signs)))
-            table.setdefault(d.signature(), []).append(d)
-    return {sig: tuple(ds) for sig, ds in table.items()}
+    return _by_signature(n, _gen_partitions(n, n, odd=True) if n else (),
+                         lambda groups: _richardson_signings(groups, n % 2))
 
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
@@ -349,13 +355,12 @@ def _lambda_b_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
 
 def _doubled_diagrams(n: int, rows) -> list[SignedYoungDiagram]:
     """Diagrams whose row lengths are a partition of n with every
-    multiplicity doubled, signed by rows(length, mult)."""
+    multiplicity doubled, each group (length, mult) given one of the signed
+    rows in rows(length, mult), first group varying slowest."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-    for groups in _gen_partitions(n, n):
-        out.extend(_signed_diagrams(groups, rows))
-    return out
+    return [_unchecked(choice) for groups in _gen_partitions(n, n)
+            for choice in product(*(rows(length, mult) for length, mult in groups))]
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:
@@ -366,10 +371,15 @@ def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     return _doubled_diagrams(n, _lambda_rows)
 
 
+@lru_cache(maxsize=64)
+def _lambda_b_table(n: int) -> tuple[SignedYoungDiagram, ...]:
+    return tuple(_doubled_diagrams(n, _lambda_b_rows))
+
+
 def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:
     """The Richardson members of ``enum_lambda(n)``, in the same order: odd
     lengths carry exactly one row of each sign, even lengths one sign."""
-    return _doubled_diagrams(n, _lambda_b_rows)
+    return list(_lambda_b_table(n))
 
 
 def mu_t(t: int) -> SignedYoungDiagram:

@@ -99,6 +99,10 @@ def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
     equal sign bit with the previous group."""
     if not is_sigma_b(d):
         raise ValueError(f"{d} is not in the Richardson subset")
+    return _omega_set(d)
+
+
+def _omega_set(d: SignedYoungDiagram) -> frozenset[int]:
     groups = _grouped_odd(d)
     s = len(groups)
     tail = 0
@@ -127,14 +131,17 @@ def pi_size(d: SignedYoungDiagram) -> int:
     """Number of admissible component-group characters on the Richardson
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved
     again when it is even. A negative exponent signals an upstream bug."""
-    cls = classify(d)
+    if not is_sigma_b(d):
+        raise ValueError(f"{d} is not in the Richardson subset")
+    return _pi_size(d, classify(d))
+
+
+def _pi_size(d: SignedYoungDiagram, cls: DiagramClass) -> int:
+    """pi_size(d) for a Richardson diagram d whose class cls is known."""
     if cls.index not in (1, 2):
         raise ValueError("Richardson diagrams are never of class 3")
-    parity = d.size % 2
-    l = l_of(d)
-    exponent = l - (1 if cls.index == 1 else 0) - (1 if parity == 0 else 0)
+    exponent = len(_omega_set(d)) - (cls.index == 1) - (d.size % 2 == 0)
     if exponent < 0:
         raise ValueError(f"negative character-count exponent for {d}; "
                          "upstream classification is inconsistent")
     return 2 ** exponent
-

@@ -130,11 +130,6 @@ def _split_sum(order: int, odd_side: bool, scalar) -> FormalSeries:
             + prod_series(order, (1, 4, -2 * off, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
 
 
-def _t_ratio(s: FormalSeries, t: int) -> FormalSeries:
-    """s (1+x^t)/(1+x^2t), which is s itself at t = 0."""
-    return s.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1) if t else s
-
-
 def _class2_count(p: int, q: int) -> int:
     return census.richardson_pi_sums(p, q)[1]
 
@@ -178,7 +173,7 @@ def _kappa1_orbit_sum(order: int, sweep: int):
         "(1+x^t)/(1+x^2t) prod (1+x^2s)^2/(1-x^2s)^3")
 def _lemma_n1(order: int, sweep: int):
     def series_of(t):
-        return _t_ratio(prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -3)), t)
+        return census._t_ratio(prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -3)), t)
     return (_tq_cells(sweep, range(6), series_of, census.sigma23_r_sum, 1),
             f"t <= 5, 2q+t <= {sweep}")
 
@@ -330,18 +325,11 @@ def _bb_even(order: int, sweep: int):
     return _half_cells(census.b_tilde, rhs, odd=False), f"1 <= n, 2n <= {sweep}"
 
 
-def _tb1_series(t: int, order: int) -> FormalSeries:
-    """The parity-matched square product over 1+x^t, halved at t = 0."""
-    s = prod_series(order, (1, 2, -(t % 2), 2), (-1, 2, 0, -2))
-    return s.scale(HALF) if t == 0 else s.mul_binomial(1, t, -1)
-
-
 @_check("tb1",
         "per-pair Richardson character counts match 1/(1+x^t) times the "
         "parity-matched square products")
 def _tb1(order: int, sweep: int):
-    def series_of(t):
-        return _tb1_series(t, sweep)
+    series_of = lambda t: census._tb1_series(t, sweep)
     return (chain(_tq_cells(sweep, (1, 3, 5), series_of, census.b_tilde, 1),
                   _tq_cells(sweep, (0, 2, 4), series_of, census.b_tilde, 2)),
             f"|t| <= 5, 2q+t <= {sweep}")
@@ -447,18 +435,11 @@ def _coro_cuspidal_k1(order: int, sweep: int):
                        expected)
 
 
-def _nilcoro_series(t: int, order: int) -> FormalSeries:
-    """(1/2) _tb1_series(t) + (3/2) (1+x^t)/(1+x^2t) prod (1+x^(4s-2))/(1-x^2s)^2
-    for odd t, with 1+x^4s in place of 1+x^(4s-2) for even t."""
-    rest = prod_series(order, (1, 4, -2 * (t % 2), 1), (-1, 2, 0, -2), scalar=THREE_HALVES)
-    return _tb1_series(t, order).scale(HALF) + _t_ratio(rest, t)
-
-
 @_check("nilcoro-k0-odd",
         "nilpotent-support trivial-character counts (odd t) match their "
         "closed series")
 def _nilcoro_k0_odd(order: int, sweep: int):
-    return (_tq_cells(sweep, (1, 3, 5), lambda t: _nilcoro_series(t, sweep),
+    return (_tq_cells(sweep, (1, 3, 5), lambda t: census._nilcoro_series(t, sweep),
                       _nilpotent_k0_count, 1),
             f"t in {{1,3,5}}, 2q+t <= {sweep}")
 
@@ -467,7 +448,7 @@ def _nilcoro_k0_odd(order: int, sweep: int):
         "nilpotent-support trivial-character counts (t, q even) match their "
         "closed series")
 def _nilcoro_k0_even(order: int, sweep: int):
-    return (_tq_cells(sweep, (0, 2, 4), lambda t: _nilcoro_series(t, sweep),
+    return (_tq_cells(sweep, (0, 2, 4), lambda t: census._nilcoro_series(t, sweep),
                       _nilpotent_k0_count, 2),
             f"t in {{0,2,4}}, q even, 2q+t <= {sweep}")
 

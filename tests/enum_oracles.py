@@ -4,8 +4,9 @@ These are the generate-then-filter enumerators, the membership test the
 Richardson equal-signature set was once filtered by, the three separate
 partition generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
-direct enumeration of sign characters on a class-2 Richardson orbit, and
-the two bdi censuses with their orbit decorations branched out by hand. They
+direct enumeration of sign characters on a class-2 Richardson orbit, the
+stratum support built through ``diagram()``'s merge, and the two bdi
+censuses with their orbit decorations branched out by hand. They
 walk a superset and filter it, or count row by row, which is slow but easy
 to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
@@ -181,6 +182,12 @@ _EMPTY = SignedYoungDiagram()
 
 def _support(m, k, mu):
     return join(diagram((1, m, m), (2, k, k)) if m or k else _EMPTY, mu)
+
+
+def support_via_diagram(m, k, mu):
+    """mu plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-, merged,
+    sorted and checked by diagram()."""
+    return diagram((1, m, m), (2, k, k), *mu.rows)
 
 
 def census_bdi_k0(p, q):

@@ -1,4 +1,5 @@
 """Census enumerators against the closed formulas and hand-checked anchors."""
+import itertools
 import json
 
 import pytest
@@ -200,7 +201,9 @@ def test_bdi_censuses_match_hand_branched_oracles():
 
 
 def test_subset_report_totals():
-    for p, q in ((3, 2), (4, 2), (3, 3), (4, 4), (5, 2), (2, 2)):
+    # at p + q <= 1 the split stratum is the whole census and carries 4 or 2
+    # orbits, which the expected cuspidal and full totals count too
+    for p, q in itertools.product(range(13), repeat=2):
         for central, make in (("k0", cs.census_bdi_k0), ("k1", cs.census_bdi_k1)):
             report = make(p, q)
             for subset in cs.SUBSETS:
@@ -237,18 +240,23 @@ def test_cross_route_sweep_25_to_32():
             assert cs.census_bdi_k1(p, q).total == cs.count_formula_k1(p, q), (p, q)
 
 
-def _count_classify(monkeypatch):
+def _count_calls(monkeypatch, name, *modules):
+    """Wrap the function name, looked up in each of modules, with one shared
+    counter; returns the list of argument tuples it records."""
     calls = []
-    real = dg.classify
+    real = getattr(modules[0], name)
 
-    def counted(d):
-        calls.append(d)
-        return real(d)
-    # every module that classifies looks the name up in diagrams or groups
-    monkeypatch.setattr(dg, "classify", counted)
-    monkeypatch.setattr(gp, "classify", counted)
-    monkeypatch.setattr(cs, "classify", counted)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_classify(monkeypatch):
+    # every module that classifies looks the name up in diagrams or groups
+    return _count_calls(monkeypatch, "classify", dg, gp, cs)
 
 
 def test_orbit_sums_classify_each_diagram_once(monkeypatch):
@@ -270,4 +278,33 @@ def test_censuses_classify_each_support_once(monkeypatch):
     for census in (cs.census_bdi_k0, cs.census_bdi_k1):
         del calls[:]
         supports = {e.support.diagram for e in census(p, q).entries}
-        assert sorted(map(str, calls)) == sorted(map(str, supports))
+        assert sorted(str(d) for (d,) in calls) == sorted(map(str, supports))
+
+
+def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
+    cs.theta_k0_count.cache_clear()
+    diagram_calls = _count_calls(monkeypatch, "diagram", dg, cs)
+    hecke_calls = _count_calls(monkeypatch, "hecke_count", cs)
+    first = cs.census_bdi_k0(8, 7)
+    assert not diagram_calls
+    assert hecke_calls  # the module families went through the counter
+    del hecke_calls[:]
+    assert cs.census_bdi_k0(8, 7) == first
+    assert not hecke_calls
+
+
+def test_supports_match_the_merging_builder():
+    # _support assembles the rows itself; the oracle merges, sorts and checks
+    reports = [r for N in range(17) for p in range(N + 1)
+               for r in (cs.census_bdi_k0(p, N - p), cs.census_bdi_k1(p, N - p))]
+    reports += [r for n in range(13) for r in cs.census_diii(n)]
+    strata = {(e.m, e.k, e.mu) for r in reports for e in r.entries}
+    # mu with length-2 rows (the diii strata) under added 2+ 2- rows too
+    strata |= {(m, k, mu) for n in range(7) for mu in dg.enum_lambda_b(n)
+               for m in range(3) for k in range(3)}
+    for m, k, mu in strata:
+        assert cs._support(m, k, mu).rows == oracles.support_via_diagram(m, k, mu).rows, \
+            (m, k, str(mu))
+    for r in reports:
+        for e in r.entries:
+            assert e.support.diagram == oracles.support_via_diagram(e.m, e.k, e.mu)

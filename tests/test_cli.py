@@ -253,7 +253,17 @@ def test_error_paths(case, capsys, monkeypatch, tmp_path):
     assert out == ""
 
 
-def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch):
+@pytest.fixture
+def refill(request):
+    """refill(cache) empties a cached table, now and again after the test, so
+    that a patched helper feeds it and leaves nothing wrong behind."""
+    def clear(cache):
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
+    return clear
+
+
+def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):
     # the check's p(n) does not come from enum_lambda_b, so an enumerator that
     # loses the minus signing of even lengths fails it
     argv = ["census", "diii", "--n", "4", "--subset", "nilpotent", "--check"]
@@ -261,6 +271,7 @@ def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch):
     plus_only = dg._lambda_b_rows
     monkeypatch.setattr(dg, "_lambda_b_rows", lambda length, mult: (
         plus_only(length, mult)[:1] if length % 2 == 0 else plus_only(length, mult)))
+    refill(dg._lambda_b_table)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "nilpotent" in err
@@ -287,6 +298,22 @@ def test_k1_cuspidal_and_full_checks_catch_a_broken_theta(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
     real = census.theta_k1_count
     monkeypatch.setattr(census, "theta_k1_count", lambda m, t: 2 * real(m, t))
+    for argv in argvs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert argv[-2] in err
+
+
+def test_k0_nilpotent_check_catches_a_broken_pi(capsys, monkeypatch, refill):
+    # the nilpotent total comes from the closed nilcoro series, not from the
+    # Richardson character counts the census strata carry
+    argvs = [["census", "bdi", "--p", "3", "--q", "2", "--central", "k0", "--subset", subset,
+              "--check"] for subset in ("all", "nilpotent")]
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+    real = census._pi_size
+    monkeypatch.setattr(census, "_pi_size", lambda d, cls: 3 * real(d, cls))
+    refill(census._richardson)
     for argv in argvs:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1

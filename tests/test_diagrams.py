@@ -301,3 +301,17 @@ def test_slotted_diagram_pickles():
         back = pickle.loads(pickle.dumps(d))
         assert back == d and hash(back) == hash(d) and str(back) == str(d)
     assert not hasattr(d, "__dict__")
+
+
+def test_table_keys_are_signatures():
+    # the table builders carry p group by group instead of calling signature()
+    for n in range(25):
+        for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
+            for sig, ds in table.items():
+                assert all(d.signature() == sig for d in ds), (n, sig)
+
+
+def test_enum_lambda_b_returns_a_fresh_list():
+    first = dg.enum_lambda_b(5)
+    first.clear()
+    assert dg.enum_lambda_b(5) == oracles.enum_lambda_b(5)
