@@ -33,7 +33,6 @@ from .diagrams import (
     format_diagram,
     in_sigma,
     mu_t,
-    orbit_deltas,
     sigma_classes,
 )
 from .groups import _kappa1_data, _pi_size, eta
@@ -148,7 +147,7 @@ def theta_k1_count(m: int, t: int) -> int:
 class OrbitLabel:
     """A diagram plus the decoration naming one orbit over it.
 
-    A given decoration must be one of ``orbit_deltas(diagram)``; the bdi
+    A given decoration must be one of ``classify(diagram).deltas``; the bdi
     census emitters attach exactly those. The n=n family never splits,
     whatever the diagram's orthogonal class would say, so its labels carry
     no decoration.
@@ -159,7 +158,7 @@ class OrbitLabel:
 
     def __post_init__(self) -> None:
         if self.delta is not None and not (in_sigma(self.diagram) and
-                                           self.delta in orbit_deltas(self.diagram)):
+                                           self.delta in classify(self.diagram).deltas):
             raise ValueError(f"decoration {self.delta!r} names no orbit over "
                              f"{self.diagram}")
 
@@ -235,7 +234,7 @@ def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
 
 def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
     """OrbitLabel(diagram, delta) for a delta taken from
-    orbit_deltas(diagram), without classifying the diagram again."""
+    classify(diagram).deltas, without classifying the diagram again."""
     label = object.__new__(OrbitLabel)
     label.__dict__.update(diagram=diagram, delta=delta)
     return label
@@ -246,7 +245,7 @@ def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: s
     """One entry per orbit over the (m, k, mu) stratum's support, each
     carrying count local systems, or an even share of them when shared."""
     support = _support(m, k, mu)
-    deltas = orbit_deltas(support)
+    deltas = classify(support).deltas
     per_orbit = count // len(deltas) if shared else count
     return [StratumEntry(_label(support, delta), m, k, mu, per_orbit, family)
             for delta in deltas]
@@ -473,7 +472,7 @@ def kappa0_orbit_sum(p: int, q: int) -> int:
 def kappa1_orbit_sum(p: int, q: int) -> int:
     """Third route for the nontrivial character, via the case table for the
     double cover's component groups."""
-    return sum(c.orbits * _kappa1_data(d, c).count
+    return sum(c.orbits * _kappa1_data(d, c, p, q).count
                for d, c in zip(enum_sigma(p, q), sigma_classes(p, q)))
 
 
@@ -544,7 +543,7 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
     times the x^(D/2) coefficient of prod (1+x^s) (coro-cuspidal-k1); k1
     nilpotent, eta(0, t) as in the census. diii k0: all counts enum_lambda
     (the census walks enum_lambda_b), nilpotent p(n), full p(n // 2); diii
-    k1: all and full p2(n/2), as in the census; else 0."""
+    k1: all and full p2(n/2) for n >= 1, as in the census; else 0."""
     kind = report.pair[0]
     central = 0 if report.central == "k0" else 1
     if kind == "bdi":
@@ -565,6 +564,8 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
         return eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
     n = report.pair[1]
     if central == 1:
+        if n == 0:
+            return 0  # no k1 stratum on the empty pair, though p2(0) = 1
         if subset in ("all", "full"):
             return count_bipartitions(Fraction(n, 2))
         return 0

@@ -135,10 +135,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         for d, cls in zip(members, classes):
             if args.orbit_class and cls.index != int(args.orbit_class[-1]):
                 continue
+            text = str(d)
             row = [cls.a, cls.b, cls.r, f"sigma{cls.index}", 2 ** cls.r,
-                   groups._kappa1_data(d, cls).count]
+                   groups._kappa1_data(d, cls, args.p, args.q).count]
             for delta in (None,) if args.richardson else cls.deltas:
-                rows.append([str(d), delta, *row])
+                rows.append([text, delta, *row])
     else:
         _require(args, "n")
         if args.orbit_class:
@@ -158,18 +159,15 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _census_reports(args: argparse.Namespace) -> list[census.CensusReport]:
+    centrals = ("k0", "k1") if args.central == "both" else (args.central,)
     if args.family == "bdi":
         _require(args, "p", "q")
-        table = {"k0": lambda: [census.census_bdi_k0(args.p, args.q)],
-                 "k1": lambda: [census.census_bdi_k1(args.p, args.q)]}
-        if args.central == "both":
-            reports = table["k0"]() + table["k1"]()
-        else:
-            reports = table[args.central]()
+        build = {"k0": census.census_bdi_k0, "k1": census.census_bdi_k1}
+        reports = [build[central](args.p, args.q) for central in centrals]
     else:
         _require(args, "n")
-        k0, k1 = census.census_diii(args.n)
-        reports = {"k0": [k0], "k1": [k1], "both": [k0, k1]}[args.central]
+        both = dict(zip(("k0", "k1"), census.census_diii(args.n)))
+        reports = [both[central] for central in centrals]
     return [census.subset_report(r, args.subset) for r in reports]
 
 
@@ -189,12 +187,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
     headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
     rows = []
-    for r in reports:
-        for e in r.entries:
-            rows.append([r.central, diagrams.format_diagram(e.support.diagram),
-                         e.support.delta, e.m, e.k, diagrams.format_diagram(e.mu),
-                         e.family, e.count])
-        rows.append([r.central, "TOTAL", None, None, None, None, args.subset, r.total])
+    for r in payload["reports"]:
+        rows += [[r["central"], *(stratum[h] for h in headers[1:])] for stratum in r["strata"]]
+        rows.append([r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]])
     code = _finish(args, payload, warnings, headers, rows)
     if mismatches:
         sys.stderr.write("\n".join(mismatches) + "\n")

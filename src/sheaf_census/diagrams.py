@@ -26,6 +26,7 @@ admissible signs to each group. Three per-size tables are cached: those of
 ``enum_sigma`` and ``enum_sigma_b``, keyed by a signature summed group by
 group as signs are chosen (``sigma_classes`` annotates the first), and
 ``enum_lambda_b``'s. Enumerator output skips the checks (valid by construction).
+``is_sigma_b`` and ``in_lambda`` test membership by asking the same row rules.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -157,13 +158,10 @@ def in_sigma(d: SignedYoungDiagram) -> bool:
 
 
 def in_lambda(d: SignedYoungDiagram) -> bool:
-    """Odd lengths matched, even lengths with both row counts even."""
-    for length, plus, minus in d.rows:
-        if length % 2 == 1 and plus != minus:
-            return False
-        if length % 2 == 0 and (plus % 2 or minus % 2):
-            return False
-    return True
+    """Membership in the enum_lambda set: every group is one of _lambda_rows'
+    signings of its rows (which have an even count)."""
+    return all((length, plus, minus) in _lambda_rows(length, (plus + minus) // 2)
+               for length, plus, minus in d.rows)
 
 
 DELTA_NAMES = ("I", "II", "III", "IV")
@@ -218,12 +216,6 @@ def orbit_multiplicity(d: SignedYoungDiagram) -> int:
     return classify(d).orbits
 
 
-def orbit_deltas(d: SignedYoungDiagram) -> tuple[str | None, ...]:
-    """The decorations naming the orbits over the diagram, one per orbit:
-    (None,) for a single orbit."""
-    return classify(d).deltas
-
-
 def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
     """Even lengths balanced; odd lengths any split, plus descending."""
     if length % 2 == 0:
@@ -271,39 +263,6 @@ def sigma_classes(p: int, q: int) -> tuple[DiagramClass, ...]:
     return tuple(map(classify, enum_sigma(p, q)))
 
 
-def _row_parities(d: SignedYoungDiagram) -> list[int]:
-    """Per individual row, the parity of sign bit + half-length, top down."""
-    out = []
-    for length, plus, minus in d.rows:
-        eps = 0 if plus else 1
-        mu = (length - 1) // 2
-        out.extend([(eps + mu) % 2] * (plus + minus))
-    return out
-
-
-def is_sigma_b(d: SignedYoungDiagram) -> bool:
-    """Richardson-set membership test, intrinsic to the diagram.
-
-    The diagram must be nonempty with all lengths odd and one sign per
-    length group. Consecutive rows pair up (starting from the second row for
-    odd total size, from the first for even), and (sign bit + half-length)
-    must have constant parity within each pair.
-    """
-    if d.is_empty:
-        return False
-    if not d.all_parts_odd():
-        return False
-    for length, plus, minus in d.rows:
-        if plus and minus:
-            return False
-    parities = _row_parities(d)
-    start = 1 if d.size % 2 else 0
-    for i in range(start, len(parities) - 1, 2):
-        if parities[i] != parities[i + 1]:
-            return False
-    return True
-
-
 def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
     """(rows, p), p summed group by group, with one sign bit (0 for +) per
     group in lexicographic order, such that every row pair (start + 2k, start
@@ -321,6 +280,16 @@ def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
         row += mult
         prev_mu = mu
     return out
+
+
+def is_sigma_b(d: SignedYoungDiagram) -> bool:
+    """Richardson-set membership: d is nonempty with all lengths odd and one
+    sign per length group, and its rows are one of the Richardson signings
+    of its groups."""
+    if d.is_empty or not d.all_parts_odd() or any(plus and minus for _, plus, minus in d.rows):
+        return False
+    groups = tuple((length, plus + minus) for length, plus, minus in d.rows)
+    return any(rows == d.rows for rows, _ in _richardson_signings(groups, d.size % 2))
 
 
 @lru_cache(maxsize=64)

@@ -27,37 +27,29 @@ class Kappa1Data:
             raise ValueError("nonzero count needs a positive dimension")
 
 
-def _pair_parity_of(d: SignedYoungDiagram) -> str:
-    p, q = d.signature()
-    if (p + q) % 2:
-        return "odd"
-    return "even-outer" if p % 2 else "even-inner"
-
-
 def kappa1_data_BDI(d: SignedYoungDiagram) -> Kappa1Data:
     """Count/dimension of kappa1-irreducibles of the component group upstairs.
 
-    The case split is on the pair parity derived from the signature: 'odd',
-    'even-outer' (both signature entries odd) or 'even-inner'.
+    The case split is on the signature (p, q): odd total size, both entries
+    odd, or both even.
     """
-    return _kappa1_data(d, classify(d))
+    return _kappa1_data(d, classify(d), *d.signature())
 
 
-def _kappa1_data(d: SignedYoungDiagram, cls: DiagramClass) -> Kappa1Data:
-    """kappa1_data_BDI(d) for a diagram of the orthogonal set whose class
-    cls = classify(d) is already known."""
-    pair_parity = _pair_parity_of(d)
+def _kappa1_data(d: SignedYoungDiagram, cls: DiagramClass, p: int, q: int) -> Kappa1Data:
+    """kappa1_data_BDI(d) for a diagram of the orthogonal set whose
+    signature (p, q) and class cls = classify(d) are already known."""
     for length, plus, minus in d.rows:
         if length % 2 == 1 and (plus >= 2 or minus >= 2):
             return Kappa1Data(0, None)
     r = cls.r
-    if pair_parity == "odd":
+    if (p + q) % 2:
         if cls.index == 1:
             return Kappa1Data(2, 2 ** ((r - 1) // 2))
         if cls.index == 2:
             return Kappa1Data(1, 2 ** (r // 2))
         raise ValueError("class 3 cannot occur for odd total size")
-    if pair_parity == "even-outer":
+    if p % 2:  # both entries odd
         return Kappa1Data(1, 2 ** (r // 2))
     if cls.index == 1:
         return Kappa1Data(4, 2 ** ((r - 2) // 2))

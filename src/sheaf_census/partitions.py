@@ -1,7 +1,8 @@
 """Integer partitions, bipartitions, and the balanced/weighted variants.
 
 Counting functions accept arbitrary rational arguments and return 0 off the
-nonnegative integers, so convolution sums need no boundary cases.
+nonnegative integers, so convolution sums need no boundary cases; they read
+one cached integer DP, in the partition generator's modes.
 """
 from __future__ import annotations
 
@@ -63,6 +64,12 @@ def _as_int(x) -> int | None:
     return None
 
 
+def _natural(x) -> int | None:
+    """x as an int when it lies in N, else None: the counters' one guard."""
+    n = _as_int(x)
+    return n if n is not None and n >= 0 else None
+
+
 def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False):
     """Partitions of n with parts at most max_part, lexicographically
     decreasing, each as ((part, multiplicity), ...) with parts decreasing;
@@ -91,66 +98,44 @@ def enum_partitions(n: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=None)
-def _partition_table(n: int) -> tuple[int, ...]:
-    # dense DP over allowed part sizes; independent of any series expansion
-    table = [0] * (n + 1)
-    table[0] = 1
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
+def _count_table(n: int, odd: bool = False, distinct: bool = False) -> tuple[int, ...]:
+    """Counts of the partitions of 0..n in _gen_partitions' modes, by dense
+    integer DP over the allowed parts; independent of any series expansion."""
+    table = [1] + [0] * n
+    for part in range(1, n + 1, 2 if odd else 1):
+        # descending totals use each part at most once, ascending any number of times
+        for total in range(n, part - 1, -1) if distinct else range(part, n + 1):
             table[total] += table[total - part]
     return tuple(table)
+
+
+def _count(x, odd: bool = False, distinct: bool = False) -> int:
+    n = _natural(x)
+    return 0 if n is None else _count_table(n, odd, distinct)[n]
 
 
 def count_partitions(x) -> int:
     """p(x): number of partitions of x, and 0 when x is not in N."""
-    n = _as_int(x)
-    if n is None or n < 0:
-        return 0
-    return _partition_table(n)[n]
+    return _count(x)
 
 
 def count_bipartitions(x) -> int:
-    """Number of ordered pairs of partitions with total weight x."""
-    n = _as_int(x)
-    if n is None or n < 0:
+    """Number of ordered pairs of partitions with total weight x; 0 off N."""
+    n = _natural(x)
+    if n is None:
         return 0
-    return sum(count_partitions(k) * count_partitions(n - k) for k in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _distinct_table(n: int) -> tuple[int, ...]:
-    table = [0] * (n + 1)
-    table[0] = 1
-    for part in range(1, n + 1):
-        for total in range(n, part - 1, -1):
-            table[total] += table[total - part]
-    return tuple(table)
+    table = _count_table(n, False, False)
+    return sum(table[k] * table[n - k] for k in range(n + 1))
 
 
 def count_distinct_partitions(x) -> int:
     """Number of partitions of x into distinct parts; 0 off N."""
-    n = _as_int(x)
-    if n is None or n < 0:
-        return 0
-    return _distinct_table(n)[n]
-
-
-@lru_cache(maxsize=None)
-def _distinct_odd_table(n: int) -> tuple[int, ...]:
-    table = [0] * (n + 1)
-    table[0] = 1
-    for part in range(1, n + 1, 2):
-        for total in range(n, part - 1, -1):
-            table[total] += table[total - part]
-    return tuple(table)
+    return _count(x, distinct=True)
 
 
 def count_distinct_odd_partitions(x) -> int:
     """Number of partitions of x into distinct odd parts; 0 off N."""
-    n = _as_int(x)
-    if n is None or n < 0:
-        return 0
-    return _distinct_odd_table(n)[n]
+    return _count(x, odd=True, distinct=True)
 
 
 @lru_cache(maxsize=None)

@@ -315,10 +315,11 @@ class SeriesParseError(ValueError):
 _TOKEN_RE = re.compile(r"\s*(prod|inv|\d+|[()+\-*/^{}sx])")
 
 
-class _Tokens:
-    def __init__(self, text: str):
+class _Parser:
+    def __init__(self, text: str, order: int):
         self.text = text
-        self.toks: list[tuple[str, int]] = []
+        self.order = order
+        self.toks: list[tuple[str, int]] = []  # (token, its position in text)
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
@@ -333,10 +334,6 @@ class _Tokens:
         j = self.i + ahead
         return self.toks[j][0] if j < len(self.toks) else None
 
-    def pos(self, ahead: int = 0) -> int:
-        j = self.i + ahead
-        return self.toks[j][1] if j < len(self.toks) else len(self.text)
-
     def next(self) -> str:
         if self.i >= len(self.toks):
             raise SeriesParseError("unexpected end of expression", self.text, len(self.text))
@@ -346,28 +343,24 @@ class _Tokens:
 
     def expect(self, what: str) -> str:
         if self.peek() != what:
-            raise SeriesParseError(f"expected '{what}'", self.text, self.pos())
+            raise self.error(f"expected '{what}'")
         return self.next()
 
     def error(self, message: str) -> SeriesParseError:
-        return SeriesParseError(message, self.text, self.pos())
-
-
-class _Parser:
-    def __init__(self, text: str, order: int):
-        self.t = _Tokens(text)
-        self.order = order
+        """A parse error with its caret at the next token, or at the end."""
+        pos = self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
+        return SeriesParseError(message, self.text, pos)
 
     def parse(self) -> FormalSeries:
         series = self.expr()
-        if self.t.peek() is not None:
-            raise self.t.error("trailing input after expression")
+        if self.peek() is not None:
+            raise self.error("trailing input after expression")
         return series
 
     def expr(self) -> FormalSeries:
         series = self.term()
-        while self.t.peek() in ("+", "-"):
-            op = self.t.next()
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self.term()
             series = series + rhs if op == "+" else series - rhs
         return series
@@ -376,96 +369,96 @@ class _Parser:
         scalar = _ONE
         if self._at_rational_prefix():
             scalar = self._rational()
-            self.t.expect("*")
+            self.expect("*")
         series = self.factor()
         while self._at_factor_start():
             series = series * self.factor()
         return series.scale(scalar)
 
     def _at_rational_prefix(self) -> bool:
-        if not (self.t.peek() or "").isdigit():
+        if not (self.peek() or "").isdigit():
             return False
         # a number is a scalar prefix only when followed by '*' or '/INT*'
-        if self.t.peek(1) == "*":
+        if self.peek(1) == "*":
             return True
-        return self.t.peek(1) == "/" and (self.t.peek(2) or "").isdigit() and self.t.peek(3) == "*"
+        return self.peek(1) == "/" and (self.peek(2) or "").isdigit() and self.peek(3) == "*"
 
     def _rational(self) -> Fraction:
-        num = int(self.t.next())
-        if self.t.peek() == "/":
-            self.t.next()
-            den = int(self.t.next())
+        num = int(self.next())
+        if self.peek() == "/":
+            self.next()
+            den = int(self.next())
             if den == 0:
-                raise self.t.error("zero denominator")
+                raise self.error("zero denominator")
             return Fraction(num, den)
         return Fraction(num)
 
     def _at_factor_start(self) -> bool:
-        return self.t.peek() in ("prod", "inv", "x", "(")
+        return self.peek() in ("prod", "inv", "x", "(")
 
     def _at_prod_group(self) -> bool:
-        return (self.t.peek() == "(" and self.t.peek(1) == "1"
-                and self.t.peek(2) in ("+", "-") and self.t.peek(3) == "x")
+        return (self.peek() == "(" and self.peek(1) == "1"
+                and self.peek(2) in ("+", "-") and self.peek(3) == "x")
 
     def factor(self) -> FormalSeries:
-        tok = self.t.peek()
+        tok = self.peek()
         if tok == "prod":
-            self.t.next()
+            self.next()
             if not self._at_prod_group():
-                raise self.t.error("expected '(1+x^{...})' after prod")
+                raise self.error("expected '(1+x^{...})' after prod")
             factors = []
             while self._at_prod_group():
                 factors.append(self._prod_group())
             return prod_series(self.order, *factors)
         if tok == "inv":
-            self.t.next()
-            self.t.expect("(")
+            self.next()
+            self.expect("(")
             inner = self.expr()
-            self.t.expect(")")
+            self.expect(")")
             if not inner.coeffs[0]:
-                raise self.t.error("inv() of a series with zero constant term")
+                raise self.error("inv() of a series with zero constant term")
             return inner.inverse()
         if tok == "x":
-            self.t.next()
-            self.t.expect("^")
+            self.next()
+            self.expect("^")
             exp = self._int()
             return FormalSeries.monomial(exp, 1, self.order)
         if tok == "(":
-            self.t.next()
+            self.next()
             inner = self.expr()
-            self.t.expect(")")
+            self.expect(")")
             return inner
-        raise self.t.error("expected a factor")
+        raise self.error("expected a factor")
 
     def _prod_group(self) -> tuple[int, int, int, int]:
-        self.t.expect("(")
-        self.t.expect("1")
-        sign = 1 if self.t.next() == "+" else -1
-        self.t.expect("x")
-        self.t.expect("^")
-        self.t.expect("{")
+        self.expect("(")
+        self.expect("1")
+        sign = 1 if self.next() == "+" else -1
+        self.expect("x")
+        self.expect("^")
+        self.expect("{")
         stride = self._int()
-        self.t.expect("s")
+        self.expect("s")
         offset = 0
-        if self.t.peek() in ("+", "-"):
-            op = self.t.next()
+        if self.peek() in ("+", "-"):
+            op = self.next()
             off = self._int()
             offset = off if op == "+" else -off
-        self.t.expect("}")
-        self.t.expect(")")
+        self.expect("}")
+        self.expect(")")
         power = 1
-        if self.t.peek() == "^":
-            self.t.next()
+        if self.peek() == "^":
+            self.next()
             power = self._int()
         if stride < 1 or stride + offset < 1:
-            raise self.t.error("product factor must have lowest exponent >= 1")
+            raise self.error("product factor must have lowest exponent >= 1")
         return sign, stride, offset, power
 
     def _int(self) -> int:
-        tok = self.t.peek()
+        tok = self.peek()
         if not (tok or "").isdigit():
-            raise self.t.error("expected an integer")
-        return int(self.t.next())
+            raise self.error("expected an integer")
+        return int(self.next())
 
 
 def parse_series_expr(text: str, order: int = DEFAULT_ORDER) -> FormalSeries:

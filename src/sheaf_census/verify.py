@@ -179,26 +179,15 @@ def _lemma_n1(order: int, sweep: int):
 
 
 def _two_variable_product(ou: int, ov: int) -> BiSeries:
+    reach = range(max(ou, ov) // 2 + 1)
+    pairs = [(2 * m + 2, 2 * m + 1) for m in reach] + [(2 * m, 2 * m + 1) for m in reach]
     def half(swap: bool) -> BiSeries:
         s = BiSeries.one(ou, ov)
-        def apply(ue: int, ve: int):
-            nonlocal s
-            if swap:
-                ue, ve = ve, ue
+        for ue, ve in ((ve, ue) for ue, ve in pairs) if swap else pairs:
             if ue <= ou and ve <= ov:
                 s = s.mul_binomial(1, ue, ve, 1).mul_binomial(-1, ue, ve, -1)
-                return True
-            return False
-        m = 0
-        while apply(2 * m + 2, 2 * m + 1):
-            m += 1
-        m = 0
-        while apply(2 * m, 2 * m + 1):
-            m += 1
-        m = 1
-        while 2 * m <= ou and 2 * m <= ov:
+        for m in range(1, min(ou, ov) // 2 + 1):
             s = s.mul_binomial(-1, 2 * m, 2 * m, -1)
-            m += 1
         return s
     return half(False).add(half(True))
 

@@ -1,7 +1,8 @@
 """Reference implementations kept only as test oracles.
 
-These are the generate-then-filter enumerators, the membership test the
-Richardson equal-signature set was once filtered by, the three separate
+These are the generate-then-filter enumerators, every signed diagram of a
+size, the row-by-row Richardson and Lambda membership rules, the membership
+test the Richardson equal-signature set was once filtered by, the three separate
 partition generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
 direct enumeration of sign characters on a class-2 Richardson orbit, the
@@ -11,11 +12,13 @@ walk a superset and filter it, or count row by row, which is slow but easy
 to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
 """
+import itertools
+
 from sheaf_census import diagrams, groups
 from sheaf_census.census import (LOW_RANK_WARNING, CensusReport, OrbitLabel,
                                  StratumEntry, theta_k0_count)
 from sheaf_census.diagrams import (DELTA_NAMES, SignedYoungDiagram, classify, diagram,
-                                   in_lambda, join, mu_t, orbit_multiplicity)
+                                   join, mu_t, orbit_multiplicity)
 from sheaf_census.groups import eta, pi_size
 from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
                                      count_partitions)
@@ -95,6 +98,27 @@ def is_sigma_b(d):
     start = 1 if d.size % 2 else 0
     return all(parities[i] == parities[i + 1]
                for i in range(start, len(parities) - 1, 2))
+
+
+def signed_diagrams(n):
+    """Every signed diagram of size n: each group of every partition split
+    into plus and minus rows in every way."""
+    for partition in gen_partitions(n, n):
+        groups = _group(partition)
+        for pluses in itertools.product(*(range(mult + 1) for _, mult in groups)):
+            yield SignedYoungDiagram(tuple((length, plus, mult - plus)
+                                           for (length, mult), plus in zip(groups, pluses)))
+
+
+def in_lambda(d):
+    """Lambda membership: odd lengths matched, even lengths with both row
+    counts even."""
+    for length, plus, minus in d.rows:
+        if length % 2 == 1 and plus != minus:
+            return False
+        if length % 2 == 0 and (plus % 2 or minus % 2):
+            return False
+    return True
 
 
 def enum_sigma_b(p, q):

@@ -202,14 +202,16 @@ def test_bdi_censuses_match_hand_branched_oracles():
 
 def test_subset_report_totals():
     # at p + q <= 1 the split stratum is the whole census and carries 4 or 2
-    # orbits, which the expected cuspidal and full totals count too
-    for p, q in itertools.product(range(13), repeat=2):
-        for central, make in (("k0", cs.census_bdi_k0), ("k1", cs.census_bdi_k1)):
-            report = make(p, q)
-            for subset in cs.SUBSETS:
-                filtered = cs.subset_report(report, subset)
-                assert filtered.total == cs.expected_subset_total(report, subset), \
-                    (p, q, central, subset)
+    # orbits, which the expected cuspidal and full totals count too; the
+    # empty diii pair carries no k1 stratum, and its expected k1 totals are 0
+    reports = [make(p, q) for p, q in itertools.product(range(13), repeat=2)
+               for make in (cs.census_bdi_k0, cs.census_bdi_k1)]
+    reports += [report for n in range(15) for report in cs.census_diii(n)]
+    for report in reports:
+        for subset in cs.SUBSETS:
+            filtered = cs.subset_report(report, subset)
+            assert filtered.total == cs.expected_subset_total(report, subset), \
+                (report.pair, report.central, subset)
 
 
 def test_subset_report_diii():

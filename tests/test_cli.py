@@ -68,6 +68,10 @@ def test_census_check_passes(capsys):
     code, _, _ = run_json(capsys, "census", "bdi", "--p", "4", "--q", "3",
                           "--central", "both", "--check")
     assert code == 0
+    for subset in ("all", "full"):  # the empty diii pair has no k1 stratum
+        code, _, _ = run_json(capsys, "census", "diii", "--n", "0", "--central", "k1",
+                              "--subset", subset, "--check")
+        assert code == 0, subset
 
 
 def test_census_schema_keys(capsys):

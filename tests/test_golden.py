@@ -43,6 +43,8 @@ COMMANDS = {
     "orbits_diii_6_richardson": ["orbits", "diii", "--n", "6", "--richardson"],
     "orbits_bdi_5_4_richardson": ["orbits", "bdi", "--p", "5", "--q", "4", "--richardson"],
     "census_diii_6_both_check": ["census", "diii", "--n", "6", "--central", "both", "--check"],
+    # the csv rows of a census, with decorated and undecorated supports
+    "census_bdi_5_4_csv": ["census", "bdi", "--p", "5", "--q", "4", "--format", "csv"],
     # class-3 rows carry four decorations; the class filter on a non-Richardson listing
     "orbits_bdi_6_6": ["orbits", "bdi", "--p", "6", "--q", "6"],
     "orbits_bdi_6_5_sigma2_csv": ["orbits", "bdi", "--p", "6", "--q", "5", "--class", "sigma2",

@@ -5,6 +5,8 @@ import pytest
 import enum_oracles as oracles
 from sheaf_census import diagrams as dg
 from sheaf_census import groups as gp
+from sheaf_census.census import kappa1_orbit_sum
+from sheaf_census.cli import main
 
 
 def D(text):
@@ -19,6 +21,25 @@ def test_kappa1_bdi_examples():
     assert gp.kappa1_data_BDI(D("2+ 2-")) == gp.Kappa1Data(1, 1)
     # even-outer: a single representation
     assert gp.kappa1_data_BDI(D("3+ 1+")) == gp.Kappa1Data(1, 1)
+
+
+def test_kappa1_table_takes_its_callers_signature(monkeypatch, capsys):
+    # the orbit sum and the orbits listing already know (p, q); only the
+    # public kappa1_data_BDI computes a signature
+    calls = []
+    real = dg.SignedYoungDiagram.signature
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(dg.SignedYoungDiagram, "signature", counted)
+    assert kappa1_orbit_sum(7, 6) > 0
+    for extra in ([], ["--richardson"]):
+        assert main(["orbits", "bdi", "--p", "6", "--q", "5", *extra]) == 0
+    capsys.readouterr()
+    assert calls == []
+    gp.kappa1_data_BDI(D("3+ 1+ 1-"))
+    assert len(calls) == 1
 
 
 def test_kappa1_bdi_derived_pair_parity():
