@@ -13,6 +13,9 @@ Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are assembled row by row, and
 ``theta_k0_count``, ``_richardson`` and ``count_formula_k0`` are memoised.
+Each family's strata rule is one generator (``_k0_strata``, ``_diii_strata``)
+read by the labelled reports and by the memoised count-only totals
+(``census_k0_total``, ``census_diii_totals``) that ``verify`` reads.
 """
 from __future__ import annotations
 
@@ -259,21 +262,21 @@ def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, int, int], ..
     return tuple((mu, cls.index, _pi_size(mu, cls)) for mu, cls in classified)
 
 
-def census_bdi_k0(p: int, q: int) -> CensusReport:
-    """Direct stratum-by-stratum census at the trivial central character.
+def _k0_strata(p: int, q: int):
+    """(m, k, mu, count, family) for every stratum of the trivial-character
+    census of (p, q).
 
     Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
     residual signature (or empty when the pair is split down to nothing);
     for even total size only m of the same parity as q occurs. Each orbit
-    over a stratum's support carries theta * p(k) * pi(mu) local systems,
-    theta the induced family of mu's class (split-D, and pi = 1, for an
-    empty mu).
+    over a stratum's support carries count = theta * p(k) * pi(mu) local
+    systems, theta the induced family of mu's class (split-D, and pi = 1,
+    for an empty mu).
     """
     if p < 0 or q < 0:
         raise ValueError("signature entries must be nonnegative")
     N = p + q
     side = "B" if N % 2 else "D"
-    entries: list[StratumEntry] = []
     for m in range(min(p, q) + 1):
         if N % 2 == 0 and (m - q) % 2:
             continue
@@ -283,14 +286,26 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
             if p1 == 0 and q1 == 0:
-                entries += _orbit_entries(m, k, _EMPTY, theta_k0_count("split-D", m) * pk,
-                                          "empty-mu")
+                yield m, k, _EMPTY, theta_k0_count("split-D", m) * pk, "empty-mu"
                 continue
             for mu, index, pi in _richardson(p1, q1):
-                entries += _orbit_entries(m, k, mu, theta[index] * pk * pi,
-                                          f"sigma-b{index}")
-    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
-    return CensusReport(("bdi", p, q), "k0", tuple(entries), warnings)
+                yield m, k, mu, theta[index] * pk * pi, f"sigma-b{index}"
+
+
+def census_bdi_k0(p: int, q: int) -> CensusReport:
+    """Direct stratum-by-stratum census at the trivial central character:
+    one entry per orbit over each stratum of _k0_strata(p, q)."""
+    entries = tuple(entry for stratum in _k0_strata(p, q) for entry in _orbit_entries(*stratum))
+    warnings = (LOW_RANK_WARNING,) if p + q < 5 else ()
+    return CensusReport(("bdi", p, q), "k0", entries, warnings)
+
+
+@lru_cache(maxsize=None)
+def census_k0_total(p: int, q: int) -> int:
+    """census_bdi_k0(p, q).total without labels or report: each stratum's
+    count times the number of orbits over its support."""
+    return sum(count * classify(_support(m, k, mu)).orbits
+               for m, k, mu, count, _ in _k0_strata(p, q))
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
@@ -313,26 +328,38 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
     return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
 
 
-def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
-    """Both central-character censuses for the equal-signature pair."""
+def _diii_strata(n: int):
+    """(central, m, mu, count) for every stratum of the two equal-signature
+    censuses: k0 strata (2k, mu) with mu in Lambda_b(n - 2k), each carrying
+    p(k); for even n >= 2 one k1 stratum (n, empty) carrying p2(n/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    entries: list[StratumEntry] = []
     for k in range(n // 2 + 1):
-        residual = n - 2 * k
         pk = count_partitions(k)
-        for mu in enum_lambda_b(residual):
-            entries.append(StratumEntry(OrbitLabel(_support(2 * k, 0, mu)), 2 * k, 0, mu,
-                                        pk, "diii"))
-    warnings = (LOW_RANK_WARNING,) if 2 * n < 5 else ()
-    k0 = CensusReport(("diii", n), "k0", tuple(entries), warnings)
-
-    k1_entries: list[StratumEntry] = []
+        for mu in enum_lambda_b(n - 2 * k):
+            yield "k0", 2 * k, mu, pk
     if n >= 2 and n % 2 == 0:
-        k1_entries.append(StratumEntry(OrbitLabel(_support(n, 0, _EMPTY)), n, 0, _EMPTY,
-                                       count_bipartitions(n // 2), "diii"))
-    k1 = CensusReport(("diii", n), "k1", tuple(k1_entries), warnings)
-    return k0, k1
+        yield "k1", n, _EMPTY, count_bipartitions(n // 2)
+
+
+def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
+    """Both central-character censuses for the equal-signature pair."""
+    entries: dict[str, list[StratumEntry]] = {"k0": [], "k1": []}
+    for central, m, mu, count in _diii_strata(n):
+        entries[central].append(StratumEntry(OrbitLabel(_support(m, 0, mu)), m, 0, mu,
+                                             count, "diii"))
+    warnings = (LOW_RANK_WARNING,) if 2 * n < 5 else ()
+    return tuple(CensusReport(("diii", n), central, tuple(strata), warnings)
+                 for central, strata in entries.items())
+
+
+@lru_cache(maxsize=None)
+def census_diii_totals(n: int) -> tuple[int, int]:
+    """The (k0, k1) totals of census_diii(n), without labels or reports."""
+    totals = {"k0": 0, "k1": 0}
+    for central, _, _, count in _diii_strata(n):
+        totals[central] += count
+    return totals["k0"], totals["k1"]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +486,7 @@ def aggregate_T(N: int) -> tuple[int, int]:
     """Total trivial-character counts over all pairs p+q=N, by the formula
     route and by the direct census route."""
     t0 = sum(count_formula_k0(p, N - p) for p in range(N + 1))
-    tprime = sum(census_bdi_k0(p, N - p).total for p in range(N + 1))
+    tprime = sum(census_k0_total(p, N - p) for p in range(N + 1))
     return t0, tprime
 
 
@@ -481,6 +508,7 @@ def sigma23_r_sum(p: int, q: int) -> int:
     return sum(2 ** c.r for c in sigma_classes(p, q) if c.index in (2, 3))
 
 
+@lru_cache(maxsize=None)
 def diii_closure_total(n: int) -> int:
     """Orbit count |Lambda^{n,n}|; each orbit carries exactly one
     trivial-character local system."""

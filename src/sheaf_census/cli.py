@@ -335,9 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parsers: dict = {}  # "main" -> the argparse tree, built once per process
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    if "main" not in _parsers:
+        _parsers["main"] = _build_parser()
+    parser = _parsers["main"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -347,8 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"sheaf-census: {exc}\n")
-        # a tripped integrality or halving guard in the census formulas is a
-        # failed check; anything else is a usage or input error
+        # a tripped internal guard (integrality, halving, character-count
+        # exponent) is a failed check; anything else is a usage or input error
         return 1 if isinstance(exc, ArithmeticError) else 2
 
 

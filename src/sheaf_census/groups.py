@@ -131,9 +131,9 @@ def pi_size(d: SignedYoungDiagram) -> int:
 def _pi_size(d: SignedYoungDiagram, cls: DiagramClass) -> int:
     """pi_size(d) for a Richardson diagram d whose class cls is known."""
     if cls.index not in (1, 2):
-        raise ValueError("Richardson diagrams are never of class 3")
+        raise ArithmeticError("Richardson diagrams are never of class 3")
     exponent = len(_omega_set(d)) - (cls.index == 1) - (d.size % 2 == 0)
     if exponent < 0:
-        raise ValueError(f"negative character-count exponent for {d}; "
-                         "upstream classification is inconsistent")
+        raise ArithmeticError(f"negative character-count exponent for {d}; "
+                              "upstream classification is inconsistent")
     return 2 ** exponent

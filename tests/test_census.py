@@ -9,6 +9,7 @@ from sheaf_census import census as cs
 from sheaf_census import diagrams as dg
 from sheaf_census import groups as gp
 from sheaf_census.partitions import count_bipartitions, count_partitions
+from sheaf_census.verify import run_suite
 
 
 def test_hecke_counts():
@@ -310,3 +311,38 @@ def test_supports_match_the_merging_builder():
     for r in reports:
         for e in r.entries:
             assert e.support.diagram == oracles.support_via_diagram(e.m, e.k, e.mu)
+
+
+def test_memoised_totals_match_the_reports():
+    # the count-only totals against the labelled reports, the oracle route
+    for N in range(31):
+        for p in range(N + 1):
+            assert cs.census_k0_total(p, N - p) == cs.census_bdi_k0(p, N - p).total, (p, N - p)
+    for n in range(25):
+        assert cs.census_diii_totals(n) == tuple(r.total for r in cs.census_diii(n)), n
+    for bad in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            cs.census_k0_total(*bad)
+    with pytest.raises(ValueError):
+        cs.census_diii_totals(-1)
+
+
+TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bijection"]
+
+
+def test_verify_walks_each_pair_once_and_then_not_at_all(monkeypatch):
+    sweep = 10
+    # the strata (m, k, mu) of every pair p + q <= sweep
+    strata = sum(len({(e.m, e.k, e.mu) for e in cs.census_bdi_k0(p, N - p).entries})
+                 for N in range(sweep + 1) for p in range(N + 1))
+    for cache in (cs.census_k0_total, cs.census_diii_totals, cs.diii_closure_total):
+        cache.cache_clear()
+    calls = _count_calls(monkeypatch, "_support", cs)
+    first = run_suite(TOTAL_CHECKS, 12, sweep)
+    assert all(r.passed for r in first)
+    # number1-k0 and numbert-closure share one walk per pair, and the diii
+    # totals build no support at all
+    assert len(calls) == strata
+    del calls[:]
+    assert run_suite(TOTAL_CHECKS, 12, sweep) == first
+    assert not calls

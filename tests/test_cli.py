@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheaf_census import census, diagrams as dg
+from sheaf_census import census, diagrams as dg, groups, verify
 from sheaf_census.cli import _json_text, main
 
 
@@ -259,12 +259,18 @@ def test_error_paths(case, capsys, monkeypatch, tmp_path):
 
 @pytest.fixture
 def refill(request):
-    """refill(cache) empties a cached table, now and again after the test, so
-    that a patched helper feeds it and leaves nothing wrong behind."""
-    def clear(cache):
-        cache.cache_clear()
-        request.addfinalizer(cache.cache_clear)
+    """refill(*caches) empties cached tables, now and again after the test,
+    so that a patched helper feeds them and leaves nothing wrong behind."""
+    def clear(*caches):
+        for cache in caches:
+            cache.cache_clear()
+            request.addfinalizer(cache.cache_clear)
     return clear
+
+
+# the memoised census totals that verify reads: every test that patches a
+# helper feeding them refills them too
+TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total)
 
 
 def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):
@@ -275,7 +281,7 @@ def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, r
     plus_only = dg._lambda_b_rows
     monkeypatch.setattr(dg, "_lambda_b_rows", lambda length, mult: (
         plus_only(length, mult)[:1] if length % 2 == 0 else plus_only(length, mult)))
-    refill(dg._lambda_b_table)
+    refill(dg._lambda_b_table, *TOTALS)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "nilpotent" in err
@@ -317,11 +323,54 @@ def test_k0_nilpotent_check_catches_a_broken_pi(capsys, monkeypatch, refill):
         assert run_cli(capsys, *argv)[0] == 0
     real = census._pi_size
     monkeypatch.setattr(census, "_pi_size", lambda d, cls: 3 * real(d, cls))
-    refill(census._richardson)
+    refill(census._richardson, *TOTALS)
     for argv in argvs:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert argv[-2] in err
+
+
+def test_verify_reads_a_broken_pi_through_its_refilled_totals(capsys, monkeypatch, refill):
+    # number1-k0 reads the memoised k0 totals; once refilled they carry the
+    # broken character counts, so the warm memo masks nothing
+    argv = ["verify", "--suite", "number1-k0", "--order", "12", "--sweep", "8"]
+    assert run_cli(capsys, *argv)[0] == 0
+    real = census._pi_size
+    monkeypatch.setattr(census, "_pi_size", lambda d, cls: 3 * real(d, cls))
+    refill(census._richardson, *TOTALS)
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert data["payload"]["checks"][0]["status"] == "FAIL"
+
+
+# the checks that reach _pi_size on an even-size Richardson diagram
+PI_EVEN_CHECKS = {"number1-k0", "numbert-closure", "bb-even", "tb1", "b2-even",
+                  "b2-weighted-oracle", "nilcoro-k0-even"}
+
+
+def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
+    # index 1 is in the omega set exactly on even sizes; without it,
+    # _pi_size's exponent guard trips inside the checks that reach it, which
+    # fail with the error while every other check still runs and passes
+    real = groups._omega_set
+    monkeypatch.setattr(groups, "_omega_set", lambda d: real(d) - {1})
+    refill(census._richardson, *TOTALS)
+    code, data, err = run_json(capsys, "verify", "--suite", "all", "--order", "12",
+                               "--sweep", "8")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = data["payload"]["checks"]
+    assert [c["id"] for c in checks] == verify.suite_ids()
+    failed = {c["id"]: c["detail"]["error"] for c in checks if c["status"] != "PASS"}
+    assert set(failed) == PI_EVEN_CHECKS
+    for error in failed.values():
+        assert error.startswith("ArithmeticError: negative character-count exponent")
+    # the census is an internal inconsistency too: exit 1, a message, no report
+    code, out, err = run_cli(capsys, "census", "bdi", "--p", "4", "--q", "4", "--central",
+                             "k0", "--check")
+    assert (code, out) == (1, "")
+    assert err.startswith("sheaf-census: negative character-count exponent for ")
+    assert "Traceback" not in err
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
