@@ -26,6 +26,7 @@ from functools import lru_cache
 from . import qseries
 from .diagrams import (
     SignedYoungDiagram,
+    _size,
     _unchecked,
     classify,
     diagram,
@@ -54,6 +55,7 @@ LOW_RANK_WARNING = "low-rank pair: outside the stable range (total size < 5)"
 # (all computed by integer DP, never by series expansion)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def hecke_count(family: str, n: int) -> int:
     """Number of irreducibles for the two Coxeter/Hecke families used here.
 
@@ -273,9 +275,7 @@ def _k0_strata(p: int, q: int):
     systems, theta the induced family of mu's class (split-D, and pi = 1,
     for an empty mu).
     """
-    if p < 0 or q < 0:
-        raise ValueError("signature entries must be nonnegative")
-    N = p + q
+    N = _size(p, q)
     side = "B" if N % 2 else "D"
     for m in range(min(p, q) + 1):
         if N % 2 == 0 and (m - q) % 2:
@@ -314,9 +314,7 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
     stratum's base * theta_k1(m, t) local systems are shared evenly by the
     orbits over its support (there are several only at m = 0, where theta_k1
     is eta(0, t), their number)."""
-    if p < 0 or q < 0:
-        raise ValueError("signature entries must be nonnegative")
-    N, t = p + q, p - q
+    N, t = _size(p, q), p - q
     entries: list[StratumEntry] = []
     D = N - t * t
     staircase = mu_t(t)
@@ -441,11 +439,7 @@ def cuspidal_counts(p: int, q: int) -> tuple[int, int]:
     count, nonzero whenever N >= t^2.
     """
     N, t = p + q, p - q
-    if abs(t) <= 1:
-        variant = "split-B" if N % 2 else "split-D"
-        k0 = theta_k0_count(variant, min(p, q))
-    else:
-        k0 = 0
+    k0 = theta_k0_count("split-B" if N % 2 else "split-D", min(p, q)) if abs(t) <= 1 else 0
     D = N - t * t
     k1 = theta_k1_count(D // 2, t) if D >= 0 else 0
     return k0, k1

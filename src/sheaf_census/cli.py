@@ -89,17 +89,13 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _render_table(headers: list[str], rows: list[list], title: str | None = None) -> str:
+def _render_table(headers: list[str], rows: list[list], title: str) -> str:
     cells = [["" if c is None else str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    lines = [title, "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
+             "  ".join("-" * w for w in widths)]
+    lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join(lines)
 
 
@@ -190,11 +186,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     for r in payload["reports"]:
         rows += [[r["central"], *(stratum[h] for h in headers[1:])] for stratum in r["strata"]]
         rows.append([r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]])
-    code = _finish(args, payload, warnings, headers, rows)
+    _finish(args, payload, warnings, headers, rows)
     if mismatches:
         sys.stderr.write("\n".join(mismatches) + "\n")
-        return 1
-    return code
+    return 1 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +239,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
             raise ValueError(f"series needs a nonnegative coefficient: --coeff is {args.coeff}")
         if args.coeff > series.order:
             raise ValueError(f"coefficient {args.coeff} beyond order {series.order}")
-        values = [series.coeff(args.coeff)]
-        exponents = [args.coeff]
-    else:
-        values = list(series.coeffs)
-        exponents = list(range(series.order + 1))
+    exponents = range(series.order + 1) if args.coeff is None else [args.coeff]
+    values = [series.coeffs[e] for e in exponents]
     payload = {"expr": args.expr, "order": args.order,
-               "coefficients": {str(e): str(v)
-                                for e, v in zip(exponents, values)}}
-    if args.format == "json":
-        _emit(_json_text(_envelope(args, payload, [])), args.out)
-    else:
-        text = ", ".join(map(str, values))
-        _emit(text, args.out)
+               "coefficients": {str(e): str(v) for e, v in zip(exponents, values)}}
+    _emit(_json_text(_envelope(args, payload, [])) if args.format == "json"
+          else ", ".join(map(str, values)), args.out)
     return 0
 
 
@@ -267,8 +255,7 @@ def _finish(args: argparse.Namespace, payload: dict, warnings: list[str],
     elif args.format == "csv":
         _emit(_render_csv(headers, rows), args.out)
     else:
-        title = " ".join(args._argv)
-        body = _render_table(headers, rows, title)
+        body = _render_table(headers, rows, " ".join(args._argv))
         if warnings:
             body += "\n" + "\n".join(f"warning: {w}" for w in warnings)
         _emit(body, args.out)

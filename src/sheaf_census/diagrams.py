@@ -18,15 +18,16 @@ The sets implemented here:
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
 
-Every enumerator builds exactly its set: each takes its length groups from
-the one partition generator, which yields every partition already grouped as
-(length, multiplicity) pairs (all partitions of p+q, the odd partitions of
-p+q, the partitions of n with every multiplicity doubled), and assigns only
-admissible signs to each group. Three per-size tables are cached: those of
-``enum_sigma`` and ``enum_sigma_b``, keyed by a signature summed group by
-group as signs are chosen (``sigma_classes`` annotates the first), and
-``enum_lambda_b``'s. Enumerator output skips the checks (valid by construction).
-``is_sigma_b`` and ``in_lambda`` test membership by asking the same row rules.
+Every enumerator builds exactly its set from the one partition generator,
+which yields each partition grouped as (length, multiplicity) pairs (the
+partitions of p+q whose even parts have even multiplicity, the odd
+partitions of p+q, the partitions of n with every multiplicity doubled), and
+assigns only admissible signs to each group. Four per-size tables are cached:
+``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed group by
+group as signs are chosen; the sigma class table, the same walk carrying
+(p, a, b) in place of rows, which ``sigma_classes`` reads without building a
+diagram; and ``enum_lambda_b``'s. Enumerator output skips the checks (valid
+by construction). ``is_sigma_b`` and ``in_lambda`` ask the same row rules.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -197,18 +198,24 @@ def _class_of(a: int, b: int) -> DiagramClass:
     return DiagramClass(0, 0, 3, 0)
 
 
-def classify(d: SignedYoungDiagram) -> DiagramClass:
-    if not in_sigma(d):
-        raise ValueError(f"{d} is not in the orthogonal classification set")
+def _ab(rows) -> tuple[int, int]:
+    """The invariants (a, b) of the row groups: an odd length adds one to a
+    for its +rows and one to b for its -rows at 1 mod 4, the reverse at 3."""
     a = b = 0
-    for length, plus, minus in d.rows:
+    for length, plus, minus in rows:
         if length % 4 == 1:
             a += plus > 0
             b += minus > 0
         elif length % 4 == 3:
             a += minus > 0
             b += plus > 0
-    return _class_of(a, b)
+    return a, b
+
+
+def classify(d: SignedYoungDiagram) -> DiagramClass:
+    if not in_sigma(d):
+        raise ValueError(f"{d} is not in the orthogonal classification set")
+    return _class_of(*_ab(d.rows))
 
 
 def orbit_multiplicity(d: SignedYoungDiagram) -> int:
@@ -216,11 +223,13 @@ def orbit_multiplicity(d: SignedYoungDiagram) -> int:
     return classify(d).orbits
 
 
-def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
-    """Even lengths balanced; odd lengths any split, plus descending."""
+def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
+    """(row, plus-box count) for each signing of a group: even lengths
+    balanced; odd lengths any split, plus descending."""
+    half = length // 2
     if length % 2 == 0:
-        return [(length, mult // 2, mult // 2)] if mult % 2 == 0 else []
-    return [(length, plus, mult - plus) for plus in range(mult, -1, -1)]
+        return [((length, mult // 2, mult // 2), mult * half)] if mult % 2 == 0 else []
+    return [((length, plus, mult - plus), mult * half + plus) for plus in range(mult, -1, -1)]
 
 
 def _by_signature(n: int, partitions, signings) -> dict:
@@ -238,29 +247,45 @@ def _sigma_signings(groups) -> list[tuple[tuple, int]]:
     varying slowest; p, the plus-box count, accumulates group by group."""
     out = [((), 0)]
     for length, mult in groups:
-        half, odd = length // 2, length % 2
-        options = [(row, mult * half + odd * row[1]) for row in _sigma_rows(length, mult)]
+        options = _sigma_rows(length, mult)
         out = [(rows + (row,), p + dp) for rows, p in out for row, dp in options]
     return out
 
 
+def _size(p: int, q: int) -> int:
+    """p + q, refusing a negative signature entry."""
+    if p < 0 or q < 0:
+        raise ValueError("signature entries must be nonnegative")
+    return p + q
+
+
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
-    return _by_signature(n, _gen_partitions(n, n), _sigma_signings)
+    return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
 
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     """All diagrams of the orthogonal set with signature (p, q)."""
-    if p < 0 or q < 0:
-        raise ValueError("signature entries must be nonnegative")
-    return list(_sigma_by_signature(p + q).get((p, q), ()))
+    return list(_sigma_by_signature(_size(p, q)).get((p, q), ()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _sigma_class_table(n: int) -> dict[tuple[int, int], tuple[DiagramClass, ...]]:
+    """_sigma_by_signature(n)'s classes, keyed and ordered alike: its walk, carrying (p, a, b)."""
+    table: dict[tuple[int, int], list[DiagramClass]] = {}
+    for groups in _gen_partitions(n, n, paired=True):
+        out = [(0, 0, 0)]
+        for length, mult in groups:
+            options = [(dp, *_ab((row,))) for row, dp in _sigma_rows(length, mult)]
+            out = [(p + dp, a + da, b + db) for p, a, b in out for dp, da, db in options]
+        for p, a, b in out:
+            table.setdefault((p, n - p), []).append(_class_of(a, b))
+    return {sig: tuple(cs) for sig, cs in table.items()}
+
+
 def sigma_classes(p: int, q: int) -> tuple[DiagramClass, ...]:
-    """classify(d) for every d of enum_sigma(p, q), in the same order, each
-    diagram classified once per signature."""
-    return tuple(map(classify, enum_sigma(p, q)))
+    """classify(d) for every d of enum_sigma(p, q), in order, without building a diagram."""
+    return _sigma_class_table(_size(p, q)).get((p, q), ())
 
 
 def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
@@ -301,9 +326,7 @@ def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiag
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     """Members of the Richardson subset with signature (p, q)."""
-    if p < 0 or q < 0:
-        raise ValueError("signature entries must be nonnegative")
-    return list(_sigma_b_by_signature(p + q).get((p, q), ()))
+    return list(_sigma_b_by_signature(_size(p, q)).get((p, q), ()))
 
 
 def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:

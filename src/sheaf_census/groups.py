@@ -48,7 +48,7 @@ def _kappa1_data(d: SignedYoungDiagram, cls: DiagramClass, p: int, q: int) -> Ka
             return Kappa1Data(2, 2 ** ((r - 1) // 2))
         if cls.index == 2:
             return Kappa1Data(1, 2 ** (r // 2))
-        raise ValueError("class 3 cannot occur for odd total size")
+        raise ArithmeticError("class 3 cannot occur for odd total size")
     if p % 2:  # both entries odd
         return Kappa1Data(1, 2 ** (r // 2))
     if cls.index == 1:
@@ -76,15 +76,6 @@ def eta(m: int, t: int) -> int:
     return 4 if m % 2 == (t // 2) % 2 else 1
 
 
-def _grouped_odd(d: SignedYoungDiagram) -> list[tuple[int, int, int]]:
-    """(half-length, multiplicity, sign bit) per group, lengths decreasing."""
-    out = []
-    for length, plus, minus in d.rows:
-        eps = 0 if plus else 1
-        out.append(((length - 1) // 2, plus + minus, eps))
-    return out
-
-
 def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
     """Indices j (1-based, over length groups) with an even tail row count
     and, past the first group, either a half-length gap of at least 2 or an
@@ -95,24 +86,20 @@ def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
 
 
 def _omega_set(d: SignedYoungDiagram) -> frozenset[int]:
-    groups = _grouped_odd(d)
-    s = len(groups)
-    tail = 0
-    tails = [0] * (s + 1)
-    for j in range(s, 0, -1):
-        tail += groups[j - 1][1]
-        tails[j] = tail
-    out = set()
-    for j in range(1, s + 1):
-        if tails[j] % 2:
+    # tail row counts are summed from the last group up; mu is the half-length
+    # (length - 1) // 2, and a group's sign bit is 1 when it has no +rows
+    omega, tail = set(), 0
+    for j in range(len(d.rows), 0, -1):
+        length, plus, minus = d.rows[j - 1]
+        tail += plus + minus
+        if tail % 2:
             continue
         if j >= 2:
-            mu_prev, _, eps_prev = groups[j - 2]
-            mu_j, _, eps_j = groups[j - 1]
-            if not (mu_prev >= mu_j + 2 or eps_prev == eps_j):
+            prev_length, prev_plus, _ = d.rows[j - 2]
+            if (prev_length - 1) // 2 < (length - 1) // 2 + 2 and (prev_plus == 0) != (plus == 0):
                 continue
-        out.add(j)
-    return frozenset(out)
+        omega.add(j)
+    return frozenset(omega)
 
 
 def l_of(d: SignedYoungDiagram) -> int:

@@ -70,10 +70,12 @@ def _natural(x) -> int | None:
     return n if n is not None and n >= 0 else None
 
 
-def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False):
+def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False,
+                    paired: bool = False):
     """Partitions of n with parts at most max_part, lexicographically
     decreasing, each as ((part, multiplicity), ...) with parts decreasing;
-    `odd` allows only odd parts, `distinct` no repeated part."""
+    `odd` allows only odd parts, `distinct` no repeated part, `paired` only
+    even multiplicities of even parts."""
     if n == 0:
         yield ()
         return
@@ -82,11 +84,17 @@ def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = F
     if odd and first % 2 == 0:
         first -= 1
     for part in range(first, 0, -step):
+        mult_step = 2 if paired and part % 2 == 0 else 1
         mult = 1 if distinct else n // part
+        mult -= mult % mult_step
+        if part == 1:  # the last part must take all of n
+            if mult == n:
+                yield ((1, n),)
+            break
         while mult:
-            for rest in _gen_partitions(n - part * mult, part - step, odd, distinct):
+            for rest in _gen_partitions(n - part * mult, part - step, odd, distinct, paired):
                 yield ((part, mult),) + rest
-            mult -= 1
+            mult -= mult_step
 
 
 def enum_partitions(n: int) -> list[Partition]:
@@ -99,8 +107,9 @@ def enum_partitions(n: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def _count_table(n: int, odd: bool = False, distinct: bool = False) -> tuple[int, ...]:
-    """Counts of the partitions of 0..n in _gen_partitions' modes, by dense
-    integer DP over the allowed parts; independent of any series expansion."""
+    """Counts of the partitions of 0..n in _gen_partitions' odd and distinct
+    modes, by dense integer DP over the allowed parts; independent of any
+    series expansion."""
     table = [1] + [0] * n
     for part in range(1, n + 1, 2 if odd else 1):
         # descending totals use each part at most once, ascending any number of times

@@ -1,8 +1,9 @@
 """Truncated formal power series over exact rationals.
 
-Everything here is exact: coefficients are Fractions, binary operations
-truncate to the smaller order, and infinite products are expanded factor by
-factor with early exit once a factor's lowest exponent passes the order.
+Everything here is exact: coefficients are Fractions (ints in a new
+BiSeries), binary operations truncate to the smaller order, and infinite
+products are expanded factor by factor with early exit once a factor's
+lowest exponent passes the order.
 Products of factors, inverses and products of two series are computed over
 Python ints (denominators cleared first) and converted to one Fraction per
 coefficient at the end.
@@ -22,7 +23,6 @@ from typing import Callable, Iterable
 DEFAULT_ORDER = 40
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,8 @@ class BiSeries:
     """A truncated series in two variables u, v with exact coefficients.
 
     Coefficients are held in a dense matrix indexed [i][j] for u^i v^j,
-    truncated independently in each variable.
+    truncated independently in each variable; a new series holds ints, and
+    the kernel keeps whatever exact numbers a given matrix holds.
     """
 
     __slots__ = ("u_order", "v_order", "m")
@@ -231,16 +232,16 @@ class BiSeries:
         self.u_order = u_order
         self.v_order = v_order
         if matrix is None:
-            matrix = [[_ZERO] * (v_order + 1) for _ in range(u_order + 1)]
+            matrix = [[0] * (v_order + 1) for _ in range(u_order + 1)]
         self.m = matrix
 
     @staticmethod
     def one(u_order: int, v_order: int) -> BiSeries:
         s = BiSeries(u_order, v_order)
-        s.m[0][0] = _ONE
+        s.m[0][0] = 1
         return s
 
-    def coeff(self, i: int, j: int) -> Fraction:
+    def coeff(self, i: int, j: int) -> int | Fraction:
         if i > self.u_order or j > self.v_order:
             raise ValueError("exponent beyond truncation order")
         return self.m[i][j]
@@ -366,7 +367,7 @@ class _Parser:
         return series
 
     def term(self) -> FormalSeries:
-        scalar = _ONE
+        scalar = Fraction(1)
         if self._at_rational_prefix():
             scalar = self._rational()
             self.expect("*")

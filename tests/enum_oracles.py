@@ -192,7 +192,7 @@ def count_sign_characters(d):
     outside the admissible set."""
     if diagrams.classify(d).index != 2:
         raise ValueError("direct character enumeration applies to class 2 only")
-    s = len(groups._grouped_odd(d))
+    s = len(d.rows)
     omega = groups.omega_set(d)
     count = 0
     for bits in range(1 << (s - 1)):

@@ -262,16 +262,25 @@ def _count_classify(monkeypatch):
     return _count_calls(monkeypatch, "classify", dg, gp, cs)
 
 
-def test_orbit_sums_classify_each_diagram_once(monkeypatch):
-    dg.sigma_classes.cache_clear()
+def test_orbit_sums_classify_no_diagram(monkeypatch):
+    # the orbit sums read their classes off the class table's walk
+    dg._sigma_class_table.cache_clear()
     calls = _count_classify(monkeypatch)
     p, q = 7, 6
     first = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
-    assert len(calls) == len(dg.enum_sigma(p, q))
     for _ in range(3):
         again = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
         assert again == first
-    assert len(calls) == len(dg.enum_sigma(p, q))
+    assert calls == []
+
+
+def test_sigma_classes_build_no_diagram(monkeypatch):
+    dg._sigma_class_table.cache_clear()
+    dg._sigma_by_signature.cache_clear()
+    built = _count_calls(monkeypatch, "_unchecked", dg, cs)
+    classes = dg.sigma_classes(14, 14)
+    assert built == []
+    assert len(classes) == len(dg.enum_sigma(14, 14)) > 0
 
 
 def test_censuses_classify_each_support_once(monkeypatch):

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheaf_census import census, diagrams as dg, groups, verify
 from sheaf_census.cli import _json_text, main
+from sheaf_census.qseries import FormalSeries
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +350,18 @@ PI_EVEN_CHECKS = {"number1-k0", "numbert-closure", "bb-even", "tb1", "b2-even",
                   "b2-weighted-oracle", "nilcoro-k0-even"}
 
 
+def _failed_checks(capsys) -> dict[str, str]:
+    """Run the whole suite at a small scope, which must exit 1 with a full
+    report and no traceback; the error of each check that did not pass."""
+    code, data, err = run_json(capsys, "verify", "--suite", "all", "--order", "12",
+                               "--sweep", "8")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = data["payload"]["checks"]
+    assert [c["id"] for c in checks] == verify.suite_ids()
+    return {c["id"]: c["detail"].get("error", "") for c in checks if c["status"] != "PASS"}
+
+
 def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
     # index 1 is in the omega set exactly on even sizes; without it,
     # _pi_size's exponent guard trips inside the checks that reach it, which
@@ -355,13 +369,7 @@ def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
     real = groups._omega_set
     monkeypatch.setattr(groups, "_omega_set", lambda d: real(d) - {1})
     refill(census._richardson, *TOTALS)
-    code, data, err = run_json(capsys, "verify", "--suite", "all", "--order", "12",
-                               "--sweep", "8")
-    assert code == 1
-    assert "Traceback" not in err
-    checks = data["payload"]["checks"]
-    assert [c["id"] for c in checks] == verify.suite_ids()
-    failed = {c["id"]: c["detail"]["error"] for c in checks if c["status"] != "PASS"}
+    failed = _failed_checks(capsys)
     assert set(failed) == PI_EVEN_CHECKS
     for error in failed.values():
         assert error.startswith("ArithmeticError: negative character-count exponent")
@@ -371,6 +379,49 @@ def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
     assert (code, out) == (1, "")
     assert err.startswith("sheaf-census: negative character-count exponent for ")
     assert "Traceback" not in err
+
+
+# the checks that reach hecke_count's D-side halving
+HECKE_D_CHECKS = {"number1-k0", "numbert-closure", "fn-split-D", "coro-cuspidal-k0",
+                  "coro-cuspidal-k1"}
+
+
+def test_the_hecke_halving_guard_fails_its_checks_alone(capsys, monkeypatch, refill):
+    # a two-sided count made odd only where hecke_count halves it: the ind-D
+    # variants, which read the count whole, stay right, so exactly the checks
+    # that reach the halving fail, with the guard's error
+    real = census._mixed_distinct_count
+    monkeypatch.setattr(census, "_mixed_distinct_count", lambda n: real(n) + (
+        sys._getframe(1).f_code.co_name == "hecke_count"))
+    refill(census.hecke_count, census.theta_k0_count, *TOTALS)
+    failed = _failed_checks(capsys)
+    assert set(failed) == HECKE_D_CHECKS
+    for error in failed.values():
+        assert error.startswith("ArithmeticError: odd two-sided count 3 at n=1")
+
+
+def test_the_integrality_guard_fails_its_checks_alone(capsys, monkeypatch):
+    # a kappa1 base series off by 1/2 in every coefficient trips _as_count in
+    # the closed kappa1 formula, and only the checks that read it fail
+    real = census._k1_base
+    monkeypatch.setattr(census, "_k1_base", lambda order: real(order) + FormalSeries.from_values(
+        [Fraction(1, 2)] * (order + 1)))
+    failed = _failed_checks(capsys)
+    assert set(failed) == {"number1-k1", "kappa1-orbit-sum"}
+    for error in failed.values():
+        assert error.startswith("ArithmeticError: non-integer count ")
+
+
+def test_a_class_3_diagram_of_odd_size_is_an_internal_error(capsys, monkeypatch, refill):
+    # _kappa1_data's guard exits 1 like the others; the mutant class reaches
+    # orbits through the class table, whose walk reads _class_of
+    real = dg._class_of
+    monkeypatch.setattr(dg, "_class_of", lambda a, b: (
+        dg.DiagramClass(a, b, 3, 0) if a + b == 1 else real(a, b)))
+    refill(dg._sigma_class_table)
+    code, out, err = run_cli(capsys, "orbits", "bdi", "--p", "1", "--q", "0")
+    assert (code, out) == (1, "")
+    assert err == "sheaf-census: class 3 cannot occur for odd total size\n"
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

@@ -272,7 +272,7 @@ def test_diagram_validation():
 
 
 def test_sigma_classes_match_classify():
-    for total in range(25):
+    for total in range(27):
         for p in range(total + 1):
             q = total - p
             assert dg.sigma_classes(p, q) == tuple(map(dg.classify, dg.enum_sigma(p, q))), (p, q)
@@ -321,6 +321,11 @@ def test_table_keys_are_signatures():
         for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
             for sig, ds in table.items():
                 assert all(d.signature() == sig for d in ds), (n, sig)
+        # the class walk keys its table alike, one class per diagram
+        sigma = dg._sigma_by_signature(n)
+        classes = dg._sigma_class_table(n)
+        assert classes.keys() == sigma.keys(), n
+        assert all(len(classes[sig]) == len(ds) for sig, ds in sigma.items()), n
 
 
 def test_enum_lambda_b_returns_a_fresh_list():

@@ -53,6 +53,16 @@ def test_generator_modes_match_oracles():
             [p for p in oracles.gen_partitions(n, m) if len(set(p)) == len(p)]
 
 
+def test_paired_mode_matches_filtered_oracle():
+    # the sigma walk's partitions: the full generator's, in its order, kept
+    # when every even part has an even multiplicity
+    cases = [(n, n) for n in range(31)] + [(n, m) for n in range(13) for m in range(n)]
+    for n, m in cases:
+        assert flat(n, m, paired=True) == [
+            p for p in oracles.gen_partitions(n, m)
+            if all(p.count(part) % 2 == 0 for part in p if part % 2 == 0)], (n, m)
+
+
 def test_enum_examples():
     assert [p.parts for p in pt.enum_partitions(0)] == [()]
     assert [p.parts for p in pt.enum_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
