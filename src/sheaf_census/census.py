@@ -32,7 +32,6 @@ from .diagrams import (
     diagram,
     enum_lambda,
     enum_lambda_b,
-    enum_sigma,
     enum_sigma_b,
     format_diagram,
     in_sigma,
@@ -63,21 +62,21 @@ def hecke_count(family: str, n: int) -> int:
     D: type D at parameter -1; the generating series carries constant 1/2
        but the trivial group has one irreducible, so n=0 returns 1.
     """
+    if family not in ("B", "D"):
+        raise ValueError(f"unknown Hecke family {family!r}")
     if n < 0:
         return 0
     if family == "B":
         return sum(count_distinct_partitions(j)
                    * count_distinct_partitions((n - j) // 2)
                    for j in range(n % 2, n + 1, 2))
-    if family == "D":
-        if n == 0:
-            return 1
-        c = _mixed_distinct_count(n)
-        if c % 2:
-            raise ArithmeticError(f"odd two-sided count {c} at n={n}; "
-                                  "the halving convention would break")
-        return c // 2
-    raise ValueError(f"unknown Hecke family {family!r}")
+    if n == 0:
+        return 1
+    c = _mixed_distinct_count(n)
+    if c % 2:
+        raise ArithmeticError(f"odd two-sided count {c} at n={n}; "
+                              "the halving convention would break")
+    return c // 2
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +386,7 @@ def _t_ratio(s: qseries.FormalSeries, t: int) -> qseries.FormalSeries:
 def count_formula_k0(p: int, q: int) -> int:
     """Coefficient extraction for the trivial-character total; inputs with
     p < q are swapped first (the census is symmetric under sign swap)."""
+    _size(p, q)
     if p < q:
         p, q = q, p
     t = p - q
@@ -406,7 +406,7 @@ def _k1_base(order: int) -> qseries.FormalSeries:
 def count_formula_k1(p: int, q: int) -> int:
     """eta times a coefficient of 1/((x^4-products)(x^2-products))."""
     t = p - q
-    D = p + q - t * t
+    D = _size(p, q) - t * t
     if D < 0:
         return 0
     return eta(D // 2, t) * _as_count(_k1_base(D).coeff(D), p, q)
@@ -438,7 +438,7 @@ def cuspidal_counts(p: int, q: int) -> tuple[int, int]:
     equals the full-support count; the nontrivial part is the k=0 stratum
     count, nonzero whenever N >= t^2.
     """
-    N, t = p + q, p - q
+    N, t = _size(p, q), p - q
     k0 = theta_k0_count("split-B" if N % 2 else "split-D", min(p, q)) if abs(t) <= 1 else 0
     D = N - t * t
     k1 = theta_k1_count(D // 2, t) if D >= 0 else 0
@@ -459,7 +459,8 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
 def full_support_counts(p: int, q: int) -> tuple[int, int]:
     """Counts of sheaves with full support; nonzero only for split pairs,
     where both parts are the cuspidal ones."""
-    return cuspidal_counts(p, q) if abs(p - q) <= 1 else (0, 0)
+    counts = cuspidal_counts(p, q)  # refuses a negative entry
+    return counts if abs(p - q) <= 1 else (0, 0)
 
 
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
@@ -493,8 +494,7 @@ def kappa0_orbit_sum(p: int, q: int) -> int:
 def kappa1_orbit_sum(p: int, q: int) -> int:
     """Third route for the nontrivial character, via the case table for the
     double cover's component groups."""
-    return sum(c.orbits * _kappa1_data(d, c, p, q).count
-               for d, c in zip(enum_sigma(p, q), sigma_classes(p, q)))
+    return sum(c.orbits * _kappa1_data(c, p, q).count for c in sigma_classes(p, q))
 
 
 def sigma23_r_sum(p: int, q: int) -> int:
@@ -563,9 +563,12 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
     census) times the orbit count over the split support 1+^p 1-^q (4 at
     p = q = 0, 2 at p + q = 1, else 1); k1 cuspidal and full, eta(D/2, t)
     times the x^(D/2) coefficient of prod (1+x^s) (coro-cuspidal-k1); k1
-    nilpotent, eta(0, t) as in the census. diii k0: all counts enum_lambda
-    (the census walks enum_lambda_b), nilpotent p(n), full p(n // 2); diii
-    k1: all and full p2(n/2) for n >= 1, as in the census; else 0."""
+    nilpotent, the component-group route of nilcoro-k1: the orbits over the
+    staircase mu_t(t) times their kappa1 count, not eta(0, t). Otherwise eta
+    is the one input that the census and the k1 totals share, taken on trust
+    here; kappa1-orbit-sum checks it. diii k0: all counts enum_lambda (the
+    census walks enum_lambda_b), nilpotent p(n), full p(n // 2); diii k1: all
+    and full p2(n/2) for n >= 1, as in the census; else 0."""
     kind = report.pair[0]
     central = 0 if report.central == "k0" else 1
     if kind == "bdi":
@@ -575,7 +578,8 @@ def expected_subset_total(report: CensusReport, subset: str) -> int:
             return count_formula_k0(p, q) if central == 0 else count_formula_k1(p, q)
         if subset == "nilpotent":
             if central == 1:
-                return eta(0, t) if D == 0 else 0
+                cls = classify(mu_t(t))
+                return cls.orbits * _kappa1_data(cls, p, q).count if D == 0 else 0
             if p + q == 0:
                 return 0  # no Richardson diagram, though the series starts at 7/4
             return _as_count(_nilcoro_series(abs(t), min(p, q)).coeff(min(p, q)), p, q)

@@ -133,7 +133,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
                 continue
             text = str(d)
             row = [cls.a, cls.b, cls.r, f"sigma{cls.index}", 2 ** cls.r,
-                   groups._kappa1_data(d, cls, args.p, args.q).count]
+                   groups._kappa1_data(cls, args.p, args.q).count]
             for delta in (None,) if args.richardson else cls.deltas:
                 rows.append([text, delta, *row])
     else:

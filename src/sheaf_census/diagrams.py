@@ -25,9 +25,10 @@ partitions of p+q, the partitions of n with every multiplicity doubled), and
 assigns only admissible signs to each group. Four per-size tables are cached:
 ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed group by
 group as signs are chosen; the sigma class table, the same walk carrying
-(p, a, b) in place of rows, which ``sigma_classes`` reads without building a
-diagram; and ``enum_lambda_b``'s. Enumerator output skips the checks (valid
-by construction). ``is_sigma_b`` and ``in_lambda`` ask the same row rules.
+(p, a, b, repeated) in place of rows, which ``sigma_classes`` reads without
+building a diagram; and ``enum_lambda_b``'s. Enumerator output skips the
+checks (valid by construction). ``is_sigma_b`` and ``in_lambda`` ask the same
+row rules.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -170,12 +171,14 @@ DELTA_NAMES = ("I", "II", "III", "IV")
 
 @dataclass(frozen=True)
 class DiagramClass:
-    """The (a, b) invariants, the class index 1|2|3, and the 2-group rank r."""
+    """The (a, b) invariants, the class index 1|2|3, the 2-group rank r, and
+    whether an odd length repeats a sign (then no kappa1 irreducibles)."""
 
     a: int
     b: int
     index: int
     r: int
+    repeated: bool = False
 
     @property
     def orbits(self) -> int:
@@ -189,27 +192,29 @@ class DiagramClass:
 
 
 @lru_cache(maxsize=None)
-def _class_of(a: int, b: int) -> DiagramClass:
-    """The one shared DiagramClass of each (a, b)."""
+def _class_of(a: int, b: int, repeated: bool) -> DiagramClass:
+    """The one shared DiagramClass of each (a, b, repeated)."""
     if a > 0 and b > 0:
-        return DiagramClass(a, b, 1, a + b - 2)
+        return DiagramClass(a, b, 1, a + b - 2, repeated)
     if a + b > 0:
-        return DiagramClass(a, b, 2, a + b - 1)
-    return DiagramClass(0, 0, 3, 0)
+        return DiagramClass(a, b, 2, a + b - 1, repeated)
+    return DiagramClass(0, 0, 3, 0, repeated)
 
 
-def _ab(rows) -> tuple[int, int]:
-    """The invariants (a, b) of the row groups: an odd length adds one to a
-    for its +rows and one to b for its -rows at 1 mod 4, the reverse at 3."""
-    a = b = 0
+def _ab(rows) -> tuple[int, int, bool]:
+    """The invariants (a, b) of the row groups, and whether an odd length
+    repeats a sign: an odd length adds one to a for its +rows and one to b
+    for its -rows at 1 mod 4, the reverse at 3."""
+    a, b, repeated = 0, 0, False
     for length, plus, minus in rows:
+        repeated |= length % 2 == 1 and (plus > 1 or minus > 1)
         if length % 4 == 1:
             a += plus > 0
             b += minus > 0
         elif length % 4 == 3:
             a += minus > 0
             b += plus > 0
-    return a, b
+    return a, b, repeated
 
 
 def classify(d: SignedYoungDiagram) -> DiagramClass:
@@ -271,15 +276,17 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
 
 @lru_cache(maxsize=64)
 def _sigma_class_table(n: int) -> dict[tuple[int, int], tuple[DiagramClass, ...]]:
-    """_sigma_by_signature(n)'s classes, keyed and ordered alike: its walk, carrying (p, a, b)."""
+    """_sigma_by_signature(n)'s classes, keyed and ordered alike: its walk,
+    carrying (p, a, b, repeated)."""
     table: dict[tuple[int, int], list[DiagramClass]] = {}
     for groups in _gen_partitions(n, n, paired=True):
-        out = [(0, 0, 0)]
+        out = [(0, 0, 0, False)]
         for length, mult in groups:
             options = [(dp, *_ab((row,))) for row, dp in _sigma_rows(length, mult)]
-            out = [(p + dp, a + da, b + db) for p, a, b in out for dp, da, db in options]
-        for p, a, b in out:
-            table.setdefault((p, n - p), []).append(_class_of(a, b))
+            out = [(p + dp, a + da, b + db, rep or drep)
+                   for p, a, b, rep in out for dp, da, db, drep in options]
+        for p, a, b, rep in out:
+            table.setdefault((p, n - p), []).append(_class_of(a, b, rep))
     return {sig: tuple(cs) for sig, cs in table.items()}
 
 

@@ -33,15 +33,15 @@ def kappa1_data_BDI(d: SignedYoungDiagram) -> Kappa1Data:
     The case split is on the signature (p, q): odd total size, both entries
     odd, or both even.
     """
-    return _kappa1_data(d, classify(d), *d.signature())
+    return _kappa1_data(classify(d), *d.signature())
 
 
-def _kappa1_data(d: SignedYoungDiagram, cls: DiagramClass, p: int, q: int) -> Kappa1Data:
-    """kappa1_data_BDI(d) for a diagram of the orthogonal set whose
-    signature (p, q) and class cls = classify(d) are already known."""
-    for length, plus, minus in d.rows:
-        if length % 2 == 1 and (plus >= 2 or minus >= 2):
-            return Kappa1Data(0, None)
+def _kappa1_data(cls: DiagramClass, p: int, q: int) -> Kappa1Data:
+    """kappa1_data_BDI(d) for a diagram d of the orthogonal set, read off its
+    class cls = classify(d) and its signature (p, q) alone: none when an odd
+    length repeats a sign (cls.repeated), else by the class index."""
+    if cls.repeated:
+        return Kappa1Data(0, None)
     r = cls.r
     if (p + q) % 2:
         if cls.index == 1:

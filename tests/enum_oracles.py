@@ -7,7 +7,8 @@ partition generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
 direct enumeration of sign characters on a class-2 Richardson orbit, the
 stratum support built through ``diagram()``'s merge, and the two bdi
-censuses with their orbit decorations branched out by hand. They
+censuses with their orbit decorations branched out by hand, and the kappa1
+orbit sum over the listed diagrams with its row-by-row repeated-sign rule. They
 walk a superset and filter it, or count row by row, which is slow but easy
 to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
@@ -286,3 +287,16 @@ def census_bdi_k1(p, q):
                                                     staircase, base, "kappa1-staircase"))
     warnings = (LOW_RANK_WARNING,) if N < 5 else ()
     return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
+
+
+def kappa1_orbit_sum(p, q):
+    """The kappa1 orbit sum over every listed diagram of enum_sigma(p, q): no
+    kappa1 irreducible when an odd length carries two rows of one sign, read
+    off the rows here, else the case table's count for its class."""
+    total = 0
+    for d in diagrams.enum_sigma(p, q):
+        if any(length % 2 and (plus >= 2 or minus >= 2) for length, plus, minus in d.rows):
+            continue
+        cls = classify(d)
+        total += cls.orbits * groups._kappa1_data(cls, p, q).count
+    return total

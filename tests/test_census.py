@@ -17,8 +17,9 @@ def test_hecke_counts():
     assert [cs.hecke_count("B", n) for n in range(5)] == [1, 1, 2, 3, 4]
     assert cs.hecke_count("D", 0) == 1
     assert [cs.hecke_count("D", n) for n in range(6)] == [1, 1, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        cs.hecke_count("E", 3)
+    for n in (3, -1):  # the family is checked before the size
+        with pytest.raises(ValueError, match="unknown Hecke family 'E'"):
+            cs.hecke_count("E", n)
 
 
 def test_theta_k0_examples():
@@ -280,7 +281,32 @@ def test_sigma_classes_build_no_diagram(monkeypatch):
     built = _count_calls(monkeypatch, "_unchecked", dg, cs)
     classes = dg.sigma_classes(14, 14)
     assert built == []
+    # the kappa1 orbit sum reads the repeated-sign fact off the classes too
+    dg._sigma_class_table.cache_clear()
+    assert cs.kappa1_orbit_sum(14, 14) > 0
+    assert built == []
     assert len(classes) == len(dg.enum_sigma(14, 14)) > 0
+
+
+def test_kappa1_orbit_sum_matches_the_listing_oracle():
+    for total in range(23):
+        for p in range(total + 1):
+            q = total - p
+            assert cs.kappa1_orbit_sum(p, q) == oracles.kappa1_orbit_sum(p, q), (p, q)
+
+
+# every public per-pair function of census, each refusing a negative entry
+PER_PAIR = (cs.census_bdi_k0, cs.census_bdi_k1, cs.census_k0_total, cs.count_formula_k0,
+            cs.count_formula_k1, cs.cuspidal_counts, cs.nilpotent_support_counts,
+            cs.full_support_counts, cs.richardson_pi_sums, cs.b_tilde, cs.kappa0_orbit_sum,
+            cs.kappa1_orbit_sum, cs.sigma23_r_sum)
+
+
+@pytest.mark.parametrize("fn", PER_PAIR, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("pair", [(-1, 2), (2, -1)])
+def test_per_pair_functions_refuse_a_negative_signature(fn, pair):
+    with pytest.raises(ValueError, match="^signature entries must be nonnegative$"):
+        fn(*pair)
 
 
 def test_censuses_classify_each_support_once(monkeypatch):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,16 @@ from hypothesis import given, settings, strategies as st
 from sheaf_census import census, diagrams as dg, groups, verify
 from sheaf_census.cli import _json_text, main
 from sheaf_census.qseries import FormalSeries
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter, with src/ first on its path
+    (as for the demos), so that it runs from a checkout too."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def run_cli(capsys, *argv):
@@ -187,7 +198,7 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "sheaf_census.cli",
                            "census", "bdi", "--p", "3", "--q", "2",
                            "--central", "k1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["reports"][0]["total"] == 6
 
@@ -292,12 +303,12 @@ def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, r
 def test_python_dash_m_entry_point():
     base = [sys.executable, "-m", "sheaf_census"]
     proc = subprocess.run(base + ["census", "bdi", "--p", "3", "--q", "2", "--central", "k1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["reports"][0]["total"] == 6
     # the exit code of the process itself, not only of main()
     proc = subprocess.run(base + ["series", "--expr", "x^0"], capture_output=True, text=True,
-                          env={**os.environ, "SHEAF_CENSUS_ORDER": "abc"})
+                          env=child_env(SHEAF_CENSUS_ORDER="abc"))
     assert proc.returncode == 2
     assert proc.stderr == "sheaf-census: bad SHEAF_CENSUS_ORDER 'abc'\n"
 
@@ -314,6 +325,19 @@ def test_k1_cuspidal_and_full_checks_catch_a_broken_theta(capsys, monkeypatch):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert argv[-2] in err
+
+
+def test_k1_nilpotent_check_catches_a_broken_eta(capsys, monkeypatch):
+    # the expected total comes from the component-group route (the orbits
+    # over the staircase times their kappa1 count), not from eta(0, t)
+    argv = ["census", "bdi", "--p", "3", "--q", "1", "--central", "k1", "--subset",
+            "nilpotent", "--check"]
+    assert run_cli(capsys, *argv)[0] == 0
+    real = groups.eta
+    monkeypatch.setattr(census, "eta", lambda m, t: real(m, t) + (m == 0))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "('bdi', 3, 1) k1 nilpotent: census 2 != formula 1\n"
 
 
 def test_k0_nilpotent_check_catches_a_broken_pi(capsys, monkeypatch, refill):
@@ -416,8 +440,8 @@ def test_a_class_3_diagram_of_odd_size_is_an_internal_error(capsys, monkeypatch,
     # _kappa1_data's guard exits 1 like the others; the mutant class reaches
     # orbits through the class table, whose walk reads _class_of
     real = dg._class_of
-    monkeypatch.setattr(dg, "_class_of", lambda a, b: (
-        dg.DiagramClass(a, b, 3, 0) if a + b == 1 else real(a, b)))
+    monkeypatch.setattr(dg, "_class_of", lambda a, b, repeated: (
+        dg.DiagramClass(a, b, 3, 0) if a + b == 1 else real(a, b, repeated)))
     refill(dg._sigma_class_table)
     code, out, err = run_cli(capsys, "orbits", "bdi", "--p", "1", "--q", "0")
     assert (code, out) == (1, "")

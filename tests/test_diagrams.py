@@ -287,6 +287,11 @@ def test_classes_are_shared_and_carry_their_orbits():
     for text, orbits in (("1+^3 1-^2", 1), ("5+", 2), ("2+ 2-", 4)):
         cls = dg.classify(dg.parse_diagram(text))
         assert (cls.orbits, len(cls.deltas)) == (orbits, orbits)
+    # only an odd length repeating a sign counts, and it keeps its own instance
+    for text, repeated in (("1+^3 1-^2", True), ("3+^2", True), ("3+ 1+ 1-", False),
+                           ("2+^2 2-^2 1+", False)):
+        assert dg.classify(dg.parse_diagram(text)).repeated is repeated, text
+    assert dg.classify(dg.parse_diagram("5+^2")) is not c
 
 
 def test_enumerated_diagrams_pass_the_public_checks():

@@ -1,0 +1,133 @@
+"""The route mutation matrix: each row breaks one helper, and exactly the
+recorded verify checks and census --check cells must then fail.
+
+A check or cell that a row leaves out is a gap: that route reads the broken
+helper too, or does not read it at all. A new route helper or check needs a
+new row; a closed gap changes a row's sets.
+"""
+import dataclasses
+
+import pytest
+
+from sheaf_census import census, diagrams as dg, groups, partitions, qseries, verify
+
+
+def _pairs(text: str) -> frozenset:
+    return frozenset(tuple(map(int, pair.split(","))) for pair in text.split())
+
+
+# the census --check sweep: bdi p, q <= 8 and diii n <= 8, every central and subset
+BDI = frozenset((p, q) for p in range(9) for q in range(9))
+DIII = range(9)
+NEAR_SPLIT = frozenset((p, q) for p, q in BDI if abs(p - q) == 1)
+STAIRCASE = _pairs("0,0 0,1 1,0 1,3 3,1 3,6 6,3")  # p + q = (p - q)^2
+# the bdi k1 "all" cells that both eta mutants reach
+ETA_ALL = _pairs("2,3 3,2 3,5 4,4 4,5 5,3 5,4 5,7 5,8 6,6 6,7 7,5 7,6 8,5 8,8")
+SUITE = (20, 14)  # verify's order and sweep
+
+
+def _kappa1_plus_one(real):
+    def mutant(cls, p, q):
+        data = real(cls, p, q)
+        return groups.Kappa1Data(data.count + 1, data.dim or 1)
+    return mutant
+
+
+# name: (modules holding the helper, its name, mutant of the real helper,
+#        failing checks, failing bdi cells by (central, subset))
+ROWS = {
+    "repeated-true": ((dg,), "_ab", lambda real: lambda rows: (*real(rows)[:2], True),
+                      {"kappa1-orbit-sum", "nilcoro-k1"},
+                      {("k1", "nilpotent"): STAIRCASE}),
+    # no k1 census support repeats a sign: only the orbit sum sees it
+    "repeated-false": ((dg,), "_ab", lambda real: lambda rows: (*real(rows)[:2], False),
+                       {"kappa1-orbit-sum"}, {}),
+    "kappa1-count+1": ((groups, census), "_kappa1_data", _kappa1_plus_one,
+                       {"kappa1-orbit-sum", "nilcoro-k1"},
+                       {("k1", "nilpotent"): STAIRCASE}),
+    # the rank feeds no census route
+    "class-rank+1": ((dg,), "_class_of", lambda real: lambda a, b, repeated: dataclasses.replace(
+                         real(a, b, repeated), r=real(a, b, repeated).r + 1),
+                     {"lemma-n1", "lemma-n1-2var", "number1-k0"}, {}),
+    "eta+1-at-m2": ((groups, census), "eta", lambda real: lambda m, t: real(m, t) + (m == 2),
+                    {"kappa1-orbit-sum", "number1-k1"},
+                    {("k1", "all"): ETA_ALL | {(2, 2)}}),
+    # at t in {0, 1, -1} the census shares eta(0, t) + 1 among the 4 or 2
+    # orbits with a floor, so its nilpotent total stays right there
+    "eta+1-at-m0": ((groups, census), "eta", lambda real: lambda m, t: real(m, t) + (m == 0),
+                    {"kappa1-orbit-sum", "nilcoro-k1", "number1-k1"},
+                    {("k1", "all"): ETA_ALL | _pairs("0,0 0,1 1,0"),
+                     ("k1", "cuspidal"): _pairs("0,0 0,1 1,0"),
+                     ("k1", "full"): _pairs("0,0 0,1 1,0"),
+                     ("k1", "nilpotent"): _pairs("1,3 3,1 3,6 6,3")}),
+    # k0 cuspidal and full expect the census's own split theta
+    "theta-k0*2-at-3": ((census,), "theta_k0_count",
+                        lambda real: lambda variant, n: real(variant, n) * (1 + (n == 3)),
+                        {"coro-cuspidal-k0", "fn-ind2-D", "fn-split-D", "fn1B", "fn1D", "fn2B",
+                         "number1-k0", "numbert-closure"},
+                        {("k0", "all"): {(p, q) for p, q in BDI
+                                         if min(p, q) >= 3 and (p % 2 or q % 2)}}),
+    "hecke+1-at-4": ((census,), "hecke_count",
+                     lambda real: lambda family, n: real(family, n) + (n == 4),
+                     {"coro-cuspidal-k0", "fn-split-D", "fn1B", "fn2B", "number1-k0",
+                      "numbert-closure"},
+                     {("k0", "all"): _pairs("4,4 4,5 4,7 5,4 5,5 5,6 5,8 6,5 6,6 6,7 7,4 7,6 "
+                                            "7,7 7,8 8,5 8,7 8,8")}),
+    # sigma's row options feed no census route
+    "sigma-rows-drop-last": ((dg,), "_sigma_rows",
+                             lambda real: lambda length, mult: real(length, mult)[:-1],
+                             {"kappa1-orbit-sum", "lemma-n1", "lemma-n1-2var", "number1-k0"},
+                             {}),
+    "pi*2": ((groups, census), "_pi_size", lambda real: lambda d, cls: 2 * real(d, cls),
+             {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd", "nilcoro-k0-even",
+              "nilcoro-k0-odd", "number1-k0", "numbert-closure", "tb1"},
+             {("k0", "all"): BDI - _pairs("0,0 1,1"),
+              ("k0", "cuspidal"): NEAR_SPLIT,
+              ("k0", "full"): NEAR_SPLIT,
+              # no Richardson stratum at m = 0 when p and q are both odd
+              ("k0", "nilpotent"): {(p, q) for p, q in BDI if (p + q) and (p * q) % 2 == 0}}),
+}
+
+
+def _caches() -> list:
+    """Every lru_cache of the package."""
+    return [obj for module in (partitions, qseries, dg, groups, census, verify)
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__]
+
+
+def _failing_cells() -> set:
+    """(pair..., central, subset) of each census --check cell of the sweep
+    whose total differs from its expected total, or whose check raises an
+    internal error (exit 1 on the CLI)."""
+    reports = [build(p, q) for p, q in sorted(BDI)
+               for build in (census.census_bdi_k0, census.census_bdi_k1)]
+    reports += [report for n in DIII for report in census.census_diii(n)]
+    failing = set()
+    for report in reports:
+        for subset in census.SUBSETS:
+            try:
+                ok = (census.subset_report(report, subset).total
+                      == census.expected_subset_total(report, subset))
+            except ArithmeticError:
+                ok = False
+            if not ok:
+                failing.add((*report.pair, report.central, subset))
+    return failing
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_route_mutation_matrix(row, monkeypatch, request):
+    modules, name, mutant, checks, cells = ROWS[row]
+    caches = _caches()  # found before the patch hides a cached helper
+    mutated = mutant(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, mutated)
+    for cache in caches:
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
+    failed = {check.id for check in verify.run_suite("all", *SUITE) if not check.passed}
+    assert failed == checks
+    assert _failing_cells() == {("bdi", p, q, central, subset)
+                                for (central, subset), pairs in cells.items()
+                                for p, q in pairs}
