@@ -16,6 +16,11 @@ Each piece is computed once: supports are assembled row by row, and
 Each family's strata rule is one generator (``_k0_strata``, ``_diii_strata``)
 read by the labelled reports and by the memoised count-only totals
 (``census_k0_total``, ``census_diii_totals``) that ``verify`` reads.
+
+Each sub-census is one rule per (family, central character, subset): the
+strata it keeps and the route, apart from the census, that its ``--check``
+total reads. ``subset_report`` and ``expected_subset_total`` read that rule;
+only the latter evaluates the route.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from .diagrams import (
     mu_t,
     sigma_classes,
 )
-from .groups import _kappa1_data, _pi_size, eta
+from .groups import _kappa1_data, _pi_size, eta, kappa1_data_BDI
 from .partitions import (
     count_bipartitions,
     count_distinct_odd_partitions,
@@ -250,6 +255,9 @@ def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: s
     carrying count local systems, or an even share of them when shared."""
     support = _support(m, k, mu)
     deltas = classify(support).deltas
+    if shared and count % len(deltas):
+        raise ArithmeticError(f"{count} local systems do not share evenly among the "
+                              f"{len(deltas)} orbits over {format_diagram(support)}")
     per_orbit = count // len(deltas) if shared else count
     return [StratumEntry(_label(support, delta), m, k, mu, per_orbit, family)
             for delta in deltas]
@@ -510,96 +518,80 @@ def diii_closure_total(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subset filtering of reports (shared by the CLI)
+# Sub-censuses: one rule per (family, central character, subset)
 # ---------------------------------------------------------------------------
 
 SUBSETS = ("all", "cuspidal", "nilpotent", "full")
 
+_EVERY = lambda e: True
+_NO_STRATUM = (lambda e: False, lambda: 0)
 
-def subset_report(report: CensusReport, subset: str) -> CensusReport:
-    """Restrict a census report to the cuspidal / nilpotent-support /
-    full-support strata."""
+
+def _bdi_rules(p: int, q: int) -> dict:
+    """The sub-census rules of the pair (p, q), keyed by (central, subset)."""
+    t, D = p - q, p + q - (p - q) ** 2
+    # the one full-support stratum k = 0, m = D/2, on split pairs only
+    full = lambda e: abs(t) <= 1 and e.k == 0 and e.m == D // 2
+    # the split theta (as in the census) times the orbits over 1+^p 1-^q
+    split_k0 = lambda: cuspidal_counts(p, q)[0] * classify(diagram((1, p, q))).orbits
+    # coro-cuspidal-k1: eta(D/2, t) times the x^(D/2) coefficient of prod (1+x^s);
+    # the census reads eta too, taken on trust here: kappa1-orbit-sum checks it
+    coro_k1 = lambda: (eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
+                       if D >= 0 else 0)
+    # the nilcoro series at x^min(p, q); 0 at p = q = 0, where it starts at 7/4
+    nilcoro_k0 = lambda: (_as_count(_nilcoro_series(abs(t), min(p, q)).coeff(min(p, q)), p, q)
+                          if p + q else 0)
+    # nilcoro-k1: the orbits over the staircase times their kappa1 count
+    staircase_k1 = lambda: (classify(mu_t(t)).orbits * kappa1_data_BDI(mu_t(t)).count
+                            if D == 0 else 0)
+    return {
+        ("k0", "all"): (_EVERY, lambda: count_formula_k0(p, q)),
+        ("k0", "nilpotent"): (lambda e: e.m == e.k == 0 and e.family != "empty-mu", nilcoro_k0),
+        # cuspidal and full coincide at the trivial character
+        ("k0", "cuspidal"): (full, split_k0),
+        ("k0", "full"): (full, split_k0),
+        ("k1", "all"): (_EVERY, lambda: count_formula_k1(p, q)),
+        ("k1", "nilpotent"): (lambda e: e.m == e.k == 0, staircase_k1),
+        ("k1", "cuspidal"): (lambda e: e.k == 0, coro_k1),
+        ("k1", "full"): (full, lambda: coro_k1() if abs(t) <= 1 else 0),
+    }
+
+
+def _diii_rules(n: int) -> dict:
+    """The sub-census rules of the pair (n, n), keyed by (central, subset)."""
+    # the all-even diagrams of Lambda^{n,n} (diii-k1-bijection), not p2(n/2); none at n = 0
+    all_even = lambda: sum(d.all_parts_even() for d in enum_lambda(n)) if n else 0
+    return {
+        # one local system per orbit of Lambda^{n,n} (the census walks Lambda_b)
+        ("k0", "all"): (_EVERY, lambda: diii_closure_total(n)),
+        # |Lambda_b(n)| = p(n): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
+        ("k0", "nilpotent"): (lambda e: e.m == 0, lambda: count_partitions(n)),
+        ("k0", "full"): (lambda e: e.m == 2 * (n // 2), lambda: count_partitions(n // 2)),
+        # no cuspidal sheaves on this family
+        ("k0", "cuspidal"): _NO_STRATUM,
+        ("k1", "all"): (_EVERY, all_even),
+        ("k1", "full"): (_EVERY, all_even),
+        ("k1", "cuspidal"): _NO_STRATUM,
+        ("k1", "nilpotent"): _NO_STRATUM,
+    }
+
+
+def _subset_rule(report: CensusReport, subset: str):
+    """(keep, expected): the sub-census's strata filter and its --check route."""
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
-    if subset == "all":
-        return report
-    pred = _subset_predicate(report, subset)
-    entries = tuple(e for e in report.entries if pred(e))
+    family, *params = report.pair
+    rules = _bdi_rules(*params) if family == "bdi" else _diii_rules(*params)
+    return rules[report.central, subset]
+
+
+def subset_report(report: CensusReport, subset: str) -> CensusReport:
+    """The report cut down to one sub-census's strata; "all" keeps them all."""
+    keep, _ = _subset_rule(report, subset)
+    entries = tuple(e for e in report.entries if keep(e))
     return CensusReport(report.pair, report.central, entries, report.warnings)
 
 
-def _subset_predicate(report: CensusReport, subset: str):
-    kind = report.pair[0]
-    if kind == "bdi":
-        _, p, q = report.pair
-        N, t = p + q, p - q
-        full_m = (N - t * t) // 2 if abs(t) <= 1 else None
-        if report.central == "k0":
-            if subset == "nilpotent":
-                return lambda e: e.m == 0 and e.k == 0 and e.family in ("sigma-b1", "sigma-b2")
-            # cuspidal and full coincide at the trivial character
-            return lambda e: full_m is not None and e.k == 0 and e.m == full_m
-        if subset == "nilpotent":
-            return lambda e: e.m == 0 and e.k == 0
-        if subset == "cuspidal":
-            return lambda e: e.k == 0
-        return lambda e: full_m is not None and e.k == 0 and e.m == full_m
-    n = report.pair[1]
-    if report.central == "k0":
-        if subset == "nilpotent":
-            return lambda e: e.m == 0
-        if subset == "full":
-            return lambda e: e.m == 2 * (n // 2)
-        return lambda e: False  # no cuspidal sheaves on this family
-    if subset == "full":
-        return lambda e: True
-    return lambda e: False
-
-
 def expected_subset_total(report: CensusReport, subset: str) -> int:
-    """Expected total for --check, by route. bdi: all, the closed series
-    count_formula_k0/k1; k0 nilpotent, the x^min(p, q) coefficient of
-    _nilcoro_series(|t|); k0 cuspidal and full, the split theta (as in the
-    census) times the orbit count over the split support 1+^p 1-^q (4 at
-    p = q = 0, 2 at p + q = 1, else 1); k1 cuspidal and full, eta(D/2, t)
-    times the x^(D/2) coefficient of prod (1+x^s) (coro-cuspidal-k1); k1
-    nilpotent, the component-group route of nilcoro-k1: the orbits over the
-    staircase mu_t(t) times their kappa1 count, not eta(0, t). Otherwise eta
-    is the one input that the census and the k1 totals share, taken on trust
-    here; kappa1-orbit-sum checks it. diii k0: all counts enum_lambda (the
-    census walks enum_lambda_b), nilpotent p(n), full p(n // 2); diii k1: all
-    and full p2(n/2) for n >= 1, as in the census; else 0."""
-    kind = report.pair[0]
-    central = 0 if report.central == "k0" else 1
-    if kind == "bdi":
-        _, p, q = report.pair
-        t, D = p - q, p + q - (p - q) ** 2
-        if subset == "all":
-            return count_formula_k0(p, q) if central == 0 else count_formula_k1(p, q)
-        if subset == "nilpotent":
-            if central == 1:
-                cls = classify(mu_t(t))
-                return cls.orbits * _kappa1_data(cls, p, q).count if D == 0 else 0
-            if p + q == 0:
-                return 0  # no Richardson diagram, though the series starts at 7/4
-            return _as_count(_nilcoro_series(abs(t), min(p, q)).coeff(min(p, q)), p, q)
-        if central == 0:
-            return cuspidal_counts(p, q)[0] * classify(diagram((1, p, q))).orbits
-        if D < 0 or subset == "full" and abs(t) > 1:
-            return 0
-        return eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
-    n = report.pair[1]
-    if central == 1:
-        if n == 0:
-            return 0  # no k1 stratum on the empty pair, though p2(0) = 1
-        if subset in ("all", "full"):
-            return count_bipartitions(Fraction(n, 2))
-        return 0
-    if subset == "all":
-        return diii_closure_total(n)
-    if subset == "nilpotent":
-        # |Lambda_b(n)| = p(n): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
-        return count_partitions(n)
-    if subset == "full":
-        return count_partitions(n // 2)
-    return 0
+    """Expected total for --check, read off the sub-census's route."""
+    return _subset_rule(report, subset)[1]()

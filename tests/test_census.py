@@ -225,6 +225,14 @@ def test_subset_report_diii():
     assert cs.subset_report(k1, "nilpotent").total == 0
 
 
+@pytest.mark.parametrize("report", [cs.census_bdi_k0(3, 2), cs.census_bdi_k1(3, 2),
+                                    cs.census_diii(4)[1]], ids=["bdi-k0", "bdi-k1", "diii-k1"])
+@pytest.mark.parametrize("read", [cs.subset_report, cs.expected_subset_total])
+def test_an_unknown_subset_is_refused(read, report):
+    with pytest.raises(ValueError, match="unknown subset 'bogus'"):
+        read(report, "bogus")
+
+
 def test_orbit_label_validation():
     with pytest.raises(ValueError):
         cs.OrbitLabel(dg.parse_diagram("1+^3 1-^2"), "I")  # single orbit

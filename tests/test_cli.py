@@ -340,6 +340,41 @@ def test_k1_nilpotent_check_catches_a_broken_eta(capsys, monkeypatch):
     assert err == "('bdi', 3, 1) k1 nilpotent: census 2 != formula 1\n"
 
 
+def test_an_uneven_orbit_share_is_an_internal_error(capsys, monkeypatch):
+    # eta(0, 0) + 1 local systems cannot be shared by the 4 orbits over the
+    # empty support: the census refuses, where a floor would hide the error
+    argv = ["census", "bdi", "--p", "0", "--q", "0", "--central", "k1", "--subset",
+            "nilpotent", "--check"]
+    assert run_cli(capsys, *argv)[0] == 0
+    real = groups.eta
+    monkeypatch.setattr(census, "eta", lambda m, t: real(m, t) + (m == 0))
+    assert run_cli(capsys, *argv) == (
+        1, "", "sheaf-census: 5 local systems do not share evenly among the 4 orbits over 0\n")
+
+
+def test_diii_k1_check_catches_a_broken_bipartition_count(capsys, monkeypatch):
+    # the expected k1 total counts the all-even diagrams of Lambda^{n,n}, not
+    # the census's bipartition count
+    argv = ["census", "diii", "--n", "4", "--central", "k1", "--check"]
+    assert run_cli(capsys, *argv)[0] == 0
+    real = census.count_bipartitions
+    monkeypatch.setattr(census, "count_bipartitions", lambda x: real(x) + (x == 2))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == "('diii', 4) k1 all: census 6 != formula 5\n"
+
+
+def test_a_subset_without_check_reads_no_route(capsys, monkeypatch):
+    argv = ["census", "bdi", "--p", "4", "--q", "2", "--subset", "nilpotent"]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+
+    def broken(t, order):
+        raise ArithmeticError("the nilpotent route was read")
+    monkeypatch.setattr(census, "_nilcoro_series", broken)
+    assert run_cli(capsys, *argv) == expected
+
+
 def test_k0_nilpotent_check_catches_a_broken_pi(capsys, monkeypatch, refill):
     # the nilpotent total comes from the closed nilcoro series, not from the
     # Richardson character counts the census strata carry

@@ -57,6 +57,17 @@ COMMANDS = {
                                       "--order", "400", "--format", "csv"],
     "series_inv_nonunit_order60_csv": ["series", "--expr", "inv(2/3*prod(1-x^{1s}) + 1/5*x^3)",
                                        "--order", "60", "--format", "csv"],
+    # each sub-census with its --check route, both centrals, on pairs where it
+    # is non-empty: (3, 2) near-split, (6, 3) a staircase pair
+    "census_bdi_3_2_cuspidal_check": ["census", "bdi", "--p", "3", "--q", "2", "--central",
+                                      "both", "--subset", "cuspidal", "--check"],
+    "census_bdi_6_3_nilpotent_check_table": ["census", "bdi", "--p", "6", "--q", "3",
+                                             "--central", "both", "--subset", "nilpotent",
+                                             "--check", "--format", "table"],
+    "census_bdi_3_2_full_check_csv": ["census", "bdi", "--p", "3", "--q", "2", "--central",
+                                      "both", "--subset", "full", "--check", "--format", "csv"],
+    "census_diii_4_full_check_table": ["census", "diii", "--n", "4", "--central", "both",
+                                       "--subset", "full", "--check", "--format", "table"],
 }
 
 
