@@ -11,8 +11,9 @@ Two fully independent routes are kept apart on purpose:
 
 Their agreement over sweeps is the artifact's central correctness check.
 
-Each piece is computed once: supports are assembled row by row, and
-``theta_k0_count``, ``_richardson`` and ``count_formula_k0`` are memoised.
+Each piece is computed once: supports are assembled row by row, their
+classes read off mu's, and ``theta_k0_count``, ``_richardson`` (which holds
+mu's class) and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_diii_strata``)
 read by the labelled reports and by the memoised count-only totals
 (``census_k0_total``, ``census_diii_totals``) that ``verify`` reads.
@@ -30,7 +31,9 @@ from functools import lru_cache
 
 from . import qseries
 from .diagrams import (
+    DiagramClass,
     SignedYoungDiagram,
+    _class_of,
     _size,
     _unchecked,
     classify,
@@ -204,31 +207,15 @@ class CensusReport:
         return sum(e.count for e in self.entries)
 
     def to_json_dict(self) -> dict:
-        if self.pair[0] == "bdi":
-            pair = {"type": "bdi", "p": self.pair[1], "q": self.pair[2]}
-        else:
-            pair = {"type": "diii", "n": self.pair[1]}
-        return {
-            "pair": pair,
-            "central": self.central,
-            "strata": [
-                {
-                    "support": format_diagram(e.support.diagram),
-                    "delta": e.support.delta,
-                    "m": e.m,
-                    "k": e.k,
-                    "mu": format_diagram(e.mu),
-                    "family": e.family,
-                    "count": e.count,
-                }
-                for e in self.entries
-            ],
-            "total": self.total,
-            "warnings": list(self.warnings),
-        }
+        keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
+        strata = [{"support": format_diagram(e.support.diagram), "delta": e.support.delta,
+                   "m": e.m, "k": e.k, "mu": format_diagram(e.mu), "family": e.family,
+                   "count": e.count} for e in self.entries]
+        return {"pair": dict(zip(keys, self.pair)), "central": self.central, "strata": strata,
+                "total": self.total, "warnings": list(self.warnings)}
 
 
-_EMPTY = SignedYoungDiagram()
+_EMPTY, _EMPTY_CLASS = SignedYoungDiagram(), _class_of(0, 0, False)
 
 
 def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
@@ -241,20 +228,32 @@ def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
     return _unchecked(tuple(rows + tail[::-1]))
 
 
+def _support_class(m: int, mu: SignedYoungDiagram, cls: DiagramClass) -> DiagramClass:
+    """classify(_support(m, k, mu)) from cls = classify(mu): the 2-rows add
+    nothing to (a, b, repeated), and m >= 1 rows of 1+ and 1- make the
+    length-1 group add one to each of a and b (in place of what mu's added)
+    and repeat a sign unless it is a single pair."""
+    if not m:
+        return cls
+    plus, minus = mu.rows[-1][1:] if mu.rows and mu.rows[-1][0] == 1 else (0, 0)
+    return _class_of(cls.a + (not plus), cls.b + (not minus),
+                     cls.repeated or m + plus + minus > 1)
+
+
 def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
-    """OrbitLabel(diagram, delta) for a delta taken from
-    classify(diagram).deltas, without classifying the diagram again."""
+    """OrbitLabel(diagram, delta) for a delta taken from the diagram's
+    class, without classifying the diagram again."""
     label = object.__new__(OrbitLabel)
     label.__dict__.update(diagram=diagram, delta=delta)
     return label
 
 
-def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: str,
-                   shared: bool = False) -> list[StratumEntry]:
-    """One entry per orbit over the (m, k, mu) stratum's support, each
-    carrying count local systems, or an even share of them when shared."""
+def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, cls: DiagramClass, count: int,
+                   family: str, shared: bool = False) -> list[StratumEntry]:
+    """One entry per orbit over the (m, k, mu) stratum's support, mu of class
+    cls, each carrying count local systems, or an even share when shared."""
     support = _support(m, k, mu)
-    deltas = classify(support).deltas
+    deltas = _support_class(m, mu, cls).deltas
     if shared and count % len(deltas):
         raise ArithmeticError(f"{count} local systems do not share evenly among the "
                               f"{len(deltas)} orbits over {format_diagram(support)}")
@@ -264,16 +263,16 @@ def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, count: int, family: s
 
 
 @lru_cache(maxsize=None)
-def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, int, int], ...]:
-    """(mu, class index, pi_size(mu)) for every Richardson diagram of
+def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, DiagramClass, int], ...]:
+    """(mu, classify(mu), pi_size(mu)) for every Richardson diagram of
     signature (p, q), each invariant computed once."""
     classified = ((mu, classify(mu)) for mu in enum_sigma_b(p, q))
-    return tuple((mu, cls.index, _pi_size(mu, cls)) for mu, cls in classified)
+    return tuple((mu, cls, _pi_size(mu, cls)) for mu, cls in classified)
 
 
 def _k0_strata(p: int, q: int):
-    """(m, k, mu, count, family) for every stratum of the trivial-character
-    census of (p, q).
+    """(m, k, mu, classify(mu), count, family) for every stratum of the
+    trivial-character census of (p, q).
 
     Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
     residual signature (or empty when the pair is split down to nothing);
@@ -293,10 +292,10 @@ def _k0_strata(p: int, q: int):
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
             if p1 == 0 and q1 == 0:
-                yield m, k, _EMPTY, theta_k0_count("split-D", m) * pk, "empty-mu"
+                yield m, k, _EMPTY, _EMPTY_CLASS, theta_k0_count("split-D", m) * pk, "empty-mu"
                 continue
-            for mu, index, pi in _richardson(p1, q1):
-                yield m, k, mu, theta[index] * pk * pi, f"sigma-b{index}"
+            for mu, cls, pi in _richardson(p1, q1):
+                yield m, k, mu, cls, theta[cls.index] * pk * pi, f"sigma-b{cls.index}"
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
@@ -311,8 +310,8 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
 def census_k0_total(p: int, q: int) -> int:
     """census_bdi_k0(p, q).total without labels or report: each stratum's
     count times the number of orbits over its support."""
-    return sum(count * classify(_support(m, k, mu)).orbits
-               for m, k, mu, count, _ in _k0_strata(p, q))
+    return sum(count * _support_class(m, mu, cls).orbits
+               for m, _, mu, cls, count, _ in _k0_strata(p, q))
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
@@ -325,9 +324,11 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
     entries: list[StratumEntry] = []
     D = N - t * t
     staircase = mu_t(t)
+    cls = classify(staircase)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
-        entries += _orbit_entries(m, k, staircase, count_bipartitions(k) * theta_k1_count(m, t),
+        entries += _orbit_entries(m, k, staircase, cls,
+                                  count_bipartitions(k) * theta_k1_count(m, t),
                                   "kappa1-staircase", shared=True)
     warnings = (LOW_RANK_WARNING,) if N < 5 else ()
     return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
@@ -474,8 +475,8 @@ def full_support_counts(p: int, q: int) -> tuple[int, int]:
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     """Sums of character counts over class-1 and class-2 Richardson diagrams."""
     sums = {1: 0, 2: 0}
-    for _, index, pi in _richardson(p, q):
-        sums[index] += pi
+    for _, cls, pi in _richardson(p, q):
+        sums[cls.index] += pi
     return sums[1], sums[2]
 
 

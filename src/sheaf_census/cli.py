@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import chain
 
 from . import __version__, census, diagrams, groups, qseries, verify
 
@@ -48,32 +49,45 @@ def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> d
 
 
 _encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
 def _json_text(obj, depth: int = 1) -> str:
     """json.dumps(obj, indent=2), byte for byte, for obj whose items sit at
-    the given indent depth. Each container of scalars is one encode() call
-    (json.dumps with an indent runs the pure-Python encoder)."""
-    if depth not in _encoders:
-        _encoders[depth] = json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+    the given indent depth (json.dumps with an indent runs the pure-Python
+    encoder). Each container of scalars is one encode() call, and so is a
+    list of nonempty dicts of scalars: encoded at its items' depth, only its
+    "},{" joins need indenting, as every raw newline is a separator (the
+    encoder escapes those inside strings)."""
+    for d in (depth, depth + 1):
+        if d not in _encoders:
+            _encoders[d] = json.JSONEncoder(separators=(",\n" + "  " * d, ": ")).encode
     encode, containers = _encoders[depth], (dict, list, tuple)
     if not isinstance(obj, containers) or not obj:
         return encode(obj)
+    outer, inner, deeper = "  " * (depth - 1), "  " * depth, "  " * (depth + 1)
     is_dict = isinstance(obj, dict)
+    if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
+        body = _encoders[depth + 1](obj)[2:-2].replace(
+            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        return f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{outer}]"
     values = obj.values() if is_dict else obj
     if any(isinstance(v, containers) for v in values):
         items = [_json_text(v, depth + 1) for v in values]
         if is_dict:  # a key as json renders it: the object {key: 0} less "{" and ": 0}"
             items = [f"{encode({key: 0})[1:-4]}: {item}" for key, item in zip(obj, items)]
-        text = ("{%s}" if is_dict else "[%s]") % (",\n" + "  " * depth).join(items)
+        body = (",\n" + inner).join(items)
     else:
-        text = encode(obj)
-    return text[0] + "\n" + "  " * depth + text[1:-1] + "\n" + "  " * (depth - 1) + text[-1]
+        body = encode(obj)[1:-1]
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}{body}\n{outer}{brackets[1]}"
 
 
 def _emit(text: str, out: str | None) -> None:
+    end = "" if text.endswith("\n") else "\n"  # print adds it: no copy of a long text
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        print(text, end=end)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     try:
@@ -82,7 +96,7 @@ def _emit(text: str, out: str | None) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            print(text, end=end, file=handle)
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)

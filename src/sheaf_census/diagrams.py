@@ -103,15 +103,15 @@ def _unchecked(rows: tuple[tuple[int, int, int], ...]) -> SignedYoungDiagram:
 def format_diagram(d: SignedYoungDiagram) -> str:
     """Canonical text form: groups `<length><sign>[^<mult>]`, e.g. `3- 1+^2`;
     a group carrying both signs prints as two tokens; empty prints as `0`."""
-    if d.is_empty:
-        return "0"
-    toks = []
-    for length, plus, minus in d.rows:
-        if plus:
-            toks.append(f"{length}+" + (f"^{plus}" if plus > 1 else ""))
-        if minus:
-            toks.append(f"{length}-" + (f"^{minus}" if minus > 1 else ""))
-    return " ".join(toks)
+    return " ".join(map(_group_text, d.rows)) if d.rows else "0"
+
+
+@lru_cache(maxsize=None)
+def _group_text(row: tuple[int, int, int]) -> str:
+    """One group's tokens, the + rows first: format_diagram joins them."""
+    length, plus, minus = row
+    return " ".join(f"{length}{sign}" + (f"^{mult}" if mult > 1 else "")
+                    for sign, mult in (("+", plus), ("-", minus)) if mult)
 
 
 _TOKEN = re.compile(r"^(\d+)([+-])(?:\^(\d+))?$")
@@ -383,12 +383,8 @@ def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:
 
 def mu_t(t: int) -> SignedYoungDiagram:
     """The uniform-sign staircase of odd lengths 2|t|-1, ..., 3, 1; empty at 0."""
-    if t == 0:
-        return SignedYoungDiagram()
-    sign_plus = t > 0
-    rows = tuple((length, 1 if sign_plus else 0, 0 if sign_plus else 1)
-                 for length in range(2 * abs(t) - 1, 0, -2))
-    return SignedYoungDiagram(rows)
+    signs = (1, 0) if t > 0 else (0, 1)
+    return SignedYoungDiagram(tuple((length, *signs) for length in range(2 * abs(t) - 1, 0, -2)))
 
 
 def diii_kappa1_bijection(d: SignedYoungDiagram) -> BiPartition:

@@ -1,9 +1,10 @@
 """Reference implementations kept only as test oracles.
 
 These are the generate-then-filter enumerators, every signed diagram of a
-size, the row-by-row Richardson and Lambda membership rules, the membership
-test the Richardson equal-signature set was once filtered by, the three separate
-partition generators that the library used before its enumerators built
+size, the token-by-token text form of a diagram, the row-by-row Richardson
+and Lambda membership rules, the membership test the Richardson
+equal-signature set was once filtered by, the three separate partition
+generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
 direct enumeration of sign characters on a class-2 Richardson orbit, the
 stratum support built through ``diagram()``'s merge, and the two bdi
@@ -109,6 +110,20 @@ def signed_diagrams(n):
         for pluses in itertools.product(*(range(mult + 1) for _, mult in groups)):
             yield SignedYoungDiagram(tuple((length, plus, mult - plus)
                                            for (length, mult), plus in zip(groups, pluses)))
+
+
+def format_diagram(d):
+    """The canonical text form built token by token: `<length><sign>[^<mult>]`
+    for each sign a group carries, + first; `0` for the empty diagram."""
+    if d.is_empty:
+        return "0"
+    toks = []
+    for length, plus, minus in d.rows:
+        if plus:
+            toks.append(f"{length}+" + (f"^{plus}" if plus > 1 else ""))
+        if minus:
+            toks.append(f"{length}-" + (f"^{minus}" if minus > 1 else ""))
+    return " ".join(toks)
 
 
 def in_lambda(d):

@@ -317,14 +317,34 @@ def test_per_pair_functions_refuse_a_negative_signature(fn, pair):
         fn(*pair)
 
 
-def test_censuses_classify_each_support_once(monkeypatch):
+def test_censuses_classify_no_support(monkeypatch):
+    # a support's class is read off its mu's: the k0 census and its total
+    # read the classes of the cached Richardson table, the k1 census
+    # classifies its staircase once
     p, q = 7, 6
     cs.census_bdi_k0(p, q)  # fills the cached Richardson table
+    cs.census_k0_total.cache_clear()
     calls = _count_classify(monkeypatch)
-    for census in (cs.census_bdi_k0, cs.census_bdi_k1):
-        del calls[:]
-        supports = {e.support.diagram for e in census(p, q).entries}
-        assert sorted(str(d) for (d,) in calls) == sorted(map(str, supports))
+    cs.census_bdi_k0(p, q)
+    cs.census_k0_total(p, q)
+    assert calls == []
+    cs.census_bdi_k1(p, q)
+    assert calls == [(dg.mu_t(p - q),)]
+
+
+def test_support_classes_match_classify():
+    # the class read off mu's against the support classified from its rows
+    for N in range(31):
+        for p in range(N + 1):
+            q, t = N - p, 2 * p - N
+            strata = [(m, k, mu, cls) for m, k, mu, cls, _, _ in cs._k0_strata(p, q)]
+            D = N - t * t
+            strata += [((D - 4 * k) // 2, k, dg.mu_t(t), dg.classify(dg.mu_t(t)))
+                       for k in range(D // 4 + 1)]
+            for m, k, mu, cls in strata:
+                assert cls == dg.classify(mu)
+                assert cs._support_class(m, mu, cls) == dg.classify(cs._support(m, k, mu)), \
+                    (p, q, m, k, str(mu))
 
 
 def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
@@ -380,11 +400,11 @@ def test_verify_walks_each_pair_once_and_then_not_at_all(monkeypatch):
                  for N in range(sweep + 1) for p in range(N + 1))
     for cache in (cs.census_k0_total, cs.census_diii_totals, cs.diii_closure_total):
         cache.cache_clear()
-    calls = _count_calls(monkeypatch, "_support", cs)
+    calls = _count_calls(monkeypatch, "_support_class", cs)
     first = run_suite(TOTAL_CHECKS, 12, sweep)
     assert all(r.passed for r in first)
     # number1-k0 and numbert-closure share one walk per pair, and the diii
-    # totals build no support at all
+    # totals read no support at all
     assert len(calls) == strata
     del calls[:]
     assert run_suite(TOTAL_CHECKS, 12, sweep) == first

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheaf_census import census, diagrams as dg, groups, verify
+from sheaf_census import census, cli, diagrams as dg, groups, verify
 from sheaf_census.cli import _json_text, main
 from sheaf_census.qseries import FormalSeries
 
@@ -493,3 +493,60 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
 @given(_JSON)
 def test_json_writer_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+# the text a row list's fast path re-indents: braces, the join it replaces,
+# quotes, newlines and non-ASCII
+_TRICKY = st.lists(st.sampled_from(["}", "{", "},\n  {", "},\n    {", '"', "\n", "é", "→"])
+                   | st.text(max_size=3), max_size=4).map("".join)
+_FLAT = st.dictionaries(_TRICKY | st.integers() | st.none(),
+                        st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY,
+                        min_size=1, max_size=4)
+# each puts its argument one indent deeper, beside siblings
+_WRAPS = st.sampled_from([lambda x: [x], lambda x: [0, x, "}"], lambda x: {"rows": x},
+                          lambda x: {"a": "{", "rows": x, "z": [{"b": 1}, {}]}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLAT, min_size=2, max_size=5), st.lists(_WRAPS, max_size=3))
+def test_json_writer_matches_json_dumps_on_row_lists(rows, wraps):
+    # lists of two or more flat nonempty dicts, their items at depths 1 to 4
+    obj = rows
+    for wrap in wraps:
+        obj = wrap(obj)
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_orbits_and_census_json_match_json_dumps(capsys):
+    for N in range(13):
+        for p in range(N + 1):
+            for argv in (["orbits", "bdi"], ["census", "bdi", "--check"]):
+                code, out, _ = run_cli(capsys, *argv, "--p", str(p), "--q", str(N - p))
+                assert code == 0
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", (argv, p, N - p)
+
+
+def _encode_calls(capsys, monkeypatch, *argv) -> int:
+    """The number of encode() calls the JSON writer makes for one command."""
+    calls = []
+
+    def counted(depth):
+        encode = json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+        return lambda obj: calls.append(depth) or encode(obj)
+    monkeypatch.setattr(cli, "_encoders", {depth: counted(depth) for depth in range(1, 9)})
+    assert run_cli(capsys, *argv)[0] == 0
+    return len(calls)
+
+
+def test_row_lists_take_one_encode_each(capsys, monkeypatch):
+    # orbit rows and census strata are encoded as whole lists: as many
+    # encode() calls for 90 orbit rows as for 8
+    orbits = ["orbits", "bdi", "--p", "6", "--q", "6"]
+    census_check = ["census", "bdi", "--p", "6", "--q", "6", "--check"]
+    rows = [len(run_json(capsys, *orbits[:2], "--p", p, "--q", q)[1]["payload"]["orbits"])
+            for p, q in (("6", "6"), ("3", "2"))]
+    assert rows == [90, 8]
+    for argv in (orbits, census_check):
+        small = argv[:2] + ["--p", "3", "--q", "2"] + argv[6:]
+        assert _encode_calls(capsys, monkeypatch, *argv) == \
+            _encode_calls(capsys, monkeypatch, *small) < 40

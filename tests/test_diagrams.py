@@ -11,6 +11,15 @@ from sheaf_census import diagrams as dg
 from sheaf_census.partitions import count_bipartitions, enum_partitions
 
 
+def test_format_diagram_matches_the_token_oracle():
+    # the text joined from memoised group texts against the token-by-token rule
+    diagrams = [d for n in range(15) for d in oracles.signed_diagrams(n)]
+    assert len(diagrams) > 7000
+    for d in diagrams + [dg.SignedYoungDiagram()]:
+        assert dg.format_diagram(d) == oracles.format_diagram(d), d.rows
+    assert dg.format_diagram(dg.SignedYoungDiagram()) == "0"
+
+
 def brute_sigma(p, q):
     """Oracle: assign signs row by row over raw partitions and regroup."""
     out = set()

@@ -13,13 +13,14 @@ from sheaf_census import census, diagrams as dg, groups, partitions, qseries, ve
 
 
 def _pairs(text: str) -> frozenset:
-    return frozenset(tuple(map(int, pair.split(","))) for pair in text.split())
+    """The bdi pairs ("bdi", p, q) of a text of "p,q" items."""
+    return frozenset(("bdi", *map(int, pair.split(","))) for pair in text.split())
 
 
 # the census --check sweep: bdi p, q <= 8 and diii n <= 8, every central and subset
-BDI = frozenset((p, q) for p in range(9) for q in range(9))
+BDI = frozenset(("bdi", p, q) for p in range(9) for q in range(9))
 DIII = range(9)
-NEAR_SPLIT = frozenset((p, q) for p, q in BDI if abs(p - q) == 1)
+NEAR_SPLIT = frozenset(pair for pair in BDI if abs(pair[1] - pair[2]) == 1)
 STAIRCASE = _pairs("0,0 0,1 1,0 1,3 3,1 3,6 6,3")  # p + q = (p - q)^2
 # the bdi k1 "all" cells that both eta mutants reach
 ETA_ALL = _pairs("2,3 3,2 3,5 4,4 4,5 5,3 5,4 5,7 5,8 6,6 6,7 7,5 7,6 8,5 8,8")
@@ -36,7 +37,7 @@ def _kappa1_plus_one(real):
 
 
 # name: (modules holding the helper, its name, mutant of the real helper,
-#        failing checks, failing bdi cells by (central, subset))
+#        failing checks, failing pairs ("bdi", p, q) or ("diii", n) by (central, subset))
 ROWS = {
     "repeated-true": ((dg,), "_ab", lambda real: lambda rows: (*real(rows)[:2], True),
                       {"kappa1-orbit-sum", "nilcoro-k1"},
@@ -53,7 +54,7 @@ ROWS = {
                      {"lemma-n1", "lemma-n1-2var", "number1-k0"}, {}),
     "eta+1-at-m2": ((groups, census), "eta", lambda real: lambda m, t: real(m, t) + (m == 2),
                     {"kappa1-orbit-sum", "number1-k1"},
-                    {("k1", "all"): ETA_ALL | {(2, 2)}}),
+                    {("k1", "all"): ETA_ALL | _pairs("2,2")}),
     # where an m = 0 stratum's support carries 4 or 2 orbits, the census
     # cannot share eta(0, t) + 1 evenly among them: its k1 report fails to
     # build, and every subset there fails
@@ -68,7 +69,7 @@ ROWS = {
                         lambda real: lambda variant, n: real(variant, n) * (1 + (n == 3)),
                         {"coro-cuspidal-k0", "fn-ind2-D", "fn-split-D", "fn1B", "fn1D", "fn2B",
                          "number1-k0", "numbert-closure"},
-                        {("k0", "all"): {(p, q) for p, q in BDI
+                        {("k0", "all"): {(f, p, q) for f, p, q in BDI
                                          if min(p, q) >= 3 and (p % 2 or q % 2)}}),
     "hecke+1-at-4": ((census,), "hecke_count",
                      lambda real: lambda family, n: real(family, n) + (n == 4),
@@ -76,6 +77,14 @@ ROWS = {
                       "numbert-closure"},
                      {("k0", "all"): _pairs("4,4 4,5 4,7 5,4 5,5 5,6 5,8 6,5 6,6 6,7 7,4 7,6 "
                                             "7,7 7,8 8,5 8,7 8,8")}),
+    # the census's k1 strata at k = 2 (N - t^2 >= 8) and its diii n = 4 k1
+    # stratum read it; the diii k1 route counts all-even diagrams
+    "bipartitions+1-at-2": ((census,), "count_bipartitions",
+                            lambda real: lambda x: real(x) + (x == 2),
+                            {"diii-k1-bijection", "number1-k1"},
+                            {("k1", "all"): {(f, p, q) for f, p, q in BDI
+                                             if p + q - (p - q) ** 2 >= 8} | {("diii", 4)},
+                             ("k1", "full"): {("diii", 4)}}),
     # sigma's row options feed no census route
     "sigma-rows-drop-last": ((dg,), "_sigma_rows",
                              lambda real: lambda length, mult: real(length, mult)[:-1],
@@ -88,7 +97,8 @@ ROWS = {
               ("k0", "cuspidal"): NEAR_SPLIT,
               ("k0", "full"): NEAR_SPLIT,
               # no Richardson stratum at m = 0 when p and q are both odd
-              ("k0", "nilpotent"): {(p, q) for p, q in BDI if (p + q) and (p * q) % 2 == 0}}),
+              ("k0", "nilpotent"): {(f, p, q) for f, p, q in BDI
+                                    if (p + q) and (p * q) % 2 == 0}}),
 }
 
 
@@ -102,7 +112,7 @@ def _caches() -> list:
 def _reports():
     """(pair..., central) and a thunk building that report, for each report
     of the census --check sweep."""
-    for p, q in sorted(BDI):
+    for _, p, q in sorted(BDI):
         yield ("bdi", p, q, "k0"), lambda p=p, q=q: census.census_bdi_k0(p, q)
         yield ("bdi", p, q, "k1"), lambda p=p, q=q: census.census_bdi_k1(p, q)
     for n in DIII:
@@ -141,6 +151,6 @@ def test_route_mutation_matrix(row, monkeypatch, request):
         request.addfinalizer(cache.cache_clear)
     failed = {check.id for check in verify.run_suite("all", *SUITE) if not check.passed}
     assert failed == checks
-    assert _failing_cells() == {("bdi", p, q, central, subset)
+    assert _failing_cells() == {(*pair, central, subset)
                                 for (central, subset), pairs in cells.items()
-                                for p, q in pairs}
+                                for pair in pairs}
