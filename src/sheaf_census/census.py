@@ -40,11 +40,12 @@ from .diagrams import (
     diagram,
     enum_lambda,
     enum_lambda_b,
-    enum_sigma_b,
+    enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
     format_diagram,
     in_sigma,
     mu_t,
-    sigma_classes,
+    sigma_b_listing,
+    sigma_class_counts,
 )
 from .groups import _kappa1_data, _pi_size, eta, kappa1_data_BDI
 from .partitions import (
@@ -265,9 +266,9 @@ def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, cls: DiagramClass, co
 @lru_cache(maxsize=None)
 def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, DiagramClass, int], ...]:
     """(mu, classify(mu), pi_size(mu)) for every Richardson diagram of
-    signature (p, q), each invariant computed once."""
-    classified = ((mu, classify(mu)) for mu in enum_sigma_b(p, q))
-    return tuple((mu, cls, _pi_size(mu, cls)) for mu, cls in classified)
+    signature (p, q), each invariant computed once: the class comes with
+    the listing."""
+    return tuple((mu, cls, _pi_size(mu, cls)) for mu, cls in zip(*sigma_b_listing(p, q)))
 
 
 def _k0_strata(p: int, q: int):
@@ -427,6 +428,25 @@ def _tb1_series(t: int, order: int) -> qseries.FormalSeries:
     return s.scale(Fraction(1, 2)) if t == 0 else s.mul_binomial(1, t, -1)
 
 
+def _split_sum(order: int, odd_side: bool, scalar) -> qseries.FormalSeries:
+    """scalar prod (1+x^(2s-1))^2 (1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)
+    on the odd side; 2s and 4s replace 2s-1 and 4s-2 on the even side."""
+    off = 1 if odd_side else 0
+    return (qseries.prod_series(order, (1, 2, -off, 2), (1, 1, 0, 2), scalar=scalar)
+            + qseries.prod_series(order, (1, 4, -2 * off, 1), (1, 2, 0, 1),
+                                  scalar=Fraction(3, 2)))
+
+
+def _split_series(order: int, odd_m: bool) -> qseries.FormalSeries:
+    """x prod (1+x^4s)^4 (1+x^2s)^4 for odd m, else (1/4) prod (1+x^(4s-2))^4
+    (1+x^2s)^4 + (3/2) prod (1+x^(4s-2))(1+x^2s): the closed cuspidal k0
+    count of the split pair (m, m) is its x^m coefficient."""
+    if odd_m:
+        return qseries.prod_series(order, (1, 4, 0, 4), (1, 2, 0, 4), shift=1)
+    return (qseries.prod_series(order, (1, 4, -2, 4), (1, 2, 0, 4), scalar=Fraction(1, 4))
+            + qseries.prod_series(order, (1, 4, -2, 1), (1, 2, 0, 1), scalar=Fraction(3, 2)))
+
+
 def _nilcoro_series(t: int, order: int) -> qseries.FormalSeries:
     """(1/2) _tb1_series(t) + (3/2) (1+x^t)/(1+x^2t) prod (1+x^(4s-2))/(1-x^2s)^2
     for odd t, with 1+x^4s in place of 1+x^(4s-2) for even t: the closed
@@ -496,19 +516,19 @@ def aggregate_T(N: int) -> tuple[int, int]:
 
 def kappa0_orbit_sum(p: int, q: int) -> int:
     """Third route for the trivial character: orbits weighted by their
-    component-group character counts."""
-    return sum(c.orbits * 2 ** c.r for c in sigma_classes(p, q))
+    component-group character counts, over the class counts of sigma."""
+    return sum(c.orbits * 2 ** c.r * n for c, n in sigma_class_counts(p, q))
 
 
 def kappa1_orbit_sum(p: int, q: int) -> int:
     """Third route for the nontrivial character, via the case table for the
     double cover's component groups."""
-    return sum(c.orbits * _kappa1_data(c, p, q).count for c in sigma_classes(p, q))
+    return sum(c.orbits * _kappa1_data(c, p, q).count * n for c, n in sigma_class_counts(p, q))
 
 
 def sigma23_r_sum(p: int, q: int) -> int:
     """Sum of 2^r over the class-2 and class-3 diagrams of the pair."""
-    return sum(2 ** c.r for c in sigma_classes(p, q) if c.index in (2, 3))
+    return sum(2 ** c.r * n for c, n in sigma_class_counts(p, q) if c.index in (2, 3))
 
 
 @lru_cache(maxsize=None)
@@ -530,18 +550,25 @@ _NO_STRATUM = (lambda e: False, lambda: 0)
 
 def _bdi_rules(p: int, q: int) -> dict:
     """The sub-census rules of the pair (p, q), keyed by (central, subset)."""
-    t, D = p - q, p + q - (p - q) ** 2
+    t, D, m = p - q, p + q - (p - q) ** 2, min(p, q)
     # the one full-support stratum k = 0, m = D/2, on split pairs only
     full = lambda e: abs(t) <= 1 and e.k == 0 and e.m == D // 2
-    # the split theta (as in the census) times the orbits over 1+^p 1-^q
-    split_k0 = lambda: cuspidal_counts(p, q)[0] * classify(diagram((1, p, q))).orbits
+    def split_k0():
+        # coro-cuspidal-k0: the near-split (|t| = 1) or the odd or even split
+        # (t = 0) series at x^m, times the orbits over 1+^p 1-^q; the series
+        # start at m = 1, so p + q <= 1 reads the census's split theta
+        if abs(t) > 1:
+            return 0
+        series = _split_sum(m, False, Fraction(1, 2)) if t else _split_series(m, m % 2 == 1)
+        theta = _as_count(series.coeff(m), p, q) if m else cuspidal_counts(p, q)[0]
+        return theta * classify(diagram((1, p, q))).orbits
     # coro-cuspidal-k1: eta(D/2, t) times the x^(D/2) coefficient of prod (1+x^s);
-    # the census reads eta too, taken on trust here: kappa1-orbit-sum checks it
+    # the census reads eta too, the one input taken on trust here:
+    # kappa1-orbit-sum checks it
     coro_k1 = lambda: (eta(D // 2, t) * int(qseries.prod_series(D // 2, (1, 1, 0, 1)).coeff(D // 2))
                        if D >= 0 else 0)
-    # the nilcoro series at x^min(p, q); 0 at p = q = 0, where it starts at 7/4
-    nilcoro_k0 = lambda: (_as_count(_nilcoro_series(abs(t), min(p, q)).coeff(min(p, q)), p, q)
-                          if p + q else 0)
+    # the nilcoro series at x^m; 0 at p = q = 0, where it starts at 7/4
+    nilcoro_k0 = lambda: _as_count(_nilcoro_series(abs(t), m).coeff(m), p, q) if p + q else 0
     # nilcoro-k1: the orbits over the staircase times their kappa1 count
     staircase_k1 = lambda: (classify(mu_t(t)).orbits * kappa1_data_BDI(mu_t(t)).count
                             if D == 0 else 0)

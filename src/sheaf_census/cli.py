@@ -133,35 +133,37 @@ def _require(args: argparse.Namespace, *flags: str) -> None:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    rows = []
+    listed = []  # (diagram text, its deltas, its cells past "delta" by header)
     if args.family == "bdi":
         _require(args, "p", "q")
-        if args.richardson:
-            members = diagrams.enum_sigma_b(args.p, args.q)
-            classes = map(diagrams.classify, members)
-        else:
-            members = diagrams.enum_sigma(args.p, args.q)
-            classes = diagrams.sigma_classes(args.p, args.q)
-        for d, cls in zip(members, classes):
+        listing = diagrams.sigma_b_listing if args.richardson else diagrams.sigma_listing
+        tails: dict = {}  # id of a listed class -> its cells, built once per class
+        for d, cls in zip(*listing(args.p, args.q)):
             if args.orbit_class and cls.index != int(args.orbit_class[-1]):
                 continue
-            text = str(d)
-            row = [cls.a, cls.b, cls.r, f"sigma{cls.index}", 2 ** cls.r,
-                   groups._kappa1_data(cls, args.p, args.q).count]
-            for delta in (None,) if args.richardson else cls.deltas:
-                rows.append([text, delta, *row])
+            if id(cls) not in tails:
+                tails[id(cls)] = {"a": cls.a, "b": cls.b, "r": cls.r, "class": f"sigma{cls.index}",
+                                  "k0_irreps": 2 ** cls.r,
+                                  "k1_irreps": groups._kappa1_data(cls, args.p, args.q).count}
+            listed.append((diagrams.format_diagram(d), (None,) if args.richardson else cls.deltas,
+                           tails[id(cls)]))
     else:
         _require(args, "n")
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
-        for d in members:
-            k1 = groups.kappa1_data_DIII(d).count
-            rows.append([str(d), None, None, None, 0, "lambda", 1, k1])
+        listed = [(diagrams.format_diagram(d), (None,),
+                   {"a": None, "b": None, "r": 0, "class": "lambda", "k0_irreps": 1,
+                    "k1_irreps": groups.kappa1_data_DIII(d).count}) for d in members]
 
+    # each row in the one shape its format prints: a dict for json, a list otherwise
+    if args.format == "json":
+        rows = [{"diagram": text, "delta": delta, **tail}
+                for text, deltas, tail in listed for delta in deltas]
+    else:
+        rows = [[text, delta, *tail.values()] for text, deltas, tail in listed for delta in deltas]
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
-    payload = {"orbits": [dict(zip(headers, row)) for row in rows]}
-    return _finish(args, payload, [], headers, rows)
+    return _finish(args, {"orbits": rows}, [], headers, rows)
 
 
 # ---------------------------------------------------------------------------

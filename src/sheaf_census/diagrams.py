@@ -22,13 +22,15 @@ Every enumerator builds exactly its set from the one partition generator,
 which yields each partition grouped as (length, multiplicity) pairs (the
 partitions of p+q whose even parts have even multiplicity, the odd
 partitions of p+q, the partitions of n with every multiplicity doubled), and
-assigns only admissible signs to each group. Four per-size tables are cached:
-``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed group by
-group as signs are chosen; the sigma class table, the same walk carrying
-(p, a, b, repeated) in place of rows, which ``sigma_classes`` reads without
-building a diagram; and ``enum_lambda_b``'s. Enumerator output skips the
-checks (valid by construction). ``is_sigma_b`` and ``in_lambda`` ask the same
-row rules.
+assigns only admissible signs to each group. Three per-size tables are
+cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
+group by group as signs are chosen, each diagram next to its class (read by
+``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
+output skips the checks (valid by construction). ``is_sigma_b`` and
+``in_lambda`` ask the same row rules. ``sigma_class_counts`` counts sigma's
+classes without listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over
+``_sigma_rows``' options, with the census's class rule ``_class_of`` and
+nothing from the formula route.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -36,11 +38,12 @@ parser and ``join`` both build through it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .partitions import BiPartition, Partition, _gen_partitions
+from .partitions import BiPartition, Partition, _gen_partitions, count_partitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,12 +242,15 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]
 
 def _by_signature(n: int, partitions, signings) -> dict:
     """The diagrams of every (rows, p) in signings(groups), over the grouped
-    partitions, keyed by signature (p, n - p) in generator order."""
-    table: dict[tuple[int, int], list[SignedYoungDiagram]] = {}
+    partitions, keyed by signature (p, n - p) in generator order, and their
+    classes: {signature: (diagrams, classes)}."""
+    table: dict[tuple[int, int], tuple[list, list]] = {}
     for groups in partitions:
         for rows, p in signings(groups):
-            table.setdefault((p, n - p), []).append(_unchecked(rows))
-    return {sig: tuple(ds) for sig, ds in table.items()}
+            diagrams, classes = table.setdefault((p, n - p), ([], []))
+            diagrams.append(_unchecked(rows))
+            classes.append(_class_of(*_ab(rows)))
+    return {sig: (tuple(ds), tuple(cs)) for sig, (ds, cs) in table.items()}
 
 
 def _sigma_signings(groups) -> list[tuple[tuple, int]]:
@@ -265,34 +271,50 @@ def _size(p: int, q: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _sigma_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
+def _sigma_by_signature(n: int) -> dict:
     return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
+
+
+def sigma_listing(p: int, q: int) -> tuple[tuple, tuple]:
+    """enum_sigma(p, q) and the class of each of its diagrams, in order."""
+    return _sigma_by_signature(_size(p, q)).get((p, q), ((), ()))
 
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     """All diagrams of the orthogonal set with signature (p, q)."""
-    return list(_sigma_by_signature(_size(p, q)).get((p, q), ()))
+    return list(sigma_listing(p, q)[0])
 
 
 @lru_cache(maxsize=64)
-def _sigma_class_table(n: int) -> dict[tuple[int, int], tuple[DiagramClass, ...]]:
-    """_sigma_by_signature(n)'s classes, keyed and ordered alike: its walk,
-    carrying (p, a, b, repeated)."""
-    table: dict[tuple[int, int], list[DiagramClass]] = {}
-    for groups in _gen_partitions(n, n, paired=True):
-        out = [(0, 0, 0, False)]
-        for length, mult in groups:
-            options = [(dp, *_ab((row,))) for row, dp in _sigma_rows(length, mult)]
-            out = [(p + dp, a + da, b + db, rep or drep)
-                   for p, a, b, rep in out for dp, da, db, drep in options]
-        for p, a, b, rep in out:
-            table.setdefault((p, n - p), []).append(_class_of(a, b, rep))
-    return {sig: tuple(cs) for sig, cs in table.items()}
+def _class_counts_by_signature(n: int) -> dict:
+    """sigma_class_counts of size n by signature: (boxes, p, a, b, repeated)
+    -> ways over the odd lengths, each in every signing _sigma_rows gives it;
+    even lengths add nothing to a class, so they fold in as p(m) ways at 4m
+    boxes, 2m of them plus."""
+    ways = {(0, 0, 0, 0, False): 1}
+    for length in range(1, n + 1, 2):
+        options = [(length * mult, dp, *_ab((row,)))
+                   for mult in range(1, n // length + 1) for row, dp in _sigma_rows(length, mult)]
+        step = dict(ways)  # the length left out
+        for (boxes, p, a, b, rep), w in ways.items():
+            for dn, dp, da, db, drep in options:
+                if boxes + dn > n:
+                    break
+                key = (boxes + dn, p + dp, a + da, b + db, rep or drep)
+                step[key] = step.get(key, 0) + w
+        ways = step
+    table: dict[tuple[int, int], Counter] = {}
+    for (boxes, p, a, b, rep), w in ways.items():
+        m, rest = divmod(n - boxes, 4)
+        if not rest:
+            counts = table.setdefault((p + 2 * m, n - p - 2 * m), Counter())
+            counts[_class_of(a, b, rep)] += w * count_partitions(m)
+    return {sig: tuple(counts.items()) for sig, counts in table.items()}
 
 
-def sigma_classes(p: int, q: int) -> tuple[DiagramClass, ...]:
-    """classify(d) for every d of enum_sigma(p, q), in order, without building a diagram."""
-    return _sigma_class_table(_size(p, q)).get((p, q), ())
+def sigma_class_counts(p: int, q: int) -> tuple[tuple[DiagramClass, int], ...]:
+    """(class, multiplicity) over enum_sigma(p, q), without listing it."""
+    return _class_counts_by_signature(_size(p, q)).get((p, q), ())
 
 
 def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
@@ -325,15 +347,20 @@ def is_sigma_b(d: SignedYoungDiagram) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _sigma_b_by_signature(n: int) -> dict[tuple[int, int], tuple[SignedYoungDiagram, ...]]:
+def _sigma_b_by_signature(n: int) -> dict:
     # the empty diagram (n = 0) is not Richardson
     return _by_signature(n, _gen_partitions(n, n, odd=True) if n else (),
                          lambda groups: _richardson_signings(groups, n % 2))
 
 
+def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple]:
+    """enum_sigma_b(p, q) and the class of each of its diagrams, in order."""
+    return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), ()))
+
+
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     """Members of the Richardson subset with signature (p, q)."""
-    return list(_sigma_b_by_signature(_size(p, q)).get((p, q), ()))
+    return list(sigma_b_listing(p, q)[0])
 
 
 def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:

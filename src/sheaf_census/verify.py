@@ -128,14 +128,6 @@ def _half_cells(count, rhs: FormalSeries, odd: bool):
         yield f"x^{n}", Fraction(_total(count, 2 * n + odd)), rhs.coeff(n)
 
 
-def _split_sum(order: int, odd_side: bool, scalar) -> FormalSeries:
-    """scalar prod (1+x^(2s-1))^2 (1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)
-    on the odd side; 2s and 4s replace 2s-1 and 4s-2 on the even side."""
-    off = 1 if odd_side else 0
-    return (prod_series(order, (1, 2, -off, 2), (1, 1, 0, 2), scalar=scalar)
-            + prod_series(order, (1, 4, -2 * off, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
-
-
 def _class2_count(p: int, q: int) -> int:
     return census.richardson_pi_sums(p, q)[1]
 
@@ -378,21 +370,21 @@ def _fn1D(order: int, sweep: int):
         "(1+x^s)^2 + (3/2) prod (1+x^4s)(1+x^2s); constants differ by the "
         "boundary convention")
 def _fn2B(order: int, sweep: int):
-    return _fn_cells("split-B", _split_sum(min(order, 30), False, HALF), 1)
+    return _fn_cells("split-B", census._split_sum(min(order, 30), False, HALF), 1)
 
 
 @_check("fn-split-D",
         "split counts (D side) match (1/4) prod (1+x^(2s-1))^2 (1+x^s)^2 + "
         "(3/2) prod (1+x^(4s-2))(1+x^2s) away from the half-constant boundary")
 def _fn_split_D(order: int, sweep: int):
-    return _fn_cells("split-D", _split_sum(min(order, 30), True, QUARTER), 1)
+    return _fn_cells("split-D", census._split_sum(min(order, 30), True, QUARTER), 1)
 
 
 @_check("fn-ind2-D",
         "induced class-2 counts (D side) match (1/2) prod (1+x^(2s-1))^2 "
         "(1+x^s)^2 + (3/2) prod (1+x^(4s-2))(1+x^2s)")
 def _fn_ind2_D(order: int, sweep: int):
-    return _fn_cells("ind2-D", _split_sum(min(order, 30), True, HALF), 1)
+    return _fn_cells("ind2-D", census._split_sum(min(order, 30), True, HALF), 1)
 
 
 @_check("coro-cuspidal-k0",
@@ -400,10 +392,8 @@ def _fn_ind2_D(order: int, sweep: int):
         "closed series (near-split, odd split, even split)")
 def _coro_cuspidal_k0(order: int, sweep: int):
     n = min(order, 30)
-    near = _split_sum(n, False, HALF)
-    odd = prod_series(n, (1, 4, 0, 4), (1, 2, 0, 4), shift=1)
-    even = (prod_series(n, (1, 4, -2, 4), (1, 2, 0, 4), scalar=QUARTER)
-            + prod_series(n, (1, 4, -2, 1), (1, 2, 0, 1), scalar=THREE_HALVES))
+    near = census._split_sum(n, False, HALF)
+    odd, even = census._split_series(n, True), census._split_series(n, False)
     def cells():
         for m in range(1, n + 1):
             yield (f"near-split m={m}",

@@ -8,8 +8,9 @@ generators that the library used before its enumerators built
 their sets directly, the per-row gap-weighted odd-partition sum, and the
 direct enumeration of sign characters on a class-2 Richardson orbit, the
 stratum support built through ``diagram()``'s merge, and the two bdi
-censuses with their orbit decorations branched out by hand, and the kappa1
-orbit sum over the listed diagrams with its row-by-row repeated-sign rule. They
+censuses with their orbit decorations branched out by hand, and the three
+orbit sums over the listed diagrams, the kappa1 sum with its row-by-row
+repeated-sign rule. They
 walk a superset and filter it, or count row by row, which is slow but easy
 to trust, and they must not change: the differential tests compare the
 library against them list for list, order included.
@@ -315,3 +316,14 @@ def kappa1_orbit_sum(p, q):
         cls = classify(d)
         total += cls.orbits * groups._kappa1_data(cls, p, q).count
     return total
+
+
+def kappa0_orbit_sum(p, q):
+    """The kappa0 orbit sum over every listed diagram of enum_sigma(p, q)."""
+    return sum(classify(d).orbits * 2 ** classify(d).r for d in diagrams.enum_sigma(p, q))
+
+
+def sigma23_r_sum(p, q):
+    """Sum of 2^r over every listed class-2 and class-3 diagram of enum_sigma(p, q)."""
+    return sum(2 ** classify(d).r for d in diagrams.enum_sigma(p, q)
+               if classify(d).index in (2, 3))

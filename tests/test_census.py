@@ -8,6 +8,7 @@ import enum_oracles as oracles
 from sheaf_census import census as cs
 from sheaf_census import diagrams as dg
 from sheaf_census import groups as gp
+from sheaf_census import partitions
 from sheaf_census.partitions import count_bipartitions, count_partitions
 from sheaf_census.verify import run_suite
 
@@ -241,13 +242,14 @@ def test_orbit_label_validation():
     cs.OrbitLabel(dg.parse_diagram("5+"), "II")
 
 
-def test_cross_route_sweep_25_to_32():
+def test_cross_route_sweep_25_to_40():
     # beyond the acceptance sweep (p+q <= 24): census, closed formula and
-    # component-group orbit sum agree for every pair with 25 <= p+q <= 32
-    for total in range(25, 33):
+    # component-group orbit sum agree for every pair with 25 <= p+q <= 40;
+    # past 32 the k0 census is its count-only total, not the full report
+    for total in range(25, 41):
         for p in range(total + 1):
             q = total - p
-            k0 = cs.census_bdi_k0(p, q).total
+            k0 = cs.census_bdi_k0(p, q).total if total <= 32 else cs.census_k0_total(p, q)
             assert k0 == cs.count_formula_k0(p, q) == cs.kappa0_orbit_sum(p, q), (p, q)
             assert cs.census_bdi_k1(p, q).total == cs.count_formula_k1(p, q), (p, q)
 
@@ -258,9 +260,9 @@ def _count_calls(monkeypatch, name, *modules):
     calls = []
     real = getattr(modules[0], name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
@@ -271,36 +273,53 @@ def _count_classify(monkeypatch):
     return _count_calls(monkeypatch, "classify", dg, gp, cs)
 
 
+ORBIT_SUMS = (cs.kappa0_orbit_sum, cs.kappa1_orbit_sum, cs.sigma23_r_sum)
+
+
+def _count_listing(monkeypatch):
+    """Count the diagrams built and the partition walks started."""
+    return (_count_calls(monkeypatch, "_unchecked", dg, cs),
+            _count_calls(monkeypatch, "_gen_partitions", dg, partitions))
+
+
 def test_orbit_sums_classify_no_diagram(monkeypatch):
-    # the orbit sums read their classes off the class table's walk
-    dg._sigma_class_table.cache_clear()
+    # the orbit sums read the class-count DP: no diagram to classify
+    dg._class_counts_by_signature.cache_clear()
     calls = _count_classify(monkeypatch)
+    built, walks = _count_listing(monkeypatch)
     p, q = 7, 6
-    first = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
+    first = tuple(orbit_sum(p, q) for orbit_sum in ORBIT_SUMS)
     for _ in range(3):
-        again = (cs.kappa0_orbit_sum(p, q), cs.kappa1_orbit_sum(p, q), cs.sigma23_r_sum(p, q))
-        assert again == first
-    assert calls == []
+        assert tuple(orbit_sum(p, q) for orbit_sum in ORBIT_SUMS) == first
+    assert calls == built == walks == []
 
 
 def test_sigma_classes_build_no_diagram(monkeypatch):
-    dg._sigma_class_table.cache_clear()
+    dg._class_counts_by_signature.cache_clear()
     dg._sigma_by_signature.cache_clear()
-    built = _count_calls(monkeypatch, "_unchecked", dg, cs)
-    classes = dg.sigma_classes(14, 14)
-    assert built == []
-    # the kappa1 orbit sum reads the repeated-sign fact off the classes too
-    dg._sigma_class_table.cache_clear()
-    assert cs.kappa1_orbit_sum(14, 14) > 0
-    assert built == []
-    assert len(classes) == len(dg.enum_sigma(14, 14)) > 0
+    built, walks = _count_listing(monkeypatch)
+    counts = dg.sigma_class_counts(14, 14)
+    assert all(orbit_sum(14, 14) > 0 for orbit_sum in ORBIT_SUMS)
+    assert built == walks == []
+    assert sum(n for _, n in counts) == len(dg.enum_sigma(14, 14)) > 0
 
 
-def test_kappa1_orbit_sum_matches_the_listing_oracle():
+def test_orbit_sums_match_the_listing_oracles():
     for total in range(23):
         for p in range(total + 1):
             q = total - p
-            assert cs.kappa1_orbit_sum(p, q) == oracles.kappa1_orbit_sum(p, q), (p, q)
+            for orbit_sum in ORBIT_SUMS:
+                oracle = getattr(oracles, orbit_sum.__name__)
+                assert orbit_sum(p, q) == oracle(p, q), (orbit_sum.__name__, p, q)
+
+
+@pytest.mark.parametrize("total", [40, 50, 60, 70])
+def test_orbit_sums_agree_with_the_formulas_deep(total):
+    # one DP per size reaches where listing sigma would take minutes
+    for p in range(total + 1):
+        q = total - p
+        assert cs.kappa0_orbit_sum(p, q) == cs.count_formula_k0(p, q), (p, q)
+        assert cs.kappa1_orbit_sum(p, q) == cs.count_formula_k1(p, q), (p, q)
 
 
 # every public per-pair function of census, each refusing a negative entry

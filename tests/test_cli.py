@@ -473,11 +473,11 @@ def test_the_integrality_guard_fails_its_checks_alone(capsys, monkeypatch):
 
 def test_a_class_3_diagram_of_odd_size_is_an_internal_error(capsys, monkeypatch, refill):
     # _kappa1_data's guard exits 1 like the others; the mutant class reaches
-    # orbits through the class table, whose walk reads _class_of
+    # orbits through the sigma listing, which reads _class_of as it is built
     real = dg._class_of
     monkeypatch.setattr(dg, "_class_of", lambda a, b, repeated: (
         dg.DiagramClass(a, b, 3, 0) if a + b == 1 else real(a, b, repeated)))
-    refill(dg._sigma_class_table)
+    refill(dg._sigma_by_signature)
     code, out, err = run_cli(capsys, "orbits", "bdi", "--p", "1", "--q", "0")
     assert (code, out) == (1, "")
     assert err == "sheaf-census: class 3 cannot occur for odd total size\n"

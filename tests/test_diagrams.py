@@ -2,6 +2,7 @@
 invariants (sign swap, parity of the invariants, staircase signatures)."""
 import itertools
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,12 +282,15 @@ def test_diagram_validation():
 
 
 def test_sigma_classes_match_classify():
+    # the class-count DP against the classes of the listed diagrams
     for total in range(27):
         for p in range(total + 1):
             q = total - p
-            assert dg.sigma_classes(p, q) == tuple(map(dg.classify, dg.enum_sigma(p, q))), (p, q)
+            counts = dg.sigma_class_counts(p, q)
+            assert all(n > 0 for _, n in counts), (p, q)
+            assert dict(counts) == Counter(map(dg.classify, dg.enum_sigma(p, q))), (p, q)
     with pytest.raises(ValueError):
-        dg.sigma_classes(-1, 3)
+        dg.sigma_class_counts(-1, 3)
 
 
 def test_classes_are_shared_and_carry_their_orbits():
@@ -330,16 +334,16 @@ def test_slotted_diagram_pickles():
 
 
 def test_table_keys_are_signatures():
-    # the table builders carry p group by group instead of calling signature()
+    # the table builders carry p group by group instead of calling signature(),
+    # and list each diagram's class next to it
     for n in range(25):
         for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
-            for sig, ds in table.items():
+            for sig, (ds, classes) in table.items():
                 assert all(d.signature() == sig for d in ds), (n, sig)
-        # the class walk keys its table alike, one class per diagram
-        sigma = dg._sigma_by_signature(n)
-        classes = dg._sigma_class_table(n)
-        assert classes.keys() == sigma.keys(), n
-        assert all(len(classes[sig]) == len(ds) for sig, ds in sigma.items()), n
+                assert classes == tuple(map(dg.classify, ds)), (n, sig)
+    assert dg.sigma_listing(3, 2) == dg._sigma_by_signature(5)[3, 2]
+    assert dg.sigma_b_listing(3, 2) == dg._sigma_b_by_signature(5)[3, 2]
+    assert dg.sigma_b_listing(0, 0) == ((), ())
 
 
 def test_enum_lambda_b_returns_a_fresh_list():

@@ -21,6 +21,8 @@ def _pairs(text: str) -> frozenset:
 BDI = frozenset(("bdi", p, q) for p in range(9) for q in range(9))
 DIII = range(9)
 NEAR_SPLIT = frozenset(pair for pair in BDI if abs(pair[1] - pair[2]) == 1)
+# the split and near-split pairs from m = min(p, q) = 4 on
+SPLIT_FROM_4 = frozenset((f, p, q) for f, p, q in BDI if abs(p - q) <= 1 and min(p, q) >= 4)
 STAIRCASE = _pairs("0,0 0,1 1,0 1,3 3,1 3,6 6,3")  # p + q = (p - q)^2
 # the bdi k1 "all" cells that both eta mutants reach
 ETA_ALL = _pairs("2,3 3,2 3,5 4,4 4,5 5,3 5,4 5,7 5,8 6,6 6,7 7,5 7,6 8,5 8,8")
@@ -64,19 +66,24 @@ ROWS = {
                      ("k1", "cuspidal"): UNEVEN,
                      ("k1", "full"): UNEVEN,
                      ("k1", "nilpotent"): UNEVEN | _pairs("1,3 3,1 3,6 6,3")}),
-    # k0 cuspidal and full expect the census's own split theta
+    # k0 cuspidal and full read the closed split series: the split theta is
+    # broken at m = 3 only, on (3, 3) and the near-split (3, 4) and (4, 3)
     "theta-k0*2-at-3": ((census,), "theta_k0_count",
                         lambda real: lambda variant, n: real(variant, n) * (1 + (n == 3)),
                         {"coro-cuspidal-k0", "fn-ind2-D", "fn-split-D", "fn1B", "fn1D", "fn2B",
                          "number1-k0", "numbert-closure"},
                         {("k0", "all"): {(f, p, q) for f, p, q in BDI
-                                         if min(p, q) >= 3 and (p % 2 or q % 2)}}),
+                                         if min(p, q) >= 3 and (p % 2 or q % 2)},
+                         ("k0", "cuspidal"): _pairs("3,3 3,4 4,3"),
+                         ("k0", "full"): _pairs("3,3 3,4 4,3")}),
     "hecke+1-at-4": ((census,), "hecke_count",
                      lambda real: lambda family, n: real(family, n) + (n == 4),
                      {"coro-cuspidal-k0", "fn-split-D", "fn1B", "fn2B", "number1-k0",
                       "numbert-closure"},
                      {("k0", "all"): _pairs("4,4 4,5 4,7 5,4 5,5 5,6 5,8 6,5 6,6 6,7 7,4 7,6 "
-                                            "7,7 7,8 8,5 8,7 8,8")}),
+                                            "7,7 7,8 8,5 8,7 8,8"),
+                      ("k0", "cuspidal"): SPLIT_FROM_4,
+                      ("k0", "full"): SPLIT_FROM_4}),
     # the census's k1 strata at k = 2 (N - t^2 >= 8) and its diii n = 4 k1
     # stratum read it; the diii k1 route counts all-even diagrams
     "bipartitions+1-at-2": ((census,), "count_bipartitions",
