@@ -30,7 +30,8 @@ output skips the checks (valid by construction). ``is_sigma_b`` and
 ``in_lambda`` ask the same row rules. ``sigma_class_counts`` counts sigma's
 classes without listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over
 ``_sigma_rows``' options, with the census's class rule ``_class_of`` and
-nothing from the formula route.
+nothing from the formula route; one walk, on vectors of ways by plus-box
+count, serves a block of 8 sizes.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser and ``join`` both build through it.
@@ -38,10 +39,10 @@ parser and ``join`` both build through it.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 from .partitions import BiPartition, Partition, _gen_partitions, count_partitions
 
@@ -285,36 +286,46 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     return list(sigma_listing(p, q)[0])
 
 
-@lru_cache(maxsize=64)
-def _class_counts_by_signature(n: int) -> dict:
-    """sigma_class_counts of size n by signature: (boxes, p, a, b, repeated)
-    -> ways over the odd lengths, each in every signing _sigma_rows gives it;
-    even lengths add nothing to a class, so they fold in as p(m) ways at 4m
-    boxes, 2m of them plus."""
-    ways = {(0, 0, 0, 0, False): 1}
-    for length in range(1, n + 1, 2):
+@lru_cache(maxsize=8)
+def _class_count_block(top: int) -> dict:
+    """sigma_class_counts of sizes top - 7 .. top by signature, from one walk
+    to top: a walk holds every smaller size, so a block of 8 sizes shares one
+    (blocks of 4 and 16 timed alike up to 32), and 8 cached blocks reach 64
+    sizes. ways[boxes] maps (a, b, repeated) to the ways at each plus-box
+    count 0 .. boxes over the odd lengths, each in every signing _sigma_rows
+    gives it; even lengths add nothing to a class, so they fold in as p(m)
+    ways at 4m boxes, 2m of them plus."""
+    ways = [{} for _ in range(top + 1)]
+    ways[0][0, 0, False] = [1]
+    for length in range(1, top + 1, 2):
         options = [(length * mult, dp, *_ab((row,)))
-                   for mult in range(1, n // length + 1) for row, dp in _sigma_rows(length, mult)]
-        step = dict(ways)  # the length left out
-        for (boxes, p, a, b, rep), w in ways.items():
-            for dn, dp, da, db, drep in options:
-                if boxes + dn > n:
-                    break
-                key = (boxes + dn, p + dp, a + da, b + db, rep or drep)
-                step[key] = step.get(key, 0) + w
-        ways = step
-    table: dict[tuple[int, int], Counter] = {}
-    for (boxes, p, a, b, rep), w in ways.items():
-        m, rest = divmod(n - boxes, 4)
-        if not rest:
-            counts = table.setdefault((p + 2 * m, n - p - 2 * m), Counter())
-            counts[_class_of(a, b, rep)] += w * count_partitions(m)
-    return {sig: tuple(counts.items()) for sig, counts in table.items()}
+                   for mult in range(1, top // length + 1) for row, dp in _sigma_rows(length, mult)]
+        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
+            for (a, b, rep), vec in ways[boxes].items():
+                for dn, dp, da, db, drep in options:
+                    if boxes + dn > top:
+                        break
+                    target, key = ways[boxes + dn], (a + da, b + db, rep or drep)
+                    if (out := target.get(key)) is None:
+                        out = target[key] = [0] * (boxes + dn + 1)
+                    out[dp:dp + boxes + 1] = map(add, out[dp:dp + boxes + 1], vec)
+    even = [count_partitions(m) for m in range(top // 4 + 1)]
+    table: dict[tuple[int, int], list] = {}
+    for n in range(max(top - 7, 0), top + 1):
+        acc: dict = {}
+        for m, boxes in enumerate(range(n, -1, -4)):
+            for key, vec in ways[boxes].items():
+                for p, w in enumerate(vec, 2 * m):
+                    if w:
+                        acc[p, key] = acc.get((p, key), 0) + w * even[m]
+        for (p, key), w in acc.items():
+            table.setdefault((p, n - p), []).append((_class_of(*key), w))
+    return {sig: tuple(counts) for sig, counts in table.items()}
 
 
 def sigma_class_counts(p: int, q: int) -> tuple[tuple[DiagramClass, int], ...]:
     """(class, multiplicity) over enum_sigma(p, q), without listing it."""
-    return _class_counts_by_signature(_size(p, q)).get((p, q), ())
+    return _class_count_block(-(-_size(p, q) // 8) * 8).get((p, q), ())
 
 
 def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:

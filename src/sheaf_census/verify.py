@@ -480,12 +480,9 @@ def _diii_k1_bijection(order: int, sweep: int):
         for n in range(2, bound + 1, 2):
             all_even = [d for d in diagrams.enum_lambda(n) if d.all_parts_even()]
             images = {diagrams.diii_kappa1_bijection(d) for d in all_even}
-            expected = {
-                partitions.BiPartition(a, b)
-                for k in range(n // 2 + 1)
-                for a in partitions.enum_partitions(k)
-                for b in partitions.enum_partitions(n // 2 - k)
-            }
+            parts = [partitions.enum_partitions(k) for k in range(n // 2 + 1)]
+            expected = {partitions.BiPartition(a, b) for firsts, seconds in
+                        zip(parts, reversed(parts)) for a in firsts for b in seconds}
             yield f"n={n} injective", len(images), len(all_even)
             yield f"n={n} surjective", sorted(map(_bipartition_key, images)), \
                 sorted(map(_bipartition_key, expected))

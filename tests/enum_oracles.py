@@ -10,12 +10,14 @@ direct enumeration of sign characters on a class-2 Richardson orbit, the
 stratum support built through ``diagram()``'s merge, and the two bdi
 censuses with their orbit decorations branched out by hand, and the three
 orbit sums over the listed diagrams, the kappa1 sum with its row-by-row
-repeated-sign rule. They
-walk a superset and filter it, or count row by row, which is slow but easy
-to trust, and they must not change: the differential tests compare the
-library against them list for list, order included.
+repeated-sign rule, and the per-size class-count DP that keyed each state
+by its box and plus-box counts. They walk a superset and filter it, or count
+row by row or state by state, which is slow but easy to trust, and they must
+not change: the differential tests compare the library against them list
+for list, order included.
 """
 import itertools
+from collections import Counter
 
 from sheaf_census import diagrams, groups
 from sheaf_census.census import (LOW_RANK_WARNING, CensusReport, OrbitLabel,
@@ -327,3 +329,29 @@ def sigma23_r_sum(p, q):
     """Sum of 2^r over every listed class-2 and class-3 diagram of enum_sigma(p, q)."""
     return sum(2 ** classify(d).r for d in diagrams.enum_sigma(p, q)
                if classify(d).index in (2, 3))
+
+
+def class_counts_by_signature(n):
+    """The class counts of every signature of size n from a DP of its own,
+    one dict update per state (boxes, p, a, b, repeated) over the odd
+    lengths; even lengths fold in as p(m) ways at 4m boxes, 2m of them plus."""
+    ways = {(0, 0, 0, 0, False): 1}
+    for length in range(1, n + 1, 2):
+        options = [(length * mult, dp, *diagrams._ab((row,)))
+                   for mult in range(1, n // length + 1)
+                   for row, dp in diagrams._sigma_rows(length, mult)]
+        step = dict(ways)  # the length left out
+        for (boxes, p, a, b, rep), w in ways.items():
+            for dn, dp, da, db, drep in options:
+                if boxes + dn > n:
+                    break
+                key = (boxes + dn, p + dp, a + da, b + db, rep or drep)
+                step[key] = step.get(key, 0) + w
+        ways = step
+    table = {}
+    for (boxes, p, a, b, rep), w in ways.items():
+        m, rest = divmod(n - boxes, 4)
+        if not rest:
+            counts = table.setdefault((p + 2 * m, n - p - 2 * m), Counter())
+            counts[diagrams._class_of(a, b, rep)] += w * count_partitions(m)
+    return table

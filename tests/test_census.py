@@ -284,7 +284,7 @@ def _count_listing(monkeypatch):
 
 def test_orbit_sums_classify_no_diagram(monkeypatch):
     # the orbit sums read the class-count DP: no diagram to classify
-    dg._class_counts_by_signature.cache_clear()
+    dg._class_count_block.cache_clear()
     calls = _count_classify(monkeypatch)
     built, walks = _count_listing(monkeypatch)
     p, q = 7, 6
@@ -295,7 +295,7 @@ def test_orbit_sums_classify_no_diagram(monkeypatch):
 
 
 def test_sigma_classes_build_no_diagram(monkeypatch):
-    dg._class_counts_by_signature.cache_clear()
+    dg._class_count_block.cache_clear()
     dg._sigma_by_signature.cache_clear()
     built, walks = _count_listing(monkeypatch)
     counts = dg.sigma_class_counts(14, 14)

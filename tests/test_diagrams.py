@@ -293,6 +293,27 @@ def test_sigma_classes_match_classify():
         dg.sigma_class_counts(-1, 3)
 
 
+def test_sigma_class_counts_match_the_per_size_dp():
+    # the block walk against the per-size DP oracle, every pair with p+q <= 40
+    for total in range(41):
+        table = oracles.class_counts_by_signature(total)
+        for p in range(total + 1):
+            q = total - p
+            assert dict(dg.sigma_class_counts(p, q)) == dict(table.get((p, q), {})), (p, q)
+
+
+def test_one_class_count_walk_serves_a_block_of_sizes():
+    # sizes 0..32 share the walks to 0, 8, 16, 24 and 32
+    dg._class_count_block.cache_clear()
+    sweep = [(p, total - p) for total in range(33) for p in range(total + 1)]
+    for p, q in sweep:
+        dg.sigma_class_counts(p, q)
+    assert dg._class_count_block.cache_info().misses == 5
+    for p, q in sweep:
+        dg.sigma_class_counts(p, q)
+    assert dg._class_count_block.cache_info().misses == 5
+
+
 def test_classes_are_shared_and_carry_their_orbits():
     c = dg.classify(dg.parse_diagram("5+"))
     assert c is dg.classify(dg.parse_diagram("3- 2+ 2-"))  # both (a, b) = (1, 0)
