@@ -6,6 +6,7 @@ from sheaf_census import (
     diii_kappa1_bijection,
     enum_lambda,
     enum_lambda_b,
+    enum_lambda_even,
     enum_sigma,
     enum_sigma_b,
     eta,
@@ -57,7 +58,6 @@ for text in ("3+ 1+ 1-", "1+^3 1-^2", "2+ 2-"):
 
 print()
 print("== All-even diagrams pair off with bipartitions (n = 4) ==")
-for d in enum_lambda(4):
-    if d.all_parts_even():
-        b = diii_kappa1_bijection(d)
-        print(f"  {str(d):12s} -> ({b.first}, {b.second})")
+for d in enum_lambda_even(4):
+    b = diii_kappa1_bijection(d)
+    print(f"  {str(d):12s} -> ({b.first}, {b.second})")

@@ -29,6 +29,7 @@ from .diagrams import (
     diii_kappa1_bijection,
     enum_lambda,
     enum_lambda_b,
+    enum_lambda_even,
     enum_sigma,
     enum_sigma_b,
     format_diagram,

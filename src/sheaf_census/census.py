@@ -40,6 +40,7 @@ from .diagrams import (
     diagram,
     enum_lambda,
     enum_lambda_b,
+    enum_lambda_even,
     enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
     format_diagram,
     in_sigma,
@@ -588,7 +589,7 @@ def _bdi_rules(p: int, q: int) -> dict:
 def _diii_rules(n: int) -> dict:
     """The sub-census rules of the pair (n, n), keyed by (central, subset)."""
     # the all-even diagrams of Lambda^{n,n} (diii-k1-bijection), not p2(n/2); none at n = 0
-    all_even = lambda: sum(d.all_parts_even() for d in enum_lambda(n)) if n else 0
+    all_even = lambda: len(enum_lambda_even(n)) if n else 0
     return {
         # one local system per orbit of Lambda^{n,n} (the census walks Lambda_b)
         ("k0", "all"): (_EVERY, lambda: diii_closure_total(n)),

@@ -103,7 +103,7 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _render_table(headers: list[str], rows: list[list], title: str) -> str:
+def _render_table(headers: list[str], rows, title: str) -> str:
     cells = [["" if c is None else str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
@@ -113,7 +113,7 @@ def _render_table(headers: list[str], rows: list[list], title: str) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(headers: list[str], rows: list[list]) -> str:
+def _render_csv(headers: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(headers)
@@ -125,17 +125,25 @@ def _render_csv(headers: list[str], rows: list[list]) -> str:
 # orbits
 # ---------------------------------------------------------------------------
 
-def _require(args: argparse.Namespace, *flags: str) -> None:
-    """Refuse a family's invocation that lacks one of its size flags."""
-    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+_SIZE_FLAGS = {"p": "bdi", "q": "bdi", "n": "diii"}  # each size flag -> its family
+
+
+def _require(args: argparse.Namespace) -> None:
+    """Refuse a family's invocation that lacks one of its size flags, or
+    that carries another family's."""
+    missing = [f"--{flag}" for flag, family in _SIZE_FLAGS.items()
+               if family == args.family and getattr(args, flag) is None]
     if missing:
         raise ValueError(f"{args.subcommand} {args.family} needs {' and '.join(missing)}")
+    for flag, family in _SIZE_FLAGS.items():
+        if family != args.family and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to the {family} family only")
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
+    _require(args)
     listed = []  # (diagram text, its deltas, its cells past "delta" by header)
     if args.family == "bdi":
-        _require(args, "p", "q")
         listing = diagrams.sigma_b_listing if args.richardson else diagrams.sigma_listing
         tails: dict = {}  # id of a listed class -> its cells, built once per class
         for d, cls in zip(*listing(args.p, args.q)):
@@ -148,7 +156,6 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
             listed.append((diagrams.format_diagram(d), (None,) if args.richardson else cls.deltas,
                            tails[id(cls)]))
     else:
-        _require(args, "n")
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
@@ -156,14 +163,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
                    {"a": None, "b": None, "r": 0, "class": "lambda", "k0_irreps": 1,
                     "k1_irreps": groups.kappa1_data_DIII(d).count}) for d in members]
 
-    # each row in the one shape its format prints: a dict for json, a list otherwise
-    if args.format == "json":
-        rows = [{"diagram": text, "delta": delta, **tail}
-                for text, deltas, tail in listed for delta in deltas]
-    else:
-        rows = [[text, delta, *tail.values()] for text, deltas, tail in listed for delta in deltas]
+    rows = [{"diagram": text, "delta": delta, **tail}
+            for text, deltas, tail in listed for delta in deltas]
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
-    return _finish(args, {"orbits": rows}, [], headers, rows)
+    return _finish(args, {"orbits": rows}, [], headers,
+                   lambda: [list(row.values()) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +175,12 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _census_reports(args: argparse.Namespace) -> list[census.CensusReport]:
+    _require(args)
     centrals = ("k0", "k1") if args.central == "both" else (args.central,)
     if args.family == "bdi":
-        _require(args, "p", "q")
         build = {"k0": census.census_bdi_k0, "k1": census.census_bdi_k1}
         reports = [build[central](args.p, args.q) for central in centrals]
     else:
-        _require(args, "n")
         both = dict(zip(("k0", "k1"), census.census_diii(args.n)))
         reports = [both[central] for central in centrals]
     return [census.subset_report(r, args.subset) for r in reports]
@@ -198,10 +201,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     warnings = sorted({w for r in reports for w in r.warnings})
 
     headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
-    rows = []
-    for r in payload["reports"]:
-        rows += [[r["central"], *(stratum[h] for h in headers[1:])] for stratum in r["strata"]]
-        rows.append([r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]])
+    def rows():
+        for r in payload["reports"]:
+            for stratum in r["strata"]:
+                yield [r["central"], *(stratum[h] for h in headers[1:])]
+            yield [r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]]
     _finish(args, payload, warnings, headers, rows)
     if mismatches:
         sys.stderr.write("\n".join(mismatches) + "\n")
@@ -232,10 +236,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "checks": [r.to_json_dict() for r in results],
         "all_pass": all(r.passed for r in results),
     }
-    headers = ["id", "status", "scope", "detail"]
-    rows = [[r.id, r.status, r.scope,
-             json.dumps(r.detail) if r.detail else ""] for r in results]
-    _finish(args, payload, [], headers, rows)
+    _finish(args, payload, [], ["id", "status", "scope", "detail"],
+            lambda: [[r.id, r.status, r.scope, json.dumps(r.detail) if r.detail else ""]
+                     for r in results])
     return 0 if payload["all_pass"] else 1
 
 
@@ -265,13 +268,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _finish(args: argparse.Namespace, payload: dict, warnings: list[str],
-            headers: list[str], rows: list[list]) -> int:
+            headers: list[str], rows) -> int:
+    """Emit the payload as json, or as the csv or table rows that rows() builds."""
     if args.format == "json":
         _emit(_json_text(_envelope(args, payload, warnings)), args.out)
     elif args.format == "csv":
-        _emit(_render_csv(headers, rows), args.out)
+        _emit(_render_csv(headers, rows()), args.out)
     else:
-        body = _render_table(headers, rows, " ".join(args._argv))
+        body = _render_table(headers, rows(), " ".join(args._argv))
         if warnings:
             body += "\n" + "\n".join(f"warning: {w}" for w in warnings)
         _emit(body, args.out)

@@ -17,6 +17,7 @@ The sets implemented here:
 * ``enum_lambda(n)`` / ``enum_lambda_b(n)`` -- the n=n split variants: odd
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
+  ``enum_lambda_even(n)`` walks only the all-even members of the first.
 
 Every enumerator builds exactly its set from the one partition generator,
 which yields each partition grouped as (length, multiplicity) pairs (the
@@ -406,6 +407,14 @@ def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     Every row count is even, so the row lengths are a partition of n with
     each multiplicity doubled."""
     return _doubled_diagrams(n, _lambda_rows)
+
+
+def enum_lambda_even(n: int) -> list[SignedYoungDiagram]:
+    """The all-even members of ``enum_lambda(n)``, in the same order: row
+    lengths twice a partition of n/2, each multiplicity doubled; none for odd n."""
+    if n > 0 and n % 2:
+        return []
+    return _doubled_diagrams(n // 2, lambda j, mult: _lambda_rows(2 * j, mult))
 
 
 @lru_cache(maxsize=64)

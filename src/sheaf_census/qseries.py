@@ -4,9 +4,9 @@ Everything here is exact: coefficients are Fractions (ints in a new
 BiSeries), binary operations truncate to the smaller order, and infinite
 products are expanded factor by factor with early exit once a factor's
 lowest exponent passes the order.
-Products of factors, inverses and products of two series are computed over
-Python ints (denominators cleared first) and converted to one Fraction per
-coefficient at the end.
+Products of factors, inverses, products of two series and bilateral sums
+are computed over Python ints (denominators cleared first) and converted to
+one Fraction per coefficient at the end.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`).
@@ -192,30 +192,21 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
     return FormalSeries(tuple(Fraction(v, s.denominator) for v in vals))
 
 
-def geometric_alternating(start: int, step: int, order: int) -> FormalSeries:
-    """x^start / (1 + x^step) expanded as an alternating geometric series."""
-    if start < 1 or step < 1:
-        raise ValueError("start and step must be positive for a power-series expansion")
-    vals = [_ZERO] * (order + 1)
-    k, sign = start, 1
-    while k <= order:
-        vals[k] += sign
-        sign = -sign
-        k += step
-    return FormalSeries(tuple(vals))
-
-
-def bilateral_sum(constant_term, pos_term: Callable[[int], FormalSeries],
+def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]]],
                   order: int = DEFAULT_ORDER) -> FormalSeries:
     """Bilateral sum symmetric under k -> -k: the k=0 term plus twice each
-    k>=1 term pos_term(k), rewritten as a power series of positive valuation."""
-    total = FormalSeries.constant(constant_term, order)
+    k>=1 term, the sum of x^start/(1+x^step) over the (start, step) pairs
+    of terms(k), each expanded as an alternating geometric series."""
+    vals = [0] * (order + 1)
     # term k has valuation >= k in every family used here, so indices past
     # the truncation order contribute nothing
     for k in range(1, order + 1):
-        term = pos_term(k)
-        total = total + term + term
-    return total
+        for start, step in terms(k):
+            if start < 1 or step < 1:
+                raise ValueError("start and step must be positive for a power-series expansion")
+            vals[start::2 * step] = [v + 2 for v in vals[start::2 * step]]
+            vals[start + step::2 * step] = [v - 2 for v in vals[start + step::2 * step]]
+    return FormalSeries((Fraction(constant_term), *map(Fraction, vals[1:])))
 
 
 class BiSeries:

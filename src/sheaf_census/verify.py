@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import census, diagrams, groups, partitions, qseries
-from .qseries import BiSeries, FormalSeries, geometric_alternating, prod_series
+from .qseries import BiSeries, FormalSeries, prod_series
 
 DEFAULT_SWEEP = 24
 MIN_ORDER = 10
@@ -237,23 +237,17 @@ def _numbert_closure(order: int, sweep: int):
         "bilateral sum of x^k/(1+x^2k) equals (1/2) prod (1+x^(2s-1))^2 "
         "(1-x^2s)^2 / ((1-x^(2s-1))^2 (1+x^2s)^2)")
 def _psi1_a(order: int, sweep: int):
-    lhs = qseries.bilateral_sum(HALF, lambda k: geometric_alternating(k, 2 * k, order),
-                                order=order)
+    lhs = qseries.bilateral_sum(HALF, lambda k: ((k, 2 * k),), order=order)
     rhs = prod_series(order, (1, 2, -1, 2), (-1, 2, 0, 2), (-1, 2, -1, -2), (1, 2, 0, -2),
                       scalar=HALF)
     return _series_cells(lhs, rhs), f"order {order}"
-
-
-def _b_term(k: int, order: int) -> FormalSeries:
-    return (geometric_alternating(k, 4 * k, order)
-            + geometric_alternating(3 * k, 4 * k, order))
 
 
 @_check("psi1-b",
         "bilateral sum of x^k(1+x^2k)/(1+x^4k) equals prod (1+x^(2s-1)) "
         "(1-x^4s)^2 / ((1-x^(2s-1)) (1+x^4s)^2)")
 def _psi1_b(order: int, sweep: int):
-    lhs = qseries.bilateral_sum(1, lambda k: _b_term(k, order), order=order)
+    lhs = qseries.bilateral_sum(1, lambda k: ((k, 4 * k), (3 * k, 4 * k)), order=order)
     rhs = prod_series(order, (1, 2, -1, 1), (-1, 4, 0, 2), (-1, 2, -1, -1), (1, 4, 0, -2))
     return _series_cells(lhs, rhs), f"order {order}"
 
@@ -262,11 +256,10 @@ def _psi1_b(order: int, sweep: int):
         "odd-index and even-index halves of the second bilateral sum match "
         "their own product forms")
 def _psi1_c(order: int, sweep: int):
-    zero = FormalSeries.zero(order)
     odd_sum = qseries.bilateral_sum(
-        0, lambda k: _b_term(k, order) if k % 2 else zero, order=order)
+        0, lambda k: ((k, 4 * k), (3 * k, 4 * k)) if k % 2 else (), order=order)
     even_sum = qseries.bilateral_sum(
-        1, lambda k: _b_term(k, order) if k % 2 == 0 else zero, order=order)
+        1, lambda k: () if k % 2 else ((k, 4 * k), (3 * k, 4 * k)), order=order)
     odd_rhs = prod_series(order, (1, 4, -2, 1), (-1, 8, 0, 2), (-1, 4, -2, -1),
                           (1, 8, -4, -2), scalar=2, shift=1)
     even_rhs = prod_series(order, (1, 4, -2, 1), (-1, 8, 0, 2), (-1, 4, -2, -1),
@@ -478,7 +471,7 @@ def _diii_k1_bijection(order: int, sweep: int):
     bound = min(sweep, 20)
     def cells():
         for n in range(2, bound + 1, 2):
-            all_even = [d for d in diagrams.enum_lambda(n) if d.all_parts_even()]
+            all_even = diagrams.enum_lambda_even(n)
             images = {diagrams.diii_kappa1_bijection(d) for d in all_even}
             parts = [partitions.enum_partitions(k) for k in range(n // 2 + 1)]
             expected = {partitions.BiPartition(a, b) for firsts, seconds in

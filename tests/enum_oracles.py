@@ -187,6 +187,11 @@ def enum_lambda_b(n):
     return [d for d in diagrams.enum_lambda(n) if in_lambda_b(d)]
 
 
+def enum_lambda_even(n):
+    """Filter the library's enum_lambda(n) by all_parts_even."""
+    return [d for d in diagrams.enum_lambda(n) if d.all_parts_even()]
+
+
 def weighted_odd_partition_sum(n):
     """The gap-weighted odd-partition sum computed row by row: wt doubles for
     each mu_j >= mu_(j+1) + 2 at 1-based pairs (2j-1, 2j) for an odd number

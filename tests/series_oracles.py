@@ -3,8 +3,9 @@
 These are the Fraction-only loops the library used before its kernels moved
 to Python ints: the product expansion seeds a monomial and multiplies by each
 binomial factor one pass per unit of power, the inverse and the product of
-two series run on Fractions throughout, and the two-variable binomial
-multiply makes one pass over the whole matrix per unit of power. They are
+two series run on Fractions throughout, the two-variable binomial multiply
+makes one pass over the whole matrix per unit of power, and a bilateral sum
+adds a Fraction series for every term. They are
 slow but easy to trust, and they must not change: the differential tests
 compare the library against them coefficient for coefficient.
 """
@@ -84,3 +85,25 @@ def bi_mul_binomial(matrix, sign, ue, ve, power=1):
                     if out[i - ue][j - ve]:
                         out[i][j] -= sign * out[i - ue][j - ve]
     return out
+
+
+def geometric_alternating(start, step, order):
+    """x^start / (1 + x^step) expanded as an alternating geometric series."""
+    if start < 1 or step < 1:
+        raise ValueError("start and step must be positive for a power-series expansion")
+    vals = [_ZERO] * (order + 1)
+    k, sign = start, 1
+    while k <= order:
+        vals[k] += sign
+        sign = -sign
+        k += step
+    return FormalSeries(tuple(vals))
+
+
+def bilateral_sum(constant_term, pos_term, order):
+    """The k=0 term plus twice each series pos_term(k), k = 1 .. order."""
+    total = FormalSeries.constant(constant_term, order)
+    for k in range(1, order + 1):
+        term = pos_term(k)
+        total = total + term + term
+    return total

@@ -220,6 +220,15 @@ ERROR_CASES = {
                          2, "sheaf-census: orbits diii needs --n"),
     "orbits-diii-class": (["orbits", "diii", "--n", "3", "--class", "sigma1"], {}, {},
                           2, "sheaf-census: --class applies to the bdi family only"),
+    "orbits-bdi-stray-n": (["orbits", "bdi", "--p", "3", "--q", "2", "--n", "5"], {}, {},
+                           2, "sheaf-census: --n applies to the diii family only"),
+    "orbits-diii-stray-q": (["orbits", "diii", "--n", "3", "--q", "2"], {}, {},
+                            2, "sheaf-census: --q applies to the bdi family only"),
+    "census-diii-stray-p": (["census", "diii", "--n", "3", "--p", "2"], {}, {},
+                            2, "sheaf-census: --p applies to the bdi family only"),
+    "census-bdi-stray-n": (["census", "bdi", "--p", "3", "--q", "2", "--n", "5",
+                            "--check"], {}, {},
+                           2, "sheaf-census: --n applies to the diii family only"),
     "census-missing-q": (["census", "bdi", "--p", "3"], {}, {},
                          2, "sheaf-census: census bdi needs --q"),
     "census-missing-n": (["census", "diii"], {}, {},
@@ -268,6 +277,19 @@ def test_error_paths(case, capsys, monkeypatch, tmp_path):
     assert err.startswith(prefix.replace("{tmp}", str(tmp_path))), err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_only_csv_and_table_build_their_rows(capsys, monkeypatch):
+    # _finish calls the rows builder it is given for csv and table output only
+    built = []
+    real = cli._finish
+    monkeypatch.setattr(cli, "_finish", lambda args, payload, warnings, headers, rows: real(
+        args, payload, warnings, headers, lambda: built.append(args.format) or rows()))
+    for fmt in ("json", "csv", "table"):
+        for argv in (["orbits", "bdi", "--p", "3", "--q", "2"], ["census", "diii", "--n", "4"],
+                     ["verify", "--suite", "psi1-a"]):
+            assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+    assert built == ["csv"] * 3 + ["table"] * 3
 
 
 @pytest.fixture

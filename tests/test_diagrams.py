@@ -196,6 +196,14 @@ def test_enum_lambda_b_matches_filter_oracle():
         assert dg.enum_lambda_b(n) == oracles.enum_lambda_b(n), n
 
 
+def test_enum_lambda_even_matches_filter_oracle():
+    # the all-even walk lists the filter's diagrams in the filter's order
+    for n in range(23):
+        assert dg.enum_lambda_even(n) == oracles.enum_lambda_even(n), n
+    with pytest.raises(ValueError):
+        dg.enum_lambda_even(-1)
+
+
 def test_enum_lambda_b_has_p_of_n_members():
     # prod(1+x^s) / prod(1-x^(2s)) = prod 1/(1-x^s): the independent count
     # that census --check uses for the diii nilpotent subset

@@ -73,10 +73,56 @@ def test_product_spec_validation():
 
 
 def test_bilateral_constant_term():
-    total = qs.bilateral_sum(Fraction(1, 2),
-                             lambda k: qs.geometric_alternating(k, 2 * k, 12),
-                             order=12)
+    total = qs.bilateral_sum(Fraction(1, 2), lambda k: ((k, 2 * k),), order=12)
     assert total.coeff(0) == Fraction(1, 2)
+    assert total.order == 12
+    assert total.coeff(1) == 2  # 2x/(1+x^2) from k = 1
+
+
+def _oracle_bilateral(constant_term, terms, order):
+    """The Fraction-series sum of the same (start, step) terms."""
+    def pos_term(k):
+        total = FormalSeries.zero(order)
+        for start, step in terms(k):
+            total = total + oracles.geometric_alternating(start, step, order)
+        return total
+    return oracles.bilateral_sum(constant_term, pos_term, order)
+
+
+# the term families of verify's psi1-a, psi1-b and the two halves of psi1-c
+PSI_TERMS = {
+    "psi1-a": (Fraction(1, 2), lambda k: ((k, 2 * k),)),
+    "psi1-b": (1, lambda k: ((k, 4 * k), (3 * k, 4 * k))),
+    "psi1-c odd": (0, lambda k: ((k, 4 * k), (3 * k, 4 * k)) if k % 2 else ()),
+    "psi1-c even": (1, lambda k: () if k % 2 else ((k, 4 * k), (3 * k, 4 * k))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PSI_TERMS))
+def test_bilateral_sum_matches_the_fraction_oracle_on_the_psi_terms(family):
+    constant_term, terms = PSI_TERMS[family]
+    for order in range(61):
+        assert (qs.bilateral_sum(constant_term, terms, order)
+                == _oracle_bilateral(constant_term, terms, order)), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5), st.integers(0, 4),
+                          st.integers(1, 5)), max_size=4),
+       st.integers(0, 60))
+def test_bilateral_sum_matches_the_fraction_oracle(constant_term, lines, order):
+    # term k holds (a*k + b, c*k + d) for each drawn (a, b, c, d)
+    def terms(k):
+        return [(a * k + b, c * k + d) for a, b, c, d in lines]
+    assert (qs.bilateral_sum(constant_term, terms, order)
+            == _oracle_bilateral(constant_term, terms, order))
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 0), (-1, 3), (2, -2)])
+def test_bilateral_sum_refuses_a_nonpositive_start_or_step(pair):
+    with pytest.raises(ValueError, match="start and step must be positive"):
+        qs.bilateral_sum(1, lambda k: ((k, 2 * k), pair), order=8)
 
 
 def test_mul_binomial_past_order_is_identity():
