@@ -1,12 +1,12 @@
 """Truncated formal power series over exact rationals.
 
-Everything here is exact: coefficients are Fractions (ints in a new
-BiSeries), binary operations truncate to the smaller order, and infinite
-products are expanded factor by factor with early exit once a factor's
-lowest exponent passes the order.
+Everything here is exact: coefficients are Fractions, binary operations
+truncate to the smaller order, and infinite products are expanded factor by
+factor with early exit once a factor's lowest exponent passes the order.
 Products of factors, inverses, products of two series and bilateral sums
 are computed over Python ints (denominators cleared first) and converted to
-one Fraction per coefficient at the end.
+one Fraction per coefficient at the end. The two-variable BiSeries (ints when
+new) offers `one`, `coeff` and `mul_binomial`; callers sum its cells.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`).
@@ -235,16 +235,7 @@ class BiSeries:
     def coeff(self, i: int, j: int) -> int | Fraction:
         if i > self.u_order or j > self.v_order:
             raise ValueError("exponent beyond truncation order")
-        return self.m[i][j]
-
-    def add(self, other: BiSeries) -> BiSeries:
-        if (self.u_order, self.v_order) != (other.u_order, other.v_order):
-            raise ValueError("mismatched truncation orders")
-        out = BiSeries(self.u_order, self.v_order)
-        for i in range(self.u_order + 1):
-            for j in range(self.v_order + 1):
-                out.m[i][j] = self.m[i][j] + other.m[i][j]
-        return out
+        return self.m[i][j] if i >= 0 and j >= 0 else 0
 
     def mul_binomial(self, sign: int, ue: int, ve: int, power: int = 1) -> BiSeries:
         """Multiply by (1 + sign*u^ue*v^ve)^power; power may be negative.
@@ -267,16 +258,6 @@ class BiSeries:
                     for (i, j), c in zip(cells, line):
                         out[i][j] = c
         return BiSeries(self.u_order, self.v_order, out)
-
-    def diagonal(self) -> FormalSeries:
-        """Specialize u = v = x (the result is exact to min(u_order, v_order))."""
-        n = min(self.u_order, self.v_order)
-        vals = [_ZERO] * (n + 1)
-        for i in range(self.u_order + 1):
-            for j in range(self.v_order + 1):
-                if i + j <= n and self.m[i][j]:
-                    vals[i + j] += self.m[i][j]
-        return FormalSeries(tuple(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -170,24 +170,24 @@ def _kappa1_orbit_sum(order: int, sweep: int):
         "sum of 2^r over class-2/3 diagrams equals the coefficient of x^q in "
         "(1+x^t)/(1+x^2t) prod (1+x^2s)^2/(1-x^2s)^3")
 def _lemma_n1(order: int, sweep: int):
-    def series_of(t):
-        return census._t_ratio(prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -3)), t)
-    return (_tq_cells(sweep, range(6), series_of, census.sigma23_r_sum, 1),
+    base = prod_series(sweep, (1, 2, 0, 2), (-1, 2, 0, -3))
+    return (_tq_cells(sweep, range(6), lambda t: census._t_ratio(base, t), census.sigma23_r_sum, 1),
             f"t <= 5, 2q+t <= {sweep}")
 
 
-def _two_variable_product(ou: int, ov: int) -> BiSeries:
-    reach = range(max(ou, ov) // 2 + 1)
-    pairs = [(2 * m + 2, 2 * m + 1) for m in reach] + [(2 * m, 2 * m + 1) for m in reach]
-    def half(swap: bool) -> BiSeries:
-        s = BiSeries.one(ou, ov)
-        for ue, ve in ((ve, ue) for ue, ve in pairs) if swap else pairs:
-            if ue <= ou and ve <= ov:
-                s = s.mul_binomial(1, ue, ve, 1).mul_binomial(-1, ue, ve, -1)
-        for m in range(1, min(ou, ov) // 2 + 1):
-            s = s.mul_binomial(-1, 2 * m, 2 * m, -1)
-        return s
-    return half(False).add(half(True))
+def _two_variable_product(order: int) -> BiSeries:
+    """Half the two-variable product to u, v order `order`: (1+u^a v^b)/(1-u^a v^b)
+    at (a, b) = (2m+2, 2m+1) and (2m, 2m+1), over 1-u^2m v^2m. The other half
+    swaps u and v in the first two families, and the last is symmetric, so at
+    equal orders that half is this one's transpose."""
+    reach = range(order // 2 + 1)
+    s = BiSeries.one(order, order)
+    for ue, ve in [(2 * m + 2, 2 * m + 1) for m in reach] + [(2 * m, 2 * m + 1) for m in reach]:
+        if ue <= order and ve <= order:
+            s = s.mul_binomial(1, ue, ve, 1).mul_binomial(-1, ue, ve, -1)
+    for m in range(1, order // 2 + 1):
+        s = s.mul_binomial(-1, 2 * m, 2 * m, -1)
+    return s
 
 
 @_check("lemma-n1-2var",
@@ -195,15 +195,16 @@ def _two_variable_product(ou: int, ov: int) -> BiSeries:
         "twice the class-2/3 sums of 2^r")
 def _lemma_n1_2var(order: int, sweep: int):
     bound = min(sweep, 16)
-    two_var = _two_variable_product(bound, bound)
+    half = _two_variable_product(bound)
+    def two_var(p, q):
+        return half.coeff(p, q) + half.coeff(q, p)
     def cells():
         for p in range(bound + 1):
             for q in range(bound + 1):
-                yield (f"u^{p}v^{q}", two_var.coeff(p, q),
+                yield (f"u^{p}v^{q}", two_var(p, q),
                        Fraction(2 * census.sigma23_r_sum(p, q)))
-        diag = two_var.diagonal()
         for n in range(bound + 1):
-            yield (f"diagonal x^{n}", diag.coeff(n),
+            yield (f"diagonal x^{n}", _total(two_var, n),
                    Fraction(2 * _total(census.sigma23_r_sum, n)))
     return cells(), f"u,v exponents <= {bound}"
 
@@ -543,14 +544,16 @@ def suite_ids() -> list[str]:
 
 def run_suite(selection="all", order: int = qseries.DEFAULT_ORDER,
               sweep: int = DEFAULT_SWEEP) -> list[IdentityCheck]:
-    """Run the selected checks (all of them, in registry order, by default)
-    and return their results in selection order; failures never abort the
-    suite."""
+    """Run the selected checks, one id or a list of ids (all of them, in
+    registry order, by default), and return their results in selection
+    order; failures never abort the suite."""
     if order < MIN_ORDER:
         raise ValueError(f"order must be at least {MIN_ORDER}")
     if sweep < MIN_SWEEP:
         raise ValueError(f"sweep must be at least {MIN_SWEEP}")
-    chosen = list(CHECKS) if selection == "all" else list(selection)
+    if isinstance(selection, str):
+        selection = CHECKS if selection == "all" else [selection]
+    chosen = list(selection)
     if not chosen:
         raise ValueError("no checks selected")
     unknown = [c for c in chosen if c not in CHECKS]

@@ -4,8 +4,9 @@ These are the Fraction-only loops the library used before its kernels moved
 to Python ints: the product expansion seeds a monomial and multiplies by each
 binomial factor one pass per unit of power, the inverse and the product of
 two series run on Fractions throughout, the two-variable binomial multiply
-makes one pass over the whole matrix per unit of power, and a bilateral sum
-adds a Fraction series for every term. They are
+makes one pass over the whole matrix per unit of power, a bilateral sum
+adds a Fraction series for every term, and the two-variable product of the
+lemma-n1-2var check builds both its halves and adds them cell by cell. They are
 slow but easy to trust, and they must not change: the differential tests
 compare the library against them coefficient for coefficient.
 """
@@ -107,3 +108,34 @@ def bilateral_sum(constant_term, pos_term, order):
         term = pos_term(k)
         total = total + term + term
     return total
+
+
+def two_variable_product(ou, ov):
+    """The two-variable product as a matrix to u order ou and v order ov:
+    one half with factors (1+u^a v^b)/(1-u^a v^b) at (a, b) = (2m+2, 2m+1)
+    and (2m, 2m+1) times 1/(1-u^2m v^2m), plus the half with a and b swapped."""
+    reach = range(max(ou, ov) // 2 + 1)
+    pairs = [(2 * m + 2, 2 * m + 1) for m in reach] + [(2 * m, 2 * m + 1) for m in reach]
+    def half(swap):
+        out = [[1 if i == j == 0 else 0 for j in range(ov + 1)] for i in range(ou + 1)]
+        for ue, ve in ((ve, ue) for ue, ve in pairs) if swap else pairs:
+            if ue <= ou and ve <= ov:
+                out = bi_mul_binomial(out, 1, ue, ve, 1)
+                out = bi_mul_binomial(out, -1, ue, ve, -1)
+        for m in range(1, min(ou, ov) // 2 + 1):
+            out = bi_mul_binomial(out, -1, 2 * m, 2 * m, -1)
+        return out
+    first, second = half(False), half(True)
+    return [[a + b for a, b in zip(r, s)] for r, s in zip(first, second)]
+
+
+def antidiagonal_sums(matrix):
+    """The u = v = x specialisation: entry n sums matrix[i][j] over i+j = n,
+    for n up to the smaller of the two orders."""
+    n = min(len(matrix), len(matrix[0])) - 1
+    vals = [0] * (n + 1)
+    for i, row in enumerate(matrix):
+        for j, c in enumerate(row):
+            if i + j <= n:
+                vals[i + j] += c
+    return vals

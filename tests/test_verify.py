@@ -3,6 +3,7 @@ the cheap checks (the full suite at production scale runs in the acceptance
 tests)."""
 import pytest
 
+import series_oracles as oracles
 from sheaf_census import verify
 from sheaf_census.verify import run_suite, suite_ids
 
@@ -26,6 +27,25 @@ def test_catalogue_complete():
 def test_unknown_id_raises():
     with pytest.raises(KeyError):
         run_suite(["no-such-check"])
+    with pytest.raises(KeyError, match="nope"):
+        run_suite("nope")
+
+
+def test_a_single_id_string_is_one_check():
+    assert run_suite("tb1", 12, 6) == run_suite(["tb1"], 12, 6)
+
+
+def test_mirrored_half_matches_the_two_half_oracle():
+    # the product is one half plus its transpose, cell by cell and summed
+    # over each antidiagonal, as lemma-n1-2var reads it
+    for order in range(17):
+        half = verify._two_variable_product(order)
+        full = oracles.two_variable_product(order, order)
+        def mirrored(p, q):
+            return half.coeff(p, q) + half.coeff(q, p)
+        assert [[mirrored(p, q) for q in range(order + 1)] for p in range(order + 1)] == full
+        assert ([verify._total(mirrored, n) for n in range(order + 1)]
+                == oracles.antidiagonal_sums(full))
 
 
 def test_order_floor():
