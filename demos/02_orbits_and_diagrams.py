@@ -11,10 +11,8 @@ from sheaf_census import (
     enum_sigma_b,
     eta,
     kappa1_data_BDI,
-    l_of,
     mu_t,
     omega_set,
-    orbit_multiplicity,
     parse_diagram,
     pi_size,
 )
@@ -24,7 +22,7 @@ for d in enum_sigma(3, 2):
     cls = classify(d)
     data = kappa1_data_BDI(d)
     print(f"  {str(d):12s} a={cls.a} b={cls.b} class={cls.index} r={cls.r} "
-          f"orbits={orbit_multiplicity(d)} "
+          f"orbits={cls.orbits} "
           f"k0-irreps={2 ** cls.r} k1-irreps={data.count}")
 
 print()
@@ -32,7 +30,7 @@ print("== Richardson subsets ==")
 for p, q in ((3, 2), (4, 2), (5, 2)):
     rows = []
     for d in enum_sigma_b(p, q):
-        rows.append(f"{d} (admissible set {sorted(omega_set(d))}, l={l_of(d)}, "
+        rows.append(f"{d} (admissible set {sorted(omega_set(d))}, l={len(omega_set(d))}, "
                     f"characters={pi_size(d)})")
     print(f"  ({p},{q}):", "; ".join(rows))
 

@@ -9,7 +9,6 @@ from sheaf_census import (
     count_formula_k0,
     count_formula_k1,
     cuspidal_counts,
-    full_support_counts,
     nilpotent_support_counts,
     subset_report,
 )
@@ -31,9 +30,11 @@ print("  total:", report.total, " closed formula:", count_formula_k1(3, 2))
 print()
 print("== Sub-censuses ==")
 for p, q in ((3, 2), (4, 2), (3, 1), (4, 4)):
+    full = tuple(subset_report(report, "full").total
+                 for report in (census_bdi_k0(p, q), census_bdi_k1(p, q)))
     print(f"  ({p},{q}): cuspidal={cuspidal_counts(p, q)} "
           f"nilpotent={nilpotent_support_counts(p, q)} "
-          f"full={full_support_counts(p, q)}")
+          f"full={full}")
 
 print()
 print("== Filtering a report down to its nilpotent strata ==")

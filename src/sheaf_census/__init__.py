@@ -17,7 +17,6 @@ from .partitions import (
 )
 from .qseries import (
     FormalSeries,
-    ProductFactor,
     bilateral_sum,
     parse_series_expr,
     prod_series,
@@ -33,9 +32,7 @@ from .diagrams import (
     enum_sigma,
     enum_sigma_b,
     format_diagram,
-    join,
     mu_t,
-    orbit_multiplicity,
     parse_diagram,
 )
 from .groups import (
@@ -43,7 +40,6 @@ from .groups import (
     eta,
     kappa1_data_BDI,
     kappa1_data_DIII,
-    l_of,
     omega_set,
     pi_size,
 )
@@ -58,7 +54,6 @@ from .census import (
     count_formula_k0,
     count_formula_k1,
     cuspidal_counts,
-    full_support_counts,
     hecke_count,
     nilpotent_support_counts,
     subset_report,

@@ -486,13 +486,6 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
     return b1 + 2 * b2, k1
 
 
-def full_support_counts(p: int, q: int) -> tuple[int, int]:
-    """Counts of sheaves with full support; nonzero only for split pairs,
-    where both parts are the cuspidal ones."""
-    counts = cuspidal_counts(p, q)  # refuses a negative entry
-    return counts if abs(p - q) <= 1 else (0, 0)
-
-
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     """Sums of character counts over class-1 and class-2 Richardson diagrams."""
     sums = {1: 0, 2: 0}

@@ -35,7 +35,8 @@ nothing from the formula route; one walk, on vectors of ways by plus-box
 count, serves a block of 8 sizes.
 
 ``diagram()`` is the one place that merges groups of equal length: the
-parser and ``join`` both build through it.
+parser builds through it, and the union of two diagrams' rows is
+``diagram(*d1.rows, *d2.rows)``.
 """
 from __future__ import annotations
 
@@ -141,9 +142,12 @@ def parse_diagram(text: str) -> SignedYoungDiagram:
 
 
 def diagram(*groups: tuple[int, int, int]) -> SignedYoungDiagram:
-    """Build a diagram from (length, plus, minus) groups in any order."""
+    """Build a diagram from (length, plus, minus) groups in any order;
+    groups of equal length merge, and groups with no rows are dropped."""
     merged: dict[int, list[int]] = {}
     for length, plus, minus in groups:
+        if plus < 0 or minus < 0:
+            raise ValueError(f"negative row count in group {(length, plus, minus)}")
         entry = merged.setdefault(length, [0, 0])
         entry[0] += plus
         entry[1] += minus
@@ -151,11 +155,6 @@ def diagram(*groups: tuple[int, int, int]) -> SignedYoungDiagram:
                  for length in sorted(merged, reverse=True)
                  if merged[length][0] + merged[length][1] > 0)
     return SignedYoungDiagram(rows)
-
-
-def join(d1: SignedYoungDiagram, d2: SignedYoungDiagram) -> SignedYoungDiagram:
-    """Multiset union of rows, regrouped by length."""
-    return diagram(*(d1.rows + d2.rows))
 
 
 def in_sigma(d: SignedYoungDiagram) -> bool:
@@ -226,11 +225,6 @@ def classify(d: SignedYoungDiagram) -> DiagramClass:
     if not in_sigma(d):
         raise ValueError(f"{d} is not in the orthogonal classification set")
     return _class_of(*_ab(d.rows))
-
-
-def orbit_multiplicity(d: SignedYoungDiagram) -> int:
-    """Number of orbits lying over the diagram: 1, 2, or 4 by class."""
-    return classify(d).orbits
 
 
 def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:

@@ -102,10 +102,6 @@ def _omega_set(d: SignedYoungDiagram) -> frozenset[int]:
     return frozenset(omega)
 
 
-def l_of(d: SignedYoungDiagram) -> int:
-    return len(omega_set(d))
-
-
 def pi_size(d: SignedYoungDiagram) -> int:
     """Number of admissible component-group characters on the Richardson
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved

@@ -51,18 +51,6 @@ class FormalSeries:
         return FormalSeries(tuple(vals))
 
     @staticmethod
-    def constant(value, order: int) -> FormalSeries:
-        return FormalSeries((Fraction(value),) + (_ZERO,) * order)
-
-    @staticmethod
-    def one(order: int) -> FormalSeries:
-        return FormalSeries.constant(1, order)
-
-    @staticmethod
-    def zero(order: int) -> FormalSeries:
-        return FormalSeries.constant(0, order)
-
-    @staticmethod
     def monomial(exponent: int, coefficient=1, order: int = DEFAULT_ORDER) -> FormalSeries:
         if exponent < 0:
             raise ValueError("negative exponents are not representable")
@@ -130,24 +118,6 @@ class FormalSeries:
         return f"{body} + O(x^{self.order + 1})"
 
 
-@dataclass(frozen=True)
-class ProductFactor:
-    """One factor family prod_{s>=1} (1 + sign*x^(stride*s+offset))^power."""
-
-    sign: int
-    stride: int
-    offset: int = 0
-    power: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.stride < 1:
-            raise ValueError("stride must be positive")
-        if self.stride + self.offset < 1:
-            raise ValueError("lowest factor exponent must be >= 1")
-
-
 def _cleared(coeffs) -> tuple[int, list[int]]:
     """A common denominator of the rationals coeffs, and their numerators over it."""
     den = lcm(*(c.denominator for c in coeffs))
@@ -180,13 +150,19 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
                 scalar=1, shift: int = 0) -> FormalSeries:
     """Expand scalar * x^shift times, for each (sign, stride, offset, power)
     factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order."""
-    families = [ProductFactor(*f) for f in factors]
+    for sign, stride, offset, _ in factors:
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if stride < 1:
+            raise ValueError("stride must be positive")
+        if stride + offset < 1:
+            raise ValueError("lowest factor exponent must be >= 1")
     if shift < 0:
         raise ValueError("negative exponents are not representable")
     vals = [1] + [0] * order
-    for f in families:
-        for exponent in range(f.stride + f.offset, order + 1, f.stride):
-            _mul_binomial(vals, f.sign, exponent, f.power)
+    for sign, stride, offset, power in factors:
+        for exponent in range(stride + offset, order + 1, stride):
+            _mul_binomial(vals, sign, exponent, power)
     s = Fraction(scalar)
     vals = ([0] * shift + [v * s.numerator for v in vals])[: order + 1]
     return FormalSeries(tuple(Fraction(v, s.denominator) for v in vals))
@@ -197,6 +173,8 @@ def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]
     """Bilateral sum symmetric under k -> -k: the k=0 term plus twice each
     k>=1 term, the sum of x^start/(1+x^step) over the (start, step) pairs
     of terms(k), each expanded as an alternating geometric series."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     vals = [0] * (order + 1)
     # term k has valuation >= k in every family used here, so indices past
     # the truncation order contribute nothing
@@ -220,6 +198,8 @@ class BiSeries:
     __slots__ = ("u_order", "v_order", "m")
 
     def __init__(self, u_order: int, v_order: int, matrix=None):
+        if u_order < 0 or v_order < 0:
+            raise ValueError(f"orders must be nonnegative, got ({u_order}, {v_order})")
         self.u_order = u_order
         self.v_order = v_order
         if matrix is None:
@@ -244,6 +224,8 @@ class BiSeries:
         (1 + sign*w)^power on a series in w."""
         if ue < 0 or ve < 0 or ue + ve < 1:
             raise ValueError("factor exponents must be nonnegative with positive total")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         out = [row[:] for row in self.m]
         far = self.u_order + self.v_order
         for i0 in range(self.u_order + 1):

@@ -442,7 +442,7 @@ def _nilcoro_k1(order: int, sweep: int):
             p, q = (t * t + t) // 2, (t * t - t) // 2
             staircase = diagrams.mu_t(t)
             per_orbit = groups.kappa1_data_BDI(staircase).count
-            mult = diagrams.orbit_multiplicity(staircase)
+            mult = diagrams.classify(staircase).orbits
             yield (f"t={t}", census.nilpotent_support_counts(p, q)[1],
                    groups.eta(0, t))
             yield (f"t={t} component-group route", mult * per_orbit,

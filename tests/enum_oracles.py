@@ -22,8 +22,7 @@ from collections import Counter
 from sheaf_census import diagrams, groups
 from sheaf_census.census import (LOW_RANK_WARNING, CensusReport, OrbitLabel,
                                  StratumEntry, theta_k0_count)
-from sheaf_census.diagrams import (DELTA_NAMES, SignedYoungDiagram, classify, diagram,
-                                   join, mu_t, orbit_multiplicity)
+from sheaf_census.diagrams import DELTA_NAMES, SignedYoungDiagram, classify, diagram, mu_t
 from sheaf_census.groups import eta, pi_size
 from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
                                      count_partitions)
@@ -229,7 +228,7 @@ _EMPTY = SignedYoungDiagram()
 
 
 def _support(m, k, mu):
-    return join(diagram((1, m, m), (2, k, k)) if m or k else _EMPTY, mu)
+    return diagram(*diagram((1, m, m), (2, k, k)).rows, *mu.rows)
 
 
 def support_via_diagram(m, k, mu):
@@ -300,7 +299,7 @@ def census_bdi_k1(p, q):
                 entries.append(StratumEntry(OrbitLabel(support), m, k,
                                             staircase, count, "kappa1-staircase"))
             else:
-                mult = orbit_multiplicity(support)
+                mult = classify(support).orbits
                 if mult == 1:
                     entries.append(StratumEntry(OrbitLabel(support), m, k, staircase,
                                                 base * eta(0, t), "kappa1-staircase"))

@@ -12,7 +12,7 @@ compare the library against them coefficient for coefficient.
 """
 from fractions import Fraction
 
-from sheaf_census.qseries import FormalSeries, ProductFactor
+from sheaf_census.qseries import FormalSeries
 
 _ZERO = Fraction(0)
 
@@ -34,12 +34,11 @@ def mul_binomial(coeffs, sign, exponent, power=1):
 
 
 def prod_series(order, *factors, scalar=1, shift=0):
-    families = [ProductFactor(*f) for f in factors]
     series = FormalSeries.monomial(shift, scalar, order)
     coeffs = list(series.coeffs)
-    for f in families:
-        for exponent in range(f.stride + f.offset, order + 1, f.stride):
-            coeffs = mul_binomial(coeffs, f.sign, exponent, f.power)
+    for sign, stride, offset, power in factors:
+        for exponent in range(stride + offset, order + 1, stride):
+            coeffs = mul_binomial(coeffs, sign, exponent, power)
     return FormalSeries(tuple(coeffs))
 
 
@@ -103,7 +102,7 @@ def geometric_alternating(start, step, order):
 
 def bilateral_sum(constant_term, pos_term, order):
     """The k=0 term plus twice each series pos_term(k), k = 1 .. order."""
-    total = FormalSeries.constant(constant_term, order)
+    total = FormalSeries.from_values([constant_term], order)
     for k in range(1, order + 1):
         term = pos_term(k)
         total = total + term + term

@@ -72,9 +72,9 @@ def test_classify_examples():
 
 
 def test_orbit_multiplicity():
-    assert dg.orbit_multiplicity(dg.parse_diagram("1+^3 1-^2")) == 1
-    assert dg.orbit_multiplicity(dg.parse_diagram("5+")) == 2
-    assert dg.orbit_multiplicity(dg.parse_diagram("2+ 2-")) == 4
+    assert dg.classify(dg.parse_diagram("1+^3 1-^2")).orbits == 1
+    assert dg.classify(dg.parse_diagram("5+")).orbits == 2
+    assert dg.classify(dg.parse_diagram("2+ 2-")).orbits == 4
     assert dg.classify(dg.parse_diagram("1+^3 1-^2")).deltas == (None,)
     assert dg.classify(dg.parse_diagram("5+")).deltas == ("I", "II")
     assert dg.classify(dg.parse_diagram("2+ 2-")).deltas == ("I", "II", "III", "IV")
@@ -233,11 +233,12 @@ def test_mu_t():
 
 
 def test_join():
+    # diagram() merges the rows of two diagrams, regrouped by length
     unit_pair = dg.diagram((1, 1, 1))
-    assert str(dg.join(unit_pair, dg.mu_t(2))) == "3+ 1+^2 1-"
+    assert str(dg.diagram(*unit_pair.rows, *dg.mu_t(2).rows)) == "3+ 1+^2 1-"
     d = dg.parse_diagram("2+ 2-")
-    assert dg.join(d, dg.SignedYoungDiagram()) == d
-    assert str(dg.join(d, d)) == "2+^2 2-^2"
+    assert dg.diagram(*d.rows, *dg.SignedYoungDiagram().rows) == d
+    assert str(dg.diagram(*d.rows, *d.rows)) == "2+^2 2-^2"
 
 
 def test_diii_bijection_examples():
@@ -351,6 +352,12 @@ def test_enumerated_diagrams_pass_the_public_checks():
 def test_diagram_builders_keep_validating():
     with pytest.raises(ValueError):
         dg.diagram((0, 1, 0))
+    # a negative row count is refused before groups merge, so it cannot cancel
+    for groups in (((1, 1, -1),), ((3, 1, -1), (3, 0, 1))):
+        with pytest.raises(ValueError, match="negative row count"):
+            dg.diagram(*groups)
+    # groups with no rows are still dropped
+    assert dg.diagram((1, 0, 0), (2, 1, 1)) == dg.parse_diagram("2+ 2-")
     with pytest.raises(ValueError):
         dg.parse_diagram("0+ 1-")
 

@@ -108,7 +108,7 @@ def test_omega_contains_one_iff_even():
                 omega = gp.omega_set(d)
                 assert (1 in omega) == ((p + q) % 2 == 0), str(d)
                 if (p + q) % 2 == 0:
-                    assert gp.l_of(d) >= 1
+                    assert len(omega) >= 1
 
 
 def test_pi_size_examples():

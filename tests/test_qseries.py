@@ -23,11 +23,11 @@ def test_inverse_geometric():
 
 def test_mul_by_inverse_is_one():
     s = FormalSeries.from_values([2, 5, -1, Fraction(1, 3)], order=6)
-    assert s * s.inverse() == FormalSeries.one(6)
+    assert s * s.inverse() == FormalSeries.from_values([1], 6)
 
 
 def test_coeff_bounds():
-    s = FormalSeries.one(3)
+    s = FormalSeries.from_values([1], 3)
     assert s.coeff(0) == 1
     assert s.coeff(-1) == 0
     with pytest.raises(ValueError):
@@ -41,8 +41,8 @@ def test_coeff_bounds():
 
 
 def test_binary_ops_truncate_to_min_order():
-    a = FormalSeries.one(10)
-    b = FormalSeries.one(4)
+    a = FormalSeries.from_values([1], 10)
+    b = FormalSeries.from_values([1], 4)
     assert (a + b).order == 4
     assert (a * b).order == 4
 
@@ -54,7 +54,7 @@ def test_eval_product_examples():
     # the type-D series keeps its 1/2 constant
     s = qs.prod_series(1, (1, 2, -1, 1), (1, 1, 0, 1), scalar=Fraction(1, 2))
     assert list(s.coeffs) == [Fraction(1, 2), 1]
-    assert qs.prod_series(5) == FormalSeries.one(5)
+    assert qs.prod_series(5) == FormalSeries.from_values([1], 5)
 
 
 def test_coeff_examples():
@@ -68,15 +68,34 @@ def test_coeff_examples():
 
 
 def test_product_spec_validation():
-    with pytest.raises(ValueError):
-        qs.ProductFactor(1, 1, -1)  # lowest exponent 0
-    with pytest.raises(ValueError):
-        qs.ProductFactor(2, 1, 0)
     # prod_series validates every factor, and the shift, before expanding
     with pytest.raises(ValueError):
         qs.prod_series(5, (1, 1, 0, 1), (1, 1, -1, 1))
     with pytest.raises(ValueError):
         qs.prod_series(5, (1, 1, 0, 1), shift=-1)
+
+
+@pytest.mark.parametrize("factor, shift, message", [
+    ((2, 1, 0, 1), 0, "^sign must be \\+1 or -1$"),
+    ((1, 0, 1, 1), 0, "^stride must be positive$"),
+    ((1, 1, -1, 1), 0, "^lowest factor exponent must be >= 1$"),
+    ((1, 1, 0, 1), -1, "^negative exponents are not representable$"),
+], ids=["sign", "stride", "lowest-exponent", "shift"])
+def test_prod_series_refusals_name_their_fault(factor, shift, message):
+    with pytest.raises(ValueError, match=message):
+        qs.prod_series(5, factor, shift=shift)
+
+
+def test_negative_orders_are_refused():
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        qs.bilateral_sum(1, lambda k: (), order=-1)
+    with pytest.raises(ValueError, match="orders must be nonnegative, got \\(-1, 2\\)"):
+        qs.BiSeries.one(-1, 2)
+
+
+def test_biseries_mul_binomial_refuses_sign_2():
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1$"):
+        qs.BiSeries.one(3, 3).mul_binomial(2, 1, 1, 1)
 
 
 def test_bilateral_constant_term():
@@ -89,7 +108,7 @@ def test_bilateral_constant_term():
 def _oracle_bilateral(constant_term, terms, order):
     """The Fraction-series sum of the same (start, step) terms."""
     def pos_term(k):
-        total = FormalSeries.zero(order)
+        total = FormalSeries.from_values([0], order)
         for start, step in terms(k):
             total = total + oracles.geometric_alternating(start, step, order)
         return total
@@ -158,7 +177,7 @@ def test_ring_axioms(a, b, c):
     assert (A + B) + C == A + (B + C)
     assert (A * B) * C == A * (B * C)
     assert A * (B + C) == A * B + A * C
-    assert A - A == FormalSeries.zero(5)
+    assert A - A == FormalSeries.from_values([0], 5)
 
 
 def test_ring_axioms_at_order_fifty():
@@ -177,7 +196,7 @@ def test_unit_inverse(values):
     if not values[0]:
         values = [Fraction(1)] + values[1:]
     s = FormalSeries.from_values(values)
-    assert s * s.inverse() == FormalSeries.one(5)
+    assert s * s.inverse() == FormalSeries.from_values([1], 5)
 
 
 def _binomial(p, k):
@@ -194,7 +213,7 @@ def test_huge_power_costs_one_pass():
             assert s.coeff(2) == _binomial(power, 2) + sign * _binomial(power, 1)
             assert all(type(c) is Fraction for c in s.coeffs)
     assert _binomial(5, 2) == comb(5, 2) and _binomial(-3, 2) == 6
-    assert qs.prod_series(10, (1, 1, 0, 0)) == FormalSeries.one(10)
+    assert qs.prod_series(10, (1, 1, 0, 0)) == FormalSeries.from_values([1], 10)
 
 
 def test_huge_power_from_the_command_line(capsys):
@@ -236,7 +255,7 @@ def test_inverse_non_unit_constant_term(c0):
     s = qs.prod_series(40, (-1, 1, 0, 1), (1, 2, -1, 2), scalar=Fraction(3, 5))
     s = FormalSeries((c0,) + s.coeffs[1:])
     assert s.inverse() == oracles.inverse(s)
-    assert s * s.inverse() == FormalSeries.one(40)
+    assert s * s.inverse() == FormalSeries.from_values([1], 40)
     t = qs.prod_series(30, (1, 3, -1, -2), scalar=Fraction(-5, 7))
     assert s * t == oracles.product(s, t)
 
@@ -302,7 +321,7 @@ def test_parse_sums_and_inverse():
     s = qs.parse_series_expr("inv(prod(1-x^{1s}))", order=6)
     assert [s.coeff(n) for n in range(7)] == [count_partitions(n) for n in range(7)]
     s = qs.parse_series_expr("prod(1+x^{1s}) - prod(1+x^{1s})", order=5)
-    assert s == FormalSeries.zero(5)
+    assert s == FormalSeries.from_values([0], 5)
 
 
 def test_parse_powers_and_parens():
