@@ -52,17 +52,24 @@ _encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
+class _Rendered(str):
+    """JSON text that _json_text already wrote at the depth where it sits."""
+
+
 def _json_text(obj, depth: int = 1) -> str:
     """json.dumps(obj, indent=2), byte for byte, for obj whose items sit at
     the given indent depth (json.dumps with an indent runs the pure-Python
     encoder). Each container of scalars is one encode() call, and so is a
     list of nonempty dicts of scalars: encoded at its items' depth, only its
     "},{" joins need indenting, as every raw newline is a separator (the
-    encoder escapes those inside strings)."""
+    encoder escapes those inside strings). A _Rendered value is emitted as it
+    is, so a caller can assemble one large value from pieces of this text."""
+    if isinstance(obj, _Rendered):
+        return obj
     for d in (depth, depth + 1):
         if d not in _encoders:
             _encoders[d] = json.JSONEncoder(separators=(",\n" + "  " * d, ": ")).encode
-    encode, containers = _encoders[depth], (dict, list, tuple)
+    encode, containers = _encoders[depth], (dict, list, tuple, _Rendered)
     if not isinstance(obj, containers) or not obj:
         return encode(obj)
     outer, inner, deeper = "  " * (depth - 1), "  " * depth, "  " * (depth + 1)
@@ -142,32 +149,52 @@ def _require(args: argparse.Namespace) -> None:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     _require(args)
-    listed = []  # (diagram text, its deltas, its cells past "delta" by header)
+    listed = []  # (diagram, (its deltas, *its cells past "delta" by header))
     if args.family == "bdi":
         listing = diagrams.sigma_b_listing if args.richardson else diagrams.sigma_listing
-        tails: dict = {}  # id of a listed class -> its cells, built once per class
+        tails: dict = {}  # id of a listed class -> its deltas and cells, built once per class
         for d, cls in zip(*listing(args.p, args.q)):
             if args.orbit_class and cls.index != int(args.orbit_class[-1]):
                 continue
             if id(cls) not in tails:
-                tails[id(cls)] = {"a": cls.a, "b": cls.b, "r": cls.r, "class": f"sigma{cls.index}",
-                                  "k0_irreps": 2 ** cls.r,
-                                  "k1_irreps": groups._kappa1_data(cls, args.p, args.q).count}
-            listed.append((diagrams.format_diagram(d), (None,) if args.richardson else cls.deltas,
-                           tails[id(cls)]))
+                tails[id(cls)] = ((None,) if args.richardson else cls.deltas, cls.a, cls.b, cls.r,
+                                  f"sigma{cls.index}", 2 ** cls.r,
+                                  groups._kappa1_data(cls, args.p, args.q).count)
+            listed.append((d, tails[id(cls)]))
     else:
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
-        listed = [(diagrams.format_diagram(d), (None,),
-                   {"a": None, "b": None, "r": 0, "class": "lambda", "k0_irreps": 1,
-                    "k1_irreps": groups.kappa1_data_DIII(d).count}) for d in members]
+        listed = [(d, ((None,), None, None, 0, "lambda", 1, groups.kappa1_data_DIII(d).count))
+                  for d in members]
 
-    rows = [{"diagram": text, "delta": delta, **tail}
-            for text, deltas, tail in listed for delta in deltas]
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
-    return _finish(args, {"orbits": rows}, [], headers,
-                   lambda: [list(row.values()) for row in rows])
+    # the rows sit at depth 3 of the envelope: envelope, payload, list
+    payload = {"orbits": _orbit_rows_json(listed, headers, 3)} if args.format == "json" else {}
+    return _finish(args, payload, [], headers, lambda: [
+        [diagrams.format_diagram(d), delta, *cells] for d, (deltas, *cells) in listed
+        for delta in deltas])
+
+
+def _orbit_rows_json(listed: list, headers: list[str], depth: int) -> _Rendered:
+    """The orbit rows as _json_text writes them at depth. The rows of each
+    distinct (deltas, *cells) are written once, with a hole for the diagram
+    text, and cut there into pieces; a diagram's rows are its text joined with
+    its pieces. Diagram texts (digits, signs, carets, spaces) need no escaping."""
+    if not listed:
+        return _Rendered("[]")
+    head, tail = f"[\n{depth * '  '}", f"\n{(depth - 1) * '  '}]"
+    hole = "\\u0000"  # the JSON text of the "\0" that stands for each diagram
+    # (deltas, *cells) -> the text of their rows, cut at the holes; keyed by
+    # content, as diii builds one key per diagram
+    pieces: dict = {}
+    texts = []
+    for d, key in listed:
+        if key not in pieces:
+            rows = [dict(zip(headers, ("\0", delta, *key[1:]))) for delta in key[0]]
+            pieces[key] = _json_text(rows, depth)[len(head):-len(tail)].split(hole)
+        texts.append(diagrams.format_diagram(d).join(pieces[key]))
+    return _Rendered(head + ("," + head[1:]).join(texts) + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,8 @@ def diagram(*groups: tuple[int, int, int]) -> SignedYoungDiagram:
     groups of equal length merge, and groups with no rows are dropped."""
     merged: dict[int, list[int]] = {}
     for length, plus, minus in groups:
+        if length < 1:
+            raise ValueError("row lengths must be positive")
         if plus < 0 or minus < 0:
             raise ValueError(f"negative row count in group {(length, plus, minus)}")
         entry = merged.setdefault(length, [0, 0])

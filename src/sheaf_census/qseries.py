@@ -25,6 +25,11 @@ DEFAULT_ORDER = 40
 _ZERO = Fraction(0)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 @dataclass(frozen=True)
 class FormalSeries:
     """A power series known exactly for exponents 0..order.
@@ -47,6 +52,7 @@ class FormalSeries:
     def from_values(values: Iterable, order: int | None = None) -> FormalSeries:
         vals = [Fraction(v) for v in values]
         if order is not None:
+            _check_order(order)
             vals = (vals + [_ZERO] * (order + 1))[: order + 1]
         return FormalSeries(tuple(vals))
 
@@ -54,6 +60,7 @@ class FormalSeries:
     def monomial(exponent: int, coefficient=1, order: int = DEFAULT_ORDER) -> FormalSeries:
         if exponent < 0:
             raise ValueError("negative exponents are not representable")
+        _check_order(order)
         vals = [_ZERO] * (order + 1)
         if exponent <= order:
             vals[exponent] = Fraction(coefficient)
@@ -159,6 +166,7 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
             raise ValueError("lowest factor exponent must be >= 1")
     if shift < 0:
         raise ValueError("negative exponents are not representable")
+    _check_order(order)
     vals = [1] + [0] * order
     for sign, stride, offset, power in factors:
         for exponent in range(stride + offset, order + 1, stride):
@@ -173,8 +181,7 @@ def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]
     """Bilateral sum symmetric under k -> -k: the k=0 term plus twice each
     k>=1 term, the sum of x^start/(1+x^step) over the (start, step) pairs
     of terms(k), each expanded as an alternating geometric series."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _check_order(order)
     vals = [0] * (order + 1)
     # term k has valuation >= k in every family used here, so indices past
     # the truncation order contribute nothing

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheaf_census import census, cli, diagrams as dg, groups, verify
+from sheaf_census import __version__, census, cli, diagrams as dg, groups, verify
 from sheaf_census.cli import _json_text, main
 from sheaf_census.qseries import FormalSeries
 
@@ -539,13 +540,58 @@ def test_json_writer_matches_json_dumps_on_row_lists(rows, wraps):
     assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
-def test_orbits_and_census_json_match_json_dumps(capsys):
+def orbit_rows(family: str, size, richardson: bool = False, orbit_class=None) -> list[dict]:
+    """The orbit rows as dicts, one per (diagram, delta), built from the
+    listings and the groups data: the oracle for the pieced orbit JSON."""
+    if family == "diii":
+        members = dg.enum_lambda_b(size) if richardson else dg.enum_lambda(size)
+        return [{"diagram": dg.format_diagram(d), "delta": None, "a": None, "b": None, "r": 0,
+                 "class": "lambda", "k0_irreps": 1, "k1_irreps": groups.kappa1_data_DIII(d).count}
+                for d in members]
+    p, q = size
+    listing = dg.sigma_b_listing if richardson else dg.sigma_listing
+    return [{"diagram": dg.format_diagram(d), "delta": delta, "a": cls.a, "b": cls.b,
+             "r": cls.r, "class": f"sigma{cls.index}", "k0_irreps": 2 ** cls.r,
+             "k1_irreps": groups._kappa1_data(cls, p, q).count}
+            for d, cls in zip(*listing(p, q)) if orbit_class in (None, f"sigma{cls.index}")
+            for delta in ((None,) if richardson else cls.deltas)]
+
+
+def orbit_cases():
+    """(argv, orbit_rows arguments) for every bdi pair with p+q <= 12, bare,
+    Richardson and by class, and every diii n <= 10, bare and Richardson."""
     for N in range(13):
         for p in range(N + 1):
-            for argv in (["orbits", "bdi"], ["census", "bdi", "--check"]):
-                code, out, _ = run_cli(capsys, *argv, "--p", str(p), "--q", str(N - p))
-                assert code == 0
-                assert out == json.dumps(json.loads(out), indent=2) + "\n", (argv, p, N - p)
+            argv = ["orbits", "bdi", "--p", str(p), "--q", str(N - p)]
+            yield argv, ("bdi", (p, N - p))
+            yield argv + ["--richardson"], ("bdi", (p, N - p), True)
+            for cls in ("sigma1", "sigma2", "sigma3"):
+                yield argv + ["--class", cls], ("bdi", (p, N - p), False, cls)
+    for n in range(11):
+        yield ["orbits", "diii", "--n", str(n)], ("diii", n)
+        yield ["orbits", "diii", "--n", str(n), "--richardson"], ("diii", n, True)
+
+
+def test_orbits_json_matches_the_row_dict_oracle(capsys):
+    empty = []
+    for argv, oracle in orbit_cases():
+        rows = orbit_rows(*oracle)
+        envelope = {"tool": "sheaf-census", "version": __version__,
+                    "command": " ".join(["sheaf-census", *argv]),
+                    "payload": {"orbits": rows}, "warnings": []}
+        assert run_cli(capsys, *argv)[:2] == (0, json.dumps(envelope, indent=2) + "\n"), argv
+        if not rows:
+            empty.append(" ".join(argv[1:]))
+    assert {"bdi --p 1 --q 0 --class sigma3", "bdi --p 0 --q 0 --richardson"} <= set(empty)
+
+
+def test_orbits_and_census_json_match_json_dumps(capsys):
+    census_cases = [["census", "bdi", "--check", "--p", str(p), "--q", str(N - p)]
+                    for N in range(13) for p in range(N + 1)]
+    for argv in [argv for argv, _ in orbit_cases()] + census_cases:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def _encode_calls(capsys, monkeypatch, *argv) -> int:
@@ -561,14 +607,24 @@ def _encode_calls(capsys, monkeypatch, *argv) -> int:
 
 
 def test_row_lists_take_one_encode_each(capsys, monkeypatch):
-    # orbit rows and census strata are encoded as whole lists: as many
-    # encode() calls for 90 orbit rows as for 8
-    orbits = ["orbits", "bdi", "--p", "6", "--q", "6"]
+    # census strata are encoded as whole lists: as many encode() calls for
+    # (6, 6) as for (3, 2)
     census_check = ["census", "bdi", "--p", "6", "--q", "6", "--check"]
-    rows = [len(run_json(capsys, *orbits[:2], "--p", p, "--q", q)[1]["payload"]["orbits"])
-            for p, q in (("6", "6"), ("3", "2"))]
-    assert rows == [90, 8]
-    for argv in (orbits, census_check):
-        small = argv[:2] + ["--p", "3", "--q", "2"] + argv[6:]
-        assert _encode_calls(capsys, monkeypatch, *argv) == \
-            _encode_calls(capsys, monkeypatch, *small) < 40
+    small = census_check[:2] + ["--p", "3", "--q", "2"] + census_check[6:]
+    assert _encode_calls(capsys, monkeypatch, *census_check) == \
+        _encode_calls(capsys, monkeypatch, *small) < 40
+    # orbit rows are joined from pieces written once for each distinct
+    # (deltas, cells) of a diagram: one encode() each, past the envelope's own,
+    # however many rows share them
+    fixed = _encode_calls(capsys, monkeypatch, "orbits", "bdi", "--p", "1", "--q", "0",
+                          "--class", "sigma3")  # lists no row
+    for argv, oracle in ((["orbits", "bdi", "--p", "15", "--q", "15"], ("bdi", (15, 15))),
+                         (["orbits", "bdi", "--p", "16", "--q", "15", "--richardson"],
+                          ("bdi", (16, 15), True)),
+                         (["orbits", "diii", "--n", "10"], ("diii", 10)),
+                         (["orbits", "diii", "--n", "10", "--richardson"], ("diii", 10, True))):
+        rows = orbit_rows(*oracle)  # 5,074 at (15, 15), from 25 pieces
+        pieces = {(tuple(row["delta"] for row in same), tuple(same[0].values())[2:])
+                  for same in (list(g) for _, g in groupby(rows, lambda row: row["diagram"]))}
+        assert len(pieces) < 40 < len(rows), argv
+        assert _encode_calls(capsys, monkeypatch, *argv) == fixed + len(pieces), argv

@@ -350,8 +350,12 @@ def test_enumerated_diagrams_pass_the_public_checks():
 
 
 def test_diagram_builders_keep_validating():
-    with pytest.raises(ValueError):
-        dg.diagram((0, 1, 0))
+    # a length below 1 is refused even in a group with no rows to drop
+    for group in ((0, 1, 0), (0, 0, 0), (-2, 0, 0), (-2, 1, 1)):
+        with pytest.raises(ValueError, match="^row lengths must be positive$"):
+            dg.diagram(group)
+    with pytest.raises(ValueError, match="^row lengths must be positive$"):
+        dg.diagram((3, 1, 0), (0, 0, 0))
     # a negative row count is refused before groups merge, so it cannot cancel
     for groups in (((1, 1, -1),), ((3, 1, -1), (3, 0, 1))):
         with pytest.raises(ValueError, match="negative row count"):

@@ -87,8 +87,13 @@ def test_prod_series_refusals_name_their_fault(factor, shift, message):
 
 
 def test_negative_orders_are_refused():
-    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
-        qs.bilateral_sum(1, lambda k: (), order=-1)
+    # unchecked, a negative order slices from the end or leaves no constant term
+    for build, order in ((lambda: qs.bilateral_sum(1, lambda k: (), order=-1), -1),
+                         (lambda: qs.FormalSeries.from_values([1, 2, 3, 4], order=-3), -3),
+                         (lambda: qs.FormalSeries.monomial(0, 1, -1), -1),
+                         (lambda: qs.prod_series(-1), -1)):
+        with pytest.raises(ValueError, match=f"^order must be nonnegative, got {order}$"):
+            build()
     with pytest.raises(ValueError, match="orders must be nonnegative, got \\(-1, 2\\)"):
         qs.BiSeries.one(-1, 2)
 
