@@ -14,9 +14,10 @@ Their agreement over sweeps is the artifact's central correctness check.
 Each piece is computed once: supports are assembled row by row, their
 classes read off mu's, and ``theta_k0_count``, ``_richardson`` (which holds
 mu's class) and ``count_formula_k0`` are memoised.
-Each family's strata rule is one generator (``_k0_strata``, ``_diii_strata``)
-read by the labelled reports and by the memoised count-only totals
-(``census_k0_total``, ``census_diii_totals``) that ``verify`` reads.
+Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
+``_diii_strata``) of (m, k, mu, deltas, count, family) records: ``_report``
+builds every labelled report from them, and ``_total`` every memoised
+count-only total (``census_k0_total``, ``census_diii_totals``, read by ``verify``).
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -250,20 +251,6 @@ def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
     return label
 
 
-def _orbit_entries(m: int, k: int, mu: SignedYoungDiagram, cls: DiagramClass, count: int,
-                   family: str, shared: bool = False) -> list[StratumEntry]:
-    """One entry per orbit over the (m, k, mu) stratum's support, mu of class
-    cls, each carrying count local systems, or an even share when shared."""
-    support = _support(m, k, mu)
-    deltas = _support_class(m, mu, cls).deltas
-    if shared and count % len(deltas):
-        raise ArithmeticError(f"{count} local systems do not share evenly among the "
-                              f"{len(deltas)} orbits over {format_diagram(support)}")
-    per_orbit = count // len(deltas) if shared else count
-    return [StratumEntry(_label(support, delta), m, k, mu, per_orbit, family)
-            for delta in deltas]
-
-
 @lru_cache(maxsize=None)
 def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, DiagramClass, int], ...]:
     """(mu, classify(mu), pi_size(mu)) for every Richardson diagram of
@@ -272,8 +259,22 @@ def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, DiagramClass,
     return tuple((mu, cls, _pi_size(mu, cls)) for mu, cls in zip(*sigma_b_listing(p, q)))
 
 
+def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
+    """One entry per orbit over each stratum's support; the low-rank rule
+    (total size below 5) lives here."""
+    entries = tuple(StratumEntry(_label(support, delta), m, k, mu, count, family)
+                    for m, k, mu, deltas, count, family in strata
+                    for support in (_support(m, k, mu),) for delta in deltas)
+    return CensusReport(pair, central, entries, (LOW_RANK_WARNING,) if size < 5 else ())
+
+
+def _total(strata) -> int:
+    """_report's total over the same strata, without labels or report."""
+    return sum(count * len(deltas) for _, _, _, deltas, count, _ in strata)
+
+
 def _k0_strata(p: int, q: int):
-    """(m, k, mu, classify(mu), count, family) for every stratum of the
+    """(m, k, mu, deltas, count, family) for every stratum of the
     trivial-character census of (p, q).
 
     Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
@@ -293,81 +294,78 @@ def _k0_strata(p: int, q: int):
         for k in range((min(p, q) - m) // 2 + 1):
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
-            if p1 == 0 and q1 == 0:
-                yield m, k, _EMPTY, _EMPTY_CLASS, theta_k0_count("split-D", m) * pk, "empty-mu"
-                continue
+            if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
+                yield (m, k, _EMPTY, _support_class(m, _EMPTY, _EMPTY_CLASS).deltas,
+                       theta_k0_count("split-D", m) * pk, "empty-mu")
             for mu, cls, pi in _richardson(p1, q1):
-                yield m, k, mu, cls, theta[cls.index] * pk * pi, f"sigma-b{cls.index}"
+                yield (m, k, mu, _support_class(m, mu, cls).deltas,
+                       theta[cls.index] * pk * pi, f"sigma-b{cls.index}")
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
-    """Direct stratum-by-stratum census at the trivial central character:
-    one entry per orbit over each stratum of _k0_strata(p, q)."""
-    entries = tuple(entry for stratum in _k0_strata(p, q) for entry in _orbit_entries(*stratum))
-    warnings = (LOW_RANK_WARNING,) if p + q < 5 else ()
-    return CensusReport(("bdi", p, q), "k0", entries, warnings)
+    """Direct stratum-by-stratum census at the trivial central character."""
+    return _report(("bdi", p, q), "k0", p + q, _k0_strata(p, q))
 
 
 @lru_cache(maxsize=None)
 def census_k0_total(p: int, q: int) -> int:
-    """census_bdi_k0(p, q).total without labels or report: each stratum's
-    count times the number of orbits over its support."""
-    return sum(count * _support_class(m, mu, cls).orbits
-               for m, _, mu, cls, count, _ in _k0_strata(p, q))
+    """census_bdi_k0(p, q).total without labels or report."""
+    return _total(_k0_strata(p, q))
 
 
-def census_bdi_k1(p: int, q: int) -> CensusReport:
-    """Direct census at the nontrivial central character: strata (m, k) with
-    2m + 4k = N - t^2 over the uniform staircase, empty when N < t^2. The
+def _k1_strata(p: int, q: int):
+    """(m, k, mu_t, deltas, count, family) for every stratum of the
+    nontrivial-character census of (p, q): strata (m, k) with
+    2m + 4k = N - t^2 over the uniform staircase, none when N < t^2. The
     stratum's base * theta_k1(m, t) local systems are shared evenly by the
     orbits over its support (there are several only at m = 0, where theta_k1
     is eta(0, t), their number)."""
-    N, t = _size(p, q), p - q
-    entries: list[StratumEntry] = []
-    D = N - t * t
+    t = p - q
+    D = _size(p, q) - t * t
     staircase = mu_t(t)
     cls = classify(staircase)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
-        entries += _orbit_entries(m, k, staircase, cls,
-                                  count_bipartitions(k) * theta_k1_count(m, t),
-                                  "kappa1-staircase", shared=True)
-    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
-    return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
+        deltas = _support_class(m, staircase, cls).deltas
+        count = count_bipartitions(k) * theta_k1_count(m, t)
+        if count % len(deltas):
+            raise ArithmeticError(f"{count} local systems do not share evenly among the "
+                                  f"{len(deltas)} orbits over "
+                                  f"{format_diagram(_support(m, k, staircase))}")
+        yield m, k, staircase, deltas, count // len(deltas), "kappa1-staircase"
 
 
-def _diii_strata(n: int):
-    """(central, m, mu, count) for every stratum of the two equal-signature
-    censuses: k0 strata (2k, mu) with mu in Lambda_b(n - 2k), each carrying
-    p(k); for even n >= 2 one k1 stratum (n, empty) carrying p2(n/2)."""
+def census_bdi_k1(p: int, q: int) -> CensusReport:
+    """Direct census at the nontrivial central character."""
+    return _report(("bdi", p, q), "k1", p + q, _k1_strata(p, q))
+
+
+def _diii_strata(n: int, central: str):
+    """(m, 0, mu, (None,), count, "diii") for every stratum of one
+    equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
+    each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
+    p2(n/2). The n=n family never splits, so each support is one orbit."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for k in range(n // 2 + 1):
-        pk = count_partitions(k)
-        for mu in enum_lambda_b(n - 2 * k):
-            yield "k0", 2 * k, mu, pk
-    if n >= 2 and n % 2 == 0:
-        yield "k1", n, _EMPTY, count_bipartitions(n // 2)
+    if central == "k0":
+        for k in range(n // 2 + 1):
+            pk = count_partitions(k)
+            for mu in enum_lambda_b(n - 2 * k):
+                yield 2 * k, 0, mu, (None,), pk, "diii"
+    elif n >= 2 and n % 2 == 0:
+        yield n, 0, _EMPTY, (None,), count_bipartitions(n // 2), "diii"
 
 
 def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
     """Both central-character censuses for the equal-signature pair."""
-    entries: dict[str, list[StratumEntry]] = {"k0": [], "k1": []}
-    for central, m, mu, count in _diii_strata(n):
-        entries[central].append(StratumEntry(OrbitLabel(_support(m, 0, mu)), m, 0, mu,
-                                             count, "diii"))
-    warnings = (LOW_RANK_WARNING,) if 2 * n < 5 else ()
-    return tuple(CensusReport(("diii", n), central, tuple(strata), warnings)
-                 for central, strata in entries.items())
+    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central))
+                 for central in ("k0", "k1"))
 
 
 @lru_cache(maxsize=None)
 def census_diii_totals(n: int) -> tuple[int, int]:
     """The (k0, k1) totals of census_diii(n), without labels or reports."""
-    totals = {"k0": 0, "k1": 0}
-    for central, _, _, count in _diii_strata(n):
-        totals[central] += count
-    return totals["k0"], totals["k1"]
+    return _total(_diii_strata(n, "k0")), _total(_diii_strata(n, "k1"))
 
 
 # ---------------------------------------------------------------------------

@@ -297,8 +297,7 @@ class _Parser:
         return self.toks[j][0] if j < len(self.toks) else None
 
     def next(self) -> str:
-        if self.i >= len(self.toks):
-            raise SeriesParseError("unexpected end of expression", self.text, len(self.text))
+        """Consume the next token; every caller has peeked it first."""
         tok = self.toks[self.i][0]
         self.i += 1
         return tok
@@ -308,9 +307,10 @@ class _Parser:
             raise self.error(f"expected '{what}'")
         return self.next()
 
-    def error(self, message: str) -> SeriesParseError:
-        """A parse error with its caret at the next token, or at the end."""
-        pos = self.toks[self.i][1] if self.i < len(self.toks) else len(self.text)
+    def error(self, message: str, at: int | None = None) -> SeriesParseError:
+        """A parse error with its caret at token at (the next by default), or at the end."""
+        at = self.i if at is None else at
+        pos = self.toks[at][1] if at < len(self.toks) else len(self.text)
         return SeriesParseError(message, self.text, pos)
 
     def parse(self) -> FormalSeries:
@@ -351,7 +351,7 @@ class _Parser:
             self.next()
             den = int(self.next())
             if den == 0:
-                raise self.error("zero denominator")
+                raise self.error("zero denominator", self.i - 1)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -393,6 +393,7 @@ class _Parser:
         raise self.error("expected a factor")
 
     def _prod_group(self) -> tuple[int, int, int, int]:
+        at = self.i  # the group's '(', where a bad lowest exponent is reported
         self.expect("(")
         self.expect("1")
         sign = 1 if self.next() == "+" else -1
@@ -413,7 +414,7 @@ class _Parser:
             self.next()
             power = self._int()
         if stride < 1 or stride + offset < 1:
-            raise self.error("product factor must have lowest exponent >= 1")
+            raise self.error("product factor must have lowest exponent >= 1", at)
         return sign, stride, offset, power
 
     def _int(self) -> int:

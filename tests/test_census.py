@@ -87,6 +87,16 @@ def test_census_low_rank_warning():
     assert not cs.census_bdi_k0(3, 2).warnings
 
 
+@pytest.mark.parametrize("build,low,stable", [
+    (cs.census_bdi_k1, (2, 2), (3, 2)),
+    (lambda n: cs.census_diii(n)[0], (2,), (3,)),
+    (lambda n: cs.census_diii(n)[1], (2,), (3,)),
+], ids=["bdi-k1", "diii-k0", "diii-k1"])
+def test_every_report_builder_warns_below_total_size_5(build, low, stable):
+    assert build(*low).warnings == (cs.LOW_RANK_WARNING,)
+    assert build(*stable).warnings == ()
+
+
 def test_two_path_small_sweep():
     for total in range(15):
         for p in range(total + 1):
@@ -345,7 +355,13 @@ def test_support_classes_match_classify():
     for N in range(31):
         for p in range(N + 1):
             q, t = N - p, 2 * p - N
-            strata = [(m, k, mu, cls) for m, k, mu, cls, _, _ in cs._k0_strata(p, q)]
+            strata = [(m, k, mu, cls) for m in range(min(p, q) + 1)
+                      if N % 2 or (m - q) % 2 == 0
+                      for k in range((min(p, q) - m) // 2 + 1)
+                      for mu, cls, _ in cs._richardson(p - m - 2 * k, q - m - 2 * k)]
+            if N % 2 == 0 and p == q:
+                strata += [(m, (q - m) // 2, cs._EMPTY, cs._EMPTY_CLASS)
+                           for m in range(q % 2, q + 1, 2)]
             D = N - t * t
             strata += [((D - 4 * k) // 2, k, dg.mu_t(t), dg.classify(dg.mu_t(t)))
                        for k in range(D // 4 + 1)]

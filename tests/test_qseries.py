@@ -344,6 +344,34 @@ def test_parse_rational_membership_not_prefix():
         qs.parse_series_expr("3 prod(1+x^{1s})", order=4)
 
 
+def test_parse_integer_scalar_prefix():
+    s = qs.parse_series_expr("3 * x^1", order=2)
+    assert list(s.coeffs) == [0, 3, 0]
+
+
+# every message the grammar can raise, with the column of the token it blames
+PARSE_ERRORS = [
+    ("x^1 @", "unexpected character", 4),
+    ("inv x^1", "expected '('", 4),
+    ("prod(1+x^{2s}", "expected ')'", 13),
+    ("x^1 )", "trailing input after expression", 4),
+    ("1/0 * x^1", "zero denominator", 2),
+    ("prod(2+x^{2s})", "expected '(1+x^{...})' after prod", 4),
+    ("inv(x^1)", "inv() of a series with zero constant term", 8),
+    ("x^1 +", "expected a factor", 5),
+    ("prod(1+x^{1s-1})", "product factor must have lowest exponent >= 1", 4),
+    ("x^s", "expected an integer", 2),
+]
+
+
+@pytest.mark.parametrize("text,message,pos", PARSE_ERRORS)
+def test_parse_error_message_and_caret(text, message, pos):
+    with pytest.raises(qs.SeriesParseError) as exc:
+        qs.parse_series_expr(text, order=4)
+    assert (exc.value.message, exc.value.pos) == (message, pos)
+    assert exc.value.diagnostic() == f"{message}\n  {text}\n  {' ' * pos}^"
+
+
 def test_parse_error_diagnostics():
     with pytest.raises(qs.SeriesParseError) as exc:
         qs.parse_series_expr("prod(1+x^{2s}", order=4)
