@@ -27,12 +27,14 @@ assigns only admissible signs to each group. Three per-size tables are
 cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
 group by group as signs are chosen, each diagram next to its class (read by
 ``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
-output skips the checks (valid by construction). ``is_sigma_b`` and
-``in_lambda`` ask the same row rules. ``sigma_class_counts`` counts sigma's
-classes without listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over
-``_sigma_rows``' options, with the census's class rule ``_class_of`` and
-nothing from the formula route; one walk, on vectors of ways by plus-box
-count, serves a block of 8 sizes.
+output skips the checks (valid by construction). ``in_lambda`` asks the
+same row rule; ``is_sigma_b`` walks the diagram once with
+``_richardson_bits``, the per-group sign rule that also builds the
+Richardson signings. ``sigma_class_counts`` counts sigma's classes without
+listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``'
+options, with the census's class rule ``_class_of`` and nothing from the
+formula route; one walk, on vectors of ways by plus-box count, serves a
+block of 8 sizes.
 
 ``diagram()`` is the one place that merges groups of equal length: the
 parser builds through it, and the union of two diagrams' rows is
@@ -71,10 +73,6 @@ class SignedYoungDiagram:
     def size(self) -> int:
         return sum(length * (plus + minus) for length, plus, minus in self.rows)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.rows
-
     def signature(self) -> tuple[int, int]:
         p = q = 0
         for length, plus, minus in self.rows:
@@ -85,9 +83,6 @@ class SignedYoungDiagram:
 
     def sign_swap(self) -> SignedYoungDiagram:
         return SignedYoungDiagram(tuple((l, m, p) for l, p, m in self.rows))
-
-    def all_parts_odd(self) -> bool:
-        return all(length % 2 == 1 for length, _, _ in self.rows)
 
     def all_parts_even(self) -> bool:
         return all(length % 2 == 0 for length, _, _ in self.rows)
@@ -325,33 +320,44 @@ def sigma_class_counts(p: int, q: int) -> tuple[tuple[DiagramClass, int], ...]:
     return _class_count_block(-(-_size(p, q) // 8) * 8).get((p, q), ())
 
 
+def _richardson_bits(row: int, start: int, above, mu: int) -> tuple[int, ...]:
+    """The sign bits (0 for +) a length group of half-length mu may take in a
+    Richardson signing, its first row being row: every row pair (start + 2k,
+    start + 2k + 1) has constant parity of sign bit + half-length. Rows inside
+    a group share their parity, so only a pair straddling two groups
+    constrains anything: it forces the later sign from above, the (sign bit,
+    half-length) of the group before."""
+    if row > start and (row - start) % 2:
+        return ((above[0] + above[1] - mu) % 2,)
+    return (0, 1)
+
+
 def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
-    """(rows, p), p summed group by group, with one sign bit (0 for +) per
-    group in lexicographic order, such that every row pair (start + 2k, start
-    + 2k + 1) has constant parity of sign bit + half-length. Rows inside a
-    group share their parity, so only a pair straddling two groups
-    constrains anything: it forces the later sign."""
-    out = [((), 0)]
-    row = prev_mu = 0
+    """(rows, p), p summed group by group, with one sign bit per group from
+    _richardson_bits, in lexicographic order."""
+    out = [((), 0, None)]
+    row = 0
     for length, mult in groups:
         mu = (length - 1) // 2
         signed = (((length, mult, 0), mult * (mu + 1)), ((length, 0, mult), mult * mu))
-        forced = row > start and (row - start) % 2 == 1
-        out = [(rows + (signed[bit][0],), p + signed[bit][1]) for rows, p in out
-               for bit in ((((rows[-1][2] > 0) + prev_mu - mu) % 2,) if forced else (0, 1))]
+        out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu)) for rows, p, above in out
+               for bit in _richardson_bits(row, start, above, mu)]
         row += mult
-        prev_mu = mu
-    return out
+    return [(rows, p) for rows, p, _ in out]
 
 
 def is_sigma_b(d: SignedYoungDiagram) -> bool:
     """Richardson-set membership: d is nonempty with all lengths odd and one
-    sign per length group, and its rows are one of the Richardson signings
-    of its groups."""
-    if d.is_empty or not d.all_parts_odd() or any(plus and minus for _, plus, minus in d.rows):
-        return False
-    groups = tuple((length, plus + minus) for length, plus, minus in d.rows)
-    return any(rows == d.rows for rows, _ in _richardson_signings(groups, d.size % 2))
+    sign per length group, each sign one that _richardson_bits allows, read
+    in one walk down the rows."""
+    start, row, above = d.size % 2, 0, None
+    for length, plus, minus in d.rows:
+        bit, mu = plus == 0, (length - 1) // 2
+        if length % 2 == 0 or (plus and minus) or bit not in _richardson_bits(row, start, above, mu):
+            return False
+        row += plus + minus
+        above = bit, mu
+    return bool(d.rows)
 
 
 @lru_cache(maxsize=64)

@@ -86,19 +86,17 @@ def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
 
 
 def _omega_set(d: SignedYoungDiagram) -> frozenset[int]:
-    # tail row counts are summed from the last group up; mu is the half-length
-    # (length - 1) // 2, and a group's sign bit is 1 when it has no +rows
-    omega, tail = set(), 0
-    for j in range(len(d.rows), 0, -1):
-        length, plus, minus = d.rows[j - 1]
-        tail += plus + minus
-        if tail % 2:
-            continue
-        if j >= 2:
-            prev_length, prev_plus, _ = d.rows[j - 2]
-            if (prev_length - 1) // 2 < (length - 1) // 2 + 2 and (prev_plus == 0) != (plus == 0):
-                continue
-        omega.add(j)
+    # walked from the top: tail counts the rows from group j down, and
+    # above_bit, above_mu are the sign bit (1 when it has no +rows) and the
+    # half-length of the group over j, as _richardson_bits reads them
+    omega, tail = set(), sum([plus + minus for _, plus, minus in d.rows])
+    above_bit = above_mu = None
+    for j, (length, plus, minus) in enumerate(d.rows, 1):
+        bit, mu = plus == 0, (length - 1) // 2
+        if tail % 2 == 0 and (j == 1 or above_mu >= mu + 2 or above_bit == bit):
+            omega.add(j)
+        tail -= plus + minus
+        above_bit, above_mu = bit, mu
     return frozenset(omega)
 
 

@@ -29,26 +29,16 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "+".join(map(str, self.parts)) if self.parts else "0"
 
 
 @dataclass(frozen=True)
 class BiPartition:
-    """An ordered pair of partitions; weight is the sum of both weights."""
+    """An ordered pair of partitions."""
 
     first: Partition
     second: Partition
-
-    @property
-    def weight(self) -> int:
-        return self.first.weight + self.second.weight
 
 
 def _as_int(x) -> int | None:

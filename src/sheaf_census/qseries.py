@@ -373,12 +373,13 @@ class _Parser:
                 factors.append(self._prod_group())
             return prod_series(self.order, *factors)
         if tok == "inv":
+            at = self.i  # the 'inv', where a non-unit series is reported
             self.next()
             self.expect("(")
             inner = self.expr()
             self.expect(")")
             if not inner.coeffs[0]:
-                raise self.error("inv() of a series with zero constant term")
+                raise self.error("inv() of a series with zero constant term", at)
             return inner.inverse()
         if tok == "x":
             self.next()

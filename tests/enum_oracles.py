@@ -5,16 +5,17 @@ size, the token-by-token text form of a diagram, the row-by-row Richardson
 and Lambda membership rules, the membership test the Richardson
 equal-signature set was once filtered by, the three separate partition
 generators that the library used before its enumerators built
-their sets directly, the per-row gap-weighted odd-partition sum, and the
-direct enumeration of sign characters on a class-2 Richardson orbit, the
-stratum support built through ``diagram()``'s merge, and the two bdi
-censuses with their orbit decorations branched out by hand, and the three
-orbit sums over the listed diagrams, the kappa1 sum with its row-by-row
-repeated-sign rule, and the per-size class-count DP that keyed each state
-by its box and plus-box counts. They walk a superset and filter it, or count
-row by row or state by state, which is slow but easy to trust, and they must
-not change: the differential tests compare the library against them list
-for list, order included.
+their sets directly, the per-row gap-weighted odd-partition sum, the
+admissible set walked from the last group up, and the direct enumeration
+of sign characters on a class-2 Richardson orbit, the stratum support
+built through ``diagram()``'s merge, and the two bdi censuses with their
+orbit decorations branched out by hand, and the three orbit sums over the
+listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
+the per-size class-count DP that keyed each state by its box and plus-box
+counts. They walk a superset and filter it, or count row by row or state by
+state, which is slow but easy to trust, and they must not change: the
+differential tests compare the library against them list for list, order
+included.
 """
 import itertools
 from collections import Counter
@@ -91,7 +92,7 @@ def is_sigma_b(d):
     """Richardson membership: all lengths odd, one sign per group, and
     constant parity of (sign bit + half-length) inside each row pair, pairs
     starting at the second row for odd size and at the first for even."""
-    if d.is_empty or not d.all_parts_odd():
+    if not d.rows or any(length % 2 == 0 for length, _, _ in d.rows):
         return False
     if any(plus and minus for _, plus, minus in d.rows):
         return False
@@ -117,7 +118,7 @@ def signed_diagrams(n):
 def format_diagram(d):
     """The canonical text form built token by token: `<length><sign>[^<mult>]`
     for each sign a group carries, + first; `0` for the empty diagram."""
-    if d.is_empty:
+    if not d.rows:
         return "0"
     toks = []
     for length, plus, minus in d.rows:
@@ -207,6 +208,25 @@ def weighted_odd_partition_sum(n):
                        if mu[2 * j - 1] >= mu[2 * j] + 2)
         total += 2 ** gaps
     return total
+
+
+def omega_set(d):
+    """The admissible set walked from the last group up: j (1-based) is in it
+    when the rows from group j down are even in number and, past the first
+    group, the half-length drops by 2 or more from group j - 1 or the sign
+    bit (1 when a group has no +rows) repeats."""
+    omega, tail = set(), 0
+    for j in range(len(d.rows), 0, -1):
+        length, plus, minus = d.rows[j - 1]
+        tail += plus + minus
+        if tail % 2:
+            continue
+        if j >= 2:
+            prev_length, prev_plus, _ = d.rows[j - 2]
+            if (prev_length - 1) // 2 < (length - 1) // 2 + 2 and (prev_plus == 0) != (plus == 0):
+                continue
+        omega.add(j)
+    return frozenset(omega)
 
 
 def count_sign_characters(d):

@@ -136,6 +136,13 @@ def test_census_low_rank_warning(capsys):
     assert data["warnings"]
 
 
+def test_table_ends_with_its_warnings(capsys):
+    code, out, _ = run_cli(capsys, "census", "bdi", "--p", "2", "--q", "1", "--central", "k0",
+                           "--format", "table")
+    assert code == 0
+    assert out.endswith("\nwarning: low-rank pair: outside the stable range (total size < 5)\n")
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, data, _ = run_json(capsys, "verify", "--suite", "euler-smoke",
                              "--order", "60")
@@ -186,6 +193,18 @@ def test_out_file_atomic(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["payload"]["reports"][0]["total"] == 11
+
+
+def test_a_failed_out_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run_cli(capsys, "census", "bdi", "--p", "3", "--q", "2",
+                             "--out", str(tmp_path / "report.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("sheaf-census: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_var_sets_default_order(capsys, monkeypatch):

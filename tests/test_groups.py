@@ -1,5 +1,7 @@
 """Component-group numerics: the case table for the double cover, eta, and
 the admissible-character counts."""
+import time
+
 import pytest
 
 import enum_oracles as oracles
@@ -109,6 +111,27 @@ def test_omega_contains_one_iff_even():
                 assert (1 in omega) == ((p + q) % 2 == 0), str(d)
                 if (p + q) % 2 == 0:
                     assert len(omega) >= 1
+
+
+def test_omega_walk_matches_the_bottom_up_oracle():
+    seen = 0
+    for total in range(31):
+        for p in range(total + 1):
+            for d in dg.enum_sigma_b(p, total - p):
+                seen += 1
+                assert gp._omega_set(d) == oracles.omega_set(d), str(d)
+    assert seen == 8346
+
+
+def test_many_unforced_groups_take_no_time():
+    # even row counts force no sign, so a walk over every signing of the
+    # groups would take 2^30 steps here
+    d = dg.diagram(*((4 * j + 1, 2, 0) for j in range(30)))
+    start = time.perf_counter()
+    assert dg.is_sigma_b(d)
+    assert gp.omega_set(d) == frozenset(range(1, 31))
+    assert gp.pi_size(d) == 2 ** 29
+    assert time.perf_counter() - start < 1
 
 
 def test_pi_size_examples():

@@ -357,7 +357,8 @@ PARSE_ERRORS = [
     ("x^1 )", "trailing input after expression", 4),
     ("1/0 * x^1", "zero denominator", 2),
     ("prod(2+x^{2s})", "expected '(1+x^{...})' after prod", 4),
-    ("inv(x^1)", "inv() of a series with zero constant term", 8),
+    ("inv(x^1)", "inv() of a series with zero constant term", 0),
+    ("x^0 + 2*inv(x^2)", "inv() of a series with zero constant term", 8),
     ("x^1 +", "expected a factor", 5),
     ("prod(1+x^{1s-1})", "product factor must have lowest exponent >= 1", 4),
     ("x^s", "expected an integer", 2),

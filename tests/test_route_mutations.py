@@ -29,6 +29,9 @@ ETA_ALL = _pairs("2,3 3,2 3,5 4,4 4,5 5,3 5,4 5,7 5,8 6,6 6,7 7,5 7,6 8,5 8,8")
 # the pairs whose m = 0 k1 stratum has several orbits over its support
 UNEVEN = _pairs("0,0 0,1 1,0 2,2 4,4 4,5 5,4 6,6")
 SUITE = (20, 14)  # verify's order and sweep
+# the pairs whose k0 report a never-forced Richardson sign cannot build
+UNFORCED = _pairs("2,5 2,7 3,6 3,8 4,5 4,7 4,8 5,2 5,4 5,6 5,8 6,3 6,5 6,7 6,8 7,2 7,4 7,6 "
+                  "7,8 8,3 8,4 8,5 8,6 8,7 8,8")
 
 
 def _kappa1_plus_one(real):
@@ -106,6 +109,15 @@ ROWS = {
               # no Richardson stratum at m = 0 when p and q are both odd
               ("k0", "nilpotent"): {(f, p, q) for f, p, q in BDI
                                     if (p + q) and (p * q) % 2 == 0}}),
+    # unforced signs list non-Richardson diagrams, and some of them have a
+    # negative character-count exponent: every cell of their pair raises
+    "richardson-never-forced": ((dg,), "_richardson_bits",
+                                lambda real: lambda row, start, above, mu: (0, 1),
+                                {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd",
+                                 "nilcoro-k0-even", "nilcoro-k0-odd", "nilcoro-k1", "number1-k0",
+                                 "numbert-closure", "tb1"},
+                                {("k0", subset): UNFORCED
+                                 for subset in ("all", "cuspidal", "full", "nilpotent")}),
 }
 
 
