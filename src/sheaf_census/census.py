@@ -17,7 +17,8 @@ mu's class) and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family) records: ``_report``
 builds every labelled report from them, and ``_total`` every memoised
-count-only total (``census_k0_total``, ``census_diii_totals``, read by ``verify``).
+count-only total (``census_k0_total``, ``census_k1_total``,
+``census_diii_totals``, read by ``verify``).
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -338,6 +339,12 @@ def _k1_strata(p: int, q: int):
 def census_bdi_k1(p: int, q: int) -> CensusReport:
     """Direct census at the nontrivial central character."""
     return _report(("bdi", p, q), "k1", p + q, _k1_strata(p, q))
+
+
+@lru_cache(maxsize=None)
+def census_k1_total(p: int, q: int) -> int:
+    """census_bdi_k1(p, q).total without labels or report."""
+    return _total(_k1_strata(p, q))
 
 
 def _diii_strata(n: int, central: str):

@@ -247,6 +247,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = [piece for chunk in args.suite for piece in chunk.split(",") if piece]
     if not ids:
         raise ValueError(f"verify needs at least one check id: --suite is {' '.join(args.suite)!r}")
+    if "all" in ids and ids != ["all"]:
+        raise ValueError(f"verify --suite all must stand alone: --suite is {' '.join(args.suite)!r}")
     if args.sweep < verify.MIN_SWEEP:
         raise ValueError(f"verify needs a sweep of at least {verify.MIN_SWEEP}: "
                          f"--sweep is {args.sweep}")

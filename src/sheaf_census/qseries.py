@@ -226,26 +226,32 @@ class BiSeries:
 
     def mul_binomial(self, sign: int, ue: int, ve: int, power: int = 1) -> BiSeries:
         """Multiply by (1 + sign*u^ue*v^ve)^power; power may be negative.
-        Requires ue+ve >= 1. The factor acts independently on each line of
-        cells (i0 + t*ue, j0 + t*ve), t >= 0, with i0 < ue or j0 < ve, as
-        (1 + sign*w)^power on a series in w."""
+        Requires ue+ve >= 1. A pure-v factor (ue == 0) multiplies each row, a
+        series in v, by the one-variable kernel. Otherwise the factor is swept
+        over rows: each binomial term c*u^(t*ue)*v^(t*ve) within both orders
+        adds c times row i - t*ue, shifted t*ve along, to row i. Multiplying
+        walks from the last row back (earlier rows still hold the input);
+        dividing walks from the first (earlier rows already hold the quotient)."""
         if ue < 0 or ve < 0 or ue + ve < 1:
             raise ValueError("factor exponents must be nonnegative with positive total")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         out = [row[:] for row in self.m]
-        far = self.u_order + self.v_order
-        for i0 in range(self.u_order + 1):
-            for j0 in range(self.v_order + 1) if i0 < ue else range(min(ve, self.v_order + 1)):
-                steps = min((self.u_order - i0) // ue if ue else far,
-                            (self.v_order - j0) // ve if ve else far)
-                cells = [(i0 + t * ue, j0 + t * ve) for t in range(steps + 1)]
-                line = [out[i][j] for i, j in cells]
-                # a line that is zero before its last cell is unchanged
-                if any(line[:-1]):
-                    _mul_binomial(line, sign, 1, power)
-                    for (i, j), c in zip(cells, line):
-                        out[i][j] = c
+        if ue == 0:
+            for row in out:
+                _mul_binomial(row, sign, ve, power)
+            return BiSeries(self.u_order, self.v_order, out)
+        m = abs(power)
+        reach = min(m, self.u_order // ue, self.v_order // ve if ve else m)
+        # dividing subtracts each term of the quotient instead of adding the input's
+        terms = [(t * ue, t * ve, comb(m, t) * sign ** t * (1 if power > 0 else -1))
+                 for t in range(1, reach + 1)]
+        for i in range(self.u_order, -1, -1) if power > 0 else range(self.u_order + 1):
+            row = out[i]
+            for du, dv, c in terms:
+                if du > i:
+                    break
+                row[dv:] = [x + c * y for x, y in zip(row[dv:], out[i - du])]
         return BiSeries(self.u_order, self.v_order, out)
 
 

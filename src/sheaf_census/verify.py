@@ -155,8 +155,7 @@ def _number1_k0(order: int, sweep: int):
         "stratum census equals eta * coefficient of x^(N-t^2) in "
         "prod 1/((1-x^4s)(1-x^2s))")
 def _number1_k1(order: int, sweep: int):
-    return _pair_cells(sweep, lambda p, q: census.census_bdi_k1(p, q).total,
-                       census.count_formula_k1)
+    return _pair_cells(sweep, census.census_k1_total, census.count_formula_k1)
 
 
 @_check("kappa1-orbit-sum",
@@ -461,10 +460,6 @@ def _diii_k0_closure(order: int, sweep: int):
     return cells, f"n <= {bound}"
 
 
-def _bipartition_key(b):
-    return (tuple(b.first.parts), tuple(b.second.parts))
-
-
 @_check("diii-k1-bijection",
         "all-even diagrams biject onto bipartitions of n/2, matching the "
         "nontrivial-character census")
@@ -473,13 +468,13 @@ def _diii_k1_bijection(order: int, sweep: int):
     def cells():
         for n in range(2, bound + 1, 2):
             all_even = diagrams.enum_lambda_even(n)
-            images = {diagrams.diii_kappa1_bijection(d) for d in all_even}
+            images = {(b.first.parts, b.second.parts)
+                      for b in map(diagrams.diii_kappa1_bijection, all_even)}
             parts = [partitions.enum_partitions(k) for k in range(n // 2 + 1)]
-            expected = {partitions.BiPartition(a, b) for firsts, seconds in
+            expected = {(a.parts, b.parts) for firsts, seconds in
                         zip(parts, reversed(parts)) for a in firsts for b in seconds}
             yield f"n={n} injective", len(images), len(all_even)
-            yield f"n={n} surjective", sorted(map(_bipartition_key, images)), \
-                sorted(map(_bipartition_key, expected))
+            yield f"n={n} surjective", sorted(images), sorted(expected)
             yield (f"n={n} census", census.census_diii_totals(n)[1],
                    partitions.count_bipartitions(n // 2))
     return cells(), f"even n <= {bound}"

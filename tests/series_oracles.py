@@ -4,7 +4,8 @@ These are the Fraction-only loops the library used before its kernels moved
 to Python ints: the product expansion seeds a monomial and multiplies by each
 binomial factor one pass per unit of power, the inverse and the product of
 two series run on Fractions throughout, the two-variable binomial multiply
-makes one pass over the whole matrix per unit of power, a bilateral sum
+makes one pass over the whole matrix per unit of power (or walks one line of
+cells at a time through the one-variable kernel), a bilateral sum
 adds a Fraction series for every term, and the two-variable product of the
 lemma-n1-2var check builds both its halves and adds them cell by cell. They are
 slow but easy to trust, and they must not change: the differential tests
@@ -12,7 +13,7 @@ compare the library against them coefficient for coefficient.
 """
 from fractions import Fraction
 
-from sheaf_census.qseries import FormalSeries
+from sheaf_census.qseries import FormalSeries, _mul_binomial
 
 _ZERO = Fraction(0)
 
@@ -84,6 +85,27 @@ def bi_mul_binomial(matrix, sign, ue, ve, power=1):
                 for j in range(ve, v_order + 1):
                     if out[i - ue][j - ve]:
                         out[i][j] -= sign * out[i - ue][j - ve]
+    return out
+
+
+def bi_mul_binomial_by_lines(matrix, sign, ue, ve, power=1):
+    """matrix times (1 + sign*u^ue*v^ve)^power, one line of cells at a time:
+    the factor acts independently on each line (i0 + t*ue, j0 + t*ve), t >= 0,
+    with i0 < ue or j0 < ve, as (1 + sign*w)^power on a series in w."""
+    out = [row[:] for row in matrix]
+    u_order, v_order = len(out) - 1, len(out[0]) - 1
+    far = u_order + v_order
+    for i0 in range(u_order + 1):
+        for j0 in range(v_order + 1) if i0 < ue else range(min(ve, v_order + 1)):
+            steps = min((u_order - i0) // ue if ue else far,
+                        (v_order - j0) // ve if ve else far)
+            cells = [(i0 + t * ue, j0 + t * ve) for t in range(steps + 1)]
+            line = [out[i][j] for i, j in cells]
+            # a line that is zero before its last cell is unchanged
+            if any(line[:-1]):
+                _mul_binomial(line, sign, 1, power)
+                for (i, j), c in zip(cells, line):
+                    out[i][j] = c
     return out
 
 

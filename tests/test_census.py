@@ -322,10 +322,10 @@ def test_orbit_sums_agree_with_the_formulas_deep(total):
 
 
 # every public per-pair function of census, each refusing a negative entry
-PER_PAIR = (cs.census_bdi_k0, cs.census_bdi_k1, cs.census_k0_total, cs.count_formula_k0,
-            cs.count_formula_k1, cs.cuspidal_counts, cs.nilpotent_support_counts,
-            cs.richardson_pi_sums, cs.b_tilde, cs.kappa0_orbit_sum,
-            cs.kappa1_orbit_sum, cs.sigma23_r_sum)
+PER_PAIR = (cs.census_bdi_k0, cs.census_bdi_k1, cs.census_k0_total, cs.census_k1_total,
+            cs.count_formula_k0, cs.count_formula_k1, cs.cuspidal_counts,
+            cs.nilpotent_support_counts, cs.richardson_pi_sums, cs.b_tilde,
+            cs.kappa0_orbit_sum, cs.kappa1_orbit_sum, cs.sigma23_r_sum)
 
 
 @pytest.mark.parametrize("fn", PER_PAIR, ids=lambda fn: fn.__name__)
@@ -405,6 +405,7 @@ def test_memoised_totals_match_the_reports():
     for N in range(31):
         for p in range(N + 1):
             assert cs.census_k0_total(p, N - p) == cs.census_bdi_k0(p, N - p).total, (p, N - p)
+            assert cs.census_k1_total(p, N - p) == cs.census_bdi_k1(p, N - p).total, (p, N - p)
     for n in range(25):
         assert cs.census_diii_totals(n) == tuple(r.total for r in cs.census_diii(n)), n
     for bad in ((-1, 2), (2, -1)):
@@ -412,6 +413,18 @@ def test_memoised_totals_match_the_reports():
             cs.census_k0_total(*bad)
     with pytest.raises(ValueError):
         cs.census_diii_totals(-1)
+
+
+def test_number1_k1_walks_no_strata_when_warm(monkeypatch):
+    cs.census_k1_total.cache_clear()
+    calls = _count_calls(monkeypatch, "_k1_strata", cs)
+    first = run_suite(["number1-k1"], 12, 10)
+    assert first[0].passed
+    # one walk per pair p + q <= 10, then none
+    assert len(calls) == sum(N + 1 for N in range(11))
+    del calls[:]
+    assert run_suite(["number1-k1"], 12, 10) == first
+    assert not calls
 
 
 TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bijection"]

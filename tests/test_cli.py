@@ -256,7 +256,11 @@ ERROR_CASES = {
     "out-missing-dir": (["census", "bdi", "--p", "3", "--q", "2", "--out",
                          "{tmp}/missing/report.json"], {}, {},
                         2, "sheaf-census: cannot write {tmp}/missing/report.json"),
-    "unknown-check": (["verify", "--suite", "nope"], {}, {}, 2, "sheaf-census: unknown"),
+    "unknown-check": (["verify", "--suite", "nope"], {}, {}, 2,
+                      "sheaf-census: unknown check ids: nope\n"),
+    "verify-all-not-alone": (["verify", "--suite", "all", "tb1"], {}, {}, 2,
+                             "sheaf-census: verify --suite all must stand alone: "
+                             "--suite is 'all tb1'\n"),
     "series-negative-order": (["series", "--order", "-1", "--expr", "x^0"], {}, {}, 2,
                               "sheaf-census: series needs a nonnegative order: --order is -1"),
     "series-negative-order-env": (["series", "--expr", "x^0"], {"SHEAF_CENSUS_ORDER": "-1"},

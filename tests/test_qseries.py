@@ -268,18 +268,62 @@ def test_inverse_non_unit_constant_term(c0):
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
 
 
+def _assert_matches_both_oracles(matrix, sign, ue, ve, power):
+    """The row sweep against the cell sweep and the line walk; returns its matrix."""
+    u_order, v_order = len(matrix) - 1, len(matrix[0]) - 1
+    got = qs.BiSeries(u_order, v_order, [row[:] for row in matrix]).mul_binomial(
+        sign, ue, ve, power).m
+    assert got == oracles.bi_mul_binomial(matrix, sign, ue, ve, power)
+    assert got == oracles.bi_mul_binomial_by_lines(matrix, sign, ue, ve, power)
+    return got
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 3), st.integers(0, 3),
-       st.sampled_from((1, -1)), st.integers(-4, 4), st.data())
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from((1, -1)), st.integers(-6, 6), st.data())
 def test_biseries_mul_binomial_matches_oracle(u_order, v_order, ue, ve, sign, power, data):
     if ue + ve < 1:
         ue = 1
     matrix = data.draw(st.lists(st.lists(sparse_rationals, min_size=v_order + 1,
                                          max_size=v_order + 1),
                                 min_size=u_order + 1, max_size=u_order + 1))
-    got = qs.BiSeries(u_order, v_order, matrix).mul_binomial(sign, ue, ve, power)
-    assert got.m == oracles.bi_mul_binomial(matrix, sign, ue, ve, power)
-    assert all(type(c) is Fraction for row in got.m for c in row)
+    got = _assert_matches_both_oracles(matrix, sign, ue, ve, power)
+    assert all(type(c) is Fraction for row in got for c in row)
+
+
+def _dense(u_order, v_order):
+    return [[Fraction(3 * i - 2 * j + 1, 1 + (i + j) % 3) for j in range(v_order + 1)]
+            for i in range(u_order + 1)]
+
+
+@pytest.mark.parametrize("ue,ve", [(0, 1), (0, 3), (1, 0), (4, 0)])
+@pytest.mark.parametrize("power", [-3, -1, 1, 2])
+def test_biseries_mul_binomial_one_variable_factors(ue, ve, power):
+    # a pure-v factor runs the one-variable kernel on each row; a pure-u factor
+    # is swept over rows with no shift along them
+    matrix = _dense(6, 7)
+    got = _assert_matches_both_oracles(matrix, -1, ue, ve, power)
+    if ue == 0:
+        assert got == [oracles.mul_binomial(row, -1, ve, power) for row in matrix]
+
+
+@pytest.mark.parametrize("u_order,v_order,ue,ve", [(9, 3, 2, 1), (3, 9, 1, 2), (10, 4, 3, 3),
+                                                   (4, 10, 1, 4), (7, 2, 2, 5)])
+@pytest.mark.parametrize("power", [-5, -2, 1, 4])
+def test_biseries_mul_binomial_reach_on_rectangles(u_order, v_order, ue, ve, power):
+    # the terms reach the smaller of u_order//ue and v_order//ve; a reach read
+    # from the wrong order drops terms on a rectangle
+    assert u_order // ue != v_order // ve
+    _assert_matches_both_oracles(_dense(u_order, v_order), 1, ue, ve, power)
+
+
+def test_biseries_mul_binomial_keeps_ints():
+    b, expected = qs.BiSeries.one(6, 5), qs.BiSeries.one(6, 5).m
+    for factor in [(1, 2, 1, 1), (-1, 2, 1, -1), (-1, 0, 2, -2), (1, 3, 0, 3)]:
+        b = b.mul_binomial(*factor)
+        expected = oracles.bi_mul_binomial_by_lines(expected, *factor)
+    assert b.m == expected
+    assert all(type(c) is int for row in b.m for c in row)
 
 
 def test_biseries_huge_power():
