@@ -282,6 +282,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     except qseries.SeriesParseError as exc:
         sys.stderr.write("sheaf-census: series parse error: " + exc.diagnostic() + "\n")
         return 2
+    except (MemoryError, OverflowError):  # no list of order + 1 coefficients fits
+        raise ValueError(f"series order {args.order} is too large to expand") from None
     if args.coeff is not None:
         if args.coeff < 0:
             raise ValueError(f"series needs a nonnegative coefficient: --coeff is {args.coeff}")
@@ -329,24 +331,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write output to FILE (atomically) instead of stdout")
 
-    orbits = sub.add_parser("orbits", parents=[common],
+    sized = argparse.ArgumentParser(add_help=False, parents=[common])
+    sized.add_argument("family", choices=list(dict.fromkeys(_SIZE_FLAGS.values())))
+    for flag in _SIZE_FLAGS:
+        sized.add_argument(f"--{flag}", type=int)
+
+    orbits = sub.add_parser("orbits", parents=[sized],
                             help="list nilpotent orbits and their local-system counts")
-    orbits.add_argument("family", choices=["bdi", "diii"])
-    orbits.add_argument("--p", type=int)
-    orbits.add_argument("--q", type=int)
-    orbits.add_argument("--n", type=int)
     orbits.add_argument("--class", dest="orbit_class",
                         choices=["sigma1", "sigma2", "sigma3"], default=None)
     orbits.add_argument("--richardson", action="store_true",
                         help="restrict to the Richardson subsets")
     orbits.set_defaults(func=_cmd_orbits)
 
-    cen = sub.add_parser("census", parents=[common],
+    cen = sub.add_parser("census", parents=[sized],
                          help="count character sheaves by support stratum")
-    cen.add_argument("family", choices=["bdi", "diii"])
-    cen.add_argument("--p", type=int)
-    cen.add_argument("--q", type=int)
-    cen.add_argument("--n", type=int)
     cen.add_argument("--central", choices=["k0", "k1", "both"], default="both")
     cen.add_argument("--subset", choices=list(census.SUBSETS), default="all")
     cen.add_argument("--check", action="store_true",

@@ -28,17 +28,21 @@ cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
 group by group as signs are chosen, each diagram next to its class (read by
 ``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
 output skips the checks (valid by construction). ``in_lambda`` asks the
-same row rule; ``is_sigma_b`` walks the diagram once with
-``_richardson_bits``, the per-group sign rule that also builds the
-Richardson signings. ``sigma_class_counts`` counts sigma's classes without
-listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``'
-options, with the census's class rule ``_class_of`` and nothing from the
-formula route; one walk, on vectors of ways by plus-box count, serves a
-block of 8 sizes.
+same row rule. ``_richardson_omega`` walks a diagram once, testing each
+group with ``_richardson_bits`` (the per-group sign rule that also builds
+the Richardson signings) and with the rule of the admissible set omega; it
+returns omega, or None off the Richardson set, and ``is_sigma_b`` and the
+component-group numerics read it. ``sigma_class_counts`` counts sigma's
+classes without listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over
+``_sigma_rows``' options, with the census's class rule ``_class_of`` and
+nothing from the formula route; one walk, on vectors of ways by plus-box
+count, serves a block of 8 sizes.
 
-``diagram()`` is the one place that merges groups of equal length: the
-parser builds through it, and the union of two diagrams' rows is
-``diagram(*d1.rows, *d2.rows)``.
+``diagram()`` merges groups of equal length: the parser builds through it,
+and the union of two diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The
+census merges its stratum supports' 1- and 2-row groups itself, for speed
+(``census._support``, checked against the oracle
+``tests/enum_oracles.support_via_diagram``, which builds through ``diagram()``).
 """
 from __future__ import annotations
 
@@ -346,18 +350,31 @@ def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
     return [(rows, p) for rows, p, _ in out]
 
 
-def is_sigma_b(d: SignedYoungDiagram) -> bool:
-    """Richardson-set membership: d is nonempty with all lengths odd and one
-    sign per length group, each sign one that _richardson_bits allows, read
-    in one walk down the rows."""
-    start, row, above = d.size % 2, 0, None
-    for length, plus, minus in d.rows:
+def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
+    """The admissible set of a Richardson diagram d, or None when d is not
+    Richardson: empty, an even length, a group holding both signs, or a sign
+    _richardson_bits forbids. One walk down the groups: j (1-based) is in the
+    set when the rows from group j down are even in number and, past the
+    first group, the half-length drops by 2 or more from the group above or
+    its sign bit (1 when it has no +rows) repeats. Pairing starts at the
+    parity of the row count, which on odd lengths is the size's; the rows
+    from group j down are even in number exactly when row - start is even."""
+    start = sum([plus + minus for _, plus, minus in d.rows]) % 2
+    omega, row, above = set(), 0, None
+    for j, (length, plus, minus) in enumerate(d.rows, 1):
         bit, mu = plus == 0, (length - 1) // 2
         if length % 2 == 0 or (plus and minus) or bit not in _richardson_bits(row, start, above, mu):
-            return False
+            return None
+        if (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit):
+            omega.add(j)
         row += plus + minus
         above = bit, mu
-    return bool(d.rows)
+    return frozenset(omega) if d.rows else None
+
+
+def is_sigma_b(d: SignedYoungDiagram) -> bool:
+    """Richardson-set membership: the walk of _richardson_omega completes."""
+    return _richardson_omega(d) is not None
 
 
 @lru_cache(maxsize=64)

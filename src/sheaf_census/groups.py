@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import DiagramClass, SignedYoungDiagram, classify, in_lambda, is_sigma_b
+from .diagrams import DiagramClass, SignedYoungDiagram, _richardson_omega, classify, in_lambda
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,19 @@ def eta(m: int, t: int) -> int:
 
 
 def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
-    """Indices j (1-based, over length groups) with an even tail row count
-    and, past the first group, either a half-length gap of at least 2 or an
-    equal sign bit with the previous group."""
-    if not is_sigma_b(d):
+    """The admissible set of a Richardson diagram, as _richardson_omega walks
+    it; any other diagram is refused."""
+    omega = _richardson_omega(d)
+    if omega is None:
         raise ValueError(f"{d} is not in the Richardson subset")
-    return _omega_set(d)
-
-
-def _omega_set(d: SignedYoungDiagram) -> frozenset[int]:
-    # walked from the top: tail counts the rows from group j down, and
-    # above_bit, above_mu are the sign bit (1 when it has no +rows) and the
-    # half-length of the group over j, as _richardson_bits reads them
-    omega, tail = set(), sum([plus + minus for _, plus, minus in d.rows])
-    above_bit = above_mu = None
-    for j, (length, plus, minus) in enumerate(d.rows, 1):
-        bit, mu = plus == 0, (length - 1) // 2
-        if tail % 2 == 0 and (j == 1 or above_mu >= mu + 2 or above_bit == bit):
-            omega.add(j)
-        tail -= plus + minus
-        above_bit, above_mu = bit, mu
-    return frozenset(omega)
+    return omega
 
 
 def pi_size(d: SignedYoungDiagram) -> int:
     """Number of admissible component-group characters on the Richardson
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved
     again when it is even. A negative exponent signals an upstream bug."""
-    if not is_sigma_b(d):
-        raise ValueError(f"{d} is not in the Richardson subset")
+    omega_set(d)  # refuses d off the Richardson subset before classifying it
     return _pi_size(d, classify(d))
 
 
@@ -113,7 +97,7 @@ def _pi_size(d: SignedYoungDiagram, cls: DiagramClass) -> int:
     """pi_size(d) for a Richardson diagram d whose class cls is known."""
     if cls.index not in (1, 2):
         raise ArithmeticError("Richardson diagrams are never of class 3")
-    exponent = len(_omega_set(d)) - (cls.index == 1) - (d.size % 2 == 0)
+    exponent = len(_richardson_omega(d)) - (cls.index == 1) - (d.size % 2 == 0)
     if exponent < 0:
         raise ArithmeticError(f"negative character-count exponent for {d}; "
                               "upstream classification is inconsistent")

@@ -111,7 +111,7 @@ def _tq_cells(sweep: int, ts, series_of, count, step: int):
         series = series_of(t)
         for q in range(0, (sweep - t) // 2 + 1, step):
             if step == 1 or t or q:
-                yield f"t={t},q={q}", Fraction(count(q + t, q)), series.coeff(q)
+                yield f"t={t},q={q}", count(q + t, q), series.coeff(q)
 
 
 def _total(count, N: int):
@@ -125,7 +125,7 @@ def _half_cells(count, rhs: FormalSeries, odd: bool):
     n = 1: the empty pair carries no Richardson diagram, but the series
     start at a nonzero constant."""
     for n in range(0 if odd else 1, rhs.order + 1):
-        yield f"x^{n}", Fraction(_total(count, 2 * n + odd)), rhs.coeff(n)
+        yield f"x^{n}", _total(count, 2 * n + odd), rhs.coeff(n)
 
 
 def _class2_count(p: int, q: int) -> int:
@@ -200,11 +200,9 @@ def _lemma_n1_2var(order: int, sweep: int):
     def cells():
         for p in range(bound + 1):
             for q in range(bound + 1):
-                yield (f"u^{p}v^{q}", two_var(p, q),
-                       Fraction(2 * census.sigma23_r_sum(p, q)))
+                yield f"u^{p}v^{q}", two_var(p, q), 2 * census.sigma23_r_sum(p, q)
         for n in range(bound + 1):
-            yield (f"diagonal x^{n}", _total(two_var, n),
-                   Fraction(2 * _total(census.sigma23_r_sum, n)))
+            yield f"diagonal x^{n}", _total(two_var, n), 2 * _total(census.sigma23_r_sum, n)
     return cells(), f"u,v exponents <= {bound}"
 
 
@@ -224,12 +222,12 @@ def _numbert_closure(order: int, sweep: int):
               + prod_series(half_order, (-1, 2, 0, -1), scalar=NINE_QUARTERS))
     def cells():
         for N, (formula_total, census_total) in enumerate(t0):
-            yield f"T'_{N}=T0_{N}", Fraction(census_total), Fraction(formula_total)
-            yield f"series all, x^{N}", s_all.coeff(N), Fraction(t0[N][0])
+            yield f"T'_{N}=T0_{N}", census_total, formula_total
+            yield f"series all, x^{N}", s_all.coeff(N), t0[N][0]
         for n in range(half_order + 1):
             if 2 * n + 1 <= sweep:
-                yield f"series odd, x^{n}", s_odd.coeff(n), Fraction(t0[2 * n + 1][0])
-            yield f"series even, x^{n}", s_even.coeff(n), Fraction(t0[2 * n][0])
+                yield f"series odd, x^{n}", s_odd.coeff(n), t0[2 * n + 1][0]
+            yield f"series even, x^{n}", s_even.coeff(n), t0[2 * n][0]
     return cells(), f"N <= {sweep}"
 
 
@@ -343,7 +341,7 @@ def _b2_weighted(order: int, sweep: int):
 def _fn_cells(variant: str, series: FormalSeries, start: int):
     """Cells m=.. comparing the module-family counts of variant with the
     coefficients of series (of order at most 30) from x^start."""
-    cells = ((f"m={m}", Fraction(census.theta_k0_count(variant, m)), series.coeff(m))
+    cells = ((f"m={m}", census.theta_k0_count(variant, m), series.coeff(m))
              for m in range(start, series.order + 1))
     return cells, "m <= 30" if start == 0 else "1 <= m <= 30"
 
@@ -389,12 +387,10 @@ def _coro_cuspidal_k0(order: int, sweep: int):
     odd, even = census._split_series(n, True), census._split_series(n, False)
     def cells():
         for m in range(1, n + 1):
-            yield (f"near-split m={m}",
-                   Fraction(census.cuspidal_counts(m + 1, m)[0]), near.coeff(m))
+            yield f"near-split m={m}", census.cuspidal_counts(m + 1, m)[0], near.coeff(m)
         for m in range(1, n + 1):
             series = odd if m % 2 else even
-            yield (f"split m={m}",
-                   Fraction(census.cuspidal_counts(m, m)[0]), series.coeff(m))
+            yield f"split m={m}", census.cuspidal_counts(m, m)[0], series.coeff(m)
     return cells(), "1 <= n <= 30"
 
 
@@ -403,14 +399,13 @@ def _coro_cuspidal_k0(order: int, sweep: int):
         "of prod (1+x^s)")
 def _coro_cuspidal_k1(order: int, sweep: int):
     dist = prod_series(sweep, (1, 1, 0, 1))
-    def expected(p: int, q: int) -> Fraction:
+    def expected(p: int, q: int) -> Fraction | int:
         t = p - q
         D = p + q - t * t
         if D < 0:
-            return Fraction(0)
+            return 0
         return dist.coeff(D // 2) * groups.eta(D // 2, t)
-    return _pair_cells(sweep, lambda p, q: Fraction(census.cuspidal_counts(p, q)[1]),
-                       expected)
+    return _pair_cells(sweep, lambda p, q: census.cuspidal_counts(p, q)[1], expected)
 
 
 @_check("nilcoro-k0-odd",
@@ -527,9 +522,8 @@ def _euler_smoke(order: int, sweep: int):
     dist = prod_series(order, (1, 1, 0, 1))
     def cells():
         for n in range(order + 1):
-            yield f"p({n})", Fraction(partitions.count_partitions(n)), inv.coeff(n)
-            yield (f"distinct({n})",
-                   Fraction(partitions.count_distinct_partitions(n)), dist.coeff(n))
+            yield f"p({n})", partitions.count_partitions(n), inv.coeff(n)
+            yield f"distinct({n})", partitions.count_distinct_partitions(n), dist.coeff(n)
     return cells(), f"n <= {order}"
 
 

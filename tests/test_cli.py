@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, JSON schema stability, round-trips."""
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -223,6 +224,17 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["payload"]["reports"][0]["total"] == 6
 
 
+def test_the_readme_command_lines_run(capsys):
+    # each sheaf-census line of README's "Command line" block, as a shell splits it
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("sheaf-census ")]
+    assert len(commands) == 11
+    for argv in commands:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
+
+
 def _broken_formula(p, q):
     raise ArithmeticError(f"non-integer count 1/2 at ({p},{q})")
 
@@ -280,6 +292,13 @@ ERROR_CASES = {
                               "--coeff is -2\n"),
     "series-coeff-beyond-order": (["series", "--expr", "x^0", "--order", "3", "--coeff", "4"],
                                   {}, {}, 2, "sheaf-census: coefficient 4 beyond order 3\n"),
+    # orders no list of coefficients can hold: they fail before allocating
+    "series-order-out-of-memory": (["series", "--expr", "x^0", "--order", "1000000000000000000"],
+                                   {}, {}, 2, "sheaf-census: series order 1000000000000000000 "
+                                   "is too large to expand\n"),
+    "series-order-past-index": (["series", "--expr", "x^0", "--order", "10000000000000000000"],
+                                {}, {}, 2, "sheaf-census: series order 10000000000000000000 "
+                                "is too large to expand\n"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",
@@ -471,8 +490,8 @@ def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
     # index 1 is in the omega set exactly on even sizes; without it,
     # _pi_size's exponent guard trips inside the checks that reach it, which
     # fail with the error while every other check still runs and passes
-    real = groups._omega_set
-    monkeypatch.setattr(groups, "_omega_set", lambda d: real(d) - {1})
+    real = groups._richardson_omega
+    monkeypatch.setattr(groups, "_richardson_omega", lambda d: real(d) - {1})
     refill(census._richardson, *TOTALS)
     failed = _failed_checks(capsys)
     assert set(failed) == PI_EVEN_CHECKS

@@ -119,7 +119,7 @@ def test_omega_walk_matches_the_bottom_up_oracle():
         for p in range(total + 1):
             for d in dg.enum_sigma_b(p, total - p):
                 seen += 1
-                assert gp._omega_set(d) == oracles.omega_set(d), str(d)
+                assert dg._richardson_omega(d) == oracles.omega_set(d), str(d)
     assert seen == 8346
 
 

@@ -33,6 +33,10 @@ SUITE = (20, 14)  # verify's order and sweep
 UNFORCED = _pairs("2,5 2,7 3,6 3,8 4,5 4,7 4,8 5,2 5,4 5,6 5,8 6,3 6,5 6,7 6,8 7,2 7,4 7,6 "
                   "7,8 8,3 8,4 8,5 8,6 8,7 8,8")
 
+# the even-size pairs with a Richardson diagram: (0, 0) and (1, 1) have none
+EVEN_RICHARDSON = (frozenset(pair for pair in BDI if (pair[1] + pair[2]) % 2 == 0)
+                   - _pairs("0,0 1,1"))
+
 
 def _kappa1_plus_one(real):
     def mutant(cls, p, q):
@@ -118,6 +122,15 @@ ROWS = {
                                  "numbert-closure", "tb1"},
                                 {("k0", subset): UNFORCED
                                  for subset in ("all", "cuspidal", "full", "nilpotent")}),
+    # index 1 is in omega exactly on even sizes: without it, _pi_size's
+    # exponent guard trips in every even-size pair with a Richardson diagram,
+    # whose k0 report then fails to build; membership is unchanged
+    "omega-drop-1": ((dg, groups), "_richardson_omega",
+                     lambda real: lambda d: None if (omega := real(d)) is None else omega - {1},
+                     {"b2-even", "b2-weighted-oracle", "bb-even", "nilcoro-k0-even", "number1-k0",
+                      "numbert-closure", "tb1"},
+                     {("k0", subset): EVEN_RICHARDSON
+                      for subset in ("all", "cuspidal", "full", "nilpotent")}),
 }
 
 
