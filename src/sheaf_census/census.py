@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import qseries
+from . import SUBSETS, qseries
 from .diagrams import (
     DiagramClass,
     SignedYoungDiagram,
@@ -540,8 +540,6 @@ def diii_closure_total(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Sub-censuses: one rule per (family, central character, subset)
 # ---------------------------------------------------------------------------
-
-SUBSETS = ("all", "cuspidal", "nilpotent", "full")
 
 _EVERY = lambda e: True
 _NO_STRATUM = (lambda e: False, lambda: 0)

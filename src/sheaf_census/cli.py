@@ -12,15 +12,15 @@ import io
 import json
 import os
 import sys
-import tempfile
 from itertools import chain
 
-from . import __version__, census, diagrams, groups, qseries, verify
+from . import DEFAULT_SWEEP, SUBSETS, __version__
 
 
 def _default_order() -> int:
     raw = os.environ.get("SHEAF_CENSUS_ORDER")
     if raw is None:
+        from . import qseries
         return qseries.DEFAULT_ORDER
     try:
         return int(raw)
@@ -94,8 +94,10 @@ def _json_text(obj, depth: int = 1) -> str:
 def _emit(text: str, out: str | None) -> None:
     end = "" if text.endswith("\n") else "\n"  # print adds it: no copy of a long text
     if out is None:
-        print(text, end=end)
+        print(text, end=end, flush=True)  # a closed stdout raises here, inside main
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sheaf-census-")
@@ -148,6 +150,8 @@ def _require(args: argparse.Namespace) -> None:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
+    from . import diagrams, groups
+
     _require(args)
     listed = []  # (diagram, (its deltas, *its cells past "delta" by header))
     if args.family == "bdi":
@@ -181,6 +185,8 @@ def _orbit_rows_json(listed: list, headers: list[str], depth: int) -> _Rendered:
     distinct (deltas, *cells) are written once, with a hole for the diagram
     text, and cut there into pieces; a diagram's rows are its text joined with
     its pieces. Diagram texts (digits, signs, carets, spaces) need no escaping."""
+    from . import diagrams
+
     if not listed:
         return _Rendered("[]")
     head, tail = f"[\n{depth * '  '}", f"\n{(depth - 1) * '  '}]"
@@ -201,20 +207,18 @@ def _orbit_rows_json(listed: list, headers: list[str], depth: int) -> _Rendered:
 # census
 # ---------------------------------------------------------------------------
 
-def _census_reports(args: argparse.Namespace) -> list[census.CensusReport]:
+def _cmd_census(args: argparse.Namespace) -> int:
+    from . import census
+
     _require(args)
     centrals = ("k0", "k1") if args.central == "both" else (args.central,)
     if args.family == "bdi":
         build = {"k0": census.census_bdi_k0, "k1": census.census_bdi_k1}
-        reports = [build[central](args.p, args.q) for central in centrals]
+        built = [build[central](args.p, args.q) for central in centrals]
     else:
         both = dict(zip(("k0", "k1"), census.census_diii(args.n)))
-        reports = [both[central] for central in centrals]
-    return [census.subset_report(r, args.subset) for r in reports]
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    reports = _census_reports(args)
+        built = [both[central] for central in centrals]
+    reports = [census.subset_report(r, args.subset) for r in built]
     mismatches = []
     if args.check:
         for r in reports:
@@ -244,6 +248,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     ids = [piece for chunk in args.suite for piece in chunk.split(",") if piece]
     if not ids:
         raise ValueError(f"verify needs at least one check id: --suite is {' '.join(args.suite)!r}")
@@ -276,6 +282,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import qseries
+
     _resolve_order(args, 0, "series needs a nonnegative order")
     try:
         series = qseries.parse_series_expr(args.expr, args.order)
@@ -347,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("census", parents=[sized],
                          help="count character sheaves by support stratum")
     cen.add_argument("--central", choices=["k0", "k1", "both"], default="both")
-    cen.add_argument("--subset", choices=list(census.SUBSETS), default="all")
+    cen.add_argument("--subset", choices=list(SUBSETS), default="all")
     cen.add_argument("--check", action="store_true",
                      help="cross-check totals against the closed formulas "
                           "(exit 1 on mismatch)")
@@ -358,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", nargs="+", default=["all"],
                      help="check ids, or 'all'")
     ver.add_argument("--order", type=int, default=None)
-    ver.add_argument("--sweep", type=int, default=verify.DEFAULT_SWEEP)
+    ver.add_argument("--sweep", type=int, default=DEFAULT_SWEEP)
     ver.set_defaults(func=_cmd_verify)
 
     ser = sub.add_parser("series", parents=[common],
@@ -385,6 +393,11 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = ["sheaf-census"] + argv
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # what stays buffered is flushed there at exit
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"sheaf-census: {exc}\n")
         # a tripped internal guard (integrality, halving, character-count

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from . import census, diagrams, groups, partitions, qseries
+from . import DEFAULT_SWEEP, census, diagrams, groups, partitions, qseries
 from .qseries import BiSeries, FormalSeries, prod_series
 
-DEFAULT_SWEEP = 24
 MIN_ORDER = 10
 MIN_SWEEP = 1
 

@@ -378,6 +378,35 @@ def test_python_dash_m_entry_point():
     assert proc.stderr == "sheaf-census: bad SHEAF_CENSUS_ORDER 'abc'\n"
 
 
+@pytest.mark.parametrize("command", ["orbits", "census"])
+def test_a_stdout_closed_mid_write_ends_the_command_quietly(command):
+    # the output (over 100 KB) outgrows a pipe's buffer, so the command is
+    # still writing when its reader leaves
+    proc = subprocess.Popen([sys.executable, "-m", "sheaf_census", command, "bdi",
+                             "--p", "12", "--q", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_a_stdout_closed_before_the_first_write_ends_the_command_quietly():
+    # a short output stays in a buffered stdout (the default) after the
+    # failed write, and the flush at exit must not fail again
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sheaf_census", "series",
+                               "--expr", "prod(1+x^{2s})", "--order", "10"],
+                              stdout=writer, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_k1_cuspidal_and_full_checks_catch_a_broken_theta(capsys, monkeypatch):
     # the expected totals come from the series route, not from theta_k1_count
     argvs = [["census", "bdi", "--p", "3", "--q", "2", "--central", "k1", "--subset", subset,

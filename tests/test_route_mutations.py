@@ -38,6 +38,11 @@ EVEN_RICHARDSON = (frozenset(pair for pair in BDI if (pair[1] + pair[2]) % 2 == 
                    - _pairs("0,0 1,1"))
 
 
+def _diii(sizes) -> frozenset:
+    """The diii pairs ("diii", n) of the sizes."""
+    return frozenset(("diii", n) for n in sizes)
+
+
 def _kappa1_plus_one(real):
     def mutant(cls, p, q):
         data = real(cls, p, q)
@@ -131,6 +136,29 @@ ROWS = {
                       "numbert-closure", "tb1"},
                      {("k0", subset): EVEN_RICHARDSON
                       for subset in ("all", "cuspidal", "full", "nilpotent")}),
+    # the Lambda listing is the expected side of the diii k0 "all" cells (the
+    # census walks Lambda_b) and of the k1 all-even count (the census counts
+    # bipartitions); from n = 2 on, a diagram has an even group to lose its
+    # all-minus signing. Gaps: no bdi route and no Lambda_b stratum reads it
+    "lambda-rows-drop-all-minus": ((dg,), "_lambda_rows",
+                                   lambda real: lambda length, mult: (
+                                       real(length, mult)[:-1] if length % 2 == 0
+                                       else real(length, mult)),
+                                   {"diii-k0-closure", "diii-k1-bijection"},
+                                   {("k0", "all"): _diii(range(2, 9)),
+                                    ("k1", "all"): _diii(range(2, 9, 2)),
+                                    ("k1", "full"): _diii(range(2, 9, 2))}),
+    # the diii k0 census walks Lambda_b: it loses every diagram with an odd
+    # row (there is one at every n but 0 and 2; in the full stratum at odd n
+    # only), against the Lambda listing, p(n) and p(n/2).
+    # Gap: no k1 route reads it, as every k1 diagram is all even
+    "lambda-b-rows-no-odd": ((dg,), "_lambda_b_rows",
+                             lambda real: lambda length, mult: (
+                                 [] if length % 2 else real(length, mult)),
+                             {"diii-k0-closure"},
+                             {("k0", "all"): _diii((1, 3, 4, 5, 6, 7, 8)),
+                              ("k0", "nilpotent"): _diii((1, 3, 4, 5, 6, 7, 8)),
+                              ("k0", "full"): _diii(range(1, 9, 2))}),
 }
 
 
