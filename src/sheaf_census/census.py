@@ -12,8 +12,8 @@ Two fully independent routes are kept apart on purpose:
 Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are assembled row by row, their
-classes read off mu's, and ``theta_k0_count``, ``_richardson`` (which holds
-mu's class) and ``count_formula_k0`` are memoised.
+classes read off mu's, whose class and pi come with the sigma_b listing, and
+``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family) records: ``_report``
 builds every labelled report from them, and ``_total`` every memoised
@@ -40,7 +40,6 @@ from .diagrams import (
     _unchecked,
     classify,
     diagram,
-    enum_lambda,
     enum_lambda_b,
     enum_lambda_even,
     enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
@@ -50,7 +49,7 @@ from .diagrams import (
     sigma_b_listing,
     sigma_class_counts,
 )
-from .groups import _kappa1_data, _pi_size, eta, kappa1_data_BDI
+from .groups import _kappa1_data, eta, kappa1_data_BDI
 from .partitions import (
     count_bipartitions,
     count_distinct_odd_partitions,
@@ -252,14 +251,6 @@ def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
     return label
 
 
-@lru_cache(maxsize=None)
-def _richardson(p: int, q: int) -> tuple[tuple[SignedYoungDiagram, DiagramClass, int], ...]:
-    """(mu, classify(mu), pi_size(mu)) for every Richardson diagram of
-    signature (p, q), each invariant computed once: the class comes with
-    the listing."""
-    return tuple((mu, cls, _pi_size(mu, cls)) for mu, cls in zip(*sigma_b_listing(p, q)))
-
-
 def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
     """One entry per orbit over each stratum's support; the low-rank rule
     (total size below 5) lives here."""
@@ -298,7 +289,7 @@ def _k0_strata(p: int, q: int):
             if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
                 yield (m, k, _EMPTY, _support_class(m, _EMPTY, _EMPTY_CLASS).deltas,
                        theta_k0_count("split-D", m) * pk, "empty-mu")
-            for mu, cls, pi in _richardson(p1, q1):
+            for mu, cls, pi in zip(*sigma_b_listing(p1, q1)):
                 yield (m, k, mu, _support_class(m, mu, cls).deltas,
                        theta[cls.index] * pk * pi, f"sigma-b{cls.index}")
 
@@ -494,7 +485,7 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     """Sums of character counts over class-1 and class-2 Richardson diagrams."""
     sums = {1: 0, 2: 0}
-    for _, cls, pi in _richardson(p, q):
+    for _, cls, pi in zip(*sigma_b_listing(p, q)):
         sums[cls.index] += pi
     return sums[1], sums[2]
 
@@ -532,9 +523,10 @@ def sigma23_r_sum(p: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def diii_closure_total(n: int) -> int:
-    """Orbit count |Lambda^{n,n}|; each orbit carries exactly one
-    trivial-character local system."""
-    return len(enum_lambda(n))
+    """Orbit count |Lambda^{n,n}|, one trivial-character local system each:
+    _lambda_rows gives an odd length one signing and an even length m + 1 for
+    2m rows, so it is the x^n coefficient of prod 1/((1-x^s)(1-x^2s))."""
+    return int(qseries.prod_series(n, (-1, 1, 0, -1), (-1, 2, 0, -1)).coeff(n))
 
 
 # ---------------------------------------------------------------------------

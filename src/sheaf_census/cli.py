@@ -157,7 +157,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     if args.family == "bdi":
         listing = diagrams.sigma_b_listing if args.richardson else diagrams.sigma_listing
         tails: dict = {}  # id of a listed class -> its deltas and cells, built once per class
-        for d, cls in zip(*listing(args.p, args.q)):
+        for d, cls in zip(*listing(args.p, args.q)[:2]):
             if args.orbit_class and cls.index != int(args.orbit_class[-1]):
                 continue
             if id(cls) not in tails:
@@ -387,11 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         _parsers["main"] = _build_parser()
     parser = _parsers["main"]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    args._argv = ["sheaf-census"] + argv
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, --version or a usage error
+            sys.stdout.flush()  # what argparse left buffered: a closed stdout raises here
+            return exc.code if isinstance(exc.code, int) else 2
+        args._argv = ["sheaf-census"] + argv
         return args.func(args)
     except BrokenPipeError:  # the reader closed stdout: stop quietly, as SIGPIPE would
         devnull = os.open(os.devnull, os.O_WRONLY)

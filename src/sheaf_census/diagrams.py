@@ -25,18 +25,17 @@ partitions of p+q whose even parts have even multiplicity, the odd
 partitions of p+q, the partitions of n with every multiplicity doubled), and
 assigns only admissible signs to each group. Three per-size tables are
 cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
-group by group as signs are chosen, each diagram next to its class (read by
+group by group as signs are chosen, each diagram next to its class and a
+Richardson one next to ``_pi`` of omega's size, also summed (read by
 ``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
 output skips the checks (valid by construction). ``in_lambda`` asks the
-same row rule. ``_richardson_omega`` walks a diagram once, testing each
-group with ``_richardson_bits`` (the per-group sign rule that also builds
-the Richardson signings) and with the rule of the admissible set omega; it
-returns omega, or None off the Richardson set, and ``is_sigma_b`` and the
-component-group numerics read it. ``sigma_class_counts`` counts sigma's
-classes without listing it, by a transfer-matrix DP (Stanley, EC1 4.7) over
-``_sigma_rows``' options, with the census's class rule ``_class_of`` and
-nothing from the formula route; one walk, on vectors of ways by plus-box
-count, serves a block of 8 sizes.
+same row rule. The per-group rules ``_richardson_bits`` (forced signs) and
+``_richardson_in_omega`` (the admissible set omega) build the Richardson
+signings, and ``_richardson_omega`` checks a diagram with both in one walk.
+``sigma_class_counts`` counts sigma's classes without listing it, by a
+transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with
+the census's class rule ``_class_of`` and nothing from the formula route;
+one walk, on vectors of ways by plus-box count, serves a block of 8 sizes.
 
 ``diagram()`` merges groups of equal length: the parser builds through it,
 and the union of two diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The
@@ -238,25 +237,27 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]
 
 
 def _by_signature(n: int, partitions, signings) -> dict:
-    """The diagrams of every (rows, p) in signings(groups), over the grouped
-    partitions, keyed by signature (p, n - p) in generator order, and their
-    classes: {signature: (diagrams, classes)}."""
-    table: dict[tuple[int, int], tuple[list, list]] = {}
+    """{signature (p, n - p): (diagrams, classes[, pis])} over every (rows, p,
+    omega) in signings(groups) of the grouped partitions, in generator order;
+    pis holds each _pi where omega, a Richardson admissible set's size, is given."""
+    table: dict[int, tuple[list, list, list]] = {}  # p -> its columns
     for groups in partitions:
-        for rows, p in signings(groups):
-            diagrams, classes = table.setdefault((p, n - p), ([], []))
-            diagrams.append(_unchecked(rows))
-            classes.append(_class_of(*_ab(rows)))
-    return {sig: (tuple(ds), tuple(cs)) for sig, (ds, cs) in table.items()}
+        for rows, p, omega in signings(groups):
+            diagrams, classes, pis = table.get(p) or table.setdefault(p, ([], [], []))
+            diagrams.append(d := _unchecked(rows))
+            classes.append(cls := _class_of(*_ab(rows)))
+            if omega is not None:
+                pis.append(_pi(d, cls, omega, n))
+    return {(p, n - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
 
 
-def _sigma_signings(groups) -> list[tuple[tuple, int]]:
-    """(rows, p) for every signing of the groups by _sigma_rows, first group
-    varying slowest; p, the plus-box count, accumulates group by group."""
-    out = [((), 0)]
+def _sigma_signings(groups) -> list[tuple[tuple, int, None]]:
+    """(rows, p, None) for every signing of the groups by _sigma_rows, first
+    group varying slowest; p, the plus-box count, accumulates group by group."""
+    out = [((), 0, None)]
     for length, mult in groups:
         options = _sigma_rows(length, mult)
-        out = [(rows + (row,), p + dp) for rows, p in out for row, dp in options]
+        out = [(rows + (row,), p + dp, None) for rows, p, _ in out for row, dp in options]
     return out
 
 
@@ -336,40 +337,56 @@ def _richardson_bits(row: int, start: int, above, mu: int) -> tuple[int, ...]:
     return (0, 1)
 
 
-def _richardson_signings(groups, start: int) -> list[tuple[tuple, int]]:
-    """(rows, p), p summed group by group, with one sign bit per group from
-    _richardson_bits, in lexicographic order."""
-    out = [((), 0, None)]
-    row = 0
+def _richardson_in_omega(row: int, start: int, above, bit: int, mu: int) -> bool:
+    """Whether a Richardson group of sign bit and half-length mu, first row
+    row, is in the admissible set omega: the rows from it down are even in
+    number (row - start even) and, past the first group, above (the group
+    before's sign bit and half-length) has the same bit or half-length >= mu + 2."""
+    return (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit)
+
+
+def _richardson_signings(groups, start: int) -> list[tuple[tuple, int, int]]:
+    """(rows, p, omega), one sign bit per group from _richardson_bits, in
+    lexicographic order; p and omega's size summed group by group."""
+    out, row = [((), 0, None, 0)], 0
     for length, mult in groups:
         mu = (length - 1) // 2
         signed = (((length, mult, 0), mult * (mu + 1)), ((length, 0, mult), mult * mu))
-        out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu)) for rows, p, above in out
-               for bit in _richardson_bits(row, start, above, mu)]
+        out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu),
+                omega + _richardson_in_omega(row, start, above, bit, mu))
+               for rows, p, above, omega in out for bit in _richardson_bits(row, start, above, mu)]
         row += mult
-    return [(rows, p) for rows, p, _ in out]
+    return [(rows, p, omega) for rows, p, _, omega in out]
 
 
 def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
-    """The admissible set of a Richardson diagram d, or None when d is not
-    Richardson: empty, an even length, a group holding both signs, or a sign
-    _richardson_bits forbids. One walk down the groups: j (1-based) is in the
-    set when the rows from group j down are even in number and, past the
-    first group, the half-length drops by 2 or more from the group above or
-    its sign bit (1 when it has no +rows) repeats. Pairing starts at the
-    parity of the row count, which on odd lengths is the size's; the rows
-    from group j down are even in number exactly when row - start is even."""
+    """The groups j (from 1) of d that _richardson_in_omega admits, or None off
+    the Richardson set: empty, an even length, a group holding both signs, or
+    a sign _richardson_bits forbids."""
     start = sum([plus + minus for _, plus, minus in d.rows]) % 2
     omega, row, above = set(), 0, None
     for j, (length, plus, minus) in enumerate(d.rows, 1):
         bit, mu = plus == 0, (length - 1) // 2
         if length % 2 == 0 or (plus and minus) or bit not in _richardson_bits(row, start, above, mu):
             return None
-        if (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit):
+        if _richardson_in_omega(row, start, above, bit, mu):
             omega.add(j)
         row += plus + minus
         above = bit, mu
     return frozenset(omega) if d.rows else None
+
+
+def _pi(d: SignedYoungDiagram, cls: DiagramClass, omega: int, n: int) -> int:
+    """pi_size(d), 2^(omega - [class 1] - [n even]), for a Richardson diagram
+    d of size n and class cls whose admissible set has omega members. Class 3
+    or a negative exponent signals an upstream bug."""
+    if cls.index not in (1, 2):
+        raise ArithmeticError("Richardson diagrams are never of class 3")
+    exponent = omega - (cls.index == 1) - (n % 2 == 0)
+    if exponent < 0:
+        raise ArithmeticError(f"negative character-count exponent for {d}; "
+                              "upstream classification is inconsistent")
+    return 2 ** exponent
 
 
 def is_sigma_b(d: SignedYoungDiagram) -> bool:
@@ -384,9 +401,9 @@ def _sigma_b_by_signature(n: int) -> dict:
                          lambda groups: _richardson_signings(groups, n % 2))
 
 
-def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple]:
-    """enum_sigma_b(p, q) and the class of each of its diagrams, in order."""
-    return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), ()))
+def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
+    """enum_sigma_b(p, q), and each diagram's class and pi_size, in order."""
+    return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), (), ()))
 
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:

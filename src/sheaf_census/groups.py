@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import DiagramClass, SignedYoungDiagram, _richardson_omega, classify, in_lambda
+from .diagrams import DiagramClass, SignedYoungDiagram, _pi, _richardson_omega, classify, in_lambda
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,6 @@ def omega_set(d: SignedYoungDiagram) -> frozenset[int]:
 def pi_size(d: SignedYoungDiagram) -> int:
     """Number of admissible component-group characters on the Richardson
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved
-    again when it is even. A negative exponent signals an upstream bug."""
-    omega_set(d)  # refuses d off the Richardson subset before classifying it
-    return _pi_size(d, classify(d))
-
-
-def _pi_size(d: SignedYoungDiagram, cls: DiagramClass) -> int:
-    """pi_size(d) for a Richardson diagram d whose class cls is known."""
-    if cls.index not in (1, 2):
-        raise ArithmeticError("Richardson diagrams are never of class 3")
-    exponent = len(_richardson_omega(d)) - (cls.index == 1) - (d.size % 2 == 0)
-    if exponent < 0:
-        raise ArithmeticError(f"negative character-count exponent for {d}; "
-                              "upstream classification is inconsistent")
-    return 2 ** exponent
+    again when it is even, as _pi counts it for the sigma_b listing."""
+    omega = omega_set(d)  # refuses d off the Richardson subset before classifying it
+    return _pi(d, classify(d), len(omega), d.size)

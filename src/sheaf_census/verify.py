@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from . import DEFAULT_SWEEP, census, diagrams, groups, partitions, qseries
 from .qseries import BiSeries, FormalSeries, prod_series
@@ -464,9 +464,9 @@ def _diii_k1_bijection(order: int, sweep: int):
             all_even = diagrams.enum_lambda_even(n)
             images = {(b.first.parts, b.second.parts)
                       for b in map(diagrams.diii_kappa1_bijection, all_even)}
-            parts = [partitions.enum_partitions(k) for k in range(n // 2 + 1)]
-            expected = {(a.parts, b.parts) for firsts, seconds in
-                        zip(parts, reversed(parts)) for a in firsts for b in seconds}
+            parts = [[tuple(part for part, mult in groups for _ in range(mult))
+                      for groups in partitions._gen_partitions(k, k)] for k in range(n // 2 + 1)]
+            expected = {pair for a, b in zip(parts, reversed(parts)) for pair in product(a, b)}
             yield f"n={n} injective", len(images), len(all_even)
             yield f"n={n} surjective", sorted(images), sorted(expected)
             yield (f"n={n} census", census.census_diii_totals(n)[1],

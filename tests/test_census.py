@@ -350,6 +350,27 @@ def test_censuses_classify_no_support(monkeypatch):
     assert calls == [(dg.mu_t(p - q),)]
 
 
+def test_k0_census_walks_no_listed_diagram_again(monkeypatch):
+    # each Richardson diagram's pi comes with the sigma_b listing, so a cold
+    # k0 census never walks a listed diagram through _richardson_omega
+    for module in (partitions, dg, gp, cs):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    calls = _count_calls(monkeypatch, "_richardson_omega", dg, gp)
+    assert cs.census_bdi_k0(12, 12).total == cs.count_formula_k0(12, 12)
+    assert calls == []
+
+
+def test_diii_closure_total_counts_the_lambda_listing():
+    # the product route against the library's Lambda walk, and against the
+    # oracle's filter over every partition of 2n (20 s to n = 28, so n <= 20)
+    for n in range(29):
+        assert cs.diii_closure_total(n) == len(dg.enum_lambda(n)), n
+    for n in range(21):
+        assert cs.diii_closure_total(n) == len(oracles.enum_lambda(n)), n
+
+
 def test_support_classes_match_classify():
     # the class read off mu's against the support classified from its rows
     for N in range(31):
@@ -358,7 +379,7 @@ def test_support_classes_match_classify():
             strata = [(m, k, mu, cls) for m in range(min(p, q) + 1)
                       if N % 2 or (m - q) % 2 == 0
                       for k in range((min(p, q) - m) // 2 + 1)
-                      for mu, cls, _ in cs._richardson(p - m - 2 * k, q - m - 2 * k)]
+                      for mu, cls, _ in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k))]
             if N % 2 == 0 and p == q:
                 strata += [(m, (q - m) // 2, cs._EMPTY, cs._EMPTY_CLASS)
                            for m in range(q % 2, q + 1, 2)]

@@ -392,15 +392,19 @@ def test_a_stdout_closed_mid_write_ends_the_command_quietly(command):
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-def test_a_stdout_closed_before_the_first_write_ends_the_command_quietly():
+@pytest.mark.parametrize("argv", [["series", "--expr", "prod(1+x^{2s})", "--order", "10"],
+                                  ["--help"], ["--version"], ["census", "--help"],
+                                  ["verify", "--help"]],
+                         ids=["series", "help", "version", "census-help", "verify-help"])
+def test_a_stdout_closed_before_the_first_write_ends_the_command_quietly(argv):
     # a short output stays in a buffered stdout (the default) after the
-    # failed write, and the flush at exit must not fail again
+    # failed write, and the flush at exit must not fail again; argparse's
+    # help and version text too
     env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
     reader, writer = os.pipe()
     os.close(reader)
     try:
-        proc = subprocess.run([sys.executable, "-m", "sheaf_census", "series",
-                               "--expr", "prod(1+x^{2s})", "--order", "10"],
+        proc = subprocess.run([sys.executable, "-m", "sheaf_census", *argv],
                               stdout=writer, stderr=subprocess.PIPE, env=env)
     finally:
         os.close(writer)
@@ -476,9 +480,9 @@ def test_k0_nilpotent_check_catches_a_broken_pi(capsys, monkeypatch, refill):
               "--check"] for subset in ("all", "nilpotent")]
     for argv in argvs:
         assert run_cli(capsys, *argv)[0] == 0
-    real = census._pi_size
-    monkeypatch.setattr(census, "_pi_size", lambda d, cls: 3 * real(d, cls))
-    refill(census._richardson, *TOTALS)
+    real = dg._pi
+    monkeypatch.setattr(dg, "_pi", lambda d, cls, omega, n: 3 * real(d, cls, omega, n))
+    refill(dg._sigma_b_by_signature, *TOTALS)
     for argv in argvs:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -490,17 +494,19 @@ def test_verify_reads_a_broken_pi_through_its_refilled_totals(capsys, monkeypatc
     # broken character counts, so the warm memo masks nothing
     argv = ["verify", "--suite", "number1-k0", "--order", "12", "--sweep", "8"]
     assert run_cli(capsys, *argv)[0] == 0
-    real = census._pi_size
-    monkeypatch.setattr(census, "_pi_size", lambda d, cls: 3 * real(d, cls))
-    refill(census._richardson, *TOTALS)
+    real = dg._pi
+    monkeypatch.setattr(dg, "_pi", lambda d, cls, omega, n: 3 * real(d, cls, omega, n))
+    refill(dg._sigma_b_by_signature, *TOTALS)
     code, data, _ = run_json(capsys, *argv)
     assert code == 1
     assert data["payload"]["checks"][0]["status"] == "FAIL"
 
 
-# the checks that reach _pi_size on an even-size Richardson diagram
+# the checks that reach _pi on an even-size Richardson diagram: the sigma_b
+# table of a size computes every pi of that size, so nilcoro-k1, which lists
+# the Richardson diagrams of (3, 1) (there are none), builds the size-4 table
 PI_EVEN_CHECKS = {"number1-k0", "numbert-closure", "bb-even", "tb1", "b2-even",
-                  "b2-weighted-oracle", "nilcoro-k0-even"}
+                  "b2-weighted-oracle", "nilcoro-k0-even", "nilcoro-k1"}
 
 
 def _failed_checks(capsys) -> dict[str, str]:
@@ -516,12 +522,13 @@ def _failed_checks(capsys) -> dict[str, str]:
 
 
 def test_a_check_that_raises_fails_alone(capsys, monkeypatch, refill):
-    # index 1 is in the omega set exactly on even sizes; without it,
-    # _pi_size's exponent guard trips inside the checks that reach it, which
-    # fail with the error while every other check still runs and passes
-    real = groups._richardson_omega
-    monkeypatch.setattr(groups, "_richardson_omega", lambda d: real(d) - {1})
-    refill(census._richardson, *TOTALS)
+    # index 1 is in the omega set exactly on even sizes; without it, _pi's
+    # exponent guard trips inside the checks that reach it, which fail with
+    # the error while every other check still runs and passes
+    real = dg._richardson_in_omega
+    monkeypatch.setattr(dg, "_richardson_in_omega", lambda row, start, above, bit, mu: (
+        above is not None and real(row, start, above, bit, mu)))
+    refill(dg._sigma_b_by_signature, *TOTALS)
     failed = _failed_checks(capsys)
     assert set(failed) == PI_EVEN_CHECKS
     for error in failed.values():
@@ -624,7 +631,7 @@ def orbit_rows(family: str, size, richardson: bool = False, orbit_class=None) ->
     return [{"diagram": dg.format_diagram(d), "delta": delta, "a": cls.a, "b": cls.b,
              "r": cls.r, "class": f"sigma{cls.index}", "k0_irreps": 2 ** cls.r,
              "k1_irreps": groups._kappa1_data(cls, p, q).count}
-            for d, cls in zip(*listing(p, q)) if orbit_class in (None, f"sigma{cls.index}")
+            for d, cls in zip(*listing(p, q)[:2]) if orbit_class in (None, f"sigma{cls.index}")
             for delta in ((None,) if richardson else cls.deltas)]
 
 

@@ -375,15 +375,15 @@ def test_slotted_diagram_pickles():
 
 def test_table_keys_are_signatures():
     # the table builders carry p group by group instead of calling signature(),
-    # and list each diagram's class next to it
+    # and list each diagram's class next to it (and a Richardson one's pi)
     for n in range(25):
         for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
-            for sig, (ds, classes) in table.items():
+            for sig, (ds, classes, *_) in table.items():
                 assert all(d.signature() == sig for d in ds), (n, sig)
                 assert classes == tuple(map(dg.classify, ds)), (n, sig)
     assert dg.sigma_listing(3, 2) == dg._sigma_by_signature(5)[3, 2]
     assert dg.sigma_b_listing(3, 2) == dg._sigma_b_by_signature(5)[3, 2]
-    assert dg.sigma_b_listing(0, 0) == ((), ())
+    assert dg.sigma_b_listing(0, 0) == ((), (), ())
 
 
 def test_enum_lambda_b_returns_a_fresh_list():

@@ -123,6 +123,19 @@ def test_omega_walk_matches_the_bottom_up_oracle():
     assert seen == 8346
 
 
+def test_listed_pi_matches_pi_size_and_the_oracle_omega():
+    # the sigma_b table sums each diagram's omega as it signs it; pi_size walks
+    # the diagram again, and the oracle builds omega from the last group up
+    seen = 0
+    for total in range(27):
+        for p in range(total + 1):
+            for d, cls, pi in zip(*dg.sigma_b_listing(p, total - p)):
+                seen += 1
+                exponent = len(oracles.omega_set(d)) - (cls.index == 1) - (total % 2 == 0)
+                assert pi == gp.pi_size(d) == 2 ** exponent, str(d)
+    assert seen == 4034
+
+
 def test_many_unforced_groups_take_no_time():
     # even row counts force no sign, so a walk over every signing of the
     # groups would take 2^30 steps here

@@ -29,9 +29,12 @@ ETA_ALL = _pairs("2,3 3,2 3,5 4,4 4,5 5,3 5,4 5,7 5,8 6,6 6,7 7,5 7,6 8,5 8,8")
 # the pairs whose m = 0 k1 stratum has several orbits over its support
 UNEVEN = _pairs("0,0 0,1 1,0 2,2 4,4 4,5 5,4 6,6")
 SUITE = (20, 14)  # verify's order and sweep
-# the pairs whose k0 report a never-forced Richardson sign cannot build
-UNFORCED = _pairs("2,5 2,7 3,6 3,8 4,5 4,7 4,8 5,2 5,4 5,6 5,8 6,3 6,5 6,7 6,8 7,2 7,4 7,6 "
-                  "7,8 8,3 8,4 8,5 8,6 8,7 8,8")
+# the pairs whose k0 report a never-forced Richardson sign cannot build: the
+# report reads the sigma_b table of each residual size, and the tables of
+# sizes 4 and 6 on hold an unforced diagram with a negative character-count
+# exponent (3+ 1+ at size 4), so every pair fails that reads one of them
+UNFORCED = BDI - _pairs("0,0 0,1 0,2 0,3 0,5 1,0 1,1 1,2 1,3 1,4 2,0 2,1 2,3 3,0 3,1 3,2 "
+                        "4,1 5,0")
 
 # the even-size pairs with a Richardson diagram: (0, 0) and (1, 1) have none
 EVEN_RICHARDSON = (frozenset(pair for pair in BDI if (pair[1] + pair[2]) % 2 == 0)
@@ -109,7 +112,7 @@ ROWS = {
                              lambda real: lambda length, mult: real(length, mult)[:-1],
                              {"kappa1-orbit-sum", "lemma-n1", "lemma-n1-2var", "number1-k0"},
                              {}),
-    "pi*2": ((groups, census), "_pi_size", lambda real: lambda d, cls: 2 * real(d, cls),
+    "pi*2": ((dg, groups), "_pi", lambda real: lambda d, cls, omega, n: 2 * real(d, cls, omega, n),
              {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd", "nilcoro-k0-even",
               "nilcoro-k0-odd", "number1-k0", "numbert-closure", "tb1"},
              {("k0", "all"): BDI - _pairs("0,0 1,1"),
@@ -119,7 +122,8 @@ ROWS = {
               ("k0", "nilpotent"): {(f, p, q) for f, p, q in BDI
                                     if (p + q) and (p * q) % 2 == 0}}),
     # unforced signs list non-Richardson diagrams, and some of them have a
-    # negative character-count exponent: every cell of their pair raises
+    # negative character-count exponent: building their size's table raises,
+    # and so does every cell of a pair that reads it
     "richardson-never-forced": ((dg,), "_richardson_bits",
                                 lambda real: lambda row, start, above, mu: (0, 1),
                                 {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd",
@@ -127,30 +131,33 @@ ROWS = {
                                  "numbert-closure", "tb1"},
                                 {("k0", subset): UNFORCED
                                  for subset in ("all", "cuspidal", "full", "nilpotent")}),
-    # index 1 is in omega exactly on even sizes: without it, _pi_size's
-    # exponent guard trips in every even-size pair with a Richardson diagram,
-    # whose k0 report then fails to build; membership is unchanged
-    "omega-drop-1": ((dg, groups), "_richardson_omega",
-                     lambda real: lambda d: None if (omega := real(d)) is None else omega - {1},
-                     {"b2-even", "b2-weighted-oracle", "bb-even", "nilcoro-k0-even", "number1-k0",
-                      "numbert-closure", "tb1"},
+    # index 1 is in omega exactly on even sizes: without it, _pi's exponent
+    # guard trips on every even-size table with a Richardson diagram, so the
+    # k0 report of each even-size pair that reads one fails to build, and so
+    # does nilcoro-k1, which reads the size-4 table for (3, 1); membership is
+    # unchanged
+    "omega-drop-1": ((dg,), "_richardson_in_omega",
+                     lambda real: lambda row, start, above, bit, mu: (
+                         above is not None and real(row, start, above, bit, mu)),
+                     {"b2-even", "b2-weighted-oracle", "bb-even", "nilcoro-k0-even", "nilcoro-k1",
+                      "number1-k0", "numbert-closure", "tb1"},
                      {("k0", subset): EVEN_RICHARDSON
                       for subset in ("all", "cuspidal", "full", "nilpotent")}),
-    # the Lambda listing is the expected side of the diii k0 "all" cells (the
-    # census walks Lambda_b) and of the k1 all-even count (the census counts
-    # bipartitions); from n = 2 on, a diagram has an even group to lose its
-    # all-minus signing. Gaps: no bdi route and no Lambda_b stratum reads it
+    # the Lambda listing is the expected side of the k1 all-even count (the
+    # census counts bipartitions); from n = 2 on, a diagram has an even group
+    # to lose its all-minus signing. Gaps: no bdi route, no Lambda_b stratum
+    # and no k0 route reads it (the diii k0 "all" cells and diii-k0-closure
+    # read the product series of diii_closure_total)
     "lambda-rows-drop-all-minus": ((dg,), "_lambda_rows",
                                    lambda real: lambda length, mult: (
                                        real(length, mult)[:-1] if length % 2 == 0
                                        else real(length, mult)),
-                                   {"diii-k0-closure", "diii-k1-bijection"},
-                                   {("k0", "all"): _diii(range(2, 9)),
-                                    ("k1", "all"): _diii(range(2, 9, 2)),
+                                   {"diii-k1-bijection"},
+                                   {("k1", "all"): _diii(range(2, 9, 2)),
                                     ("k1", "full"): _diii(range(2, 9, 2))}),
     # the diii k0 census walks Lambda_b: it loses every diagram with an odd
     # row (there is one at every n but 0 and 2; in the full stratum at odd n
-    # only), against the Lambda listing, p(n) and p(n/2).
+    # only), against the product series of diii_closure_total, p(n) and p(n/2).
     # Gap: no k1 route reads it, as every k1 diagram is all even
     "lambda-b-rows-no-odd": ((dg,), "_lambda_b_rows",
                              lambda real: lambda length, mult: (
