@@ -209,13 +209,14 @@ class CensusReport:
     def total(self) -> int:
         return sum(e.count for e in self.entries)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, strata=list) -> dict:
+        """The report as JSON values, its strata as strata(an iterator of row dicts)."""
         keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
-        strata = [{"support": format_diagram(e.support.diagram), "delta": e.support.delta,
-                   "m": e.m, "k": e.k, "mu": format_diagram(e.mu), "family": e.family,
-                   "count": e.count} for e in self.entries]
-        return {"pair": dict(zip(keys, self.pair)), "central": self.central, "strata": strata,
-                "total": self.total, "warnings": list(self.warnings)}
+        rows = ({"support": format_diagram(e.support.diagram), "delta": e.support.delta,
+                 "m": e.m, "k": e.k, "mu": format_diagram(e.mu), "family": e.family,
+                 "count": e.count} for e in self.entries)
+        return {"pair": dict(zip(keys, self.pair)), "central": self.central,
+                "strata": strata(rows), "total": self.total, "warnings": list(self.warnings)}
 
 
 _EMPTY, _EMPTY_CLASS = SignedYoungDiagram(), _class_of(0, 0, False)
@@ -289,7 +290,7 @@ def _k0_strata(p: int, q: int):
             if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
                 yield (m, k, _EMPTY, _support_class(m, _EMPTY, _EMPTY_CLASS).deltas,
                        theta_k0_count("split-D", m) * pk, "empty-mu")
-            for mu, cls, pi in zip(*sigma_b_listing(p1, q1)):
+            for mu, cls, _, pi in zip(*sigma_b_listing(p1, q1)):
                 yield (m, k, mu, _support_class(m, mu, cls).deltas,
                        theta[cls.index] * pk * pi, f"sigma-b{cls.index}")
 
@@ -485,7 +486,7 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     """Sums of character counts over class-1 and class-2 Richardson diagrams."""
     sums = {1: 0, 2: 0}
-    for _, cls, pi in zip(*sigma_b_listing(p, q)):
+    for _, cls, _, pi in zip(*sigma_b_listing(p, q)):
         sums[cls.index] += pi
     return sums[1], sums[2]
 

@@ -12,7 +12,8 @@ import io
 import json
 import os
 import sys
-from itertools import chain
+from functools import partial
+from itertools import chain, compress, islice, repeat
 
 from . import DEFAULT_SWEEP, SUBSETS, __version__
 
@@ -50,51 +51,60 @@ def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> d
 
 _encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
-
-
-class _Rendered(str):
-    """JSON text that _json_text already wrote at the depth where it sits."""
+_CHUNK = 128  # the items (orbit diagrams, census strata) rendered per written piece
 
 
 def _json_text(obj, depth: int = 1) -> str:
-    """json.dumps(obj, indent=2), byte for byte, for obj whose items sit at
-    the given indent depth (json.dumps with an indent runs the pure-Python
-    encoder). Each container of scalars is one encode() call, and so is a
-    list of nonempty dicts of scalars: encoded at its items' depth, only its
-    "},{" joins need indenting, as every raw newline is a separator (the
-    encoder escapes those inside strings). A _Rendered value is emitted as it
-    is, so a caller can assemble one large value from pieces of this text."""
-    if isinstance(obj, _Rendered):
-        return obj
-    for d in (depth, depth + 1):
-        if d not in _encoders:
-            _encoders[d] = json.JSONEncoder(separators=(",\n" + "  " * d, ": ")).encode
-    encode, containers = _encoders[depth], (dict, list, tuple, _Rendered)
-    if not isinstance(obj, containers) or not obj:
-        return encode(obj)
+    """The text that _json_pieces writes, in one string."""
+    return "".join(_json_pieces(obj, depth))
+
+
+def _json_pieces(obj, depth: int = 1):
+    """json.dumps(obj, indent=2), byte for byte, in pieces, for obj whose items
+    sit at the given indent depth (json.dumps with an indent runs the pure-Python
+    encoder). Each container of scalars is one encode() call, and so is a list of
+    nonempty dicts of scalars: encoded at its items' depth, only its "},{" joins
+    need indenting, as every raw newline is a separator (the encoder escapes those
+    inside strings). Other containers yield their punctuation between their values'
+    pieces, copying none; a callable is a list: obj(depth) yields its items' text run by run."""
     outer, inner, deeper = "  " * (depth - 1), "  " * depth, "  " * (depth + 1)
-    is_dict = isinstance(obj, dict)
-    if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
-            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
-        body = _encoders[depth + 1](obj)[2:-2].replace(
-            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-        return f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{outer}]"
-    values = obj.values() if is_dict else obj
-    if any(isinstance(v, containers) for v in values):
-        items = [_json_text(v, depth + 1) for v in values]
-        if is_dict:  # a key as json renders it: the object {key: 0} less "{" and ": 0}"
-            items = [f"{encode({key: 0})[1:-4]}: {item}" for key, item in zip(obj, items)]
-        body = (",\n" + inner).join(items)
+    if callable(obj):
+        keys, values, brackets = repeat(""), obj(depth), "[]"
     else:
-        body = encode(obj)[1:-1]
-    brackets = "{}" if is_dict else "[]"
-    return f"{brackets[0]}\n{inner}{body}\n{outer}{brackets[1]}"
+        for d in (depth, depth + 1):
+            if d not in _encoders:
+                _encoders[d] = json.JSONEncoder(separators=(",\n" + "  " * d, ": ")).encode
+        encode, containers = _encoders[depth], (dict, list, tuple)
+        if not isinstance(obj, containers) or not obj:
+            yield encode(obj)
+            return
+        is_dict = isinstance(obj, dict)
+        if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
+                and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
+            body = _encoders[depth + 1](obj)[2:-2].replace(
+                "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+            yield f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{outer}]"
+            return
+        values = obj.values() if is_dict else obj
+        brackets = "{}" if is_dict else "[]"
+        if not any(isinstance(v, containers) or callable(v) for v in values):
+            yield f"{brackets[0]}\n{inner}{encode(obj)[1:-1]}\n{outer}{brackets[1]}"
+            return
+        # a key as json renders it: the object {key: 0} less "{" and ": 0}"
+        keys = (f"{encode({key: 0})[1:-4]}: " for key in obj) if is_dict else repeat("")
+    sep = brackets[0] + "\n" + inner
+    for key, value in zip(keys, values):
+        yield sep + key
+        yield from (value,) if callable(obj) else _json_pieces(value, depth + 1)
+        sep = ",\n" + inner
+    yield f"\n{outer}{brackets[1]}" if sep[0] == "," else brackets  # [] if nothing ran
 
 
-def _emit(text: str, out: str | None) -> None:
-    end = "" if text.endswith("\n") else "\n"  # print adds it: no copy of a long text
+def _emit(pieces, out: str | None) -> None:
+    """Write the text pieces, ending in a newline, to stdout or atomically to out."""
     if out is None:
-        print(text, end=end, flush=True)  # a closed stdout raises here, inside main
+        sys.stdout.writelines(pieces)  # a closed stdout raises here, inside main
+        sys.stdout.flush()
         return
     import tempfile
 
@@ -105,7 +115,7 @@ def _emit(text: str, out: str | None) -> None:
         raise OSError(f"cannot write {out}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
-            print(text, end=end, file=handle)
+            handle.writelines(pieces)
         os.replace(tmp, out)
     except BaseException:
         os.unlink(tmp)
@@ -153,54 +163,48 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     from . import diagrams, groups
 
     _require(args)
-    listed = []  # (diagram, (its deltas, *its cells past "delta" by header))
     if args.family == "bdi":
         listing = diagrams.sigma_b_listing if args.richardson else diagrams.sigma_listing
-        tails: dict = {}  # id of a listed class -> its deltas and cells, built once per class
-        for d, cls in zip(*listing(args.p, args.q)[:2]):
-            if args.orbit_class and cls.index != int(args.orbit_class[-1]):
-                continue
-            if id(cls) not in tails:
-                tails[id(cls)] = ((None,) if args.richardson else cls.deltas, cls.a, cls.b, cls.r,
-                                  f"sigma{cls.index}", 2 ** cls.r,
-                                  groups._kappa1_data(cls, args.p, args.q).count)
-            listed.append((d, tails[id(cls)]))
+        _, classes, texts = listing(args.p, args.q)[:3]
+        keys = list(map(id, classes))  # one instance serves each class; its hash is Python's
+        cells = {}  # key of a listed class -> its deltas and its cells past "delta"
+        for key, cls in dict(zip(keys, classes)).items():
+            if not args.orbit_class or cls.index == int(args.orbit_class[-1]):
+                cells[key] = ((None,) if args.richardson else cls.deltas, cls.a, cls.b, cls.r,
+                              f"sigma{cls.index}", 2 ** cls.r,
+                              groups._kappa1_data(cls, args.p, args.q).count)
+        if args.orbit_class:
+            kept = list(map(cells.__contains__, keys))
+            texts, keys = list(compress(texts, kept)), list(compress(keys, kept))
     else:
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
-        listed = [(d, ((None,), None, None, 0, "lambda", 1, groups.kappa1_data_DIII(d).count))
-                  for d in members]
+        texts = list(map(diagrams.format_diagram, members))
+        # keyed by content, as diii builds one key per diagram
+        keys = [((None,), None, None, 0, "lambda", 1, groups.kappa1_data_DIII(d).count)
+                for d in members]
+        cells = dict(zip(keys, keys))
 
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
-    # the rows sit at depth 3 of the envelope: envelope, payload, list
-    payload = {"orbits": _orbit_rows_json(listed, headers, 3)} if args.format == "json" else {}
+    payload = {"orbits": partial(_orbit_chunks, texts, keys, cells, headers)}
     return _finish(args, payload, [], headers, lambda: [
-        [diagrams.format_diagram(d), delta, *cells] for d, (deltas, *cells) in listed
-        for delta in deltas])
+        [text, delta, *cells[key][1:]] for text, key in zip(texts, keys)
+        for delta in cells[key][0]])
 
 
-def _orbit_rows_json(listed: list, headers: list[str], depth: int) -> _Rendered:
-    """The orbit rows as _json_text writes them at depth. The rows of each
-    distinct (deltas, *cells) are written once, with a hole for the diagram
-    text, and cut there into pieces; a diagram's rows are its text joined with
-    its pieces. Diagram texts (digits, signs, carets, spaces) need no escaping."""
-    from . import diagrams
-
-    if not listed:
-        return _Rendered("[]")
-    head, tail = f"[\n{depth * '  '}", f"\n{(depth - 1) * '  '}]"
+def _orbit_chunks(texts, keys, cells: dict, headers: list[str], depth: int):
+    """The JSON text of the orbit rows at depth, _CHUNK diagrams at a time: a
+    diagram's rows are its text joined with the pieces of its key's rows, cut
+    at a hole. Diagram texts (digits, signs, carets, spaces) need no escaping."""
     hole = "\\u0000"  # the JSON text of the "\0" that stands for each diagram
-    # (deltas, *cells) -> the text of their rows, cut at the holes; keyed by
-    # content, as diii builds one key per diagram
-    pieces: dict = {}
-    texts = []
-    for d, key in listed:
-        if key not in pieces:
-            rows = [dict(zip(headers, ("\0", delta, *key[1:]))) for delta in key[0]]
-            pieces[key] = _json_text(rows, depth)[len(head):-len(tail)].split(hole)
-        texts.append(diagrams.format_diagram(d).join(pieces[key]))
-    return _Rendered(head + ("," + head[1:]).join(texts) + tail)
+    pieces = {key: next(_row_chunks([dict(zip(headers, ("\0", delta, *row[1:])))
+                                     for delta in row[0]], depth)).split(hole)
+              for key, row in cells.items()}
+    sep = ",\n" + depth * "  "
+    for start in range(0, len(texts), _CHUNK):
+        yield sep.join(map(str.join, texts[start:start + _CHUNK],
+                           map(pieces.__getitem__, keys[start:start + _CHUNK])))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +230,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
             if r.total != expected:
                 mismatches.append(f"{r.pair} {r.central} {args.subset}: "
                                   f"census {r.total} != formula {expected}")
-    payload = {"reports": [r.to_json_dict() for r in reports]}
+    strata = lambda rows: partial(_row_chunks, rows)  # each run rendered as it is written
+    payload = {"reports": [r.to_json_dict(strata) for r in reports]}
     if args.check:
         payload["check"] = {"passed": not mismatches, "mismatches": mismatches}
     warnings = sorted({w for r in reports for w in r.warnings})
 
     headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
     def rows():
-        for r in payload["reports"]:
+        for r in map(census.CensusReport.to_json_dict, reports):
             for stratum in r["strata"]:
                 yield [r["central"], *(stratum[h] for h in headers[1:])]
             yield [r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]]
@@ -241,6 +246,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if mismatches:
         sys.stderr.write("\n".join(mismatches) + "\n")
     return 1 if mismatches else 0
+
+
+def _row_chunks(rows, depth: int):
+    """The JSON text of the flat dicts of rows, as items at depth, _CHUNK at a time."""
+    head, tail = len(f"[\n{depth * '  '}"), len(f"\n{(depth - 1) * '  '}]")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        yield _json_text(chunk, depth)[head:-tail]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +314,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     values = [series.coeffs[e] for e in exponents]
     payload = {"expr": args.expr, "order": args.order,
                "coefficients": {str(e): str(v) for e, v in zip(exponents, values)}}
-    _emit(_json_text(_envelope(args, payload, [])) if args.format == "json"
-          else ", ".join(map(str, values)), args.out)
+    _emit(chain(_json_pieces(_envelope(args, payload, [])), ["\n"]) if args.format == "json"
+          else [", ".join(map(str, values)), "\n"], args.out)
     return 0
 
 
@@ -310,14 +323,12 @@ def _finish(args: argparse.Namespace, payload: dict, warnings: list[str],
             headers: list[str], rows) -> int:
     """Emit the payload as json, or as the csv or table rows that rows() builds."""
     if args.format == "json":
-        _emit(_json_text(_envelope(args, payload, warnings)), args.out)
+        _emit(chain(_json_pieces(_envelope(args, payload, warnings)), ["\n"]), args.out)
     elif args.format == "csv":
-        _emit(_render_csv(headers, rows()), args.out)
+        _emit([_render_csv(headers, rows())], args.out)  # its rows end in \r\n
     else:
-        body = _render_table(headers, rows(), " ".join(args._argv))
-        if warnings:
-            body += "\n" + "\n".join(f"warning: {w}" for w in warnings)
-        _emit(body, args.out)
+        _emit([_render_table(headers, rows(), " ".join(args._argv)),
+               *(f"\nwarning: {w}" for w in warnings), "\n"], args.out)
     return 0
 
 

@@ -25,11 +25,11 @@ partitions of p+q whose even parts have even multiplicity, the odd
 partitions of p+q, the partitions of n with every multiplicity doubled), and
 assigns only admissible signs to each group. Three per-size tables are
 cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
-group by group as signs are chosen, each diagram next to its class and a
-Richardson one next to ``_pi`` of omega's size, also summed (read by
+group by group as signs are chosen, each diagram next to its class and its
+text (``format_diagram``'s, joined from ``_group_text`` as signs are chosen),
+a Richardson one also next to ``_pi`` of omega's size, summed as well (read by
 ``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
-output skips the checks (valid by construction). ``in_lambda`` asks the
-same row rule. The per-group rules ``_richardson_bits`` (forced signs) and
+output skips the checks (valid by construction); ``in_lambda`` asks the same row rule. The per-group rules ``_richardson_bits`` (forced signs) and
 ``_richardson_in_omega`` (the admissible set omega) build the Richardson
 signings, and ``_richardson_omega`` checks a diagram with both in one walk.
 ``sigma_class_counts`` counts sigma's classes without listing it, by a
@@ -237,27 +237,31 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]
 
 
 def _by_signature(n: int, partitions, signings) -> dict:
-    """{signature (p, n - p): (diagrams, classes[, pis])} over every (rows, p,
-    omega) in signings(groups) of the grouped partitions, in generator order;
-    pis holds each _pi where omega, a Richardson admissible set's size, is given."""
-    table: dict[int, tuple[list, list, list]] = {}  # p -> its columns
+    """{signature (p, n - p): (diagrams, classes, texts[, pis])} over every (rows,
+    p, omega, text) in signings(groups) of the grouped partitions, in generator
+    order; pis holds each _pi where omega, a Richardson admissible set's size, is given."""
+    table: dict[int, tuple[list, list, list, list]] = {}  # p -> its columns
     for groups in partitions:
-        for rows, p, omega in signings(groups):
-            diagrams, classes, pis = table.get(p) or table.setdefault(p, ([], [], []))
+        for rows, p, omega, text in signings(groups):
+            diagrams, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
             diagrams.append(d := _unchecked(rows))
             classes.append(cls := _class_of(*_ab(rows)))
+            texts.append(text or "0")
             if omega is not None:
                 pis.append(_pi(d, cls, omega, n))
     return {(p, n - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
 
 
-def _sigma_signings(groups) -> list[tuple[tuple, int, None]]:
-    """(rows, p, None) for every signing of the groups by _sigma_rows, first
-    group varying slowest; p, the plus-box count, accumulates group by group."""
-    out = [((), 0, None)]
+def _sigma_signings(groups) -> list[tuple[tuple, int, None, str]]:
+    """(rows, p, None, text) for every signing of the groups by _sigma_rows,
+    first group varying slowest; p, the plus-box count, and the text (each
+    group's _group_text, after a space past the first) build group by group."""
+    out, sep = [((), 0, None, "")], ""
     for length, mult in groups:
-        options = _sigma_rows(length, mult)
-        out = [(rows + (row,), p + dp, None) for rows, p, _ in out for row, dp in options]
+        options = [(row, dp, sep + _group_text(row)) for row, dp in _sigma_rows(length, mult)]
+        out = [(rows + (row,), p + dp, None, text + more)
+               for rows, p, _, text in out for row, dp, more in options]
+        sep = " "
     return out
 
 
@@ -273,9 +277,9 @@ def _sigma_by_signature(n: int) -> dict:
     return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
 
 
-def sigma_listing(p: int, q: int) -> tuple[tuple, tuple]:
-    """enum_sigma(p, q) and the class of each of its diagrams, in order."""
-    return _sigma_by_signature(_size(p, q)).get((p, q), ((), ()))
+def sigma_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
+    """enum_sigma(p, q), and each diagram's class and text, in order."""
+    return _sigma_by_signature(_size(p, q)).get((p, q), ((), (), ()))
 
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
@@ -345,18 +349,22 @@ def _richardson_in_omega(row: int, start: int, above, bit: int, mu: int) -> bool
     return (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit)
 
 
-def _richardson_signings(groups, start: int) -> list[tuple[tuple, int, int]]:
-    """(rows, p, omega), one sign bit per group from _richardson_bits, in
-    lexicographic order; p and omega's size summed group by group."""
-    out, row = [((), 0, None, 0)], 0
+def _richardson_signings(groups, start: int) -> list[tuple[tuple, int, int, str]]:
+    """(rows, p, omega, text), one sign bit per group from _richardson_bits,
+    in lexicographic order; p, omega's size and the text (as in
+    _sigma_signings) build group by group."""
+    out, row, sep = [((), 0, None, 0, "")], 0, ""
     for length, mult in groups:
         mu = (length - 1) // 2
-        signed = (((length, mult, 0), mult * (mu + 1)), ((length, 0, mult), mult * mu))
+        plus, minus = (length, mult, 0), (length, 0, mult)
+        signed = ((plus, mult * (mu + 1), sep + _group_text(plus)),
+                  (minus, mult * mu, sep + _group_text(minus)))
         out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu),
-                omega + _richardson_in_omega(row, start, above, bit, mu))
-               for rows, p, above, omega in out for bit in _richardson_bits(row, start, above, mu)]
-        row += mult
-    return [(rows, p, omega) for rows, p, _, omega in out]
+                omega + _richardson_in_omega(row, start, above, bit, mu), text + signed[bit][2])
+               for rows, p, above, omega, text in out
+               for bit in _richardson_bits(row, start, above, mu)]
+        row, sep = row + mult, " "
+    return [(rows, p, omega, text) for rows, p, _, omega, text in out]
 
 
 def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
@@ -401,9 +409,9 @@ def _sigma_b_by_signature(n: int) -> dict:
                          lambda groups: _richardson_signings(groups, n % 2))
 
 
-def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
-    """enum_sigma_b(p, q), and each diagram's class and pi_size, in order."""
-    return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), (), ()))
+def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """enum_sigma_b(p, q), and each diagram's class, text and pi_size, in order."""
+    return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), (), (), ()))
 
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
@@ -474,6 +482,12 @@ def diii_kappa1_bijection(d: SignedYoungDiagram) -> BiPartition:
     """The explicit pairing of all-even diagrams with bipartitions of size/4:
     a group (2m)^{2p}_+(2m)^{2q}_- maps to m^p in the first slot and m^q in
     the second."""
+    first, second = _kappa1_parts(d)
+    return BiPartition(Partition(first), Partition(second))
+
+
+def _kappa1_parts(d: SignedYoungDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parts of diii_kappa1_bijection(d)'s two slots, unvalidated."""
     first: list[int] = []
     second: list[int] = []
     for length, plus, minus in d.rows:
@@ -481,6 +495,6 @@ def diii_kappa1_bijection(d: SignedYoungDiagram) -> BiPartition:
             raise ValueError(f"{d} has an odd row length")
         if plus % 2 or minus % 2:
             raise ValueError(f"{d} has odd per-sign multiplicities")
-        first.extend([length // 2] * (plus // 2))
-        second.extend([length // 2] * (minus // 2))
-    return BiPartition(Partition(tuple(first)), Partition(tuple(second)))
+        first += [length // 2] * (plus // 2)
+        second += [length // 2] * (minus // 2)
+    return tuple(first), tuple(second)

@@ -436,7 +436,7 @@ def _nilcoro_k1(order: int, sweep: int):
             staircase = diagrams.mu_t(t)
             per_orbit = groups.kappa1_data_BDI(staircase).count
             mult = diagrams.classify(staircase).orbits
-            yield (f"t={t}", census.nilpotent_support_counts(p, q)[1],
+            yield (f"t={t}", census.subset_report(census.census_bdi_k1(p, q), "nilpotent").total,
                    groups.eta(0, t))
             yield (f"t={t} component-group route", mult * per_orbit,
                    groups.eta(0, t))
@@ -462,8 +462,7 @@ def _diii_k1_bijection(order: int, sweep: int):
     def cells():
         for n in range(2, bound + 1, 2):
             all_even = diagrams.enum_lambda_even(n)
-            images = {(b.first.parts, b.second.parts)
-                      for b in map(diagrams.diii_kappa1_bijection, all_even)}
+            images = set(map(diagrams._kappa1_parts, all_even))
             parts = [[tuple(part for part, mult in groups for _ in range(mult))
                       for groups in partitions._gen_partitions(k, k)] for k in range(n // 2 + 1)]
             expected = {pair for a, b in zip(parts, reversed(parts)) for pair in product(a, b)}

@@ -379,7 +379,7 @@ def test_support_classes_match_classify():
             strata = [(m, k, mu, cls) for m in range(min(p, q) + 1)
                       if N % 2 or (m - q) % 2 == 0
                       for k in range((min(p, q) - m) // 2 + 1)
-                      for mu, cls, _ in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k))]
+                      for mu, cls in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k)[:2])]
             if N % 2 == 0 and p == q:
                 strata += [(m, (q - m) // 2, cs._EMPTY, cs._EMPTY_CLASS)
                            for m in range(q % 2, q + 1, 2)]

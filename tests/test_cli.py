@@ -1,4 +1,5 @@
 """Command-line contract: exit codes, JSON schema stability, round-trips."""
+import io
 import json
 import os
 import shlex
@@ -194,6 +195,21 @@ def test_out_file_atomic(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["payload"]["reports"][0]["total"] == 11
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", [["orbits", "bdi", "--p", "6", "--q", "5"],
+                                  ["census", "bdi", "--p", "5", "--q", "4", "--check"],
+                                  ["orbits", "diii", "--n", "6"]], ids=["orbits", "census", "diii"])
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys, argv, fmt):
+    # the same bytes, but for the command line that json and table output echo
+    target = tmp_path / "out.txt"
+    argv = [*argv, "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+    command = " ".join(["sheaf-census", *argv])
+    with open(target, newline="") as handle:  # csv rows end in \r\n
+        assert handle.read() == out.replace(command, f"{command} --out {target}")
 
 
 def test_a_failed_out_write_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -502,11 +518,10 @@ def test_verify_reads_a_broken_pi_through_its_refilled_totals(capsys, monkeypatc
     assert data["payload"]["checks"][0]["status"] == "FAIL"
 
 
-# the checks that reach _pi on an even-size Richardson diagram: the sigma_b
-# table of a size computes every pi of that size, so nilcoro-k1, which lists
-# the Richardson diagrams of (3, 1) (there are none), builds the size-4 table
+# the checks that reach _pi on an even-size Richardson diagram (the sigma_b
+# table of a size computes every pi of that size)
 PI_EVEN_CHECKS = {"number1-k0", "numbert-closure", "bb-even", "tb1", "b2-even",
-                  "b2-weighted-oracle", "nilcoro-k0-even", "nilcoro-k1"}
+                  "b2-weighted-oracle", "nilcoro-k0-even"}
 
 
 def _failed_checks(capsys) -> dict[str, str]:
@@ -661,6 +676,53 @@ def test_orbits_json_matches_the_row_dict_oracle(capsys):
         if not rows:
             empty.append(" ".join(argv[1:]))
     assert {"bdi --p 1 --q 0 --class sigma3", "bdi --p 0 --q 0 --richardson"} <= set(empty)
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_listing_json_is_written_in_pieces(monkeypatch):
+    # the JSON leaves in runs of rows or strata: no write holds a quarter of it
+    orbits = ["orbits", "bdi", "--p", "16", "--q", "14"]
+    reports = census.census_bdi_k0(15, 15), census.census_bdi_k1(15, 15)
+    cases = [(orbits, {"orbits": orbit_rows("bdi", (16, 14))}),
+             (["census", "bdi", "--p", "15", "--q", "15"],
+              {"reports": [r.to_json_dict() for r in reports]})]
+    for argv, payload in cases:
+        stdout = _Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == 0
+        envelope = {"tool": "sheaf-census", "version": __version__,
+                    "command": " ".join(["sheaf-census", *argv]), "payload": payload,
+                    "warnings": []}
+        out = stdout.getvalue()
+        assert out == json.dumps(envelope, indent=2) + "\n", argv
+        assert max(stdout.sizes) <= len(out) // 4, argv
+
+
+def test_listed_orbits_are_not_formatted_again(capsys, monkeypatch):
+    # the sigma and sigma_b tables carry each diagram's text
+    argv = ["orbits", "bdi", "--p", "10", "--q", "10"]
+    for extra in ([], ["--richardson"]):
+        assert run_cli(capsys, *argv, *extra)[0] == 0  # warm
+        calls = []
+        for module in (dg, census):
+            real = module.format_diagram
+            monkeypatch.setattr(module, "format_diagram",
+                                lambda d, real=real: calls.append(d) or real(d))
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        monkeypatch.undo()
+        assert (code, calls) == (0, []), extra
+        assert len(json.loads(out)["payload"]["orbits"]) >= 60
 
 
 def test_orbits_and_census_json_match_json_dumps(capsys):

@@ -383,7 +383,17 @@ def test_table_keys_are_signatures():
                 assert classes == tuple(map(dg.classify, ds)), (n, sig)
     assert dg.sigma_listing(3, 2) == dg._sigma_by_signature(5)[3, 2]
     assert dg.sigma_b_listing(3, 2) == dg._sigma_b_by_signature(5)[3, 2]
-    assert dg.sigma_b_listing(0, 0) == ((), (), ())
+    assert dg.sigma_b_listing(0, 0) == ((), (), (), ())
+
+
+def test_listed_texts_are_the_canonical_format():
+    # each table builds its diagrams' text as it signs their groups
+    for N in range(25):
+        for p in range(N + 1):
+            for listing in (dg.sigma_listing, dg.sigma_b_listing):
+                ds, _, texts = listing(p, N - p)[:3]
+                assert texts == tuple(map(dg.format_diagram, ds)), (listing.__name__, p, N - p)
+    assert dg.sigma_listing(0, 0)[2] == ("0",)
 
 
 def test_enum_lambda_b_returns_a_fresh_list():

@@ -127,19 +127,18 @@ ROWS = {
     "richardson-never-forced": ((dg,), "_richardson_bits",
                                 lambda real: lambda row, start, above, mu: (0, 1),
                                 {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd",
-                                 "nilcoro-k0-even", "nilcoro-k0-odd", "nilcoro-k1", "number1-k0",
+                                 "nilcoro-k0-even", "nilcoro-k0-odd", "number1-k0",
                                  "numbert-closure", "tb1"},
                                 {("k0", subset): UNFORCED
                                  for subset in ("all", "cuspidal", "full", "nilpotent")}),
     # index 1 is in omega exactly on even sizes: without it, _pi's exponent
     # guard trips on every even-size table with a Richardson diagram, so the
-    # k0 report of each even-size pair that reads one fails to build, and so
-    # does nilcoro-k1, which reads the size-4 table for (3, 1); membership is
-    # unchanged
+    # k0 report of each even-size pair that reads one fails to build;
+    # membership is unchanged
     "omega-drop-1": ((dg,), "_richardson_in_omega",
                      lambda real: lambda row, start, above, bit, mu: (
                          above is not None and real(row, start, above, bit, mu)),
-                     {"b2-even", "b2-weighted-oracle", "bb-even", "nilcoro-k0-even", "nilcoro-k1",
+                     {"b2-even", "b2-weighted-oracle", "bb-even", "nilcoro-k0-even",
                       "number1-k0", "numbert-closure", "tb1"},
                      {("k0", subset): EVEN_RICHARDSON
                       for subset in ("all", "cuspidal", "full", "nilpotent")}),
