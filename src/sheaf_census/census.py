@@ -15,10 +15,10 @@ Each piece is computed once: supports are assembled row by row, their
 classes read off mu's, whose class and pi come with the sigma_b listing, and
 ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
-``_diii_strata``) of (m, k, mu, deltas, count, family) records: ``_report``
-builds every labelled report from them, and ``_total`` every memoised
-count-only total (``census_k0_total``, ``census_k1_total``,
-``census_diii_totals``, read by ``verify``).
+``_diii_strata``) of (m, k, mu, deltas, count, family) records. A
+``CensusReport`` holds them, and its total, JSON rows and sub-censuses read
+them; its ``entries`` build one validated ``StratumEntry`` per orbit on demand.
+The memoised totals that ``verify`` reads are the totals of the reports.
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -200,23 +200,36 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """A census as its (m, k, mu, deltas, count, family) stratum records: each
+    orbit over the support of (m, k, mu), one per delta, carries count local systems."""
+
     pair: tuple  # ("bdi", p, q) or ("diii", n)
     central: str  # "k0" | "k1"
-    entries: tuple[StratumEntry, ...]
+    strata: tuple[tuple, ...]
     warnings: tuple[str, ...] = ()
 
     @property
+    def entries(self) -> tuple[StratumEntry, ...]:
+        """One StratumEntry per orbit over each stratum's support, labels validated."""
+        return tuple(StratumEntry(OrbitLabel(support, delta), m, k, mu, count, family)
+                     for m, k, mu, deltas, count, family in self.strata
+                     for support in (_support(m, k, mu),) for delta in deltas)
+
+    @property
     def total(self) -> int:
-        return sum(e.count for e in self.entries)
+        return sum(count * len(deltas) for _, _, _, deltas, count, _ in self.strata)
 
     def to_json_dict(self, strata=list) -> dict:
         """The report as JSON values, its strata as strata(an iterator of row dicts)."""
         keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
-        rows = ({"support": format_diagram(e.support.diagram), "delta": e.support.delta,
-                 "m": e.m, "k": e.k, "mu": format_diagram(e.mu), "family": e.family,
-                 "count": e.count} for e in self.entries)
+        def rows():
+            for m, k, mu, deltas, count, family in self.strata:
+                support, mu_text = format_diagram(_support(m, k, mu)), format_diagram(mu)
+                for delta in deltas:
+                    yield {"support": support, "delta": delta, "m": m, "k": k,
+                           "mu": mu_text, "family": family, "count": count}
         return {"pair": dict(zip(keys, self.pair)), "central": self.central,
-                "strata": strata(rows), "total": self.total, "warnings": list(self.warnings)}
+                "strata": strata(rows()), "total": self.total, "warnings": list(self.warnings)}
 
 
 _EMPTY, _EMPTY_CLASS = SignedYoungDiagram(), _class_of(0, 0, False)
@@ -244,26 +257,9 @@ def _support_class(m: int, mu: SignedYoungDiagram, cls: DiagramClass) -> Diagram
                      cls.repeated or m + plus + minus > 1)
 
 
-def _label(diagram: SignedYoungDiagram, delta: str | None) -> OrbitLabel:
-    """OrbitLabel(diagram, delta) for a delta taken from the diagram's
-    class, without classifying the diagram again."""
-    label = object.__new__(OrbitLabel)
-    label.__dict__.update(diagram=diagram, delta=delta)
-    return label
-
-
 def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
-    """One entry per orbit over each stratum's support; the low-rank rule
-    (total size below 5) lives here."""
-    entries = tuple(StratumEntry(_label(support, delta), m, k, mu, count, family)
-                    for m, k, mu, deltas, count, family in strata
-                    for support in (_support(m, k, mu),) for delta in deltas)
-    return CensusReport(pair, central, entries, (LOW_RANK_WARNING,) if size < 5 else ())
-
-
-def _total(strata) -> int:
-    """_report's total over the same strata, without labels or report."""
-    return sum(count * len(deltas) for _, _, _, deltas, count, _ in strata)
+    """The report of the strata; the low-rank rule (total size below 5) lives here."""
+    return CensusReport(pair, central, tuple(strata), (LOW_RANK_WARNING,) if size < 5 else ())
 
 
 def _k0_strata(p: int, q: int):
@@ -302,8 +298,8 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
 
 @lru_cache(maxsize=None)
 def census_k0_total(p: int, q: int) -> int:
-    """census_bdi_k0(p, q).total without labels or report."""
-    return _total(_k0_strata(p, q))
+    """census_bdi_k0(p, q).total, memoised."""
+    return census_bdi_k0(p, q).total
 
 
 def _k1_strata(p: int, q: int):
@@ -335,8 +331,8 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
 
 @lru_cache(maxsize=None)
 def census_k1_total(p: int, q: int) -> int:
-    """census_bdi_k1(p, q).total without labels or report."""
-    return _total(_k1_strata(p, q))
+    """census_bdi_k1(p, q).total, memoised."""
+    return census_bdi_k1(p, q).total
 
 
 def _diii_strata(n: int, central: str):
@@ -363,8 +359,8 @@ def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
 
 @lru_cache(maxsize=None)
 def census_diii_totals(n: int) -> tuple[int, int]:
-    """The (k0, k1) totals of census_diii(n), without labels or reports."""
-    return _total(_diii_strata(n, "k0")), _total(_diii_strata(n, "k1"))
+    """The (k0, k1) totals of census_diii(n), memoised."""
+    return tuple(report.total for report in census_diii(n))
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +530,16 @@ def diii_closure_total(n: int) -> int:
 # Sub-censuses: one rule per (family, central character, subset)
 # ---------------------------------------------------------------------------
 
-_EVERY = lambda e: True
-_NO_STRATUM = (lambda e: False, lambda: 0)
+_EVERY = lambda m, k, family: True
+_NO_STRATUM = (lambda m, k, family: False, lambda: 0)
 
 
 def _bdi_rules(p: int, q: int) -> dict:
-    """The sub-census rules of the pair (p, q), keyed by (central, subset)."""
+    """The sub-census rules of the pair (p, q), keyed by (central, subset):
+    (keep(m, k, family) for the strata kept, the --check route's total)."""
     t, D, m = p - q, p + q - (p - q) ** 2, min(p, q)
     # the one full-support stratum k = 0, m = D/2, on split pairs only
-    full = lambda e: abs(t) <= 1 and e.k == 0 and e.m == D // 2
+    full = lambda m, k, family: abs(t) <= 1 and k == 0 and m == D // 2
     def split_k0():
         # coro-cuspidal-k0: the near-split (|t| = 1) or the odd or even split
         # (t = 0) series at x^m, times the orbits over 1+^p 1-^q; the series
@@ -564,13 +561,14 @@ def _bdi_rules(p: int, q: int) -> dict:
                             if D == 0 else 0)
     return {
         ("k0", "all"): (_EVERY, lambda: count_formula_k0(p, q)),
-        ("k0", "nilpotent"): (lambda e: e.m == e.k == 0 and e.family != "empty-mu", nilcoro_k0),
+        ("k0", "nilpotent"): (lambda m, k, family: m == k == 0 and family != "empty-mu",
+                              nilcoro_k0),
         # cuspidal and full coincide at the trivial character
         ("k0", "cuspidal"): (full, split_k0),
         ("k0", "full"): (full, split_k0),
         ("k1", "all"): (_EVERY, lambda: count_formula_k1(p, q)),
-        ("k1", "nilpotent"): (lambda e: e.m == e.k == 0, staircase_k1),
-        ("k1", "cuspidal"): (lambda e: e.k == 0, coro_k1),
+        ("k1", "nilpotent"): (lambda m, k, family: m == k == 0, staircase_k1),
+        ("k1", "cuspidal"): (lambda m, k, family: k == 0, coro_k1),
         ("k1", "full"): (full, lambda: coro_k1() if abs(t) <= 1 else 0),
     }
 
@@ -583,8 +581,8 @@ def _diii_rules(n: int) -> dict:
         # one local system per orbit of Lambda^{n,n} (the census walks Lambda_b)
         ("k0", "all"): (_EVERY, lambda: diii_closure_total(n)),
         # |Lambda_b(n)| = p(n): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
-        ("k0", "nilpotent"): (lambda e: e.m == 0, lambda: count_partitions(n)),
-        ("k0", "full"): (lambda e: e.m == 2 * (n // 2), lambda: count_partitions(n // 2)),
+        ("k0", "nilpotent"): (lambda m, k, family: m == 0, lambda: count_partitions(n)),
+        ("k0", "full"): (lambda m, k, family: m == 2 * (n // 2), lambda: count_partitions(n // 2)),
         # no cuspidal sheaves on this family
         ("k0", "cuspidal"): _NO_STRATUM,
         ("k1", "all"): (_EVERY, all_even),
@@ -606,8 +604,8 @@ def _subset_rule(report: CensusReport, subset: str):
 def subset_report(report: CensusReport, subset: str) -> CensusReport:
     """The report cut down to one sub-census's strata; "all" keeps them all."""
     keep, _ = _subset_rule(report, subset)
-    entries = tuple(e for e in report.entries if keep(e))
-    return CensusReport(report.pair, report.central, entries, report.warnings)
+    strata = tuple(s for s in report.strata if keep(s[0], s[1], s[5]))
+    return CensusReport(report.pair, report.central, strata, report.warnings)
 
 
 def expected_subset_total(report: CensusReport, subset: str) -> int:

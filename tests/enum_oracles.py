@@ -21,8 +21,7 @@ import itertools
 from collections import Counter
 
 from sheaf_census import diagrams, groups
-from sheaf_census.census import (LOW_RANK_WARNING, CensusReport, OrbitLabel,
-                                 StratumEntry, theta_k0_count)
+from sheaf_census.census import OrbitLabel, StratumEntry, theta_k0_count
 from sheaf_census.diagrams import DELTA_NAMES, SignedYoungDiagram, classify, diagram, mu_t
 from sheaf_census.groups import eta, pi_size
 from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
@@ -258,9 +257,9 @@ def support_via_diagram(m, k, mu):
 
 
 def census_bdi_k0(p, q):
-    """The trivial-character census with each orbit count branched by hand:
-    four orbits over an empty mu at m = 0, two over a class-2 mu at m = 0,
-    one otherwise."""
+    """The trivial-character census entries, one validated StratumEntry per
+    orbit, with each orbit count branched by hand: four orbits over an empty
+    mu at m = 0, two over a class-2 mu at m = 0, one otherwise."""
     N = p + q
     side = "B" if N % 2 else "D"
     entries = []
@@ -296,13 +295,12 @@ def census_bdi_k0(p, q):
                     for delta in DELTA_NAMES[:2]:
                         entries.append(StratumEntry(OrbitLabel(support, delta),
                                                     m, k, mu, pk * pi, "sigma-b2"))
-    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
-    return CensusReport(("bdi", p, q), "k0", tuple(entries), warnings)
+    return tuple(entries)
 
 
 def census_bdi_k1(p, q):
-    """The nontrivial-character census with the m = 0 orbits branched by
-    hand: each of several orbits carries the bipartition count alone."""
+    """The nontrivial-character census entries with the m = 0 orbits branched
+    by hand: each of several orbits carries the bipartition count alone."""
     N, t = p + q, p - q
     entries = []
     D = N - t * t
@@ -327,8 +325,7 @@ def census_bdi_k1(p, q):
                     for delta in DELTA_NAMES[:mult]:
                         entries.append(StratumEntry(OrbitLabel(support, delta), m, k,
                                                     staircase, base, "kappa1-staircase"))
-    warnings = (LOW_RANK_WARNING,) if N < 5 else ()
-    return CensusReport(("bdi", p, q), "k1", tuple(entries), warnings)
+    return tuple(entries)
 
 
 def kappa1_orbit_sum(p, q):

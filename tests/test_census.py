@@ -192,14 +192,26 @@ def test_support_join_invariant():
             assert rebuilt == e.support.diagram
 
 
+def _oracle_rows(entries):
+    """The JSON strata rows of hand-branched entries, each diagram formatted anew."""
+    return [{"support": dg.format_diagram(e.support.diagram), "delta": e.support.delta,
+             "m": e.m, "k": e.k, "mu": dg.format_diagram(e.mu), "family": e.family,
+             "count": e.count} for e in entries]
+
+
 def test_bdi_censuses_match_hand_branched_oracles():
     for N in range(19):
         for p in range(N + 1):
             q = N - p
-            assert (cs.census_bdi_k0(p, q).to_json_dict()
-                    == oracles.census_bdi_k0(p, q).to_json_dict()), (p, q)
-            assert (cs.census_bdi_k1(p, q).to_json_dict()
-                    == oracles.census_bdi_k1(p, q).to_json_dict()), (p, q)
+            warnings = (cs.LOW_RANK_WARNING,) if N < 5 else ()
+            for report, entries in ((cs.census_bdi_k0(p, q), oracles.census_bdi_k0(p, q)),
+                                    (cs.census_bdi_k1(p, q), oracles.census_bdi_k1(p, q))):
+                where, total = (p, q, report.central), sum(e.count for e in entries)
+                assert report.entries == entries, where
+                assert report.total == total, where
+                assert report.warnings == warnings, where
+                data = report.to_json_dict()
+                assert (data["strata"], data["total"]) == (_oracle_rows(entries), total), where
 
 
 def test_subset_report_totals():
@@ -239,6 +251,43 @@ def test_orbit_label_validation():
     with pytest.raises(ValueError):
         cs.OrbitLabel(dg.parse_diagram("5+"), "III")  # only two orbits
     cs.OrbitLabel(dg.parse_diagram("5+"), "II")
+
+
+def test_entries_validate_their_labels():
+    # records are stored as given; the per-orbit view checks each decoration
+    mu = dg.parse_diagram("1+^3 1-^2")  # a single orbit, so no decoration names one
+    report = cs.CensusReport(("bdi", 3, 2), "k0", ((0, 0, mu, ("I",), 1, "sigma-b1"),))
+    assert report.total == 1
+    with pytest.raises(ValueError, match="names no orbit"):
+        report.entries
+
+
+def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
+    from sheaf_census import cli
+
+    # (16, 14) has strata with several orbits over their support, (15, 15) none
+    argvs = [["census", "bdi", "--p", p, "--q", q, "--central", "both", "--check"]
+             for p, q in (("15", "15"), ("16", "14"))]
+    assert [cli.main(argv) for argv in argvs] == [0, 0]
+    reports = [make(p, q) for p, q in ((15, 15), (16, 14))
+               for make in (cs.census_bdi_k0, cs.census_bdi_k1)]
+    strata = sum(len(r.strata) for r in reports)
+    assert strata < sum(len(r.entries) for r in reports)
+    built = []
+    for kind in (cs.StratumEntry, cs.OrbitLabel):
+        def counting_init(self, *args, init=kind.__init__, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(kind, "__init__", counting_init)
+    supports = _count_calls(monkeypatch, "_support", cs)
+    capsys.readouterr()
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["check"]["passed"]
+    assert built == []
+    assert len(supports) == strata  # one support per stratum, not per orbit
+    cs.census_bdi_k0(3, 2).entries  # the counter does see the view's objects
+    assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
 
 
 def test_cross_route_sweep_25_to_40():
