@@ -12,10 +12,10 @@ Two fully independent routes are kept apart on purpose:
 Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are assembled row by row, their
-classes read off mu's, whose class and pi come with the sigma_b listing, and
-``theta_k0_count`` and ``count_formula_k0`` are memoised.
+classes read off mu's, whose class, text and pi come with the sigma_b
+listing, and ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
-``_diii_strata``) of (m, k, mu, deltas, count, family) records. A
+``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records. A
 ``CensusReport`` holds them, and its total, JSON rows and sub-censuses read
 them; its ``entries`` build one validated ``StratumEntry`` per orbit on demand.
 The memoised totals that ``verify`` reads are the totals of the reports.
@@ -200,8 +200,8 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """A census as its (m, k, mu, deltas, count, family) stratum records: each
-    orbit over the support of (m, k, mu), one per delta, carries count local systems."""
+    """A census as its (m, k, mu, deltas, count, family, mu_text) stratum records:
+    each orbit over the support of (m, k, mu), one per delta, carries count local systems."""
 
     pair: tuple  # ("bdi", p, q) or ("diii", n)
     central: str  # "k0" | "k1"
@@ -212,19 +212,19 @@ class CensusReport:
     def entries(self) -> tuple[StratumEntry, ...]:
         """One StratumEntry per orbit over each stratum's support, labels validated."""
         return tuple(StratumEntry(OrbitLabel(support, delta), m, k, mu, count, family)
-                     for m, k, mu, deltas, count, family in self.strata
+                     for m, k, mu, deltas, count, family, _ in self.strata
                      for support in (_support(m, k, mu),) for delta in deltas)
 
     @property
     def total(self) -> int:
-        return sum(count * len(deltas) for _, _, _, deltas, count, _ in self.strata)
+        return sum(count * len(deltas) for _, _, _, deltas, count, *_ in self.strata)
 
     def to_json_dict(self, strata=list) -> dict:
         """The report as JSON values, its strata as strata(an iterator of row dicts)."""
         keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
         def rows():
-            for m, k, mu, deltas, count, family in self.strata:
-                support, mu_text = format_diagram(_support(m, k, mu)), format_diagram(mu)
+            for m, k, mu, deltas, count, family, mu_text in self.strata:
+                support = format_diagram(_support(m, k, mu))
                 for delta in deltas:
                     yield {"support": support, "delta": delta, "m": m, "k": k,
                            "mu": mu_text, "family": family, "count": count}
@@ -263,7 +263,7 @@ def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
 
 
 def _k0_strata(p: int, q: int):
-    """(m, k, mu, deltas, count, family) for every stratum of the
+    """(m, k, mu, deltas, count, family, mu_text) for every stratum of the
     trivial-character census of (p, q).
 
     Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
@@ -285,10 +285,10 @@ def _k0_strata(p: int, q: int):
             pk = count_partitions(k)
             if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
                 yield (m, k, _EMPTY, _support_class(m, _EMPTY, _EMPTY_CLASS).deltas,
-                       theta_k0_count("split-D", m) * pk, "empty-mu")
-            for mu, cls, _, pi in zip(*sigma_b_listing(p1, q1)):
+                       theta_k0_count("split-D", m) * pk, "empty-mu", "0")
+            for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
                 yield (m, k, mu, _support_class(m, mu, cls).deltas,
-                       theta[cls.index] * pk * pi, f"sigma-b{cls.index}")
+                       theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
@@ -303,7 +303,7 @@ def census_k0_total(p: int, q: int) -> int:
 
 
 def _k1_strata(p: int, q: int):
-    """(m, k, mu_t, deltas, count, family) for every stratum of the
+    """(m, k, mu_t, deltas, count, family, mu_text) for every stratum of the
     nontrivial-character census of (p, q): strata (m, k) with
     2m + 4k = N - t^2 over the uniform staircase, none when N < t^2. The
     stratum's base * theta_k1(m, t) local systems are shared evenly by the
@@ -312,7 +312,7 @@ def _k1_strata(p: int, q: int):
     t = p - q
     D = _size(p, q) - t * t
     staircase = mu_t(t)
-    cls = classify(staircase)
+    cls, text = classify(staircase), format_diagram(staircase)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
         deltas = _support_class(m, staircase, cls).deltas
@@ -321,7 +321,7 @@ def _k1_strata(p: int, q: int):
             raise ArithmeticError(f"{count} local systems do not share evenly among the "
                                   f"{len(deltas)} orbits over "
                                   f"{format_diagram(_support(m, k, staircase))}")
-        yield m, k, staircase, deltas, count // len(deltas), "kappa1-staircase"
+        yield m, k, staircase, deltas, count // len(deltas), "kappa1-staircase", text
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
@@ -336,7 +336,7 @@ def census_k1_total(p: int, q: int) -> int:
 
 
 def _diii_strata(n: int, central: str):
-    """(m, 0, mu, (None,), count, "diii") for every stratum of one
+    """(m, 0, mu, (None,), count, "diii", mu_text) for every stratum of one
     equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
     each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
     p2(n/2). The n=n family never splits, so each support is one orbit."""
@@ -346,9 +346,9 @@ def _diii_strata(n: int, central: str):
         for k in range(n // 2 + 1):
             pk = count_partitions(k)
             for mu in enum_lambda_b(n - 2 * k):
-                yield 2 * k, 0, mu, (None,), pk, "diii"
+                yield 2 * k, 0, mu, (None,), pk, "diii", format_diagram(mu)
     elif n >= 2 and n % 2 == 0:
-        yield n, 0, _EMPTY, (None,), count_bipartitions(n // 2), "diii"
+        yield n, 0, _EMPTY, (None,), count_bipartitions(n // 2), "diii", "0"
 
 
 def census_diii(n: int) -> tuple[CensusReport, CensusReport]:

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 
 from . import DEFAULT_SWEEP, SUBSETS, __version__
 
@@ -50,54 +50,33 @@ def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> d
 
 
 _encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
-_SCALAR_TYPES = {str, int, float, bool, type(None)}
 _CHUNK = 128  # the items (orbit diagrams, census strata) rendered per written piece
 
 
-def _json_text(obj, depth: int = 1) -> str:
-    """The text that _json_pieces writes, in one string."""
-    return "".join(_json_pieces(obj, depth))
-
-
-def _json_pieces(obj, depth: int = 1):
-    """json.dumps(obj, indent=2), byte for byte, in pieces, for obj whose items
-    sit at the given indent depth (json.dumps with an indent runs the pure-Python
-    encoder). Each container of scalars is one encode() call, and so is a list of
-    nonempty dicts of scalars: encoded at its items' depth, only its "},{" joins
-    need indenting, as every raw newline is a separator (the encoder escapes those
-    inside strings). Other containers yield their punctuation between their values'
-    pieces, copying none; a callable is a list: obj(depth) yields its items' text run by run."""
-    outer, inner, deeper = "  " * (depth - 1), "  " * depth, "  " * (depth + 1)
-    if callable(obj):
-        keys, values, brackets = repeat(""), obj(depth), "[]"
-    else:
-        for d in (depth, depth + 1):
-            if d not in _encoders:
-                _encoders[d] = json.JSONEncoder(separators=(",\n" + "  " * d, ": ")).encode
-        encode, containers = _encoders[depth], (dict, list, tuple)
-        if not isinstance(obj, containers) or not obj:
-            yield encode(obj)
-            return
-        is_dict = isinstance(obj, dict)
-        if (not is_dict and set(map(type, obj)) == {dict} and all(obj)
-                and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALAR_TYPES):
-            body = _encoders[depth + 1](obj)[2:-2].replace(
-                "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-            yield f"[\n{inner}{{\n{deeper}{body}\n{inner}}}\n{outer}]"
-            return
-        values = obj.values() if is_dict else obj
-        brackets = "{}" if is_dict else "[]"
-        if not any(isinstance(v, containers) or callable(v) for v in values):
-            yield f"{brackets[0]}\n{inner}{encode(obj)[1:-1]}\n{outer}{brackets[1]}"
-            return
-        # a key as json renders it: the object {key: 0} less "{" and ": 0}"
-        keys = (f"{encode({key: 0})[1:-4]}: " for key in obj) if is_dict else repeat("")
-    sep = brackets[0] + "\n" + inner
-    for key, value in zip(keys, values):
-        yield sep + key
-        yield from (value,) if callable(obj) else _json_pieces(value, depth + 1)
-        sep = ",\n" + inner
-    yield f"\n{outer}{brackets[1]}" if sep[0] == "," else brackets  # [] if nothing ran
+def _json_pieces(obj):
+    """json.dumps(obj, indent=2), byte for byte, in pieces. A callable value is a
+    list: json.dumps writes a "\\0" hole for it, and called with its items' indent
+    depth, read off the hole's line, it yields their text run by run."""
+    streams = []
+    def hole(value):
+        if not callable(value):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        streams.append(value)
+        return "\0"
+    text = json.dumps(obj, indent=2, default=hole)
+    parts = text.split('"\\u0000"') if streams else [text]
+    if len(parts) != len(streams) + 1:  # a "\\0" string renders as a hole does
+        raise ValueError(f"{len(parts) - 1} holes for {len(streams)} streamed lists")
+    yield parts[0]
+    for head, stream, tail in zip(parts, streams, parts[1:]):
+        line = head[head.rfind("\n") + 1:]
+        inner = "  " + line[:len(line) - len(line.lstrip())]
+        sep = "[\n" + inner
+        for run in stream(len(inner) // 2):
+            yield from (sep, run)
+            sep = ",\n" + inner
+        yield f"\n{inner[2:]}]" if sep[0] == "," else "[]"  # [] if nothing ran
+        yield tail
 
 
 def _emit(pieces, out: str | None) -> None:
@@ -181,10 +160,8 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
             raise ValueError("--class applies to the bdi family only")
         members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
         texts = list(map(diagrams.format_diagram, members))
-        # keyed by content, as diii builds one key per diagram
-        keys = [((None,), None, None, 0, "lambda", 1, groups.kappa1_data_DIII(d).count)
-                for d in members]
-        cells = dict(zip(keys, keys))
+        keys = [groups.kappa1_data_DIII(d).count for d in members]  # the one cell that varies
+        cells = {count: ((None,), None, None, 0, "lambda", 1, count) for count in set(keys)}
 
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
     payload = {"orbits": partial(_orbit_chunks, texts, keys, cells, headers)}
@@ -249,11 +226,17 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _row_chunks(rows, depth: int):
-    """The JSON text of the flat dicts of rows, as items at depth, _CHUNK at a time."""
-    head, tail = len(f"[\n{depth * '  '}"), len(f"\n{(depth - 1) * '  '}]")
+    """The JSON text of rows, nonempty dicts of scalars, as items at depth, one
+    encode() per _CHUNK rows: its raw newlines are all separators (strings escape
+    theirs), so only its "},{" joins need indenting."""
+    inner, deeper = "  " * depth, "  " * (depth + 1)
+    if depth + 1 not in _encoders:
+        _encoders[depth + 1] = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode
+    encode, join = _encoders[depth + 1], f"\n{inner}}},\n{inner}{{\n{deeper}"
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK)):
-        yield _json_text(chunk, depth)[head:-tail]
+        body = encode(chunk)[2:-2].replace("},\n" + deeper + "{", join)
+        yield f"{{\n{deeper}{body}\n{inner}}}"
 
 
 # ---------------------------------------------------------------------------

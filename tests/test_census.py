@@ -256,7 +256,8 @@ def test_orbit_label_validation():
 def test_entries_validate_their_labels():
     # records are stored as given; the per-orbit view checks each decoration
     mu = dg.parse_diagram("1+^3 1-^2")  # a single orbit, so no decoration names one
-    report = cs.CensusReport(("bdi", 3, 2), "k0", ((0, 0, mu, ("I",), 1, "sigma-b1"),))
+    report = cs.CensusReport(("bdi", 3, 2), "k0",
+                             ((0, 0, mu, ("I",), 1, "sigma-b1", "1+^3 1-^2"),))
     assert report.total == 1
     with pytest.raises(ValueError, match="names no orbit"):
         report.entries
@@ -280,12 +281,16 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
             init(self, *args, **kwargs)
         monkeypatch.setattr(kind, "__init__", counting_init)
     supports = _count_calls(monkeypatch, "_support", cs)
+    texts = _count_calls(monkeypatch, "format_diagram", cs)
     capsys.readouterr()
     for argv in argvs:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["check"]["passed"]
     assert built == []
     assert len(supports) == strata  # one support per stratum, not per orbit
+    # each support's text once; each mu's comes with its record (a k0 mu's
+    # from its sigma_b listing, a k1 report's staircase formatted once)
+    assert len(texts) == strata + 2
     cs.census_bdi_k0(3, 2).entries  # the counter does see the view's objects
     assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheaf_census import __version__, census, cli, diagrams as dg, groups, verify
-from sheaf_census.cli import _json_text, main
+from sheaf_census.cli import _json_pieces, _row_chunks, main
 from sheaf_census.qseries import FormalSeries
 
 
@@ -608,11 +609,11 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4)
 @settings(max_examples=300, deadline=None)
 @given(_JSON)
 def test_json_writer_matches_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
+    assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2)
 
 
-# the text a row list's fast path re-indents: braces, the join it replaces,
-# quotes, newlines and non-ASCII
+# the text a row chunk re-indents: braces, the join it replaces, quotes,
+# newlines and non-ASCII
 _TRICKY = st.lists(st.sampled_from(["}", "{", "},\n  {", "},\n    {", '"', "\n", "é", "→"])
                    | st.text(max_size=3), max_size=4).map("".join)
 _FLAT = st.dictionaries(_TRICKY | st.integers() | st.none(),
@@ -624,13 +625,30 @@ _WRAPS = st.sampled_from([lambda x: [x], lambda x: [0, x, "}"], lambda x: {"rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_FLAT, min_size=2, max_size=5), st.lists(_WRAPS, max_size=3))
-def test_json_writer_matches_json_dumps_on_row_lists(rows, wraps):
-    # lists of two or more flat nonempty dicts, their items at depths 1 to 4
-    obj = rows
-    for wrap in wraps:
-        obj = wrap(obj)
-    assert _json_text(obj) == json.dumps(obj, indent=2)
+@given(st.lists(_FLAT, max_size=5), st.none() | st.lists(_FLAT, max_size=5),
+       st.lists(_WRAPS, max_size=3))
+def test_json_writer_matches_json_dumps_on_row_lists(rows, more, wraps):
+    # streamed lists of flat nonempty dicts, maybe empty, their items at depths
+    # 1 to 4, and a second stream beside them (census --central both writes two)
+    def build(stream):
+        obj = stream(rows)
+        for wrap in wraps:
+            obj = wrap(obj)
+        return obj if more is None else [obj, stream(more)]
+    assert "".join(_json_pieces(build(lambda r: partial(_row_chunks, r)))) == \
+        json.dumps(build(list), indent=2)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    rows = partial(_row_chunks, [{"a": 1}])
+    for obj in (Fraction(1, 2), {"rows": rows, "x": [Fraction(1, 2)]}):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            "".join(_json_pieces(obj))
+    # a "\0" string renders as a stream's hole does: refused, not spliced
+    assert "".join(_json_pieces({"x": "\0"})) == json.dumps({"x": "\0"}, indent=2)
+    for obj in ({"x": "\0", "rows": rows}, {"rows": rows, "\0": 1}):
+        with pytest.raises(ValueError, match="2 holes for 1 streamed lists"):
+            "".join(_json_pieces(obj))
 
 
 def orbit_rows(family: str, size, richardson: bool = False, orbit_class=None) -> list[dict]:
@@ -735,7 +753,8 @@ def test_orbits_and_census_json_match_json_dumps(capsys):
 
 
 def _encode_calls(capsys, monkeypatch, *argv) -> int:
-    """The number of encode() calls the JSON writer makes for one command."""
+    """The number of encode() calls the row encoder makes for one command;
+    json.dumps renders the envelope around the rows."""
     calls = []
 
     def counted(depth):
@@ -754,10 +773,10 @@ def test_row_lists_take_one_encode_each(capsys, monkeypatch):
     assert _encode_calls(capsys, monkeypatch, *census_check) == \
         _encode_calls(capsys, monkeypatch, *small) < 40
     # orbit rows are joined from pieces written once for each distinct
-    # (deltas, cells) of a diagram: one encode() each, past the envelope's own,
-    # however many rows share them
-    fixed = _encode_calls(capsys, monkeypatch, "orbits", "bdi", "--p", "1", "--q", "0",
-                          "--class", "sigma3")  # lists no row
+    # (deltas, cells) of a diagram: one encode() each, however many rows share
+    # them, and none for the envelope
+    assert _encode_calls(capsys, monkeypatch, "orbits", "bdi", "--p", "1", "--q", "0",
+                         "--class", "sigma3") == 0  # lists no row
     for argv, oracle in ((["orbits", "bdi", "--p", "15", "--q", "15"], ("bdi", (15, 15))),
                          (["orbits", "bdi", "--p", "16", "--q", "15", "--richardson"],
                           ("bdi", (16, 15), True)),
@@ -767,4 +786,4 @@ def test_row_lists_take_one_encode_each(capsys, monkeypatch):
         pieces = {(tuple(row["delta"] for row in same), tuple(same[0].values())[2:])
                   for same in (list(g) for _, g in groupby(rows, lambda row: row["diagram"]))}
         assert len(pieces) < 40 < len(rows), argv
-        assert _encode_calls(capsys, monkeypatch, *argv) == fixed + len(pieces), argv
+        assert _encode_calls(capsys, monkeypatch, *argv) == len(pieces), argv
