@@ -30,17 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from . import SUBSETS, qseries
 from .diagrams import (
     DiagramClass,
     SignedYoungDiagram,
     _class_of,
+    _lambda_b_table,
+    _lambda_b_texts,
     _size,
     _unchecked,
     classify,
     diagram,
-    enum_lambda_b,
     enum_lambda_even,
     enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
     format_diagram,
@@ -335,32 +337,35 @@ def census_k1_total(p: int, q: int) -> int:
     return census_bdi_k1(p, q).total
 
 
-def _diii_strata(n: int, central: str):
+def _diii_strata(n: int, central: str, texts: bool):
     """(m, 0, mu, (None,), count, "diii", mu_text) for every stratum of one
     equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
     each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
-    p2(n/2). The n=n family never splits, so each support is one orbit."""
+    p2(n/2). The n=n family never splits, so each support is one orbit.
+    A k0 mu's text is read off its table, or is None when not texts."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if central == "k0":
         for k in range(n // 2 + 1):
             pk = count_partitions(k)
-            for mu in enum_lambda_b(n - 2 * k):
-                yield 2 * k, 0, mu, (None,), pk, "diii", format_diagram(mu)
+            mu_texts = _lambda_b_texts(n - 2 * k) if texts else repeat(None)
+            for mu, text in zip(_lambda_b_table(n - 2 * k), mu_texts):
+                yield 2 * k, 0, mu, (None,), pk, "diii", text
     elif n >= 2 and n % 2 == 0:
         yield n, 0, _EMPTY, (None,), count_bipartitions(n // 2), "diii", "0"
 
 
-def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
-    """Both central-character censuses for the equal-signature pair."""
-    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central))
+def census_diii(n: int, texts: bool = True) -> tuple[CensusReport, CensusReport]:
+    """Both central-character censuses for the equal-signature pair; with
+    texts=False each k0 mu_text is None, which a total does not read."""
+    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central, texts))
                  for central in ("k0", "k1"))
 
 
 @lru_cache(maxsize=None)
 def census_diii_totals(n: int) -> tuple[int, int]:
-    """The (k0, k1) totals of census_diii(n), memoised."""
-    return tuple(report.total for report in census_diii(n))
+    """The (k0, k1) totals of census_diii(n), memoised; they format no diagram."""
+    return tuple(report.total for report in census_diii(n, texts=False))
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     else:
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
-        members = diagrams.enum_lambda_b(args.n) if args.richardson else diagrams.enum_lambda(args.n)
-        texts = list(map(diagrams.format_diagram, members))
+        if args.richardson:
+            members, texts = diagrams._lambda_b_table(args.n), diagrams._lambda_b_texts(args.n)
+        else:
+            members = diagrams.enum_lambda(args.n)
+            texts = list(map(diagrams.format_diagram, members))
         keys = [groups.kappa1_data_DIII(d).count for d in members]  # the one cell that varies
         cells = {count: ((None,), None, None, 0, "lambda", 1, count) for count in set(keys)}
 

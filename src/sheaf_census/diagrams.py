@@ -28,7 +28,8 @@ cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
 group by group as signs are chosen, each diagram next to its class and its
 text (``format_diagram``'s, joined from ``_group_text`` as signs are chosen),
 a Richardson one also next to ``_pi`` of omega's size, summed as well (read by
-``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s. Enumerator
+``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s, with
+its texts in a column of their own (``_lambda_b_texts``). Enumerator
 output skips the checks (valid by construction); ``in_lambda`` asks the same row rule. The per-group rules ``_richardson_bits`` (forced signs) and
 ``_richardson_in_omega`` (the admissible set omega) build the Richardson
 signings, and ``_richardson_omega`` checks a diagram with both in one walk.
@@ -83,9 +84,6 @@ class SignedYoungDiagram:
             p += plus * up + minus * down
             q += plus * down + minus * up
         return p, q
-
-    def sign_swap(self) -> SignedYoungDiagram:
-        return SignedYoungDiagram(tuple((l, m, p) for l, p, m in self.rows))
 
     def all_parts_even(self) -> bool:
         return all(length % 2 == 0 for length, _, _ in self.rows)
@@ -397,11 +395,6 @@ def _pi(d: SignedYoungDiagram, cls: DiagramClass, omega: int, n: int) -> int:
     return 2 ** exponent
 
 
-def is_sigma_b(d: SignedYoungDiagram) -> bool:
-    """Richardson-set membership: the walk of _richardson_omega completes."""
-    return _richardson_omega(d) is not None
-
-
 @lru_cache(maxsize=64)
 def _sigma_b_by_signature(n: int) -> dict:
     # the empty diagram (n = 0) is not Richardson
@@ -464,6 +457,13 @@ def enum_lambda_even(n: int) -> list[SignedYoungDiagram]:
 @lru_cache(maxsize=64)
 def _lambda_b_table(n: int) -> tuple[SignedYoungDiagram, ...]:
     return tuple(_doubled_diagrams(n, _lambda_b_rows))
+
+
+@lru_cache(maxsize=64)
+def _lambda_b_texts(n: int) -> tuple[str, ...]:
+    """Each enum_lambda_b(n) diagram's text, in order; built only where a
+    listing or a census is rendered, not for a count."""
+    return tuple(map(format_diagram, _lambda_b_table(n)))
 
 
 def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:

@@ -5,19 +5,25 @@ truncate to the smaller order, and infinite products are expanded factor by
 factor with early exit once a factor's lowest exponent passes the order.
 Products of factors, inverses, products of two series and bilateral sums
 are computed over Python ints (denominators cleared first) and converted to
-one Fraction per coefficient at the end. The two-variable BiSeries (ints when
-new) offers `one`, `coeff` and `mul_binomial`; callers sum its cells.
+one Fraction per coefficient at the end. One slice-add kernel,
+`_mul_binomial`, multiplies by (1 + sign*x^e)^P: one C-level slice pass per
+unit factor, with two shapes for a divide (along residue classes mod e, or
+block by block), and one pass of the truncated binomial series for a power
+past the order's reach. The two-variable BiSeries (ints when new) offers
+`one`, `coeff` and `mul_binomial`; callers sum its cells.
 
 The module also owns the text grammar for product expressions used by the
-command line (`parse_series_expr`).
+command line (`parse_series_expr`). `inv()` of exactly one product is that
+product with its powers negated, so it never takes the generic inverse.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 DEFAULT_ORDER = 40
@@ -133,24 +139,38 @@ def _cleared(coeffs) -> tuple[int, list[int]]:
 
 def _mul_binomial(vals: list, sign: int, exponent: int, power: int) -> None:
     """Multiply the coefficient list vals in place by (1 + sign*x^exponent)^power,
-    truncated to its length; the cost is bounded by the order, not by power."""
+    truncated to its length; the cost is bounded by the order, not by power.
+
+    Each unit factor is one C-level slice pass. Multiplying adds (or
+    subtracts) the list shifted by the exponent; unlike the series pass, it
+    copies nothing and multiplies no cell. Dividing is an ascending
+    recurrence: an accumulate along each residue class mod the exponent when
+    there are at most as many classes as blocks, otherwise a walk over blocks
+    of exponent cells, each block adjusted by the quotient block below it. A
+    power past the reach n // exponent multiplies once by the truncated
+    binomial series instead."""
     n, m = len(vals) - 1, abs(power)
-    # the binomial terms C(m, j)*sign^j*x^(j*exponent) that fall within the order
-    terms = [(j * exponent, comb(m, j) * sign ** j) for j in range(1, min(m, n // exponent) + 1)]
-    if power < 0:
-        # divide: ascending, so vals[k - shift] already holds the quotient
-        for k in range(exponent, n + 1):
-            acc = 0
-            for shift, c in terms:
-                if shift > k:
-                    break
-                acc += c * vals[k - shift]
-            vals[k] -= acc
-    else:
-        # multiply: add each shifted term of the input, read from a copy
+    reach = n // exponent
+    if m > reach:
+        # the terms C(m, j)*sign^j, or C(m+j-1, j)*(-sign)^j when dividing, of x^(j*exponent)
         src = vals[:]
-        for shift, c in terms:
-            vals[shift:] = [v + c * u for v, u in zip(vals[shift:], src)]
+        for j in range(1, reach + 1):
+            c = comb(m, j) * sign ** j if power > 0 else comb(m + j - 1, j) * (-sign) ** j
+            vals[j * exponent:] = map(add, vals[j * exponent:], map(mul, repeat(c), src))
+    elif power > 0:
+        op = add if sign > 0 else sub
+        for _ in range(m):
+            vals[exponent:] = map(op, vals[exponent:], vals[:n + 1 - exponent])
+    elif exponent * exponent <= n:
+        step = None if sign < 0 else (lambda acc, x: x - acc)
+        for _ in range(m):
+            for r in range(exponent):
+                vals[r::exponent] = accumulate(vals[r::exponent], step)
+    else:
+        op = add if sign < 0 else sub
+        for _ in range(m):
+            for b in range(exponent, n + 1, exponent):
+                vals[b:b + exponent] = map(op, vals[b:b + exponent], vals[b - exponent:b])
 
 
 def prod_series(order: int, *factors: tuple[int, int, int, int],
@@ -251,7 +271,8 @@ class BiSeries:
             for du, dv, c in terms:
                 if du > i:
                     break
-                row[dv:] = [x + c * y for x, y in zip(row[dv:], out[i - du])]
+                below = out[i - du] if c in (1, -1) else map(mul, repeat(c), out[i - du])
+                row[dv:] = map(sub if c == -1 else add, row[dv:], below)
         return BiSeries(self.u_order, self.v_order, out)
 
 
@@ -369,19 +390,22 @@ class _Parser:
                 and self.peek(2) in ("+", "-") and self.peek(3) == "x")
 
     def factor(self) -> FormalSeries:
+        """One factor. inv() of exactly one prod and its groups expands the
+        groups with negated powers; any other inv() inverts its series."""
         tok = self.peek()
         if tok == "prod":
-            self.next()
-            if not self._at_prod_group():
-                raise self.error("expected '(1+x^{...})' after prod")
-            factors = []
-            while self._at_prod_group():
-                factors.append(self._prod_group())
-            return prod_series(self.order, *factors)
+            return prod_series(self.order, *self._prod_groups())
         if tok == "inv":
             at = self.i  # the 'inv', where a non-unit series is reported
             self.next()
             self.expect("(")
+            start = self.i
+            if self.peek() == "prod":
+                factors = self._prod_groups()
+                if self.peek() == ")":
+                    self.next()
+                    return prod_series(self.order, *((s, st, o, -p) for s, st, o, p in factors))
+                self.i = start  # more follows the product: parse the contents as an expression
             inner = self.expr()
             self.expect(")")
             if not inner.coeffs[0]:
@@ -398,6 +422,15 @@ class _Parser:
             self.expect(")")
             return inner
         raise self.error("expected a factor")
+
+    def _prod_groups(self) -> list[tuple[int, int, int, int]]:
+        self.next()  # the 'prod'
+        if not self._at_prod_group():
+            raise self.error("expected '(1+x^{...})' after prod")
+        factors = []
+        while self._at_prod_group():
+            factors.append(self._prod_group())
+        return factors
 
     def _prod_group(self) -> tuple[int, int, int, int]:
         at = self.i  # the group's '(', where a bad lowest exponent is reported

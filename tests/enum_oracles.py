@@ -3,9 +3,9 @@
 These are the generate-then-filter enumerators, every signed diagram of a
 size, the token-by-token text form of a diagram, the row-by-row Richardson
 and Lambda membership rules, the membership test the Richardson
-equal-signature set was once filtered by, the three separate partition
-generators that the library used before its enumerators built
-their sets directly, the per-row gap-weighted odd-partition sum, the
+equal-signature set was once filtered by, the sign swap of a diagram, the
+three separate partition generators that the library used before its
+enumerators built their sets directly, the per-row gap-weighted odd-partition sum, the
 admissible set walked from the last group up, and the direct enumeration
 of sign characters on a class-2 Richardson orbit, the stratum support
 built through ``diagram()``'s merge, and the two bdi censuses with their
@@ -102,6 +102,11 @@ def is_sigma_b(d):
     start = 1 if d.size % 2 else 0
     return all(parities[i] == parities[i + 1]
                for i in range(start, len(parities) - 1, 2))
+
+
+def sign_swap(d):
+    """d with every row's starting sign swapped: signature (p, q) becomes (q, p)."""
+    return SignedYoungDiagram(tuple((length, minus, plus) for length, plus, minus in d.rows))
 
 
 def signed_diagrams(n):

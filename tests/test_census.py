@@ -295,6 +295,24 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
     assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
 
 
+def test_a_diii_total_formats_no_diagram(monkeypatch):
+    # a count-only total reads no mu text, cold tables or warm; a rendered
+    # census reads each Lambda_b mu's text off its column, built once
+    for cache in (cs.census_diii_totals, dg._lambda_b_table, dg._lambda_b_texts):
+        cache.cache_clear()
+    texts = _count_calls(monkeypatch, "format_diagram", cs, dg)
+    totals = [cs.census_diii_totals(n) for n in range(13)]
+    assert texts == []
+    assert totals == [tuple(r.total for r in cs.census_diii(n)) for n in range(13)]
+    for n in (0, 7, 12):
+        texts.clear()
+        report = cs.census_diii(n)[0]
+        rows = report.to_json_dict()["strata"]
+        assert len(texts) == len(report.strata)  # each support's text, no mu's
+        mus = [mu for _, _, mu, *_ in report.strata]
+        assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
+
+
 def test_cross_route_sweep_25_to_40():
     # beyond the acceptance sweep (p+q <= 24): census, closed formula and
     # component-group orbit sum agree for every pair with 25 <= p+q <= 40;

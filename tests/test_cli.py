@@ -376,7 +376,7 @@ def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, r
     plus_only = dg._lambda_b_rows
     monkeypatch.setattr(dg, "_lambda_b_rows", lambda length, mult: (
         plus_only(length, mult)[:1] if length % 2 == 0 else plus_only(length, mult)))
-    refill(dg._lambda_b_table, *TOTALS)
+    refill(dg._lambda_b_table, dg._lambda_b_texts, *TOTALS)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "nilpotent" in err
@@ -728,18 +728,18 @@ def test_listing_json_is_written_in_pieces(monkeypatch):
 
 
 def test_listed_orbits_are_not_formatted_again(capsys, monkeypatch):
-    # the sigma and sigma_b tables carry each diagram's text
-    argv = ["orbits", "bdi", "--p", "10", "--q", "10"]
-    for extra in ([], ["--richardson"]):
-        assert run_cli(capsys, *argv, *extra)[0] == 0  # warm
+    # the sigma, sigma_b and Lambda_b tables carry each diagram's text
+    bdi, diii = ["orbits", "bdi", "--p", "10", "--q", "10"], ["orbits", "diii", "--n", "12"]
+    for argv in (bdi, [*bdi, "--richardson"], [*diii, "--richardson"]):
+        assert run_cli(capsys, *argv)[0] == 0  # warm
         calls = []
         for module in (dg, census):
             real = module.format_diagram
             monkeypatch.setattr(module, "format_diagram",
                                 lambda d, real=real: calls.append(d) or real(d))
-        code, out, _ = run_cli(capsys, *argv, *extra)
+        code, out, _ = run_cli(capsys, *argv)
         monkeypatch.undo()
-        assert (code, calls) == (0, []), extra
+        assert (code, calls) == (0, []), argv
         assert len(json.loads(out)["payload"]["orbits"]) >= 60
 
 

@@ -130,9 +130,9 @@ def test_enum_sigma_b_members_pass_membership_test():
     for total in range(13):
         for p in range(total + 1):
             for d in dg.enum_sigma_b(p, total - p):
-                assert dg.is_sigma_b(d) and oracles.is_sigma_b(d), str(d)
+                assert dg._richardson_omega(d) is not None and oracles.is_sigma_b(d), str(d)
     assert dg.enum_sigma_b(0, 0) == []
-    assert not dg.is_sigma_b(dg.SignedYoungDiagram())
+    assert dg._richardson_omega(dg.SignedYoungDiagram()) is None
 
 
 def test_membership_tests_match_the_row_rules_on_every_diagram():
@@ -142,7 +142,7 @@ def test_membership_tests_match_the_row_rules_on_every_diagram():
     for n in range(15):
         for d in oracles.signed_diagrams(n):
             seen += 1
-            assert dg.is_sigma_b(d) == oracles.is_sigma_b(d), str(d)
+            assert (dg._richardson_omega(d) is not None) == oracles.is_sigma_b(d), str(d)
             assert dg.in_lambda(d) == oracles.in_lambda(d), str(d)
     assert seen == 7567
 
@@ -169,12 +169,12 @@ def test_sign_swap_bijection():
         for q in range(9):
             if p + q > 16:
                 continue
-            swapped = {d.sign_swap() for d in dg.enum_sigma(p, q)}
+            swapped = {oracles.sign_swap(d) for d in dg.enum_sigma(p, q)}
             assert swapped == set(dg.enum_sigma(q, p))
-            swapped_b = {d.sign_swap() for d in dg.enum_sigma_b(p, q)}
+            swapped_b = {oracles.sign_swap(d) for d in dg.enum_sigma_b(p, q)}
             assert swapped_b == set(dg.enum_sigma_b(q, p))
             for d in dg.enum_sigma(p, q):
-                c, cs = dg.classify(d), dg.classify(d.sign_swap())
+                c, cs = dg.classify(d), dg.classify(oracles.sign_swap(d))
                 assert (c.a, c.b, c.r, c.index) == (cs.b, cs.a, cs.r, cs.index)
 
 

@@ -141,7 +141,7 @@ def test_many_unforced_groups_take_no_time():
     # groups would take 2^30 steps here
     d = dg.diagram(*((4 * j + 1, 2, 0) for j in range(30)))
     start = time.perf_counter()
-    assert dg.is_sigma_b(d)
+    assert dg._richardson_omega(d) is not None
     assert gp.omega_set(d) == frozenset(range(1, 31))
     assert gp.pi_size(d) == 2 ** 29
     assert time.perf_counter() - start < 1

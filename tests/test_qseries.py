@@ -265,6 +265,35 @@ def test_inverse_non_unit_constant_term(c0):
     assert s * t == oracles.product(s, t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 45), st.sampled_from((1, -1)), st.integers(-12, 12),
+       st.sampled_from((int, Fraction)), st.data())
+def test_mul_binomial_kernel_matches_oracle(n, exponent, sign, power, kind, data):
+    # exponents below and past the order, powers on both sides of n // exponent
+    values = st.integers(-9, 9) if kind is int else rationals
+    vals = data.draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    got = list(vals)
+    qs._mul_binomial(got, sign, exponent, power)
+    assert got == oracles.mul_binomial(vals, sign, exponent, power)
+    assert all(type(c) is kind for c in got)
+
+
+@pytest.mark.parametrize("exponent, power", [
+    (3, 2), (3, 12),      # multiply, below and past the reach 30 // 3
+    (1, -3), (5, -2), (5, -8),  # divide along residue classes (5*5 <= 30)
+    (6, -2), (6, -7),     # divide block by block (6*6 > 30)
+    (1, -31), (30, -1), (31, 3), (31, -3),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mul_binomial_kernel_shapes(exponent, power, sign):
+    ints = [(7 * k) % 11 - 5 for k in range(31)]
+    for vals in (ints, [Fraction(v, 1 + k % 4) for k, v in enumerate(ints)]):
+        got = list(vals)
+        qs._mul_binomial(got, sign, exponent, power)
+        assert got == oracles.mul_binomial(vals, sign, exponent, power)
+        assert all(type(c) is type(vals[0]) for c in got)
+
+
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
 
 
@@ -373,6 +402,38 @@ def test_parse_sums_and_inverse():
     assert s == FormalSeries.from_values([0], 5)
 
 
+# factor families the grammar can write: powers are nonnegative integers
+written_families = st.integers(1, 5).flatmap(lambda stride: st.tuples(
+    st.sampled_from((1, -1)), st.just(stride), st.integers(1 - stride, 3), st.integers(0, 4)))
+
+
+def _prod_text(factors):
+    return "prod" + "".join(f"(1{'+' if sign > 0 else '-'}x^{{{stride}s{offset:+d}}})^{power}"
+                            for sign, stride, offset, power in factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 60), st.lists(written_families, min_size=1, max_size=4))
+def test_inv_prod_matches_the_inverse_of_the_product(order, factors):
+    got = qs.parse_series_expr(f"inv({_prod_text(factors)})", order)
+    assert got == oracles.inverse(oracles.prod_series(order, *factors))
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_only_a_bare_product_skips_the_generic_inverse(monkeypatch):
+    # inv() of exactly one prod negates its powers; anything more inverts
+    calls = []
+    real = FormalSeries.inverse
+    monkeypatch.setattr(FormalSeries, "inverse", lambda s: calls.append(s) or real(s))
+    prod = "prod(1+x^{2s+1})^2(1-x^{3s-1})"
+    expected = oracles.inverse(oracles.prod_series(30, (1, 2, 1, 2), (-1, 3, -1, 1)))
+    assert qs.parse_series_expr(f"inv({prod})", 30) == expected
+    assert calls == []
+    for text in (f"inv(({prod}))", f"inv({prod} x^0)", f"inv({prod} + 0 * x^1)"):
+        assert qs.parse_series_expr(text, 30) == expected, text
+    assert len(calls) == 3
+
+
 def test_parse_powers_and_parens():
     lhs = qs.parse_series_expr("prod(1+x^{2s})^2(1+x^{1s})^2", order=8)
     rhs = qs.prod_series(8, (1, 2, 0, 2), (1, 1, 0, 2))
@@ -406,6 +467,9 @@ PARSE_ERRORS = [
     ("x^1 +", "expected a factor", 5),
     ("prod(1+x^{1s-1})", "product factor must have lowest exponent >= 1", 4),
     ("x^s", "expected an integer", 2),
+    ("inv(prod(1+x^{2s})", "expected ')'", 18),
+    ("inv(prod(1+x^{2s})(1-x^{1s-1}))", "product factor must have lowest exponent >= 1", 18),
+    ("inv(prod x^1)", "expected '(1+x^{...})' after prod", 9),
 ]
 
 
