@@ -297,7 +297,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if args.coeff > series.order:
             raise ValueError(f"coefficient {args.coeff} beyond order {series.order}")
     exponents = range(series.order + 1) if args.coeff is None else [args.coeff]
-    values = [series.coeffs[e] for e in exponents]
+    values = [series.coeff(e) for e in exponents]
     payload = {"expr": args.expr, "order": args.order,
                "coefficients": {str(e): str(v) for e, v in zip(exponents, values)}}
     _emit(chain(_json_pieces(_envelope(args, payload, [])), ["\n"]) if args.format == "json"

@@ -1,16 +1,17 @@
 """Truncated formal power series over exact rationals.
 
-Everything here is exact: coefficients are Fractions, binary operations
-truncate to the smaller order, and infinite products are expanded factor by
-factor with early exit once a factor's lowest exponent passes the order.
-Products of factors, inverses, products of two series and bilateral sums
-are computed over Python ints (denominators cleared first) and converted to
-one Fraction per coefficient at the end. One slice-add kernel,
-`_mul_binomial`, multiplies by (1 + sign*x^e)^P: one C-level slice pass per
-unit factor, with two shapes for a divide (along residue classes mod e, or
-block by block), and one pass of the truncated binomial series for a power
-past the order's reach. The two-variable BiSeries (ints when new) offers
-`one`, `coeff` and `mul_binomial`; callers sum its cells.
+Everything here is exact: a series is stored as int numerators over one
+reduced denominator and read back as Fractions, binary operations truncate
+to the smaller order, and infinite products are expanded factor by factor
+with early exit once a factor's lowest exponent passes the order. Every
+operation (sums, products, scaling, inverses, products of factors and
+bilateral sums) works on the int numerators and builds no Fraction. One
+slice-add kernel, `_mul_binomial`, multiplies by (1 + sign*x^e)^P: one
+C-level slice pass per unit factor, with two shapes for a divide (along
+residue classes mod e, or block by block), and one pass of the truncated
+binomial series for a power past the order's reach. The two-variable
+BiSeries (ints when new) offers `one`, `coeff` and `mul_binomial`; callers
+sum its cells.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`). `inv()` of exactly one product is that
@@ -22,13 +23,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable
 
 DEFAULT_ORDER = 40
-
-_ZERO = Fraction(0)
 
 
 def _check_order(order: int) -> None:
@@ -38,79 +37,92 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """A power series known exactly for exponents 0..order.
+    """A power series known exactly for exponents 0..order: the coefficient of
+    x^k is nums[k]/den, and len(nums) is order+1. The constructor reduces the
+    fraction (den >= 1, gcd(den, *nums) == 1), so equal series are equal values
+    with equal hashes."""
 
-    Stored densely: coeffs[k] is the coefficient of x^k and len(coeffs) is
-    order+1.
-    """
-
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("a series needs at least its constant term")
+        if not self.den:
+            raise ZeroDivisionError("a series needs a nonzero denominator")
+        g = gcd(self.den, *self.nums)  # refuses a non-int with a TypeError
+        if self.den < 0:
+            g = -g
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(v // g for v in self.nums))
+            object.__setattr__(self, "den", self.den // g)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Every coefficient as a Fraction, built on each read; a loop reads coeff(k)."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @staticmethod
     def from_values(values: Iterable, order: int | None = None) -> FormalSeries:
         vals = [Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in vals))
+        nums = [v.numerator * (den // v.denominator) for v in vals]
         if order is not None:
             _check_order(order)
-            vals = (vals + [_ZERO] * (order + 1))[: order + 1]
-        return FormalSeries(tuple(vals))
+            nums = (nums + [0] * (order + 1))[: order + 1]
+        return FormalSeries(tuple(nums), den)
 
     @staticmethod
     def monomial(exponent: int, coefficient=1, order: int = DEFAULT_ORDER) -> FormalSeries:
         if exponent < 0:
             raise ValueError("negative exponents are not representable")
-        _check_order(order)
-        vals = [_ZERO] * (order + 1)
-        if exponent <= order:
-            vals[exponent] = Fraction(coefficient)
-        return FormalSeries(tuple(vals))
+        return FormalSeries.from_values([0] * min(exponent, order + 1) + [coefficient], order)
 
     def coeff(self, k: int) -> Fraction:
         if k < 0:
-            return _ZERO
+            return Fraction(0)
         if k > self.order:
             raise ValueError(f"exponent {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def __add__(self, other: FormalSeries) -> FormalSeries:
-        n = min(self.order, other.order)
-        return FormalSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return self._termwise(add, other)
 
     def __sub__(self, other: FormalSeries) -> FormalSeries:
-        n = min(self.order, other.order)
-        return FormalSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return self._termwise(sub, other)
+
+    def _termwise(self, op, other: FormalSeries) -> FormalSeries:
+        """op of the two series' numerators over their least common denominator."""
+        n = min(self.order, other.order) + 1
+        den = lcm(self.den, other.den)
+        a, b = (map(mul, s.nums[:n], repeat(den // s.den)) for s in (self, other))
+        return FormalSeries(tuple(map(op, a, b)), den)
 
     def __mul__(self, other: FormalSeries) -> FormalSeries:
         n = min(self.order, other.order)
-        da, a = _cleared(self.coeffs[: n + 1])
-        db, b = _cleared(other.coeffs[: n + 1])
-        den = da * db
-        return FormalSeries(tuple(Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den)
-                                  for k in range(n + 1)))
+        a, b = self.nums[: n + 1], other.nums[: n + 1]
+        return FormalSeries(tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)),
+                            self.den * other.den)
 
     def scale(self, scalar) -> FormalSeries:
         s = Fraction(scalar)
-        return FormalSeries(tuple(c * s for c in self.coeffs))
+        return FormalSeries(tuple(map(mul, self.nums, repeat(s.numerator))),
+                            self.den * s.denominator)
 
     def inverse(self) -> FormalSeries:
-        if not self.coeffs[0]:
+        a, c0, n = self.nums, self.nums[0], self.order
+        if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        # with den*self = ints and c0 = ints[0], the inverse is m_k*den/c0^(k+1)
-        # where m_0 = 1 and m_k = -sum_{j>=1} ints_j*c0^(j-1)*m_(k-j)
-        den, ints = _cleared(self.coeffs)
-        c0 = ints[0]
-        w = [a * c0 ** j for j, a in enumerate(ints[1:])]
-        m = [1]
-        for k in range(1, self.order + 1):
-            m.append(-sum(map(mul, w[k - 1::-1], m)))
-        return FormalSeries(tuple(Fraction(mk * den, c0 ** (k + 1)) for k, mk in enumerate(m)))
+        # over the denominator c0^(n+1), the numerators q of 1/a have q_0 = c0^n
+        # and c0*q_k = -sum_{j>=1} a_j*q_(k-j), which c0 divides exactly
+        q = [c0 ** n]
+        for k in range(1, n + 1):
+            q.append(-sum(map(mul, a[k:0:-1], q)) // c0)
+        return FormalSeries(tuple(v * self.den for v in q), c0 * q[0])
 
     def mul_binomial(self, sign: int, exponent: int, power: int = 1) -> FormalSeries:
         """Multiply by (1 + sign*x^exponent)^power; power may be negative."""
@@ -118,23 +130,13 @@ class FormalSeries:
             raise ValueError("binomial factors need exponent >= 1")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        vals = list(self.coeffs)
+        vals = list(self.nums)
         _mul_binomial(vals, sign, exponent, power)
-        return FormalSeries(tuple(vals))
+        return FormalSeries(tuple(vals), self.den)
 
     def __str__(self) -> str:
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                chunks.append(f"{c}*x^{k}" if k else f"{c}")
-        body = " + ".join(chunks) if chunks else "0"
-        return f"{body} + O(x^{self.order + 1})"
-
-
-def _cleared(coeffs) -> tuple[int, list[int]]:
-    """A common denominator of the rationals coeffs, and their numerators over it."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+        terms = [f"{c}*x^{k}" if k else f"{c}" for k, c in enumerate(self.coeffs) if c]
+        return f"{' + '.join(terms) or '0'} + O(x^{self.order + 1})"
 
 
 def _mul_binomial(vals: list, sign: int, exponent: int, power: int) -> None:
@@ -191,9 +193,7 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
     for sign, stride, offset, power in factors:
         for exponent in range(stride + offset, order + 1, stride):
             _mul_binomial(vals, sign, exponent, power)
-    s = Fraction(scalar)
-    vals = ([0] * shift + [v * s.numerator for v in vals])[: order + 1]
-    return FormalSeries(tuple(Fraction(v, s.denominator) for v in vals))
+    return FormalSeries(tuple(([0] * shift + vals)[: order + 1])).scale(scalar)
 
 
 def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]]],
@@ -211,15 +211,15 @@ def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]
                 raise ValueError("start and step must be positive for a power-series expansion")
             vals[start::2 * step] = [v + 2 for v in vals[start::2 * step]]
             vals[start + step::2 * step] = [v - 2 for v in vals[start + step::2 * step]]
-    return FormalSeries((Fraction(constant_term), *map(Fraction, vals[1:])))
+    return FormalSeries(tuple(vals)) + FormalSeries.monomial(0, constant_term, order)
 
 
 class BiSeries:
     """A truncated series in two variables u, v with exact coefficients.
 
     Coefficients are held in a dense matrix indexed [i][j] for u^i v^j,
-    truncated independently in each variable; a new series holds ints, and
-    the kernel keeps whatever exact numbers a given matrix holds.
+    truncated independently in each variable, with no common denominator: a
+    new series holds ints, and a given matrix of Fractions keeps them cell by cell.
     """
 
     __slots__ = ("u_order", "v_order", "m")
@@ -373,14 +373,13 @@ class _Parser:
         return self.peek(1) == "/" and (self.peek(2) or "").isdigit() and self.peek(3) == "*"
 
     def _rational(self) -> Fraction:
-        num = int(self.next())
+        num, den = int(self.next()), 1
         if self.peek() == "/":
             self.next()
             den = int(self.next())
             if den == 0:
                 raise self.error("zero denominator", self.i - 1)
-            return Fraction(num, den)
-        return Fraction(num)
+        return Fraction(num, den)
 
     def _at_factor_start(self) -> bool:
         return self.peek() in ("prod", "inv", "x", "(")
@@ -408,7 +407,7 @@ class _Parser:
                 self.i = start  # more follows the product: parse the contents as an expression
             inner = self.expr()
             self.expect(")")
-            if not inner.coeffs[0]:
+            if not inner.nums[0]:
                 raise self.error("inv() of a series with zero constant term", at)
             return inner.inverse()
         if tok == "x":

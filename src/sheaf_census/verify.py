@@ -89,7 +89,7 @@ def _check(check_id: str, description: str):
 def _series_cells(lhs: FormalSeries, rhs: FormalSeries, prefix: str = ""):
     n = min(lhs.order, rhs.order)
     for k in range(n + 1):
-        yield f"{prefix}x^{k}", lhs.coeffs[k], rhs.coeffs[k]
+        yield f"{prefix}x^{k}", lhs.coeff(k), rhs.coeff(k)
 
 
 def _pair_cells(sweep: int, lhs, rhs):
@@ -342,7 +342,7 @@ def _fn_cells(variant: str, series: FormalSeries, start: int):
     coefficients of series (of order at most 30) from x^start."""
     cells = ((f"m={m}", census.theta_k0_count(variant, m), series.coeff(m))
              for m in range(start, series.order + 1))
-    return cells, "m <= 30" if start == 0 else "1 <= m <= 30"
+    return cells, f"m <= {series.order}" if start == 0 else f"1 <= m <= {series.order}"
 
 
 @_check("fn1B", "induced class-1 counts (B side) match prod (1+x^2s)^2 (1+x^s)^2")
@@ -390,7 +390,7 @@ def _coro_cuspidal_k0(order: int, sweep: int):
         for m in range(1, n + 1):
             series = odd if m % 2 else even
             yield f"split m={m}", census.cuspidal_counts(m, m)[0], series.coeff(m)
-    return cells(), "1 <= n <= 30"
+    return cells(), f"1 <= n <= {n}"
 
 
 @_check("coro-cuspidal-k1",
@@ -459,13 +459,13 @@ def _diii_k0_closure(order: int, sweep: int):
         "nontrivial-character census")
 def _diii_k1_bijection(order: int, sweep: int):
     bound = min(sweep, 20)
+    parts = [[tuple(part for part, mult in groups for _ in range(mult))
+              for groups in partitions._gen_partitions(k, k)] for k in range(bound // 2 + 1)]
     def cells():
         for n in range(2, bound + 1, 2):
             all_even = diagrams.enum_lambda_even(n)
             images = set(map(diagrams._kappa1_parts, all_even))
-            parts = [[tuple(part for part, mult in groups for _ in range(mult))
-                      for groups in partitions._gen_partitions(k, k)] for k in range(n // 2 + 1)]
-            expected = {pair for a, b in zip(parts, reversed(parts)) for pair in product(a, b)}
+            expected = {pair for a, b in zip(parts, parts[n // 2::-1]) for pair in product(a, b)}
             yield f"n={n} injective", len(images), len(all_even)
             yield f"n={n} surjective", sorted(images), sorted(expected)
             yield (f"n={n} census", census.census_diii_totals(n)[1],
@@ -492,7 +492,7 @@ def _jacobi(order: int, sweep: int):
     def cells():
         for t in range(-3, 4):
             lhs = prod_series(order, (-1, 4, 0, 1), (1, 2, 0, 1), shift=t * t)
-            vals = [Fraction(0)] * (order + 1)
+            vals = [0] * (order + 1)
             reach = order + abs(t) + 3
             for t2 in range(-reach, reach + 1):
                 t1 = t2 + t

@@ -40,7 +40,7 @@ def prod_series(order, *factors, scalar=1, shift=0):
     for sign, stride, offset, power in factors:
         for exponent in range(stride + offset, order + 1, stride):
             coeffs = mul_binomial(coeffs, sign, exponent, power)
-    return FormalSeries(tuple(coeffs))
+    return FormalSeries.from_values(coeffs)
 
 
 def inverse(series):
@@ -55,19 +55,20 @@ def inverse(series):
             if coeffs[j]:
                 acc += coeffs[j] * out[k - j]
         out[k] = -inv0 * acc
-    return FormalSeries(tuple(out))
+    return FormalSeries.from_values(out)
 
 
 def product(a, b):
     n = min(a.order, b.order)
+    a, b = a.coeffs, b.coeffs
     out = [_ZERO] * (n + 1)
     for i in range(n + 1):
-        if not a.coeffs[i]:
+        if not a[i]:
             continue
         for j in range(n - i + 1):
-            if b.coeffs[j]:
-                out[i + j] += a.coeffs[i] * b.coeffs[j]
-    return FormalSeries(tuple(out))
+            if b[j]:
+                out[i + j] += a[i] * b[j]
+    return FormalSeries.from_values(out)
 
 
 def bi_mul_binomial(matrix, sign, ue, ve, power=1):
@@ -119,7 +120,7 @@ def geometric_alternating(start, step, order):
         vals[k] += sign
         sign = -sign
         k += step
-    return FormalSeries(tuple(vals))
+    return FormalSeries.from_values(vals)
 
 
 def bilateral_sum(constant_term, pos_term, order):

@@ -1,7 +1,7 @@
 """Ring behaviour, product expansion, bilateral sums, and the expression
 grammar."""
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,7 +258,7 @@ def test_inverse_and_product_match_oracle(a, b):
 @pytest.mark.parametrize("c0", [Fraction(2, 3), Fraction(-5), Fraction(-7, 4), Fraction(1)])
 def test_inverse_non_unit_constant_term(c0):
     s = qs.prod_series(40, (-1, 1, 0, 1), (1, 2, -1, 2), scalar=Fraction(3, 5))
-    s = FormalSeries((c0,) + s.coeffs[1:])
+    s = FormalSeries.from_values((c0,) + s.coeffs[1:])
     assert s.inverse() == oracles.inverse(s)
     assert s * s.inverse() == FormalSeries.from_values([1], 40)
     t = qs.prod_series(30, (1, 3, -1, -2), scalar=Fraction(-5, 7))
@@ -418,6 +418,65 @@ def test_inv_prod_matches_the_inverse_of_the_product(order, factors):
     got = qs.parse_series_expr(f"inv({_prod_text(factors)})", order)
     assert got == oracles.inverse(oracles.prod_series(order, *factors))
     assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def _in_lowest_terms(s):
+    return (type(s.nums) is tuple and all(type(v) is int for v in s.nums)
+            and type(s.den) is int and s.den >= 1 and gcd(s.den, *s.nums) == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=30), st.lists(rationals, min_size=1, max_size=30),
+       rationals, st.lists(written_families, min_size=1, max_size=3), st.integers(1, 6),
+       st.integers(-3, 3), st.sampled_from((1, -1)))
+def test_every_result_is_in_lowest_terms_and_matches_the_oracles(a, b, c, factors, exponent,
+                                                                  power, sign):
+    A, B = FormalSeries.from_values(a), FormalSeries.from_values(b)
+    order = min(A.order, B.order)
+    prefix = f"{abs(c.numerator)}/{c.denominator}"
+    results = [
+        (A + B, FormalSeries.from_values(x + y for x, y in zip(A.coeffs, B.coeffs))),
+        (A - B, FormalSeries.from_values(x - y for x, y in zip(A.coeffs, B.coeffs))),
+        (A * B, oracles.product(A, B)),
+        (A.scale(c), FormalSeries.from_values(x * c for x in A.coeffs)),
+        (A.mul_binomial(sign, exponent, power),
+         FormalSeries.from_values(oracles.mul_binomial(A.coeffs, sign, exponent, power))),
+        (qs.prod_series(order, *factors, scalar=c, shift=exponent),
+         oracles.prod_series(order, *factors, scalar=c, shift=exponent)),
+        (qs.bilateral_sum(c, lambda k: ((k, exponent * k),), order),
+         _oracle_bilateral(c, lambda k: ((k, exponent * k),), order)),
+        (qs.parse_series_expr(f"{prefix} * {_prod_text(factors)}", order),
+         oracles.prod_series(order, *factors, scalar=abs(c))),
+    ]
+    if a[0]:
+        results.append((A.inverse(), oracles.inverse(A)))
+    for got, expected in results:
+        assert _in_lowest_terms(got)
+        assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12), st.lists(rationals, min_size=1, max_size=12),
+       rationals, st.integers(-6, 6).filter(bool))
+def test_equal_series_are_equal_values_whichever_path_built_them(a, b, c, k):
+    n = min(len(a), len(b))
+    A, B = FormalSeries.from_values(a[:n]), FormalSeries.from_values(b[:n])
+    paths = [(A + B) - B, A.scale(c or 1).scale(1 / (c or 1)), A * FormalSeries.from_values([1], n),
+             A.mul_binomial(1, 1, 2).mul_binomial(1, 1, -2),
+             FormalSeries(tuple(v * k for v in A.nums), A.den * k)]
+    if a[0]:
+        paths.append(A.inverse().inverse())
+    for s in paths:
+        assert s == A and hash(s) == hash(A) and (s.nums, s.den) == (A.nums, A.den)
+
+
+def test_the_constructor_reduces_its_fraction():
+    half = FormalSeries.from_values([Fraction(1, 2), 1])
+    for raw in (FormalSeries((2, 4), 4), FormalSeries((-1, -2), -2), FormalSeries((1, 2), 2)):
+        assert raw == half and hash(raw) == hash(half)
+        assert (raw.nums, raw.den) == ((1, 2), 2)
+    assert FormalSeries((0, 0, 0), -6) == FormalSeries.from_values([0, 0, 0])
+    assert FormalSeries((0, 0, 0), -6).den == 1
 
 
 def test_only_a_bare_product_skips_the_generic_inverse(monkeypatch):

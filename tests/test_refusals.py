@@ -1,5 +1,7 @@
 """Library refusals of invalid arguments: each call raises its own exception
 type with its own message."""
+from fractions import Fraction
+
 import pytest
 
 from sheaf_census import census, diagrams as dg, groups, partitions
@@ -11,6 +13,10 @@ D = dg.parse_diagram
 REFUSALS = {
     "series-without-terms": (lambda: FormalSeries(()), ValueError,
                              "a series needs at least its constant term"),
+    "series-zero-denominator": (lambda: FormalSeries((1, 2), 0), ZeroDivisionError,
+                                "a series needs a nonzero denominator"),
+    "series-fraction-numerator": (lambda: FormalSeries((1, Fraction(1, 2))), TypeError,
+                                  "'Fraction' object cannot be interpreted as an integer"),
     "negative-monomial": (lambda: FormalSeries.monomial(-1), ValueError,
                           "negative exponents are not representable"),
     "non-unit-inverse": (lambda: FormalSeries.from_values([0, 1]).inverse(), ZeroDivisionError,

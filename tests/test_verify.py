@@ -92,6 +92,18 @@ def test_number1_cell_counts():
     assert result.scope.startswith(str(sum(N + 1 for N in range(11))))
 
 
+def test_capped_checks_state_the_bound_that_ran():
+    # the fn* and coro-cuspidal-k0 series stop at min(order, 30)
+    capped = ["fn1B", "fn1D", "fn2B", "fn-split-D", "fn-ind2-D", "coro-cuspidal-k0"]
+    scopes = {r.id: r.scope for r in run_suite(capped, order=12, sweep=9)}
+    assert scopes == {"fn1B": "13 cells, m <= 12", "fn1D": "13 cells, m <= 12",
+                      "fn2B": "12 cells, 1 <= m <= 12", "fn-split-D": "12 cells, 1 <= m <= 12",
+                      "fn-ind2-D": "12 cells, 1 <= m <= 12",
+                      "coro-cuspidal-k0": "24 cells, 1 <= n <= 12"}
+    assert [r.scope for r in run_suite(["fn1B", "coro-cuspidal-k0"], order=41, sweep=9)] == [
+        "31 cells, m <= 30", "60 cells, 1 <= n <= 30"]
+
+
 def test_cell_labels_and_order(monkeypatch):
     # labels only reach the output with a failure, so pin them here
     seen = {}
