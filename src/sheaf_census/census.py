@@ -12,12 +12,13 @@ Two fully independent routes are kept apart on purpose:
 Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are assembled row by row, their
-classes read off mu's, whose class, text and pi come with the sigma_b
+classes read off mu's, whose rows, class, text and pi come with the sigma_b
 listing, and ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
-``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records. A
-``CensusReport`` holds them, and its total, JSON rows and sub-censuses read
-them; its ``entries`` build one validated ``StratumEntry`` per orbit on demand.
+``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
+its rows. A ``CensusReport`` holds them, and its total, JSON rows and
+sub-censuses read them; its ``entries`` build one validated ``StratumEntry``
+(mu a diagram) per orbit on demand.
 The memoised totals that ``verify`` reads are the totals of the reports.
 
 Each sub-census is one rule per (family, central character, subset): the
@@ -202,7 +203,7 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """A census as its (m, k, mu, deltas, count, family, mu_text) stratum records:
+    """A census as its (m, k, mu's rows, deltas, count, family, mu_text) records:
     each orbit over the support of (m, k, mu), one per delta, carries count local systems."""
 
     pair: tuple  # ("bdi", p, q) or ("diii", n)
@@ -213,7 +214,7 @@ class CensusReport:
     @property
     def entries(self) -> tuple[StratumEntry, ...]:
         """One StratumEntry per orbit over each stratum's support, labels validated."""
-        return tuple(StratumEntry(OrbitLabel(support, delta), m, k, mu, count, family)
+        return tuple(StratumEntry(OrbitLabel(support, delta), m, k, _unchecked(mu), count, family)
                      for m, k, mu, deltas, count, family, _ in self.strata
                      for support in (_support(m, k, mu),) for delta in deltas)
 
@@ -234,12 +235,12 @@ class CensusReport:
                 "strata": strata(rows()), "total": self.total, "warnings": list(self.warnings)}
 
 
-_EMPTY, _EMPTY_CLASS = SignedYoungDiagram(), _class_of(0, 0, False)
+_EMPTY_CLASS = _class_of(0, 0, False)
 
 
-def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
-    """mu plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-."""
-    rows, tail = list(mu.rows), []
+def _support(m: int, k: int, mu: tuple) -> SignedYoungDiagram:
+    """mu's rows plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-."""
+    rows, tail = list(mu), []
     for length, added in ((1, m), (2, k)):
         plus, minus = rows.pop()[1:] if rows and rows[-1][0] == length else (0, 0)
         if plus + minus + added:
@@ -247,14 +248,14 @@ def _support(m: int, k: int, mu: SignedYoungDiagram) -> SignedYoungDiagram:
     return _unchecked(tuple(rows + tail[::-1]))
 
 
-def _support_class(m: int, mu: SignedYoungDiagram, cls: DiagramClass) -> DiagramClass:
-    """classify(_support(m, k, mu)) from cls = classify(mu): the 2-rows add
+def _support_class(m: int, mu: tuple, cls: DiagramClass) -> DiagramClass:
+    """classify(_support(m, k, mu)) from mu's rows and cls, their class: the 2-rows add
     nothing to (a, b, repeated), and m >= 1 rows of 1+ and 1- make the
     length-1 group add one to each of a and b (in place of what mu's added)
     and repeat a sign unless it is a single pair."""
     if not m:
         return cls
-    plus, minus = mu.rows[-1][1:] if mu.rows and mu.rows[-1][0] == 1 else (0, 0)
+    plus, minus = mu[-1][1:] if mu and mu[-1][0] == 1 else (0, 0)
     return _class_of(cls.a + (not plus), cls.b + (not minus),
                      cls.repeated or m + plus + minus > 1)
 
@@ -286,7 +287,7 @@ def _k0_strata(p: int, q: int):
             p1, q1 = p - m - 2 * k, q - m - 2 * k
             pk = count_partitions(k)
             if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
-                yield (m, k, _EMPTY, _support_class(m, _EMPTY, _EMPTY_CLASS).deltas,
+                yield (m, k, (), _support_class(m, (), _EMPTY_CLASS).deltas,
                        theta_k0_count("split-D", m) * pk, "empty-mu", "0")
             for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
                 yield (m, k, mu, _support_class(m, mu, cls).deltas,
@@ -305,7 +306,7 @@ def census_k0_total(p: int, q: int) -> int:
 
 
 def _k1_strata(p: int, q: int):
-    """(m, k, mu_t, deltas, count, family, mu_text) for every stratum of the
+    """(m, k, mu_t's rows, deltas, count, family, mu_text) for every stratum of the
     nontrivial-character census of (p, q): strata (m, k) with
     2m + 4k = N - t^2 over the uniform staircase, none when N < t^2. The
     stratum's base * theta_k1(m, t) local systems are shared evenly by the
@@ -314,16 +315,16 @@ def _k1_strata(p: int, q: int):
     t = p - q
     D = _size(p, q) - t * t
     staircase = mu_t(t)
-    cls, text = classify(staircase), format_diagram(staircase)
+    cls, text, rows = classify(staircase), format_diagram(staircase), staircase.rows
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
-        deltas = _support_class(m, staircase, cls).deltas
+        deltas = _support_class(m, rows, cls).deltas
         count = count_bipartitions(k) * theta_k1_count(m, t)
         if count % len(deltas):
             raise ArithmeticError(f"{count} local systems do not share evenly among the "
                                   f"{len(deltas)} orbits over "
-                                  f"{format_diagram(_support(m, k, staircase))}")
-        yield m, k, staircase, deltas, count // len(deltas), "kappa1-staircase", text
+                                  f"{format_diagram(_support(m, k, rows))}")
+        yield m, k, rows, deltas, count // len(deltas), "kappa1-staircase", text
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
@@ -338,7 +339,7 @@ def census_k1_total(p: int, q: int) -> int:
 
 
 def _diii_strata(n: int, central: str, texts: bool):
-    """(m, 0, mu, (None,), count, "diii", mu_text) for every stratum of one
+    """(m, 0, mu's rows, (None,), count, "diii", mu_text) for every stratum of one
     equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
     each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
     p2(n/2). The n=n family never splits, so each support is one orbit.
@@ -350,9 +351,9 @@ def _diii_strata(n: int, central: str, texts: bool):
             pk = count_partitions(k)
             mu_texts = _lambda_b_texts(n - 2 * k) if texts else repeat(None)
             for mu, text in zip(_lambda_b_table(n - 2 * k), mu_texts):
-                yield 2 * k, 0, mu, (None,), pk, "diii", text
+                yield 2 * k, 0, mu.rows, (None,), pk, "diii", text
     elif n >= 2 and n % 2 == 0:
-        yield n, 0, _EMPTY, (None,), count_bipartitions(n // 2), "diii", "0"
+        yield n, 0, (), (None,), count_bipartitions(n // 2), "diii", "0"
 
 
 def census_diii(n: int, texts: bool = True) -> tuple[CensusReport, CensusReport]:

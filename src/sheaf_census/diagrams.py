@@ -24,15 +24,17 @@ which yields each partition grouped as (length, multiplicity) pairs (the
 partitions of p+q whose even parts have even multiplicity, the odd
 partitions of p+q, the partitions of n with every multiplicity doubled), and
 assigns only admissible signs to each group. Three per-size tables are
-cached: ``enum_sigma``'s and ``enum_sigma_b``'s, keyed by a signature summed
-group by group as signs are chosen, each diagram next to its class and its
-text (``format_diagram``'s, joined from ``_group_text`` as signs are chosen),
-a Richardson one also next to ``_pi`` of omega's size, summed as well (read by
-``sigma_listing``, ``sigma_b_listing``); and ``enum_lambda_b``'s, with
-its texts in a column of their own (``_lambda_b_texts``). Enumerator
-output skips the checks (valid by construction); ``in_lambda`` asks the same row rule. The per-group rules ``_richardson_bits`` (forced signs) and
-``_richardson_in_omega`` (the admissible set omega) build the Richardson
-signings, and ``_richardson_omega`` checks a diagram with both in one walk.
+cached. ``enum_sigma``'s and ``enum_sigma_b``'s (read by ``sigma_listing``,
+``sigma_b_listing``) list each diagram's rows, class and text by signature, a
+Richardson one's ``_pi`` of omega's size too; all are summed group by group as
+signs are chosen, each group option's ``_ab`` and text (``format_diagram``'s,
+joined from ``_group_text``) read once (``_options``), so no diagram is built.
+``enum_lambda_b``'s holds diagrams, its texts in a second cache
+(``_lambda_b_texts``). Enumerator output skips the checks (valid by
+construction); ``in_lambda`` asks the same row rule. The per-group rules
+``_richardson_bits`` (forced signs) and ``_richardson_in_omega`` (the
+admissible set omega) build the Richardson signings, and
+``_richardson_omega`` checks a diagram with both in one walk.
 ``sigma_class_counts`` counts sigma's classes without listing it, by a
 transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with
 the census's class rule ``_class_of`` and nothing from the formula route;
@@ -235,30 +237,40 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]
 
 
 def _by_signature(n: int, partitions, signings) -> dict:
-    """{signature (p, n - p): (diagrams, classes, texts[, pis])} over every (rows,
-    p, omega, text) in signings(groups) of the grouped partitions, in generator
-    order; pis holds each _pi where omega, a Richardson admissible set's size, is given."""
+    """{signature (p, n - p): (rows, classes, texts[, pis])} over every (rows, p,
+    a, b, repeated, omega, text) in signings(groups) of the grouped partitions, in
+    generator order; pis holds each _pi where omega, a Richardson admissible set's
+    size, is given."""
     table: dict[int, tuple[list, list, list, list]] = {}  # p -> its columns
     for groups in partitions:
-        for rows, p, omega, text in signings(groups):
-            diagrams, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
-            diagrams.append(d := _unchecked(rows))
-            classes.append(cls := _class_of(*_ab(rows)))
+        for rows, p, a, b, repeated, omega, text in signings(groups):
+            listed, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
+            listed.append(rows)
+            classes.append(cls := _class_of(a, b, repeated))
             texts.append(text or "0")
             if omega is not None:
-                pis.append(_pi(d, cls, omega, n))
+                pis.append(_pi(text, cls, omega, n))
     return {(p, n - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
 
 
-def _sigma_signings(groups) -> list[tuple[tuple, int, None, str]]:
-    """(rows, p, None, text) for every signing of the groups by _sigma_rows,
-    first group varying slowest; p, the plus-box count, and the text (each
-    group's _group_text, after a space past the first) build group by group."""
-    out, sep = [((), 0, None, "")], ""
+@lru_cache(maxsize=None)
+def _options(signings, length: int, mult: int, sep: str) -> tuple[tuple, ...]:
+    """(row, dp, da, db, drepeated, sep + its _group_text) for each (row, dp) in
+    signings(length, mult), where _ab((row,)) is what the group adds to a class key."""
+    return tuple((row, dp, *_ab((row,)), sep + _group_text(row))
+                 for row, dp in signings(length, mult))
+
+
+def _sigma_signings(groups) -> list[tuple]:
+    """(rows, p, a, b, repeated, None, text) for every signing of the groups by
+    _sigma_rows, first group varying slowest; p (plus boxes), the class key and
+    the text (the groups' _group_text, a space apart) build group by group."""
+    out, sep = [((), 0, 0, 0, False, None, "")], ""
     for length, mult in groups:
-        options = [(row, dp, sep + _group_text(row)) for row, dp in _sigma_rows(length, mult)]
-        out = [(rows + (row,), p + dp, None, text + more)
-               for rows, p, _, text in out for row, dp, more in options]
+        options = _options(_sigma_rows, length, mult, sep)
+        out = [(rows + (row,), p + dp, a + da, b + db, rep or drep, None, text + more)
+               for rows, p, a, b, rep, _, text in out
+               for row, dp, da, db, drep, more in options]
         sep = " "
     return out
 
@@ -276,13 +288,13 @@ def _sigma_by_signature(n: int) -> dict:
 
 
 def sigma_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
-    """enum_sigma(p, q), and each diagram's class and text, in order."""
+    """enum_sigma(p, q)'s rows, and each diagram's class and text, in order."""
     return _sigma_by_signature(_size(p, q)).get((p, q), ((), (), ()))
 
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     """All diagrams of the orthogonal set with signature (p, q)."""
-    return list(sigma_listing(p, q)[0])
+    return list(map(_unchecked, sigma_listing(p, q)[0]))
 
 
 @lru_cache(maxsize=8)
@@ -347,22 +359,26 @@ def _richardson_in_omega(row: int, start: int, above, bit: int, mu: int) -> bool
     return (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit)
 
 
-def _richardson_signings(groups, start: int) -> list[tuple[tuple, int, int, str]]:
-    """(rows, p, omega, text), one sign bit per group from _richardson_bits,
-    in lexicographic order; p, omega's size and the text (as in
-    _sigma_signings) build group by group."""
-    out, row, sep = [((), 0, None, 0, "")], 0, ""
+def _richardson_rows(length: int, mult: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """(row, plus-box count) of an odd group signed + and signed -, by sign bit."""
+    return ((length, mult, 0), mult * (length // 2 + 1)), ((length, 0, mult), mult * (length // 2))
+
+
+def _richardson_signings(groups, start: int) -> list[tuple]:
+    """(rows, p, a, b, repeated, omega, text), one sign bit per group from
+    _richardson_bits, in lexicographic order; p, the class key, omega's size
+    and the text (as in _sigma_signings) build group by group."""
+    out, row, sep = [((), 0, 0, 0, False, None, 0, "")], 0, ""
     for length, mult in groups:
         mu = (length - 1) // 2
-        plus, minus = (length, mult, 0), (length, 0, mult)
-        signed = ((plus, mult * (mu + 1), sep + _group_text(plus)),
-                  (minus, mult * mu, sep + _group_text(minus)))
-        out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu),
-                omega + _richardson_in_omega(row, start, above, bit, mu), text + signed[bit][2])
-               for rows, p, above, omega, text in out
-               for bit in _richardson_bits(row, start, above, mu)]
+        signed = _options(_richardson_rows, length, mult, sep)
+        out = [(rows + (group,), p + dp, a + da, b + db, rep or drep, (bit, mu),
+                omega + _richardson_in_omega(row, start, above, bit, mu), text + more)
+               for rows, p, a, b, rep, above, omega, text in out
+               for bit in _richardson_bits(row, start, above, mu)
+               for group, dp, da, db, drep, more in [signed[bit]]]
         row, sep = row + mult, " "
-    return [(rows, p, omega, text) for rows, p, _, omega, text in out]
+    return [(rows, p, a, b, rep, omega, text) for rows, p, a, b, rep, _, omega, text in out]
 
 
 def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
@@ -382,15 +398,15 @@ def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
     return frozenset(omega) if d.rows else None
 
 
-def _pi(d: SignedYoungDiagram, cls: DiagramClass, omega: int, n: int) -> int:
+def _pi(text: str, cls: DiagramClass, omega: int, n: int) -> int:
     """pi_size(d), 2^(omega - [class 1] - [n even]), for a Richardson diagram
-    d of size n and class cls whose admissible set has omega members. Class 3
-    or a negative exponent signals an upstream bug."""
+    d of text text, size n and class cls whose admissible set has omega
+    members. Class 3 or a negative exponent signals an upstream bug."""
     if cls.index not in (1, 2):
         raise ArithmeticError("Richardson diagrams are never of class 3")
     exponent = omega - (cls.index == 1) - (n % 2 == 0)
     if exponent < 0:
-        raise ArithmeticError(f"negative character-count exponent for {d}; "
+        raise ArithmeticError(f"negative character-count exponent for {text}; "
                               "upstream classification is inconsistent")
     return 2 ** exponent
 
@@ -403,13 +419,13 @@ def _sigma_b_by_signature(n: int) -> dict:
 
 
 def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """enum_sigma_b(p, q), and each diagram's class, text and pi_size, in order."""
+    """enum_sigma_b(p, q)'s rows, and each diagram's class, text and pi_size, in order."""
     return _sigma_b_by_signature(_size(p, q)).get((p, q), ((), (), (), ()))
 
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     """Members of the Richardson subset with signature (p, q)."""
-    return list(sigma_b_listing(p, q)[0])
+    return list(map(_unchecked, sigma_b_listing(p, q)[0]))
 
 
 def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:

@@ -90,4 +90,4 @@ def pi_size(d: SignedYoungDiagram) -> int:
     orbit: 2^(l-1) / 2^l for classes 1/2 when the total size is odd, halved
     again when it is even, as _pi counts it for the sigma_b listing."""
     omega = omega_set(d)  # refuses d off the Richardson subset before classifying it
-    return _pi(d, classify(d), len(omega), d.size)
+    return _pi(str(d), classify(d), len(omega), d.size)

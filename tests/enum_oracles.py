@@ -12,10 +12,11 @@ built through ``diagram()``'s merge, and the two bdi censuses with their
 orbit decorations branched out by hand, and the three orbit sums over the
 listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
 the per-size class-count DP that keyed each state by its box and plus-box
-counts. They walk a superset and filter it, or count row by row or state by
-state, which is slow but easy to trust, and they must not change: the
-differential tests compare the library against them list for list, order
-included.
+counts, and the sigma and sigma_b size tables as built when every listed
+diagram was built and classified by an ``_ab`` walk of its own. They walk a
+superset and filter it, or count row by row or state by state, which is slow
+but easy to trust, and they must not change: the differential tests compare
+the library against them list for list, order included.
 """
 import itertools
 from collections import Counter
@@ -24,8 +25,8 @@ from sheaf_census import diagrams, groups
 from sheaf_census.census import OrbitLabel, StratumEntry, theta_k0_count
 from sheaf_census.diagrams import DELTA_NAMES, SignedYoungDiagram, classify, diagram, mu_t
 from sheaf_census.groups import eta, pi_size
-from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
-                                     count_partitions)
+from sheaf_census.partitions import (_gen_partitions, count_bipartitions,
+                                     count_distinct_partitions, count_partitions)
 
 
 def gen_partitions(n, max_part):
@@ -381,3 +382,61 @@ def class_counts_by_signature(n):
             counts = table.setdefault((p + 2 * m, n - p - 2 * m), Counter())
             counts[diagrams._class_of(a, b, rep)] += w * count_partitions(m)
     return table
+
+
+def _by_signature(n, partitions, signings):
+    """The sigma or sigma_b size table as built before each signing carried
+    its class key: {signature: (diagrams, classes, texts[, pis])}, one
+    diagram built and one _ab walk over all its rows per listed diagram."""
+    table = {}
+    for groups in partitions:
+        for rows, p, omega, text in signings(groups):
+            ds, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
+            ds.append(diagrams._unchecked(rows))
+            classes.append(cls := diagrams._class_of(*diagrams._ab(rows)))
+            texts.append(text or "0")
+            if omega is not None:
+                pis.append(diagrams._pi(text, cls, omega, n))
+    return {(p, n - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
+
+
+def _sigma_signings(groups):
+    """(rows, p, None, text) for every signing of the groups by _sigma_rows,
+    first group varying slowest."""
+    out, sep = [((), 0, None, "")], ""
+    for length, mult in groups:
+        options = [(row, dp, sep + diagrams._group_text(row))
+                   for row, dp in diagrams._sigma_rows(length, mult)]
+        out = [(rows + (row,), p + dp, None, text + more)
+               for rows, p, _, text in out for row, dp, more in options]
+        sep = " "
+    return out
+
+
+def _richardson_signings(groups, start):
+    """(rows, p, omega, text), one sign bit per group from _richardson_bits,
+    in lexicographic order."""
+    out, row, sep = [((), 0, None, 0, "")], 0, ""
+    for length, mult in groups:
+        mu = (length - 1) // 2
+        plus, minus = (length, mult, 0), (length, 0, mult)
+        signed = ((plus, mult * (mu + 1), sep + diagrams._group_text(plus)),
+                  (minus, mult * mu, sep + diagrams._group_text(minus)))
+        out = [(rows + (signed[bit][0],), p + signed[bit][1], (bit, mu),
+                omega + diagrams._richardson_in_omega(row, start, above, bit, mu),
+                text + signed[bit][2])
+               for rows, p, above, omega, text in out
+               for bit in diagrams._richardson_bits(row, start, above, mu)]
+        row, sep = row + mult, " "
+    return [(rows, p, omega, text) for rows, p, _, omega, text in out]
+
+
+def sigma_by_signature(n):
+    """The per-diagram build of diagrams._sigma_by_signature(n)."""
+    return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
+
+
+def sigma_b_by_signature(n):
+    """The per-diagram build of diagrams._sigma_b_by_signature(n)."""
+    return _by_signature(n, _gen_partitions(n, n, odd=True) if n else (),
+                         lambda groups: _richardson_signings(groups, n % 2))

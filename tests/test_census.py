@@ -257,7 +257,7 @@ def test_entries_validate_their_labels():
     # records are stored as given; the per-orbit view checks each decoration
     mu = dg.parse_diagram("1+^3 1-^2")  # a single orbit, so no decoration names one
     report = cs.CensusReport(("bdi", 3, 2), "k0",
-                             ((0, 0, mu, ("I",), 1, "sigma-b1", "1+^3 1-^2"),))
+                             ((0, 0, mu.rows, ("I",), 1, "sigma-b1", "1+^3 1-^2"),))
     assert report.total == 1
     with pytest.raises(ValueError, match="names no orbit"):
         report.entries
@@ -309,7 +309,7 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
         report = cs.census_diii(n)[0]
         rows = report.to_json_dict()["strata"]
         assert len(texts) == len(report.strata)  # each support's text, no mu's
-        mus = [mu for _, _, mu, *_ in report.strata]
+        mus = [dg._unchecked(mu) for _, _, mu, *_ in report.strata]
         assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
 
 
@@ -373,6 +373,28 @@ def test_sigma_classes_build_no_diagram(monkeypatch):
     assert all(orbit_sum(14, 14) > 0 for orbit_sum in ORBIT_SUMS)
     assert built == walks == []
     assert sum(n for _, n in counts) == len(dg.enum_sigma(14, 14)) > 0
+
+
+def test_tables_build_no_diagram_and_read_each_option_once(monkeypatch):
+    # a table lists rows and sums each signing's class key group by group:
+    # _ab reads one signed group, once per distinct option (the option cache
+    # serves every diagram and every partition holding it), not once per diagram
+    for cache in (dg._sigma_by_signature, dg._sigma_b_by_signature, dg._options):
+        cache.cache_clear()
+    built, reads = _count_calls(monkeypatch, "_unchecked", dg), _count_calls(monkeypatch, "_ab", dg)
+    tables = dg._sigma_by_signature(24), dg._sigma_b_by_signature(24)
+    assert built == []
+    assert all(len(rows) == 1 for rows, in reads)
+    options = {(signings, length, mult, j > 0)
+               for signings, kind in ((dg._sigma_rows, {"paired": True}),
+                                      (dg._richardson_rows, {"odd": True}))
+               for groups in partitions._gen_partitions(24, 24, **kind)
+               for j, (length, mult) in enumerate(groups)}
+    assert len(reads) == sum(len(signings(length, mult)) for signings, length, mult, _ in options)
+    # 551 reads, where one per group of each partition would be 4,164 and one
+    # per listed diagram 8,153
+    listed = sum(len(columns[0]) for table in tables for columns in table.values())
+    assert len(reads) * 10 < listed == 8153
 
 
 def test_orbit_sums_match_the_listing_oracles():
@@ -444,7 +466,8 @@ def test_diii_closure_total_counts_the_lambda_listing():
 
 
 def test_support_classes_match_classify():
-    # the class read off mu's against the support classified from its rows
+    # the class read off mu's against the support classified from its rows;
+    # a stratum record holds mu's rows
     for N in range(31):
         for p in range(N + 1):
             q, t = N - p, 2 * p - N
@@ -453,15 +476,15 @@ def test_support_classes_match_classify():
                       for k in range((min(p, q) - m) // 2 + 1)
                       for mu, cls in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k)[:2])]
             if N % 2 == 0 and p == q:
-                strata += [(m, (q - m) // 2, cs._EMPTY, cs._EMPTY_CLASS)
+                strata += [(m, (q - m) // 2, (), cs._EMPTY_CLASS)
                            for m in range(q % 2, q + 1, 2)]
             D = N - t * t
-            strata += [((D - 4 * k) // 2, k, dg.mu_t(t), dg.classify(dg.mu_t(t)))
+            strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)))
                        for k in range(D // 4 + 1)]
             for m, k, mu, cls in strata:
-                assert cls == dg.classify(mu)
+                assert cls == dg.classify(dg._unchecked(mu))
                 assert cs._support_class(m, mu, cls) == dg.classify(cs._support(m, k, mu)), \
-                    (p, q, m, k, str(mu))
+                    (p, q, m, k, mu)
 
 
 def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
@@ -485,8 +508,8 @@ def test_supports_match_the_merging_builder():
     # mu with length-2 rows (the diii strata) under added 2+ 2- rows too
     strata |= {(m, k, mu) for n in range(7) for mu in dg.enum_lambda_b(n)
                for m in range(3) for k in range(3)}
-    for m, k, mu in strata:
-        assert cs._support(m, k, mu).rows == oracles.support_via_diagram(m, k, mu).rows, \
+    for m, k, mu in strata:  # _support reads mu's rows
+        assert cs._support(m, k, mu.rows).rows == oracles.support_via_diagram(m, k, mu).rows, \
             (m, k, str(mu))
     for r in reports:
         for e in r.entries:

@@ -661,10 +661,10 @@ def orbit_rows(family: str, size, richardson: bool = False, orbit_class=None) ->
                 for d in members]
     p, q = size
     listing = dg.sigma_b_listing if richardson else dg.sigma_listing
-    return [{"diagram": dg.format_diagram(d), "delta": delta, "a": cls.a, "b": cls.b,
-             "r": cls.r, "class": f"sigma{cls.index}", "k0_irreps": 2 ** cls.r,
+    return [{"diagram": dg.format_diagram(dg._unchecked(rows)), "delta": delta, "a": cls.a,
+             "b": cls.b, "r": cls.r, "class": f"sigma{cls.index}", "k0_irreps": 2 ** cls.r,
              "k1_irreps": groups._kappa1_data(cls, p, q).count}
-            for d, cls in zip(*listing(p, q)[:2]) if orbit_class in (None, f"sigma{cls.index}")
+            for rows, cls in zip(*listing(p, q)[:2]) if orbit_class in (None, f"sigma{cls.index}")
             for delta in ((None,) if richardson else cls.deltas)]
 
 

@@ -1,6 +1,7 @@
 """Diagram enumeration against brute-force oracles and the structural
 invariants (sign swap, parity of the invariants, staircase signatures)."""
 import itertools
+import operator
 import pickle
 from collections import Counter
 
@@ -375,10 +376,11 @@ def test_slotted_diagram_pickles():
 
 def test_table_keys_are_signatures():
     # the table builders carry p group by group instead of calling signature(),
-    # and list each diagram's class next to it (and a Richardson one's pi)
+    # and list each diagram's rows with its class (and a Richardson one's pi)
     for n in range(25):
         for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
-            for sig, (ds, classes, *_) in table.items():
+            for sig, (listed, classes, *_) in table.items():
+                ds = tuple(map(dg._unchecked, listed))
                 assert all(d.signature() == sig for d in ds), (n, sig)
                 assert classes == tuple(map(dg.classify, ds)), (n, sig)
     assert dg.sigma_listing(3, 2) == dg._sigma_by_signature(5)[3, 2]
@@ -386,12 +388,32 @@ def test_table_keys_are_signatures():
     assert dg.sigma_b_listing(0, 0) == ((), (), (), ())
 
 
+def test_tables_match_the_per_diagram_oracle():
+    # each signing's class key, summed group by group, against _ab walked over
+    # the whole diagram: rows, order, the one shared class instance, texts, pi
+    cases = [(dg._sigma_by_signature, oracles.sigma_by_signature, n) for n in range(31)]
+    cases += [(dg._sigma_b_by_signature, oracles.sigma_b_by_signature, n) for n in range(41)]
+    listed = 0
+    for table, oracle, n in cases:
+        got, expected = table(n), oracle(n)
+        assert list(got) == list(expected), n
+        for sig, (ds, classes, texts, *pis) in expected.items():
+            rows, got_classes, got_texts, *got_pis = got[sig]
+            assert rows == tuple(d.rows for d in ds), (n, sig)
+            assert len(got_classes) == len(classes), (n, sig)
+            assert all(map(operator.is_, got_classes, classes)), (n, sig)
+            assert (got_texts, got_pis) == (texts, pis), (n, sig)
+            listed += len(ds)
+    assert listed == 150604 + 42966  # sigma of sizes 0..30, sigma_b of sizes 0..40
+
+
 def test_listed_texts_are_the_canonical_format():
     # each table builds its diagrams' text as it signs their groups
     for N in range(25):
         for p in range(N + 1):
             for listing in (dg.sigma_listing, dg.sigma_b_listing):
-                ds, _, texts = listing(p, N - p)[:3]
+                listed, _, texts = listing(p, N - p)[:3]
+                ds = map(dg._unchecked, listed)
                 assert texts == tuple(map(dg.format_diagram, ds)), (listing.__name__, p, N - p)
     assert dg.sigma_listing(0, 0)[2] == ("0",)
 

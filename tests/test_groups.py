@@ -129,7 +129,8 @@ def test_listed_pi_matches_pi_size_and_the_oracle_omega():
     seen = 0
     for total in range(27):
         for p in range(total + 1):
-            for d, cls, _, pi in zip(*dg.sigma_b_listing(p, total - p)):
+            for rows, cls, _, pi in zip(*dg.sigma_b_listing(p, total - p)):
+                d = dg._unchecked(rows)
                 seen += 1
                 exponent = len(oracles.omega_set(d)) - (cls.index == 1) - (total % 2 == 0)
                 assert pi == gp.pi_size(d) == 2 ** exponent, str(d)

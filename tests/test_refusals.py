@@ -31,7 +31,7 @@ REFUSALS = {
                               "count must be nonnegative"),
     "pi-off-richardson": (lambda: groups.pi_size(D("2+ 2-")), ValueError,
                           "2+ 2- is not in the Richardson subset"),
-    "pi-of-class-3": (lambda: dg._pi(D("1+"), dg._class_of(0, 0, False), 0, 1),
+    "pi-of-class-3": (lambda: dg._pi("1+", dg._class_of(0, 0, False), 0, 1),
                       ArithmeticError, "Richardson diagrams are never of class 3"),
     "partitions-of-negative": (lambda: partitions.enum_partitions(-1), ValueError,
                                "n must be nonnegative"),
