@@ -11,14 +11,15 @@ Two fully independent routes are kept apart on purpose:
 
 Their agreement over sweeps is the artifact's central correctness check.
 
-Each piece is computed once: supports are assembled row by row, their
-classes read off mu's, whose rows, class, text and pi come with the sigma_b
-listing, and ``theta_k0_count`` and ``count_formula_k0`` are memoised.
+Each piece is computed once: supports are assembled row by row for
+``entries`` alone, their classes read off mu's and their texts off mu's text,
+whose rows, class, text and pi come with the sigma_b listing, and
+``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
-its rows. A ``CensusReport`` holds them, and its total, JSON rows and
-sub-censuses read them; its ``entries`` build one validated ``StratumEntry``
-(mu a diagram) per orbit on demand.
+its rows. A ``CensusReport`` holds them, and its total (summed once), JSON rows
+and sub-censuses read them; its ``entries`` build one validated ``StratumEntry``
+(mu and its support diagrams) per orbit on demand.
 The memoised totals that ``verify`` reads are the totals of the reports.
 
 Each sub-census is one rule per (family, central character, subset): the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import SUBSETS, qseries
@@ -38,6 +39,7 @@ from .diagrams import (
     DiagramClass,
     SignedYoungDiagram,
     _class_of,
+    _group_text,
     _lambda_b_table,
     _lambda_b_texts,
     _size,
@@ -218,21 +220,22 @@ class CensusReport:
                      for m, k, mu, deltas, count, family, _ in self.strata
                      for support in (_support(m, k, mu),) for delta in deltas)
 
-    @property
+    @cached_property
     def total(self) -> int:
+        """The local systems over every orbit, summed on the first read."""
         return sum(count * len(deltas) for _, _, _, deltas, count, *_ in self.strata)
 
-    def to_json_dict(self, strata=list) -> dict:
-        """The report as JSON values, its strata as strata(an iterator of row dicts)."""
+    def to_json_dict(self, strata=None) -> dict:
+        """The report as JSON values, its strata a list of row dicts, one per
+        orbit, or strata if given, which stands in for that list."""
         keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
-        def rows():
-            for m, k, mu, deltas, count, family, mu_text in self.strata:
-                support = format_diagram(_support(m, k, mu))
-                for delta in deltas:
-                    yield {"support": support, "delta": delta, "m": m, "k": k,
-                           "mu": mu_text, "family": family, "count": count}
+        if strata is None:
+            strata = [{"support": support, "delta": delta, "m": m, "k": k, "mu": mu_text,
+                       "family": family, "count": count}
+                      for m, k, mu, deltas, count, family, mu_text in self.strata
+                      for support in (_support_text(m, k, mu, mu_text),) for delta in deltas]
         return {"pair": dict(zip(keys, self.pair)), "central": self.central,
-                "strata": strata(rows()), "total": self.total, "warnings": list(self.warnings)}
+                "strata": strata, "total": self.total, "warnings": list(self.warnings)}
 
 
 _EMPTY_CLASS = _class_of(0, 0, False)
@@ -246,6 +249,21 @@ def _support(m: int, k: int, mu: tuple) -> SignedYoungDiagram:
         if plus + minus + added:
             tail.append((length, plus + added, minus + added))
     return _unchecked(tuple(rows + tail[::-1]))
+
+
+def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
+    """format_diagram(_support(m, k, mu)) from mu_text, mu's, merged as _support
+    merges, with no diagram built: mu's tokens but those of its 1- and 2-row
+    groups, then the merged groups'."""
+    n, cut, tail = len(mu), 0, []
+    for length, added in ((1, m), (2, k)):
+        plus, minus = mu[n - 1][1:] if n and mu[n - 1][0] == length else (0, 0)
+        if plus + minus:  # mu's own group of this length: cut its tokens
+            n, cut = n - 1, cut + (plus > 0) + (minus > 0)
+        if plus + minus + added:
+            tail.insert(0, _group_text((length, plus + added, minus + added)))
+    head = [mu_text.rsplit(" ", cut)[0]] if n else []
+    return " ".join(head + tail) or "0"
 
 
 def _support_class(m: int, mu: tuple, cls: DiagramClass) -> DiagramClass:
@@ -323,7 +341,7 @@ def _k1_strata(p: int, q: int):
         if count % len(deltas):
             raise ArithmeticError(f"{count} local systems do not share evenly among the "
                                   f"{len(deltas)} orbits over "
-                                  f"{format_diagram(_support(m, k, rows))}")
+                                  f"{_support_text(m, k, rows, text)}")
         yield m, k, rows, deltas, count // len(deltas), "kappa1-staircase", text
 
 
@@ -358,7 +376,7 @@ def _diii_strata(n: int, central: str, texts: bool):
 
 def census_diii(n: int, texts: bool = True) -> tuple[CensusReport, CensusReport]:
     """Both central-character censuses for the equal-signature pair; with
-    texts=False each k0 mu_text is None, which a total does not read."""
+    texts=False each k0 mu_text is None: a total reads none, its JSON rows need them."""
     return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central, texts))
                  for central in ("k0", "k1"))
 
@@ -608,7 +626,9 @@ def _subset_rule(report: CensusReport, subset: str):
 
 
 def subset_report(report: CensusReport, subset: str) -> CensusReport:
-    """The report cut down to one sub-census's strata; "all" keeps them all."""
+    """The report cut down to one sub-census's strata; "all" is the report itself."""
+    if subset == "all":
+        return report
     keep, _ = _subset_rule(report, subset)
     strata = tuple(s for s in report.strata if keep(s[0], s[1], s[5]))
     return CensusReport(report.pair, report.central, strata, report.warnings)

@@ -49,8 +49,7 @@ def _envelope(args: argparse.Namespace, payload: dict, warnings: list[str]) -> d
     }
 
 
-_encoders: dict = {}  # indent depth -> encode of the C-accelerated encoder
-_CHUNK = 128  # the items (orbit diagrams, census strata) rendered per written piece
+_CHUNK = 128  # the items (orbit diagrams, census rows) rendered per written piece
 
 
 def _json_pieces(obj):
@@ -173,15 +172,32 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         for delta in cells[key][0]])
 
 
+def _row_template(row: dict, depth: int) -> list[str]:
+    """json.dumps(indent=2)'s text of row, a nonempty dict of scalars, as an item
+    at depth, cut at each "\\0" value: the JSON text of each value that varies
+    goes between the pieces. One C encode(): its raw newlines are all separators
+    (strings escape theirs), so only the braces need lines of their own."""
+    deeper = "  " * (depth + 1)
+    body = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode(row)[1:-1]
+    return f"{{\n{deeper}{body}\n{'  ' * depth}}}".split('"\\u0000"')
+
+
+def _json_name(name: str | None) -> str:
+    """The JSON text of a name that needs no escaping (a delta), or null."""
+    return "null" if name is None else f'"{name}"'
+
+
 def _orbit_chunks(texts, keys, cells: dict, headers: list[str], depth: int):
     """The JSON text of the orbit rows at depth, _CHUNK diagrams at a time: a
-    diagram's rows are its text joined with the pieces of its key's rows, cut
-    at a hole. Diagram texts (digits, signs, carets, spaces) need no escaping."""
-    hole = "\\u0000"  # the JSON text of the "\0" that stands for each diagram
-    pieces = {key: next(_row_chunks([dict(zip(headers, ("\0", delta, *row[1:])))
-                                     for delta in row[0]], depth)).split(hole)
-              for key, row in cells.items()}
+    diagram's rows are its text joined with its key's pieces, the key's rows (one
+    per delta, filled into its template) cut where the text goes. Diagram texts
+    (digits, signs, carets, spaces) need no escaping."""
     sep = ",\n" + depth * "  "
+    pieces = {}
+    for key, (deltas, *rest) in cells.items():
+        head, middle, tail = _row_template(dict(zip(headers, ("\0", "\0", *rest))), depth)
+        pieces[key] = sep.join(f'{head}"\0"{middle}{_json_name(delta)}{tail}'
+                               for delta in deltas).split("\0")
     for start in range(0, len(texts), _CHUNK):
         yield sep.join(map(str.join, texts[start:start + _CHUNK],
                            map(pieces.__getitem__, keys[start:start + _CHUNK])))
@@ -210,13 +226,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
             if r.total != expected:
                 mismatches.append(f"{r.pair} {r.central} {args.subset}: "
                                   f"census {r.total} != formula {expected}")
-    strata = lambda rows: partial(_row_chunks, rows)  # each run rendered as it is written
-    payload = {"reports": [r.to_json_dict(strata) for r in reports]}
+    headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
+    payload = {"reports": [r.to_json_dict(partial(_strata_chunks, r, headers[1:]))
+                           for r in reports]}
     if args.check:
         payload["check"] = {"passed": not mismatches, "mismatches": mismatches}
     warnings = sorted({w for r in reports for w in r.warnings})
 
-    headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
     def rows():
         for r in map(census.CensusReport.to_json_dict, reports):
             for stratum in r["strata"]:
@@ -228,18 +244,23 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def _row_chunks(rows, depth: int):
-    """The JSON text of rows, nonempty dicts of scalars, as items at depth, one
-    encode() per _CHUNK rows: its raw newlines are all separators (strings escape
-    theirs), so only its "},{" joins need indenting."""
-    inner, deeper = "  " * depth, "  " * (depth + 1)
-    if depth + 1 not in _encoders:
-        _encoders[depth + 1] = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode
-    encode, join = _encoders[depth + 1], f"\n{inner}}},\n{inner}{{\n{deeper}"
-    rows = iter(rows)
+def _strata_chunks(report, keys: list[str], depth: int):
+    """The JSON text of report.to_json_dict()'s strata rows, keys their keys, at
+    depth, _CHUNK rows at a time: each stratum's texts fill a one-row template
+    once, and each of its deltas makes a row of it. Diagram texts and family
+    and delta names need no escaping."""
+    from .census import _support_text
+
+    t0, t1, t2, t3, t4, t5, t6, t7 = _row_template(dict.fromkeys(keys, "\0"), depth)
+    def rows():
+        for m, k, mu, deltas, count, family, mu_text in report.strata:
+            head = f'{t0}"{_support_text(m, k, mu, mu_text)}"{t1}'
+            tail = f'{t2}{m}{t3}{k}{t4}"{mu_text}"{t5}"{family}"{t6}{count}{t7}'
+            for delta in deltas:
+                yield head + _json_name(delta) + tail
+    sep, rows = ",\n" + depth * "  ", rows()
     while chunk := list(islice(rows, _CHUNK)):
-        body = encode(chunk)[2:-2].replace("},\n" + deeper + "{", join)
-        yield f"{{\n{deeper}{body}\n{inner}}}"
+        yield sep.join(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ one walk, on vectors of ways by plus-box count, serves a block of 8 sizes.
 
 ``diagram()`` merges groups of equal length: the parser builds through it,
 and the union of two diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The
-census merges its stratum supports' 1- and 2-row groups itself, for speed
-(``census._support``, checked against the oracle
-``tests/enum_oracles.support_via_diagram``, which builds through ``diagram()``).
+census merges its stratum supports' 1- and 2-row groups itself, for speed:
+into rows for its entries view (``census._support``), and into mu's text,
+the merged groups' ``_group_text`` in place of mu's, for its rows
+(``census._support_text``). Both are checked against the oracle
+``tests/enum_oracles.support_via_diagram``, which builds through ``diagram()``.
 """
 from __future__ import annotations
 

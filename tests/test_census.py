@@ -226,6 +226,15 @@ def test_subset_report_totals():
             filtered = cs.subset_report(report, subset)
             assert filtered.total == cs.expected_subset_total(report, subset), \
                 (report.pair, report.central, subset)
+        assert cs.subset_report(report, "all") is report  # not refiltered
+
+
+def test_a_report_sums_its_total_once():
+    report = cs.census_bdi_k0(9, 8)
+    assert "total" not in vars(report)  # summed on the first read, not built
+    assert report.total == report.to_json_dict()["total"] == vars(report)["total"]
+    with pytest.raises(ValueError, match="unknown subset 'most'"):
+        cs.subset_report(report, "most")
 
 
 def test_subset_report_diii():
@@ -287,10 +296,10 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["check"]["passed"]
     assert built == []
-    assert len(supports) == strata  # one support per stratum, not per orbit
-    # each support's text once; each mu's comes with its record (a k0 mu's
-    # from its sigma_b listing, a k1 report's staircase formatted once)
-    assert len(texts) == strata + 2
+    # no support is built as a diagram: each support's text comes from its
+    # mu's, and each mu's with its record (a k0 mu's from its sigma_b
+    # listing, a k1 report's staircase formatted once)
+    assert (len(supports), len(texts)) == (0, 2)
     cs.census_bdi_k0(3, 2).entries  # the counter does see the view's objects
     assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
 
@@ -308,7 +317,7 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
         texts.clear()
         report = cs.census_diii(n)[0]
         rows = report.to_json_dict()["strata"]
-        assert len(texts) == len(report.strata)  # each support's text, no mu's
+        assert texts == []  # each support's text is read off its mu's
         mus = [dg._unchecked(mu) for _, _, mu, *_ in report.strata]
         assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
 
@@ -500,7 +509,8 @@ def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
 
 
 def test_supports_match_the_merging_builder():
-    # _support assembles the rows itself; the oracle merges, sorts and checks
+    # _support assembles the rows itself, and _support_text mu's text; the
+    # oracle merges, sorts and checks
     reports = [r for N in range(17) for p in range(N + 1)
                for r in (cs.census_bdi_k0(p, N - p), cs.census_bdi_k1(p, N - p))]
     reports += [r for n in range(13) for r in cs.census_diii(n)]
@@ -508,9 +518,11 @@ def test_supports_match_the_merging_builder():
     # mu with length-2 rows (the diii strata) under added 2+ 2- rows too
     strata |= {(m, k, mu) for n in range(7) for mu in dg.enum_lambda_b(n)
                for m in range(3) for k in range(3)}
-    for m, k, mu in strata:  # _support reads mu's rows
-        assert cs._support(m, k, mu.rows).rows == oracles.support_via_diagram(m, k, mu).rows, \
-            (m, k, str(mu))
+    for m, k, mu in strata:  # _support reads mu's rows, _support_text its text too
+        support = oracles.support_via_diagram(m, k, mu)
+        assert cs._support(m, k, mu.rows).rows == support.rows, (m, k, str(mu))
+        assert cs._support_text(m, k, mu.rows, dg.format_diagram(mu)) == \
+            dg.format_diagram(support), (m, k, str(mu))
     for r in reports:
         for e in r.entries:
             assert e.support.diagram == oracles.support_via_diagram(e.m, e.k, e.mu)

@@ -11,10 +11,10 @@ from itertools import groupby
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sheaf_census import __version__, census, cli, diagrams as dg, groups, verify
-from sheaf_census.cli import _json_pieces, _row_chunks, main
+from sheaf_census import SUBSETS, __version__, census, cli, diagrams as dg, groups, verify
+from sheaf_census.cli import _CHUNK, _json_pieces, _row_template, main
 from sheaf_census.qseries import FormalSeries
 
 
@@ -612,6 +612,20 @@ def test_json_writer_matches_json_dumps(obj):
     assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2)
 
 
+def row_chunks(rows, depth: int):
+    """The JSON text of rows, nonempty dicts of scalars, as items at depth, one
+    encode() per _CHUNK rows: the oracle for the streamed rows. Its raw newlines
+    are all separators (strings escape theirs), so only its "},{" joins need
+    indenting."""
+    inner, deeper = "  " * depth, "  " * (depth + 1)
+    encode = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode
+    rows = list(rows)
+    for start in range(0, len(rows), _CHUNK):
+        body = encode(rows[start:start + _CHUNK])[2:-2].replace(
+            "},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        yield f"{{\n{deeper}{body}\n{inner}}}"
+
+
 # the text a row chunk re-indents: braces, the join it replaces, quotes,
 # newlines and non-ASCII
 _TRICKY = st.lists(st.sampled_from(["}", "{", "},\n  {", "},\n    {", '"', "\n", "é", "→"])
@@ -635,12 +649,25 @@ def test_json_writer_matches_json_dumps_on_row_lists(rows, more, wraps):
         for wrap in wraps:
             obj = wrap(obj)
         return obj if more is None else [obj, stream(more)]
-    assert "".join(_json_pieces(build(lambda r: partial(_row_chunks, r)))) == \
+    assert "".join(_json_pieces(build(lambda r: partial(row_chunks, r)))) == \
         json.dumps(build(list), indent=2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_FLAT, st.integers(0, 4))
+def test_row_template_matches_json_dumps(row, depth):
+    # every other value cut out as a hole, its JSON text put back: the row's text
+    assume("\0" not in row.values())
+    holes = list(row)[::2]
+    pieces = _row_template({**row, **dict.fromkeys(holes, "\0")}, depth)
+    assert len(pieces) == len(holes) + 1
+    filled = pieces[0] + "".join(json.dumps(row[key]) + piece
+                                 for key, piece in zip(holes, pieces[1:]))
+    assert filled == next(row_chunks([row], depth))
+
+
 def test_json_writer_refuses_what_json_dumps_refuses():
-    rows = partial(_row_chunks, [{"a": 1}])
+    rows = partial(row_chunks, [{"a": 1}])
     for obj in (Fraction(1, 2), {"rows": rows, "x": [Fraction(1, 2)]}):
         with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
             "".join(_json_pieces(obj))
@@ -746,37 +773,67 @@ def test_listed_orbits_are_not_formatted_again(capsys, monkeypatch):
 def test_orbits_and_census_json_match_json_dumps(capsys):
     census_cases = [["census", "bdi", "--check", "--p", str(p), "--q", str(N - p)]
                     for N in range(13) for p in range(N + 1)]
+    census_cases += [["census", "diii", "--check", "--n", str(n)] for n in range(13)]
+    census_cases += [[*argv, "--subset", subset] for argv in census_cases
+                     for subset in ("cuspidal", "nilpotent", "full")]
     for argv in [argv for argv, _ in orbit_cases()] + census_cases:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
-def _encode_calls(capsys, monkeypatch, *argv) -> int:
-    """The number of encode() calls the row encoder makes for one command;
-    json.dumps renders the envelope around the rows."""
-    calls = []
+def stratum_reports():
+    """Both reports of every bdi pair with p+q <= 16 and of every diii n <= 12,
+    each cut to each sub-census."""
+    for N in range(17):
+        for p in range(N + 1):
+            for report in (census.census_bdi_k0(p, N - p), census.census_bdi_k1(p, N - p)):
+                yield from (census.subset_report(report, subset) for subset in SUBSETS)
+    for n in range(13):
+        for report in census.census_diii(n):
+            yield from (census.subset_report(report, subset) for subset in SUBSETS)
 
-    def counted(depth):
-        encode = json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
-        return lambda obj: calls.append(depth) or encode(obj)
-    monkeypatch.setattr(cli, "_encoders", {depth: counted(depth) for depth in range(1, 9)})
+
+def test_census_strata_stream_matches_the_row_dict_oracle():
+    # the row dicts of to_json_dict() through row_chunks are the oracle for
+    # the templated strata stream: the same pieces at each depth
+    keys = ["support", "delta", "m", "k", "mu", "family", "count"]
+    empty = 0
+    for report in stratum_reports():
+        rows = report.to_json_dict()["strata"]
+        assert all(list(row) == keys for row in rows)
+        for depth in (1, 4):
+            assert list(cli._strata_chunks(report, keys, depth)) == \
+                list(row_chunks(rows, depth)), (report.pair, report.central, depth)
+        empty += not rows
+    assert empty > 0
+
+
+def _template_calls(capsys, monkeypatch, *argv) -> int:
+    """The number of row templates, one encode() each, that one command
+    renders; json.dumps renders the envelope around the rows."""
+    calls = []
+    template = cli._row_template
+    monkeypatch.setattr(cli, "_row_template", lambda *args: calls.append(args) or template(*args))
     assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.undo()
     return len(calls)
 
 
 def test_row_lists_take_one_encode_each(capsys, monkeypatch):
-    # census strata are encoded as whole lists: as many encode() calls for
-    # (6, 6) as for (3, 2)
+    # each streamed report's strata fill one row template: one encode() per
+    # report, for (6, 6) as for (3, 2), and for a report with no stratum
     census_check = ["census", "bdi", "--p", "6", "--q", "6", "--check"]
     small = census_check[:2] + ["--p", "3", "--q", "2"] + census_check[6:]
-    assert _encode_calls(capsys, monkeypatch, *census_check) == \
-        _encode_calls(capsys, monkeypatch, *small) < 40
+    assert _template_calls(capsys, monkeypatch, *census_check) == \
+        _template_calls(capsys, monkeypatch, *small) == 2  # --central both
+    assert _template_calls(capsys, monkeypatch, "census", "bdi", "--p", "6", "--q", "3",
+                           "--central", "k0", "--subset", "cuspidal") == 1
     # orbit rows are joined from pieces written once for each distinct
     # (deltas, cells) of a diagram: one encode() each, however many rows share
     # them, and none for the envelope
-    assert _encode_calls(capsys, monkeypatch, "orbits", "bdi", "--p", "1", "--q", "0",
-                         "--class", "sigma3") == 0  # lists no row
+    assert _template_calls(capsys, monkeypatch, "orbits", "bdi", "--p", "1", "--q", "0",
+                           "--class", "sigma3") == 0  # lists no row
     for argv, oracle in ((["orbits", "bdi", "--p", "15", "--q", "15"], ("bdi", (15, 15))),
                          (["orbits", "bdi", "--p", "16", "--q", "15", "--richardson"],
                           ("bdi", (16, 15), True)),
@@ -786,4 +843,4 @@ def test_row_lists_take_one_encode_each(capsys, monkeypatch):
         pieces = {(tuple(row["delta"] for row in same), tuple(same[0].values())[2:])
                   for same in (list(g) for _, g in groupby(rows, lambda row: row["diagram"]))}
         assert len(pieces) < 40 < len(rows), argv
-        assert _encode_calls(capsys, monkeypatch, *argv) == len(pieces), argv
+        assert _template_calls(capsys, monkeypatch, *argv) == len(pieces), argv
