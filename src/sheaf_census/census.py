@@ -11,9 +11,9 @@ Two fully independent routes are kept apart on purpose:
 
 Their agreement over sweeps is the artifact's central correctness check.
 
-Each piece is computed once: supports are assembled row by row for
+Each piece is computed once: supports are built through ``diagram()`` for
 ``entries`` alone, their classes read off mu's and their texts off mu's text,
-whose rows, class, text and pi come with the sigma_b listing, and
+whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing, and
 ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 
 from . import SUBSETS, qseries
 from .diagrams import (
@@ -40,16 +39,15 @@ from .diagrams import (
     SignedYoungDiagram,
     _class_of,
     _group_text,
-    _lambda_b_table,
-    _lambda_b_texts,
     _size,
     _unchecked,
     classify,
     diagram,
-    enum_lambda_even,
     enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
     format_diagram,
     in_sigma,
+    lambda_b_listing,
+    lambda_even_listing,
     mu_t,
     sigma_b_listing,
     sigma_class_counts,
@@ -218,7 +216,7 @@ class CensusReport:
         """One StratumEntry per orbit over each stratum's support, labels validated."""
         return tuple(StratumEntry(OrbitLabel(support, delta), m, k, _unchecked(mu), count, family)
                      for m, k, mu, deltas, count, family, _ in self.strata
-                     for support in (_support(m, k, mu),) for delta in deltas)
+                     for support in (diagram(*mu, (1, m, m), (2, k, k)),) for delta in deltas)
 
     @cached_property
     def total(self) -> int:
@@ -241,20 +239,10 @@ class CensusReport:
 _EMPTY_CLASS = _class_of(0, 0, False)
 
 
-def _support(m: int, k: int, mu: tuple) -> SignedYoungDiagram:
-    """mu's rows plus m rows each of 1+ and 1-, and k rows each of 2+ and 2-."""
-    rows, tail = list(mu), []
-    for length, added in ((1, m), (2, k)):
-        plus, minus = rows.pop()[1:] if rows and rows[-1][0] == length else (0, 0)
-        if plus + minus + added:
-            tail.append((length, plus + added, minus + added))
-    return _unchecked(tuple(rows + tail[::-1]))
-
-
 def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
-    """format_diagram(_support(m, k, mu)) from mu_text, mu's, merged as _support
-    merges, with no diagram built: mu's tokens but those of its 1- and 2-row
-    groups, then the merged groups'."""
+    """format_diagram(diagram(*mu, (1, m, m), (2, k, k))), the support, from
+    mu_text, mu's, with no diagram built: mu's tokens but those of its 1- and
+    2-row groups, then the merged groups'."""
     n, cut, tail = len(mu), 0, []
     for length, added in ((1, m), (2, k)):
         plus, minus = mu[n - 1][1:] if n and mu[n - 1][0] == length else (0, 0)
@@ -267,10 +255,10 @@ def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
 
 
 def _support_class(m: int, mu: tuple, cls: DiagramClass) -> DiagramClass:
-    """classify(_support(m, k, mu)) from mu's rows and cls, their class: the 2-rows add
-    nothing to (a, b, repeated), and m >= 1 rows of 1+ and 1- make the
-    length-1 group add one to each of a and b (in place of what mu's added)
-    and repeat a sign unless it is a single pair."""
+    """classify(diagram(*mu, (1, m, m), (2, k, k))) from mu's rows and cls, their
+    class: the 2-rows add nothing to (a, b, repeated), and m >= 1 rows of 1+ and
+    1- make the length-1 group add one to each of a and b (in place of what
+    mu's added) and repeat a sign unless it is a single pair."""
     if not m:
         return cls
     plus, minus = mu[-1][1:] if mu and mu[-1][0] == 1 else (0, 0)
@@ -356,35 +344,34 @@ def census_k1_total(p: int, q: int) -> int:
     return census_bdi_k1(p, q).total
 
 
-def _diii_strata(n: int, central: str, texts: bool):
+def _diii_strata(n: int, central: str):
     """(m, 0, mu's rows, (None,), count, "diii", mu_text) for every stratum of one
     equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
     each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
     p2(n/2). The n=n family never splits, so each support is one orbit.
-    A k0 mu's text is read off its table, or is None when not texts."""
+    A k0 mu's rows and text are read off the Lambda_b listing."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if central == "k0":
         for k in range(n // 2 + 1):
             pk = count_partitions(k)
-            mu_texts = _lambda_b_texts(n - 2 * k) if texts else repeat(None)
-            for mu, text in zip(_lambda_b_table(n - 2 * k), mu_texts):
-                yield 2 * k, 0, mu.rows, (None,), pk, "diii", text
+            mus, _, texts = lambda_b_listing(n - 2 * k)
+            for mu, text in zip(mus, texts):
+                yield 2 * k, 0, mu, (None,), pk, "diii", text
     elif n >= 2 and n % 2 == 0:
         yield n, 0, (), (None,), count_bipartitions(n // 2), "diii", "0"
 
 
-def census_diii(n: int, texts: bool = True) -> tuple[CensusReport, CensusReport]:
-    """Both central-character censuses for the equal-signature pair; with
-    texts=False each k0 mu_text is None: a total reads none, its JSON rows need them."""
-    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central, texts))
+def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
+    """Both central-character censuses for the equal-signature pair."""
+    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central))
                  for central in ("k0", "k1"))
 
 
 @lru_cache(maxsize=None)
 def census_diii_totals(n: int) -> tuple[int, int]:
     """The (k0, k1) totals of census_diii(n), memoised; they format no diagram."""
-    return tuple(report.total for report in census_diii(n, texts=False))
+    return tuple(report.total for report in census_diii(n))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +587,7 @@ def _bdi_rules(p: int, q: int) -> dict:
 def _diii_rules(n: int) -> dict:
     """The sub-census rules of the pair (n, n), keyed by (central, subset)."""
     # the all-even diagrams of Lambda^{n,n} (diii-k1-bijection), not p2(n/2); none at n = 0
-    all_even = lambda: len(enum_lambda_even(n)) if n else 0
+    all_even = lambda: len(lambda_even_listing(n)[0]) if n else 0
     return {
         # one local system per orbit of Lambda^{n,n} (the census walks Lambda_b)
         ("k0", "all"): (_EVERY, lambda: diii_closure_total(n)),

@@ -157,12 +157,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     else:
         if args.orbit_class:
             raise ValueError("--class applies to the bdi family only")
-        if args.richardson:
-            members, texts = diagrams._lambda_b_table(args.n), diagrams._lambda_b_texts(args.n)
-        else:
-            members = diagrams.enum_lambda(args.n)
-            texts = list(map(diagrams.format_diagram, members))
-        keys = [groups.kappa1_data_DIII(d).count for d in members]  # the one cell that varies
+        listing = diagrams.lambda_b_listing if args.richardson else diagrams.lambda_listing
+        _, classes, texts = listing(args.n)
+        keys = [int(cls.index == 3) for cls in classes]  # the one cell that varies: kappa1
         cells = {count: ((None,), None, None, 0, "lambda", 1, count) for count in set(keys)}
 
     headers = ["diagram", "delta", "a", "b", "r", "class", "k0_irreps", "k1_irreps"]
@@ -179,7 +176,10 @@ def _row_template(row: dict, depth: int) -> list[str]:
     (strings escape theirs), so only the braces need lines of their own."""
     deeper = "  " * (depth + 1)
     body = json.JSONEncoder(separators=(",\n" + deeper, ": ")).encode(row)[1:-1]
-    return f"{{\n{deeper}{body}\n{'  ' * depth}}}".split('"\\u0000"')
+    pieces = f"{{\n{deeper}{body}\n{'  ' * depth}}}".split('"\\u0000"')
+    if len(pieces) != list(row.values()).count("\0") + 1:
+        raise ValueError("a \"\\0\" key renders as a hole does")
+    return pieces
 
 
 def _json_name(name: str | None) -> str:

@@ -17,20 +17,20 @@ The sets implemented here:
 * ``enum_lambda(n)`` / ``enum_lambda_b(n)`` -- the n=n split variants: odd
   lengths have matched row counts, even lengths have even counts per sign
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
-  ``enum_lambda_even(n)`` walks only the all-even members of the first.
+  ``enum_lambda_even(n)`` lists only the all-even members of the first.
 
 Every enumerator builds exactly its set from the one partition generator,
 which yields each partition grouped as (length, multiplicity) pairs (the
 partitions of p+q whose even parts have even multiplicity, the odd
 partitions of p+q, the partitions of n with every multiplicity doubled), and
-assigns only admissible signs to each group. Three per-size tables are
-cached. ``enum_sigma``'s and ``enum_sigma_b``'s (read by ``sigma_listing``,
-``sigma_b_listing``) list each diagram's rows, class and text by signature, a
-Richardson one's ``_pi`` of omega's size too; all are summed group by group as
-signs are chosen, each group option's ``_ab`` and text (``format_diagram``'s,
-joined from ``_group_text``) read once (``_options``), so no diagram is built.
-``enum_lambda_b``'s holds diagrams, its texts in a second cache
-(``_lambda_b_texts``). Enumerator output skips the checks (valid by
+assigns only admissible signs to each group. Each set is a cached per-size
+listing of each diagram's rows, class and text (``sigma_listing`` and
+``sigma_b_listing`` by signature, a Richardson one's ``_pi`` of omega's size
+too; ``lambda_listing``, ``lambda_b_listing``, ``lambda_even_listing``), all
+summed group by group as signs are chosen by ``_signings`` (or, for sigma_b,
+``_richardson_signings``), each group option's ``_ab`` and text
+(``format_diagram``'s, joined from ``_group_text``) read once (``_options``),
+so no diagram is built. Enumerator output skips the checks (valid by
 construction); ``in_lambda`` asks the same row rule. The per-group rules
 ``_richardson_bits`` (forced signs) and ``_richardson_in_omega`` (the
 admissible set omega) build the Richardson signings, and
@@ -40,20 +40,17 @@ transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with
 the census's class rule ``_class_of`` and nothing from the formula route;
 one walk, on vectors of ways by plus-box count, serves a block of 8 sizes.
 
-``diagram()`` merges groups of equal length: the parser builds through it,
-and the union of two diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The
-census merges its stratum supports' 1- and 2-row groups itself, for speed:
-into rows for its entries view (``census._support``), and into mu's text,
-the merged groups' ``_group_text`` in place of mu's, for its rows
-(``census._support_text``). Both are checked against the oracle
-``tests/enum_oracles.support_via_diagram``, which builds through ``diagram()``.
+``diagram()`` merges groups of equal length: the parser and the census's
+entries view (each stratum support) build through it, and the union of two
+diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The census's rows merge a
+support's 1- and 2-row groups into mu's text themselves, for speed
+(``census._support_text``), checked against ``diagram()``'s merge.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
 from operator import add
 
 from .partitions import BiPartition, Partition, _gen_partitions, count_partitions
@@ -168,7 +165,7 @@ def in_sigma(d: SignedYoungDiagram) -> bool:
 def in_lambda(d: SignedYoungDiagram) -> bool:
     """Membership in the enum_lambda set: every group is one of _lambda_rows'
     signings of its rows (which have an even count)."""
-    return all((length, plus, minus) in _lambda_rows(length, (plus + minus) // 2)
+    return all((length, plus, minus) in [row for row, _ in _lambda_rows(length, (plus + minus) // 2)]
                for length, plus, minus in d.rows)
 
 
@@ -263,17 +260,19 @@ def _options(signings, length: int, mult: int, sep: str) -> tuple[tuple, ...]:
                  for row, dp in signings(length, mult))
 
 
-def _sigma_signings(groups) -> list[tuple]:
+def _signings(signings, groups) -> list[tuple]:
     """(rows, p, a, b, repeated, None, text) for every signing of the groups by
-    _sigma_rows, first group varying slowest; p (plus boxes), the class key and
-    the text (the groups' _group_text, a space apart) build group by group."""
-    out, sep = [((), 0, 0, 0, False, None, "")], ""
-    for length, mult in groups:
-        options = _options(_sigma_rows, length, mult, sep)
+    signings, a module-level option function (_options is keyed on it), first
+    group varying slowest (none if a group has none); p (plus boxes), the class
+    key and the text (the groups' _group_text, a space apart) build by group."""
+    options = [_options(signings, *group, " " if j else "") for j, group in enumerate(groups)]
+    if not all(options):  # a group with no signing: none walked
+        return []
+    out = [((), 0, 0, 0, False, None, "")]
+    for group_options in options:
         out = [(rows + (row,), p + dp, a + da, b + db, rep or drep, None, text + more)
                for rows, p, a, b, rep, _, text in out
-               for row, dp, da, db, drep, more in options]
-        sep = " "
+               for row, dp, da, db, drep, more in group_options]
     return out
 
 
@@ -286,7 +285,7 @@ def _size(p: int, q: int) -> int:
 
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict:
-    return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
+    return _by_signature(n, _gen_partitions(n, n, paired=True), partial(_signings, _sigma_rows))
 
 
 def sigma_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
@@ -369,7 +368,7 @@ def _richardson_rows(length: int, mult: int) -> tuple[tuple[tuple[int, int, int]
 def _richardson_signings(groups, start: int) -> list[tuple]:
     """(rows, p, a, b, repeated, omega, text), one sign bit per group from
     _richardson_bits, in lexicographic order; p, the class key, omega's size
-    and the text (as in _sigma_signings) build group by group."""
+    and the text (as in _signings) build group by group."""
     out, row, sep = [((), 0, 0, 0, False, None, 0, "")], 0, ""
     for length, mult in groups:
         mu = (length - 1) // 2
@@ -430,30 +429,49 @@ def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     return list(map(_unchecked, sigma_b_listing(p, q)[0]))
 
 
-def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
-    """Signings of a group of 2*mult rows: odd lengths matched, even lengths
-    with even per-sign counts, plus descending."""
+def _lambda_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
+    """(row, its mult * length plus boxes) for each signing of a group of 2*mult
+    rows: odd lengths matched, even lengths with even per-sign counts, plus descending."""
     if length % 2:
-        return [(length, mult, mult)]
-    return [(length, plus, 2 * mult - plus) for plus in range(2 * mult, -1, -2)]
+        return [((length, mult, mult), mult * length)]
+    return [((length, plus, 2 * mult - plus), mult * length) for plus in range(2 * mult, -1, -2)]
 
 
-def _lambda_b_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
-    """The Richardson signings of a group of 2*mult rows: an odd length holds
-    one row of each sign, an even length a single sign, plus first."""
+def _lambda_b_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
+    """The Richardson signings of a group of 2*mult rows, as _lambda_rows: an
+    odd length holds one row of each sign, an even length a single sign, plus first."""
     if length % 2:
-        return [(length, 1, 1)] if mult == 1 else []
-    return [(length, 2 * mult, 0), (length, 0, 2 * mult)]
+        return [((length, 1, 1), length)] if mult == 1 else []
+    return [((length, 2 * mult, 0), mult * length), ((length, 0, 2 * mult), mult * length)]
 
 
-def _doubled_diagrams(n: int, rows) -> list[SignedYoungDiagram]:
-    """Diagrams whose row lengths are a partition of n with every
-    multiplicity doubled, each group (length, mult) given one of the signed
-    rows in rows(length, mult), first group varying slowest."""
+def _doubled_listing(n: int, partitions, signings) -> tuple[tuple, tuple, tuple]:
+    """The (rows, classes, texts) of every signing by signings of the grouped
+    partitions, a group (length, mult) standing for 2*mult rows: signature (n, n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [_unchecked(choice) for groups in _gen_partitions(n, n)
-            for choice in product(*(rows(length, mult) for length, mult in groups))]
+    return _by_signature(2 * n, partitions, partial(_signings, signings)).get((n, n), ((), (), ()))
+
+
+@lru_cache(maxsize=64)
+def lambda_listing(n: int) -> tuple[tuple, tuple, tuple]:
+    """enum_lambda(n)'s rows, and each diagram's class and text, in order: as an odd
+    length adds one to both a and b, the class is 3 exactly on the all-even."""
+    return _doubled_listing(n, _gen_partitions(n, n), _lambda_rows)
+
+
+@lru_cache(maxsize=64)
+def lambda_even_listing(n: int) -> tuple[tuple, tuple, tuple]:
+    """The all-even part of lambda_listing(n), in the same order: row lengths
+    twice a partition of n/2, each multiplicity doubled; none for odd n."""
+    doubled = ([(2 * j, mult) for j, mult in groups] for groups in _gen_partitions(n // 2, n // 2))
+    return _doubled_listing(n, () if n % 2 else doubled, _lambda_rows)
+
+
+@lru_cache(maxsize=64)
+def lambda_b_listing(n: int) -> tuple[tuple, tuple, tuple]:
+    """enum_lambda_b(n)'s rows, and each diagram's class and text, in order."""
+    return _doubled_listing(n, _gen_partitions(n, n), _lambda_b_rows)
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:
@@ -461,33 +479,18 @@ def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     carrying even per-sign row counts (the signature is forced to (n, n)).
     Every row count is even, so the row lengths are a partition of n with
     each multiplicity doubled."""
-    return _doubled_diagrams(n, _lambda_rows)
+    return list(map(_unchecked, lambda_listing(n)[0]))
 
 
 def enum_lambda_even(n: int) -> list[SignedYoungDiagram]:
-    """The all-even members of ``enum_lambda(n)``, in the same order: row
-    lengths twice a partition of n/2, each multiplicity doubled; none for odd n."""
-    if n > 0 and n % 2:
-        return []
-    return _doubled_diagrams(n // 2, lambda j, mult: _lambda_rows(2 * j, mult))
-
-
-@lru_cache(maxsize=64)
-def _lambda_b_table(n: int) -> tuple[SignedYoungDiagram, ...]:
-    return tuple(_doubled_diagrams(n, _lambda_b_rows))
-
-
-@lru_cache(maxsize=64)
-def _lambda_b_texts(n: int) -> tuple[str, ...]:
-    """Each enum_lambda_b(n) diagram's text, in order; built only where a
-    listing or a census is rendered, not for a count."""
-    return tuple(map(format_diagram, _lambda_b_table(n)))
+    """The all-even members of ``enum_lambda(n)``, in the same order."""
+    return list(map(_unchecked, lambda_even_listing(n)[0]))
 
 
 def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:
     """The Richardson members of ``enum_lambda(n)``, in the same order: odd
     lengths carry exactly one row of each sign, even lengths one sign."""
-    return list(_lambda_b_table(n))
+    return list(map(_unchecked, lambda_b_listing(n)[0]))
 
 
 def mu_t(t: int) -> SignedYoungDiagram:
@@ -500,19 +503,19 @@ def diii_kappa1_bijection(d: SignedYoungDiagram) -> BiPartition:
     """The explicit pairing of all-even diagrams with bipartitions of size/4:
     a group (2m)^{2p}_+(2m)^{2q}_- maps to m^p in the first slot and m^q in
     the second."""
-    first, second = _kappa1_parts(d)
+    first, second = _kappa1_parts(d.rows)
     return BiPartition(Partition(first), Partition(second))
 
 
-def _kappa1_parts(d: SignedYoungDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The parts of diii_kappa1_bijection(d)'s two slots, unvalidated."""
+def _kappa1_parts(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parts of diii_kappa1_bijection's two slots for the rows, unvalidated."""
     first: list[int] = []
     second: list[int] = []
-    for length, plus, minus in d.rows:
+    for length, plus, minus in rows:
         if length % 2:
-            raise ValueError(f"{d} has an odd row length")
+            raise ValueError(f"{_unchecked(rows)} has an odd row length")
         if plus % 2 or minus % 2:
-            raise ValueError(f"{d} has odd per-sign multiplicities")
+            raise ValueError(f"{_unchecked(rows)} has odd per-sign multiplicities")
         first += [length // 2] * (plus // 2)
         second += [length // 2] * (minus // 2)
     return tuple(first), tuple(second)

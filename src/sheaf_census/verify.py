@@ -463,7 +463,7 @@ def _diii_k1_bijection(order: int, sweep: int):
               for groups in partitions._gen_partitions(k, k)] for k in range(bound // 2 + 1)]
     def cells():
         for n in range(2, bound + 1, 2):
-            all_even = diagrams.enum_lambda_even(n)
+            all_even = diagrams.lambda_even_listing(n)[0]  # rows
             images = set(map(diagrams._kappa1_parts, all_even))
             expected = {pair for a, b in zip(parts, parts[n // 2::-1]) for pair in product(a, b)}
             yield f"n={n} injective", len(images), len(all_even)

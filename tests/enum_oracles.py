@@ -186,15 +186,14 @@ def in_lambda_b(d):
 
 
 def enum_lambda_b(n):
-    """Filter the library's enum_lambda(n) by in_lambda_b."""
-    if n == 0:
-        return [SignedYoungDiagram()]
-    return [d for d in diagrams.enum_lambda(n) if in_lambda_b(d)]
+    """Filter enum_lambda(n), the walk over every partition of 2n above, by
+    in_lambda_b: no library walker feeds it."""
+    return [d for d in enum_lambda(n) if in_lambda_b(d)]
 
 
 def enum_lambda_even(n):
-    """Filter the library's enum_lambda(n) by all_parts_even."""
-    return [d for d in diagrams.enum_lambda(n) if d.all_parts_even()]
+    """Filter enum_lambda(n), the walk above, by all_parts_even."""
+    return [d for d in enum_lambda(n) if d.all_parts_even()]
 
 
 def weighted_odd_partition_sum(n):

@@ -289,25 +289,28 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
             built.append(type(self))
             init(self, *args, **kwargs)
         monkeypatch.setattr(kind, "__init__", counting_init)
-    supports = _count_calls(monkeypatch, "_support", cs)
+    supports = _count_calls(monkeypatch, "diagram", cs)
     texts = _count_calls(monkeypatch, "format_diagram", cs)
     capsys.readouterr()
     for argv in argvs:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["check"]["passed"]
     assert built == []
-    # no support is built as a diagram: each support's text comes from its
-    # mu's, and each mu's with its record (a k0 mu's from its sigma_b
-    # listing, a k1 report's staircase formatted once)
+    # no support diagram is built (only entries builds them, through
+    # diagram()): each support's text comes from its mu's, and each mu's
+    # with its record (a k0 mu's from its sigma_b listing, a k1 report's
+    # staircase formatted once)
     assert (len(supports), len(texts)) == (0, 2)
-    cs.census_bdi_k0(3, 2).entries  # the counter does see the view's objects
+    cs.census_bdi_k0(3, 2).entries  # the counters do see the view's objects
     assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
+    assert supports
 
 
 def test_a_diii_total_formats_no_diagram(monkeypatch):
-    # a count-only total reads no mu text, cold tables or warm; a rendered
-    # census reads each Lambda_b mu's text off its column, built once
-    for cache in (cs.census_diii_totals, dg._lambda_b_table, dg._lambda_b_texts):
+    # a total, cold listings or warm, formats no diagram: the Lambda_b
+    # listing joins each mu's text from its groups' texts; a rendered census
+    # reads each mu's text off that column
+    for cache in (cs.census_diii_totals, dg.lambda_b_listing):
         cache.cache_clear()
     texts = _count_calls(monkeypatch, "format_diagram", cs, dg)
     totals = [cs.census_diii_totals(n) for n in range(13)]
@@ -492,8 +495,8 @@ def test_support_classes_match_classify():
                        for k in range(D // 4 + 1)]
             for m, k, mu, cls in strata:
                 assert cls == dg.classify(dg._unchecked(mu))
-                assert cs._support_class(m, mu, cls) == dg.classify(cs._support(m, k, mu)), \
-                    (p, q, m, k, mu)
+                support = oracles.support_via_diagram(m, k, dg._unchecked(mu))
+                assert cs._support_class(m, mu, cls) == dg.classify(support), (p, q, m, k, mu)
 
 
 def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
@@ -509,8 +512,8 @@ def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
 
 
 def test_supports_match_the_merging_builder():
-    # _support assembles the rows itself, and _support_text mu's text; the
-    # oracle merges, sorts and checks
+    # _support_text merges mu's text itself, and entries builds each support
+    # through diagram(); the oracle merges, sorts and checks
     reports = [r for N in range(17) for p in range(N + 1)
                for r in (cs.census_bdi_k0(p, N - p), cs.census_bdi_k1(p, N - p))]
     reports += [r for n in range(13) for r in cs.census_diii(n)]
@@ -518,9 +521,8 @@ def test_supports_match_the_merging_builder():
     # mu with length-2 rows (the diii strata) under added 2+ 2- rows too
     strata |= {(m, k, mu) for n in range(7) for mu in dg.enum_lambda_b(n)
                for m in range(3) for k in range(3)}
-    for m, k, mu in strata:  # _support reads mu's rows, _support_text its text too
+    for m, k, mu in strata:  # _support_text reads mu's rows and its text
         support = oracles.support_via_diagram(m, k, mu)
-        assert cs._support(m, k, mu.rows).rows == support.rows, (m, k, str(mu))
         assert cs._support_text(m, k, mu.rows, dg.format_diagram(mu)) == \
             dg.format_diagram(support), (m, k, str(mu))
     for r in reports:

@@ -418,6 +418,50 @@ def test_listed_texts_are_the_canonical_format():
     assert dg.sigma_listing(0, 0)[2] == ("0",)
 
 
+def test_lambda_listings_list_the_canonical_texts():
+    # the Lambda, Lambda_b and all-even listings sign their groups through
+    # the sigma walker, and build each text the same way
+    for listing, bound in ((dg.lambda_listing, 16), (dg.lambda_b_listing, 20),
+                           (dg.lambda_even_listing, 22)):
+        for n in range(bound + 1):
+            rows, classes, texts = listing(n)
+            assert len(rows) == len(classes) == len(texts), (listing.__name__, n)
+            assert texts == tuple(map(dg.format_diagram, map(dg._unchecked, rows))), \
+                (listing.__name__, n)
+    assert dg.lambda_listing(0)[2] == dg.lambda_b_listing(0)[2] == ("0",)
+    assert dg.lambda_even_listing(3) == ((), (), ())
+    for listing in (dg.lambda_listing, dg.lambda_b_listing, dg.lambda_even_listing):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            listing(-1)
+
+
+def test_lambda_classes_give_the_kappa1_counts():
+    # an odd length holds rows of both signs, so a listed class is 3 exactly
+    # on the all-even diagrams: the kappa1 count orbits diii reads off it
+    from sheaf_census.groups import kappa1_data_DIII
+    for n in range(15):
+        for listing in (dg.lambda_listing, dg.lambda_b_listing):
+            rows, classes, _ = listing(n)
+            for row, cls in zip(rows, classes):
+                d = dg._unchecked(row)
+                assert int(cls.index == 3) == kappa1_data_DIII(d).count, (n, str(d))
+                assert cls == dg._class_of(*dg._ab(row)), (n, str(d))
+
+
+def test_lambda_enumerators_leave_the_option_cache_as_it_is():
+    # the option cache is keyed on its option function: each listing passes a
+    # module-level one, so calls after the first add no entry
+    for n in range(12):
+        dg.enum_lambda(n), dg.enum_lambda_b(n), dg.enum_lambda_even(n)
+    size = dg._options.cache_info().currsize
+    for cache in (dg.lambda_listing, dg.lambda_b_listing, dg.lambda_even_listing):
+        cache.cache_clear()
+    for _ in range(3):
+        for n in range(12):
+            dg.enum_lambda(n), dg.enum_lambda_b(n), dg.enum_lambda_even(n)
+    assert dg._options.cache_info().currsize == size
+
+
 def test_enum_lambda_b_returns_a_fresh_list():
     first = dg.enum_lambda_b(5)
     first.clear()
