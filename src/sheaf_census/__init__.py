@@ -15,9 +15,9 @@ DEFAULT_SWEEP = 24
 # each submodule -> the names the package exports from it
 _EXPORTS = {
     "partitions": ("BiPartition", "Partition", "count_bipartitions",
-                   "count_distinct_odd_partitions", "count_distinct_partitions",
-                   "count_partitions", "enum_distinct_odd_balanced", "enum_partitions",
-                   "weighted_odd_partition_sum"),
+                   "count_distinct_odd_balanced", "count_distinct_odd_partitions",
+                   "count_distinct_partitions", "count_partitions", "enum_distinct_odd_balanced",
+                   "enum_partitions", "weighted_odd_partition_sum"),
     "qseries": ("FormalSeries", "bilateral_sum", "parse_series_expr", "prod_series"),
     "diagrams": ("SignedYoungDiagram", "classify", "diagram", "diii_kappa1_bijection",
                  "enum_lambda", "enum_lambda_b", "enum_lambda_even", "enum_sigma",

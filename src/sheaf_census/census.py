@@ -12,7 +12,7 @@ Two fully independent routes are kept apart on purpose:
 Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are built through ``diagram()`` for
-``entries`` alone, their classes read off mu's and their texts off mu's text,
+``entries`` alone, their deltas read off mu's class and their texts off mu's text,
 whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing, and
 ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
@@ -20,7 +20,8 @@ Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 its rows. A ``CensusReport`` holds them, and its total (summed once), JSON rows
 and sub-censuses read them; its ``entries`` build one validated ``StratumEntry``
 (mu and its support diagrams) per orbit on demand.
-The memoised totals that ``verify`` reads are the totals of the reports.
+``census_k0_total``, the memoised k0 total that ``verify`` reads, sums ``richardson_pi_sums``
+over ``_k0_cells`` with no record built; the other memoised totals are their reports'.
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -35,9 +36,8 @@ from functools import cached_property, lru_cache
 
 from . import SUBSETS, qseries
 from .diagrams import (
-    DiagramClass,
+    DELTA_NAMES,
     SignedYoungDiagram,
-    _class_of,
     _group_text,
     _size,
     _unchecked,
@@ -236,9 +236,6 @@ class CensusReport:
                 "strata": strata, "total": self.total, "warnings": list(self.warnings)}
 
 
-_EMPTY_CLASS = _class_of(0, 0, False)
-
-
 def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
     """format_diagram(diagram(*mu, (1, m, m), (2, k, k))), the support, from
     mu_text, mu's, with no diagram built: mu's tokens but those of its 1- and
@@ -254,16 +251,11 @@ def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
     return " ".join(head + tail) or "0"
 
 
-def _support_class(m: int, mu: tuple, cls: DiagramClass) -> DiagramClass:
-    """classify(diagram(*mu, (1, m, m), (2, k, k))) from mu's rows and cls, their
-    class: the 2-rows add nothing to (a, b, repeated), and m >= 1 rows of 1+ and
-    1- make the length-1 group add one to each of a and b (in place of what
-    mu's added) and repeat a sign unless it is a single pair."""
-    if not m:
-        return cls
-    plus, minus = mu[-1][1:] if mu and mu[-1][0] == 1 else (0, 0)
-    return _class_of(cls.a + (not plus), cls.b + (not minus),
-                     cls.repeated or m + plus + minus > 1)
+def _support_deltas(m: int, deltas: tuple) -> tuple:
+    """classify(diagram(*mu, (1, m, m), (2, k, k))).deltas, deltas being mu's class's
+    (class 3's four, DELTA_NAMES, for the empty mu): m >= 1 rows of 1+ and 1- make
+    a, b >= 1 (class 1, one orbit), and the 2-rows add nothing to a class key."""
+    return (None,) if m else deltas
 
 
 def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
@@ -271,17 +263,11 @@ def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
     return CensusReport(pair, central, tuple(strata), (LOW_RANK_WARNING,) if size < 5 else ())
 
 
-def _k0_strata(p: int, q: int):
-    """(m, k, mu, deltas, count, family, mu_text) for every stratum of the
-    trivial-character census of (p, q).
-
-    Strata are indexed by (m, k, mu) with mu a Richardson diagram of the
-    residual signature (or empty when the pair is split down to nothing);
-    for even total size only m of the same parity as q occurs. Each orbit
-    over a stratum's support carries count = theta * p(k) * pi(mu) local
-    systems, theta the induced family of mu's class (split-D, and pi = 1,
-    for an empty mu).
-    """
+def _k0_cells(p: int, q: int):
+    """(m, k, p1, q1, theta, p(k)) for each cell (m, k) of the trivial-character
+    strata of (p, q): mu is a Richardson diagram of signature (p1, q1) = (p - m - 2k,
+    q - m - 2k), or empty at (0, 0); an even size keeps only m of q's parity;
+    theta maps mu's class to its induced family's count at m."""
     N = _size(p, q)
     side = "B" if N % 2 else "D"
     for m in range(min(p, q) + 1):
@@ -290,14 +276,20 @@ def _k0_strata(p: int, q: int):
         # the induced module families depend on m and the parity only
         theta = {i: theta_k0_count(f"ind{i}-{side}", m) for i in (1, 2)}
         for k in range((min(p, q) - m) // 2 + 1):
-            p1, q1 = p - m - 2 * k, q - m - 2 * k
-            pk = count_partitions(k)
-            if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
-                yield (m, k, (), _support_class(m, (), _EMPTY_CLASS).deltas,
-                       theta_k0_count("split-D", m) * pk, "empty-mu", "0")
-            for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
-                yield (m, k, mu, _support_class(m, mu, cls).deltas,
-                       theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
+            yield m, k, p - m - 2 * k, q - m - 2 * k, theta, count_partitions(k)
+
+
+def _k0_strata(p: int, q: int):
+    """(m, k, mu, deltas, count, family, mu_text) for each stratum of the k0 census
+    of (p, q), over _k0_cells: each orbit over its support carries count = theta *
+    p(k) * pi(mu) local systems (split-D, and pi = 1, for an empty mu)."""
+    for m, k, p1, q1, theta, pk in _k0_cells(p, q):
+        if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
+            yield (m, k, (), _support_deltas(m, DELTA_NAMES),
+                   theta_k0_count("split-D", m) * pk, "empty-mu", "0")
+        for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
+            yield (m, k, mu, _support_deltas(m, cls.deltas),
+                   theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
@@ -307,8 +299,16 @@ def census_bdi_k0(p: int, q: int) -> CensusReport:
 
 @lru_cache(maxsize=None)
 def census_k0_total(p: int, q: int) -> int:
-    """census_bdi_k0(p, q).total, memoised."""
-    return census_bdi_k0(p, q).total
+    """census_bdi_k0(p, q).total, memoised, with no record built: each cell adds
+    p(k) times theta times each class's richardson_pi_sums times the orbits over
+    a support of that class, and the empty mu's split-D count times its orbits."""
+    total = 0
+    for m, k, p1, q1, theta, pk in _k0_cells(p, q):
+        b1, b2 = richardson_pi_sums(p1, q1)  # a class-2 mu's deltas are DELTA_NAMES[:2]
+        total += pk * (theta[1] * b1 + theta[2] * b2 * len(_support_deltas(m, DELTA_NAMES[:2])))
+        if p1 == q1 == 0:
+            total += pk * theta_k0_count("split-D", m) * len(_support_deltas(m, DELTA_NAMES))
+    return total
 
 
 def _k1_strata(p: int, q: int):
@@ -324,7 +324,7 @@ def _k1_strata(p: int, q: int):
     cls, text, rows = classify(staircase), format_diagram(staircase), staircase.rows
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
-        deltas = _support_class(m, rows, cls).deltas
+        deltas = _support_deltas(m, cls.deltas)
         count = count_bipartitions(k) * theta_k1_count(m, t)
         if count % len(deltas):
             raise ArithmeticError(f"{count} local systems do not share evenly among the "
@@ -490,8 +490,9 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
     return b1 + 2 * b2, k1
 
 
+@lru_cache(maxsize=None)
 def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
-    """Sums of character counts over class-1 and class-2 Richardson diagrams."""
+    """Sums of character counts over class-1 and class-2 Richardson diagrams, memoised."""
     sums = {1: 0, 2: 0}
     for _, cls, _, pi in zip(*sigma_b_listing(p, q)):
         sums[cls.index] += pi

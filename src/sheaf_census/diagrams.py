@@ -38,7 +38,7 @@ admissible set omega) build the Richardson signings, and
 ``sigma_class_counts`` counts sigma's classes without listing it, by a
 transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with
 the census's class rule ``_class_of`` and nothing from the formula route;
-one walk, on vectors of ways by plus-box count, serves a block of 8 sizes.
+one walk, on vectors of ways by plus-box count, serves every size up to its top.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -300,13 +300,11 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
 
 @lru_cache(maxsize=8)
 def _class_count_block(top: int) -> dict:
-    """sigma_class_counts of sizes top - 7 .. top by signature, from one walk
-    to top: a walk holds every smaller size, so a block of 8 sizes shares one
-    (blocks of 4 and 16 timed alike up to 32), and 8 cached blocks reach 64
-    sizes. ways[boxes] maps (a, b, repeated) to the ways at each plus-box
-    count 0 .. boxes over the odd lengths, each in every signing _sigma_rows
-    gives it; even lengths add nothing to a class, so they fold in as p(m)
-    ways at 4m boxes, 2m of them plus."""
+    """sigma_class_counts of every size 0 .. top by signature, from one walk to
+    top (a size's rounded up to a multiple of 16, 32 at least). ways[boxes] maps
+    (a, b, repeated) to the ways at each plus-box count 0 .. boxes over the odd
+    lengths, each in every signing _sigma_rows gives it; even lengths add nothing
+    to a class, so they fold in as p(m) ways at 4m boxes, 2m of them plus."""
     ways = [{} for _ in range(top + 1)]
     ways[0][0, 0, False] = [1]
     for length in range(1, top + 1, 2):
@@ -323,7 +321,7 @@ def _class_count_block(top: int) -> dict:
                     out[dp:dp + boxes + 1] = map(add, out[dp:dp + boxes + 1], vec)
     even = [count_partitions(m) for m in range(top // 4 + 1)]
     table: dict[tuple[int, int], list] = {}
-    for n in range(max(top - 7, 0), top + 1):
+    for n in range(top + 1):
         acc: dict = {}
         for m, boxes in enumerate(range(n, -1, -4)):
             for key, vec in ways[boxes].items():
@@ -337,7 +335,7 @@ def _class_count_block(top: int) -> dict:
 
 def sigma_class_counts(p: int, q: int) -> tuple[tuple[DiagramClass, int], ...]:
     """(class, multiplicity) over enum_sigma(p, q), without listing it."""
-    return _class_count_block(-(-_size(p, q) // 8) * 8).get((p, q), ())
+    return _class_count_block(max(-(-_size(p, q) // 16) * 16, 32)).get((p, q), ())
 
 
 def _richardson_bits(row: int, start: int, above, mu: int) -> tuple[int, ...]:

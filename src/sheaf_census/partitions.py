@@ -2,7 +2,7 @@
 
 Counting functions accept arbitrary rational arguments and return 0 off the
 nonnegative integers, so convolution sums need no boundary cases; they read
-one cached integer DP, in the partition generator's modes.
+one cached integer DP table per generator mode, sized to a multiple of 64.
 """
 from __future__ import annotations
 
@@ -95,22 +95,27 @@ def enum_partitions(n: int) -> list[Partition]:
             for groups in _gen_partitions(n, n)]
 
 
+def _top(n: int) -> int:
+    """The size of the one table that serves n: n rounded up to a multiple of 64."""
+    return max(-(-n // 64), 1) * 64
+
+
 @lru_cache(maxsize=None)
-def _count_table(n: int, odd: bool = False, distinct: bool = False) -> tuple[int, ...]:
-    """Counts of the partitions of 0..n in _gen_partitions' odd and distinct
+def _count_table(top: int, odd: bool = False, distinct: bool = False) -> tuple[int, ...]:
+    """Counts of the partitions of 0..top in _gen_partitions' odd and distinct
     modes, by dense integer DP over the allowed parts; independent of any
     series expansion."""
-    table = [1] + [0] * n
-    for part in range(1, n + 1, 2 if odd else 1):
+    table = [1] + [0] * top
+    for part in range(1, top + 1, 2 if odd else 1):
         # descending totals use each part at most once, ascending any number of times
-        for total in range(n, part - 1, -1) if distinct else range(part, n + 1):
+        for total in range(top, part - 1, -1) if distinct else range(part, top + 1):
             table[total] += table[total - part]
     return tuple(table)
 
 
 def _count(x, odd: bool = False, distinct: bool = False) -> int:
     n = _natural(x)
-    return 0 if n is None else _count_table(n, odd, distinct)[n]
+    return 0 if n is None else _count_table(_top(n), odd, distinct)[n]
 
 
 def count_partitions(x) -> int:
@@ -123,7 +128,7 @@ def count_bipartitions(x) -> int:
     n = _natural(x)
     if n is None:
         return 0
-    table = _count_table(n, False, False)
+    table = _count_table(_top(n), False, False)
     return sum(table[k] * table[n - k] for k in range(n + 1))
 
 
@@ -137,23 +142,30 @@ def count_distinct_odd_partitions(x) -> int:
     return _count(x, odd=True, distinct=True)
 
 
-@lru_cache(maxsize=None)
-def _balanced_table(n: int) -> dict[int, tuple[Partition, ...]]:
-    """The distinct-odd partitions of n keyed by balance (parts 1 mod 4
-    minus parts 3 mod 4), in generator order, from one walk."""
-    table: dict[int, list[Partition]] = {}
-    for groups in _gen_partitions(n, n, odd=True, distinct=True):
-        balance = sum(1 if p % 4 == 1 else -1 for p, _ in groups)
-        table.setdefault(balance, []).append(Partition(tuple(p for p, _ in groups)))
-    return {balance: tuple(ps) for balance, ps in table.items()}
-
-
 def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
-    """Partitions of n into distinct odd parts whose count of parts congruent
-    to 1 mod 4 exceeds the count congruent to 3 mod 4 by exactly t."""
-    if n < 0:
-        return []
-    return list(_balanced_table(n).get(t, ()))
+    """Partitions of n into distinct odd parts whose count of parts congruent to
+    1 mod 4 exceeds the count congruent to 3 mod 4 by exactly t (their balance)."""
+    return [Partition(tuple(p for p, _ in groups))
+            for groups in _gen_partitions(n, n, odd=True, distinct=True)
+            if sum(1 if p % 4 == 1 else -1 for p, _ in groups) == t]
+
+
+@lru_cache(maxsize=None)
+def _balanced_counts(top: int) -> dict[tuple[int, int], int]:
+    """{(total, balance): count} over the distinct-odd partitions of the totals
+    0..top, by one integer DP over the parts, each taken at most once."""
+    counts = {(0, 0): 1}
+    for part in range(1, top + 1, 2):
+        for (total, balance), c in list(counts.items()):  # a snapshot: part once
+            if total + part <= top:
+                key = total + part, balance + (1 if part % 4 == 1 else -1)
+                counts[key] = counts.get(key, 0) + c
+    return counts
+
+
+def count_distinct_odd_balanced(n: int, t: int) -> int:
+    """len(enum_distinct_odd_balanced(n, t)), counted from one table, not listed."""
+    return _balanced_counts(_top(n)).get((n, t), 0)
 
 
 def weighted_odd_partition_sum(n: int) -> int:

@@ -481,7 +481,7 @@ def _pnt_formula(order: int, sweep: int):
                 expected = partitions.count_partitions(
                     Fraction(N - (2 * t * t - t), 4))
                 yield (f"N={N},t={t}",
-                       len(partitions.enum_distinct_odd_balanced(N, t)), expected)
+                       partitions.count_distinct_odd_balanced(N, t), expected)
     return cells(), "N <= 60, |t| <= 5"
 
 

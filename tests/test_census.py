@@ -11,6 +11,7 @@ from sheaf_census import groups as gp
 from sheaf_census import partitions
 from sheaf_census.partitions import count_bipartitions, count_partitions
 from sheaf_census.verify import run_suite
+from test_cli import TOTALS
 
 
 def test_hecke_counts():
@@ -327,9 +328,10 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
 
 def test_cross_route_sweep_25_to_40():
     # beyond the acceptance sweep (p+q <= 24): census, closed formula and
-    # component-group orbit sum agree for every pair with 25 <= p+q <= 40;
-    # past 32 the k0 census is its count-only total, not the full report
-    for total in range(25, 41):
+    # component-group orbit sum agree for every pair with 25 <= p+q <= 40,
+    # and with p+q = 48 and 56; past 32 the k0 census is its count-only
+    # total, not the full report
+    for total in (*range(25, 41), 48, 56):
         for p in range(total + 1):
             q = total - p
             k0 = cs.census_bdi_k0(p, q).total if total <= 32 else cs.census_k0_total(p, q)
@@ -478,25 +480,26 @@ def test_diii_closure_total_counts_the_lambda_listing():
 
 
 def test_support_classes_match_classify():
-    # the class read off mu's against the support classified from its rows;
-    # a stratum record holds mu's rows
+    # the deltas rule, read off mu's class, against the support classified
+    # from its rows; a stratum record holds mu's rows
     for N in range(31):
         for p in range(N + 1):
             q, t = N - p, 2 * p - N
-            strata = [(m, k, mu, cls) for m in range(min(p, q) + 1)
+            strata = [(m, k, mu, cls.deltas) for m in range(min(p, q) + 1)
                       if N % 2 or (m - q) % 2 == 0
                       for k in range((min(p, q) - m) // 2 + 1)
                       for mu, cls in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k)[:2])]
             if N % 2 == 0 and p == q:
-                strata += [(m, (q - m) // 2, (), cs._EMPTY_CLASS)
+                strata += [(m, (q - m) // 2, (), dg.DELTA_NAMES)
                            for m in range(q % 2, q + 1, 2)]
             D = N - t * t
-            strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)))
+            strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)).deltas)
                        for k in range(D // 4 + 1)]
-            for m, k, mu, cls in strata:
-                assert cls == dg.classify(dg._unchecked(mu))
+            for m, k, mu, deltas in strata:
+                assert deltas == dg.classify(dg._unchecked(mu)).deltas
                 support = oracles.support_via_diagram(m, k, dg._unchecked(mu))
-                assert cs._support_class(m, mu, cls) == dg.classify(support), (p, q, m, k, mu)
+                assert cs._support_deltas(m, deltas) == dg.classify(support).deltas, \
+                    (p, q, m, k, mu)
 
 
 def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
@@ -560,19 +563,33 @@ def test_number1_k1_walks_no_strata_when_warm(monkeypatch):
 TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bijection"]
 
 
-def test_verify_walks_each_pair_once_and_then_not_at_all(monkeypatch):
-    sweep = 10
-    # the strata (m, k, mu) of every pair p + q <= sweep
-    strata = sum(len({(e.m, e.k, e.mu) for e in cs.census_bdi_k0(p, N - p).entries})
-                 for N in range(sweep + 1) for p in range(N + 1))
-    for cache in (cs.census_k0_total, cs.census_diii_totals, cs.diii_closure_total):
+def test_verify_builds_no_stratum_and_then_reads_no_listing(monkeypatch):
+    # the k0 totals sum the pi sums over the strata rule's cells: no stratum
+    # record is built, and a warm rerun reads the memoised totals and pi sums
+    for cache in TOTALS:
         cache.cache_clear()
-    calls = _count_calls(monkeypatch, "_support_class", cs)
-    first = run_suite(TOTAL_CHECKS, 12, sweep)
+    strata = _count_calls(monkeypatch, "_k0_strata", cs)
+    listings = [_count_calls(monkeypatch, name, cs) for name in ("sigma_b_listing", "lambda_b_listing")]
+    tables = _count_calls(monkeypatch, "_by_signature", dg)
+    first = run_suite(TOTAL_CHECKS, 12, 10)
     assert all(r.passed for r in first)
-    # number1-k0 and numbert-closure share one walk per pair, and the diii
-    # totals read no support at all
-    assert len(calls) == strata
-    del calls[:]
-    assert run_suite(TOTAL_CHECKS, 12, sweep) == first
-    assert not calls
+    assert strata == []
+    # the pi sums read the sigma_b listing once per residual pair
+    assert listings[0] and len(set(listings[0])) == len(listings[0])
+    for calls in listings:
+        del calls[:]
+    del tables[:]
+    assert run_suite(TOTAL_CHECKS, 12, 10) == first
+    assert strata == tables == [] and listings == [[], []]
+
+
+def test_the_default_suite_builds_no_record_and_walks_classes_once(monkeypatch):
+    # no check builds a stratum record or a Partition, and one class-count
+    # walk serves every size the suite reads
+    for cache in (*TOTALS, dg._class_count_block):
+        cache.cache_clear()
+    strata = _count_calls(monkeypatch, "_k0_strata", cs)
+    built = _count_calls(monkeypatch, "Partition", partitions, dg)
+    assert all(r.passed for r in run_suite("all", 40, 24))
+    assert strata == built == []
+    assert dg._class_count_block.cache_info().misses == 1

@@ -363,9 +363,10 @@ def refill(request):
     return clear
 
 
-# the memoised census totals that verify reads: every test that patches a
-# helper feeding them refills them too
-TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total)
+# the memoised census totals and Richardson pi sums that verify reads: every
+# test that patches a helper feeding them refills them too
+TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total,
+          census.richardson_pi_sums)
 
 
 def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):

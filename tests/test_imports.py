@@ -14,7 +14,7 @@ from test_cli import child_env
 # by the submodule that defines it
 EXPORTED = {
     "partitions": ["BiPartition", "Partition", "count_bipartitions",
-                   "count_distinct_odd_partitions", "count_distinct_partitions",
+                   "count_distinct_odd_balanced", "count_distinct_odd_partitions", "count_distinct_partitions",
                    "count_partitions", "enum_distinct_odd_balanced", "enum_partitions",
                    "weighted_odd_partition_sum"],
     "qseries": ["FormalSeries", "bilateral_sum", "parse_series_expr", "prod_series"],

@@ -145,6 +145,14 @@ def test_balanced_distinct_odd_formula():
             assert len(pt.enum_distinct_odd_balanced(n, t)) == expected, (n, t)
 
 
+def test_balanced_count_matches_the_listing():
+    # the (total, balance) DP against the listed partitions, every t that occurs
+    for n in range(-1, 61):
+        for t in range(-9, 10):
+            assert pt.count_distinct_odd_balanced(n, t) == \
+                len(pt.enum_distinct_odd_balanced(n, t)), (n, t)
+
+
 def test_balanced_table_matches_filtered_oracle():
     for n in range(41):
         members = list(oracles.gen_distinct_odd(n, n))
