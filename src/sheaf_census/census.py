@@ -36,8 +36,8 @@ from functools import cached_property, lru_cache
 
 from . import SUBSETS, qseries
 from .diagrams import (
-    DELTA_NAMES,
     SignedYoungDiagram,
+    _class_of,
     _group_text,
     _size,
     _unchecked,
@@ -253,7 +253,7 @@ def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
 
 def _support_deltas(m: int, deltas: tuple) -> tuple:
     """classify(diagram(*mu, (1, m, m), (2, k, k))).deltas, deltas being mu's class's
-    (class 3's four, DELTA_NAMES, for the empty mu): m >= 1 rows of 1+ and 1- make
+    (class 3's four for the empty mu): m >= 1 rows of 1+ and 1- make
     a, b >= 1 (class 1, one orbit), and the 2-rows add nothing to a class key."""
     return (None,) if m else deltas
 
@@ -264,10 +264,11 @@ def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
 
 
 def _k0_cells(p: int, q: int):
-    """(m, k, p1, q1, theta, p(k)) for each cell (m, k) of the trivial-character
+    """(m, k, p1, q1, theta, p(k), empty) for each cell (m, k) of the trivial-character
     strata of (p, q): mu is a Richardson diagram of signature (p1, q1) = (p - m - 2k,
     q - m - 2k), or empty at (0, 0); an even size keeps only m of q's parity;
-    theta maps mu's class to its induced family's count at m."""
+    theta maps mu's class to its induced family's count at m, and empty is the
+    empty mu's split-D count times p(k) (0 unless p1 == q1 == 0)."""
     N = _size(p, q)
     side = "B" if N % 2 else "D"
     for m in range(min(p, q) + 1):
@@ -276,17 +277,18 @@ def _k0_cells(p: int, q: int):
         # the induced module families depend on m and the parity only
         theta = {i: theta_k0_count(f"ind{i}-{side}", m) for i in (1, 2)}
         for k in range((min(p, q) - m) // 2 + 1):
-            yield m, k, p - m - 2 * k, q - m - 2 * k, theta, count_partitions(k)
+            p1, q1, pk = p - m - 2 * k, q - m - 2 * k, count_partitions(k)
+            yield m, k, p1, q1, theta, pk, theta_k0_count("split-D", m) * pk if p1 == q1 == 0 else 0
 
 
 def _k0_strata(p: int, q: int):
     """(m, k, mu, deltas, count, family, mu_text) for each stratum of the k0 census
     of (p, q), over _k0_cells: each orbit over its support carries count = theta *
     p(k) * pi(mu) local systems (split-D, and pi = 1, for an empty mu)."""
-    for m, k, p1, q1, theta, pk in _k0_cells(p, q):
-        if p1 == q1 == 0:  # no Richardson diagram of signature (0, 0)
-            yield (m, k, (), _support_deltas(m, DELTA_NAMES),
-                   theta_k0_count("split-D", m) * pk, "empty-mu", "0")
+    for m, k, p1, q1, theta, pk, empty in _k0_cells(p, q):
+        if empty:  # no Richardson diagram of signature (0, 0): the empty mu, class 3
+            yield (m, k, (), _support_deltas(m, _class_of(0, 0, False).deltas), empty,
+                   "empty-mu", "0")
         for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
             yield (m, k, mu, _support_deltas(m, cls.deltas),
                    theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
@@ -302,12 +304,11 @@ def census_k0_total(p: int, q: int) -> int:
     """census_bdi_k0(p, q).total, memoised, with no record built: each cell adds
     p(k) times theta times each class's richardson_pi_sums times the orbits over
     a support of that class, and the empty mu's split-D count times its orbits."""
-    total = 0
-    for m, k, p1, q1, theta, pk in _k0_cells(p, q):
-        b1, b2 = richardson_pi_sums(p1, q1)  # a class-2 mu's deltas are DELTA_NAMES[:2]
-        total += pk * (theta[1] * b1 + theta[2] * b2 * len(_support_deltas(m, DELTA_NAMES[:2])))
-        if p1 == q1 == 0:
-            total += pk * theta_k0_count("split-D", m) * len(_support_deltas(m, DELTA_NAMES))
+    total, two, empty_mu = 0, _class_of(1, 0, False).deltas, _class_of(0, 0, False).deltas
+    for m, k, p1, q1, theta, pk, empty in _k0_cells(p, q):
+        b1, b2 = richardson_pi_sums(p1, q1)  # class 1's and class 2's (two deltas) pi sums
+        total += pk * (theta[1] * b1 + theta[2] * b2 * len(_support_deltas(m, two))) \
+            + empty * len(_support_deltas(m, empty_mu))
     return total
 
 

@@ -480,25 +480,26 @@ def test_diii_closure_total_counts_the_lambda_listing():
 
 
 def test_support_classes_match_classify():
-    # the deltas rule, read off mu's class, against the support classified
-    # from its rows; a stratum record holds mu's rows
+    # mu's class against mu classified from its rows, and the deltas rule, read
+    # off mu's class, against the support classified; a stratum record holds
+    # mu's rows
     for N in range(31):
         for p in range(N + 1):
             q, t = N - p, 2 * p - N
-            strata = [(m, k, mu, cls.deltas) for m in range(min(p, q) + 1)
+            strata = [(m, k, mu, cls) for m in range(min(p, q) + 1)
                       if N % 2 or (m - q) % 2 == 0
                       for k in range((min(p, q) - m) // 2 + 1)
                       for mu, cls in zip(*dg.sigma_b_listing(p - m - 2 * k, q - m - 2 * k)[:2])]
             if N % 2 == 0 and p == q:
-                strata += [(m, (q - m) // 2, (), dg.DELTA_NAMES)
+                strata += [(m, (q - m) // 2, (), dg._class_of(0, 0, False))
                            for m in range(q % 2, q + 1, 2)]
             D = N - t * t
-            strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)).deltas)
+            strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)))
                        for k in range(D // 4 + 1)]
-            for m, k, mu, deltas in strata:
-                assert deltas == dg.classify(dg._unchecked(mu)).deltas
+            for m, k, mu, cls in strata:
+                assert cls == dg.classify(dg._unchecked(mu))
                 support = oracles.support_via_diagram(m, k, dg._unchecked(mu))
-                assert cs._support_deltas(m, deltas) == dg.classify(support).deltas, \
+                assert cs._support_deltas(m, cls.deltas) == dg.classify(support).deltas, \
                     (p, q, m, k, mu)
 
 
