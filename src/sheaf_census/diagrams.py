@@ -19,26 +19,26 @@ The sets implemented here:
   (with single-sign groups and matched counts at most 1 for the ``_b`` set).
   ``enum_lambda_even(n)`` lists only the all-even members of the first.
 
-Every enumerator builds exactly its set from the one partition generator,
-which yields each partition grouped as (length, multiplicity) pairs (the
-partitions of p+q whose even parts have even multiplicity, the odd
-partitions of p+q, the partitions of n with every multiplicity doubled), and
-assigns only admissible signs to each group. Each set is a cached per-size
-listing of each diagram's rows, class and text (``sigma_listing`` and
-``sigma_b_listing`` by signature, a Richardson one's ``_pi`` of omega's size
-too; ``lambda_listing``, ``lambda_b_listing``, ``lambda_even_listing``), all
-summed group by group as signs are chosen by ``_signings`` (or, for sigma_b,
-``_richardson_signings``), each group option's ``_ab`` and text
-(``format_diagram``'s, joined from ``_group_text``) read once (``_options``),
-so no diagram is built. Enumerator output skips the checks (valid by
-construction); ``in_lambda`` asks the same row rule. The per-group rules
-``_richardson_bits`` (forced signs) and ``_richardson_in_omega`` (the
-admissible set omega) build the Richardson signings, and
-``_richardson_omega`` checks a diagram with both in one walk.
-``sigma_class_counts`` counts sigma's classes without listing it, by a
-transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with
-the census's class rule ``_class_of`` and nothing from the formula route;
-one walk, on vectors of ways by plus-box count, serves every size up to its top.
+Every set is one ``partitions._walk`` over its row lengths (all up to p+q for
+sigma, the odd ones for sigma_b; all up to n for Lambda and Lambda_b and the
+even ones for the all-even Lambda, a group (length, mult) of these standing
+for 2*mult rows) under one extend rule, which signs a group prefix once for
+every partition sharing it: ``_signed`` takes each option of a per-group
+option function (``_sigma_rows``, ``_lambda_rows``, ``_lambda_b_rows``; a
+group with none prunes the branch), ``_richardson`` each sign bit that
+``_richardson_bits`` allows, carrying the group above and omega's size
+(``_richardson_in_omega``). ``_by_signature`` files a size's signings into a
+cached listing of rows, classes and texts (``sigma_listing``, and
+``sigma_b_listing`` with each ``_pi``, by signature; ``lambda_listing``,
+``lambda_b_listing``, ``lambda_even_listing``), from each group option's
+``_ab`` and text read once (``_options``), so no diagram is built.
+Enumerator output skips the checks (valid by construction); ``in_lambda``
+asks the same row rule, and ``_richardson_omega`` checks a diagram with both
+Richardson rules in one pass down its groups. ``sigma_class_counts`` counts
+sigma's classes without listing it, by a transfer-matrix DP (Stanley, EC1
+4.7) over ``_sigma_rows``' options, with the census's class rule
+``_class_of`` and nothing from the formula route; one pass, on vectors of
+ways by plus-box count, serves every size up to its top.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
 
-from .partitions import BiPartition, Partition, _gen_partitions, count_partitions
+from .partitions import BiPartition, Partition, _walk, count_partitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,21 +235,21 @@ def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]
     return [((length, plus, mult - plus), mult * half + plus) for plus in range(mult, -1, -1)]
 
 
-def _by_signature(n: int, partitions, signings) -> dict:
-    """{signature (p, n - p): (rows, classes, texts[, pis])} over every (rows, p,
-    a, b, repeated, omega, text) in signings(groups) of the grouped partitions, in
-    generator order; pis holds each _pi where omega, a Richardson admissible set's
-    size, is given."""
+def _by_signature(size: int, n: int, lengths: range, extend) -> dict:
+    """{signature (p, size - p): (rows, classes, texts[, pis])} over every
+    signing that extend builds on the partitions of n into lengths, in walk
+    order; a prefix is (rows, p, a, b, repeated, text, state), and pis holds
+    each _pi where the state, a Richardson one, gives omega's size."""
     table: dict[int, tuple[list, list, list, list]] = {}  # p -> its columns
-    for groups in partitions:
-        for rows, p, a, b, repeated, omega, text in signings(groups):
+    for prefixes in _walk(n, lengths, extend, [((), 0, 0, 0, False, "", None)]):
+        for rows, p, a, b, repeated, text, state in prefixes:
             listed, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
             listed.append(rows)
             classes.append(cls := _class_of(a, b, repeated))
             texts.append(text or "0")
-            if omega is not None:
-                pis.append(_pi(text, cls, omega, n))
-    return {(p, n - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
+            if state is not None:
+                pis.append(_pi(text, cls, state[1], size))
+    return {(p, size - p): tuple(tuple(c) for c in columns if c) for p, columns in table.items()}
 
 
 @lru_cache(maxsize=None)
@@ -260,20 +260,16 @@ def _options(signings, length: int, mult: int, sep: str) -> tuple[tuple, ...]:
                  for row, dp in signings(length, mult))
 
 
-def _signings(signings, groups) -> list[tuple]:
-    """(rows, p, a, b, repeated, None, text) for every signing of the groups by
-    signings, a module-level option function (_options is keyed on it), first
-    group varying slowest (none if a group has none); p (plus boxes), the class
-    key and the text (the groups' _group_text, a space apart) build by group."""
-    options = [_options(signings, *group, " " if j else "") for j, group in enumerate(groups)]
-    if not all(options):  # a group with no signing: none walked
-        return []
-    out = [((), 0, 0, 0, False, None, "")]
-    for group_options in options:
-        out = [(rows + (row,), p + dp, a + da, b + db, rep or drep, None, text + more)
-               for rows, p, a, b, rep, _, text in out
-               for row, dp, da, db, drep, more in group_options]
-    return out
+def _signed(signings):
+    """The _walk rule giving each group every option of signings, a module-level
+    option function (_options is keyed on it), first group varying slowest; p
+    (plus boxes), the class key and the text build group by group."""
+    def extend(prefixes, length, mult, row):
+        options = _options(signings, length, mult, " " if row else "")
+        return [(rows + (r,), p + dp, a + da, b + db, rep or drep, text + more, None)
+                for rows, p, a, b, rep, text, _ in prefixes
+                for r, dp, da, db, drep, more in options]
+    return extend
 
 
 def _size(p: int, q: int) -> int:
@@ -285,7 +281,7 @@ def _size(p: int, q: int) -> int:
 
 @lru_cache(maxsize=64)
 def _sigma_by_signature(n: int) -> dict:
-    return _by_signature(n, _gen_partitions(n, n, paired=True), partial(_signings, _sigma_rows))
+    return _by_signature(n, n, range(n, 0, -1), _signed(_sigma_rows))
 
 
 def sigma_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
@@ -363,21 +359,20 @@ def _richardson_rows(length: int, mult: int) -> tuple[tuple[tuple[int, int, int]
     return ((length, mult, 0), mult * (length // 2 + 1)), ((length, 0, mult), mult * (length // 2))
 
 
-def _richardson_signings(groups, start: int) -> list[tuple]:
-    """(rows, p, a, b, repeated, omega, text), one sign bit per group from
-    _richardson_bits, in lexicographic order; p, the class key, omega's size
-    and the text (as in _signings) build group by group."""
-    out, row, sep = [((), 0, 0, 0, False, None, 0, "")], 0, ""
-    for length, mult in groups:
+def _richardson(start: int):
+    """The _walk rule of sigma_b: one sign bit per group from _richardson_bits, in
+    lexicographic order, p, the class key and the text built as in _signed; its
+    state carries the group above's (sign bit, half-length) and omega's size."""
+    def extend(prefixes, length, mult, row):
         mu = (length - 1) // 2
-        signed = _options(_richardson_rows, length, mult, sep)
-        out = [(rows + (group,), p + dp, a + da, b + db, rep or drep, (bit, mu),
-                omega + _richardson_in_omega(row, start, above, bit, mu), text + more)
-               for rows, p, a, b, rep, above, omega, text in out
-               for bit in _richardson_bits(row, start, above, mu)
-               for group, dp, da, db, drep, more in [signed[bit]]]
-        row, sep = row + mult, " "
-    return [(rows, p, a, b, rep, omega, text) for rows, p, a, b, rep, _, omega, text in out]
+        signed = _options(_richardson_rows, length, mult, " " if row else "")
+        return [(rows + (group,), p + dp, a + da, b + db, rep or drep, text + more,
+                 ((bit, mu), omega + _richardson_in_omega(row, start, above, bit, mu)))
+                for rows, p, a, b, rep, text, state in prefixes
+                for above, omega in [state or (None, 0)]
+                for bit in _richardson_bits(row, start, above, mu)
+                for group, dp, da, db, drep, more in [signed[bit]]]
+    return extend
 
 
 def _richardson_omega(d: SignedYoungDiagram) -> frozenset[int] | None:
@@ -413,8 +408,7 @@ def _pi(text: str, cls: DiagramClass, omega: int, n: int) -> int:
 @lru_cache(maxsize=64)
 def _sigma_b_by_signature(n: int) -> dict:
     # the empty diagram (n = 0) is not Richardson
-    return _by_signature(n, _gen_partitions(n, n, odd=True) if n else (),
-                         lambda groups: _richardson_signings(groups, n % 2))
+    return _by_signature(n, n, range(1, n + 1, 2)[::-1], _richardson(n % 2)) if n else {}
 
 
 def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple, tuple]:
@@ -443,33 +437,31 @@ def _lambda_b_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], i
     return [((length, 2 * mult, 0), mult * length), ((length, 0, 2 * mult), mult * length)]
 
 
-def _doubled_listing(n: int, partitions, signings) -> tuple[tuple, tuple, tuple]:
-    """The (rows, classes, texts) of every signing by signings of the grouped
-    partitions, a group (length, mult) standing for 2*mult rows: signature (n, n)."""
+def _doubled_listing(n: int, lengths: range, signings) -> tuple[tuple, tuple, tuple]:
+    """The (rows, classes, texts) of every signing by signings of the partitions of n
+    into lengths, a group (length, mult) standing for 2*mult rows: signature (n, n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _by_signature(2 * n, partitions, partial(_signings, signings)).get((n, n), ((), (), ()))
+    return _by_signature(2 * n, n, lengths, _signed(signings)).get((n, n), ((), (), ()))
 
 
 @lru_cache(maxsize=64)
 def lambda_listing(n: int) -> tuple[tuple, tuple, tuple]:
     """enum_lambda(n)'s rows, and each diagram's class and text, in order: as an odd
     length adds one to both a and b, the class is 3 exactly on the all-even."""
-    return _doubled_listing(n, _gen_partitions(n, n), _lambda_rows)
+    return _doubled_listing(n, range(n, 0, -1), _lambda_rows)
 
 
 @lru_cache(maxsize=64)
 def lambda_even_listing(n: int) -> tuple[tuple, tuple, tuple]:
-    """The all-even part of lambda_listing(n), in the same order: row lengths
-    twice a partition of n/2, each multiplicity doubled; none for odd n."""
-    doubled = ([(2 * j, mult) for j, mult in groups] for groups in _gen_partitions(n // 2, n // 2))
-    return _doubled_listing(n, () if n % 2 else doubled, _lambda_rows)
+    """The all-even part of lambda_listing(n), in the same order; none for odd n."""
+    return _doubled_listing(n, range(n, 0, -2) if n % 2 == 0 else range(0), _lambda_rows)
 
 
 @lru_cache(maxsize=64)
 def lambda_b_listing(n: int) -> tuple[tuple, tuple, tuple]:
     """enum_lambda_b(n)'s rows, and each diagram's class and text, in order."""
-    return _doubled_listing(n, _gen_partitions(n, n), _lambda_b_rows)
+    return _doubled_listing(n, range(n, 0, -1), _lambda_b_rows)
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:

@@ -1,8 +1,10 @@
 """Integer partitions, bipartitions, and the balanced/weighted variants.
 
-Counting functions accept arbitrary rational arguments and return 0 off the
-nonnegative integers, so convolution sums need no boundary cases; they read
-one cached integer DP table per generator mode, sized to a multiple of 64.
+Every listing, here and in ``diagrams``, is the one walk ``_walk`` under its
+own extend rule. Counting functions accept arbitrary rational arguments and
+return 0 off the nonnegative integers, so convolution sums need no boundary
+cases; they read one cached integer DP table per kind of part, sized to a
+multiple of 64.
 """
 from __future__ import annotations
 
@@ -60,31 +62,37 @@ def _natural(x) -> int | None:
     return n if n is not None and n >= 0 else None
 
 
-def _gen_partitions(n: int, max_part: int, odd: bool = False, distinct: bool = False,
-                    paired: bool = False):
-    """Partitions of n with parts at most max_part, lexicographically
-    decreasing, each as ((part, multiplicity), ...) with parts decreasing;
-    `odd` allows only odd parts, `distinct` no repeated part, `paired` only
-    even multiplicities of even parts."""
-    if n == 0:
-        yield ()
+def _walk(n: int, lengths: range, extend, prefixes: list, row: int = 0):
+    """Partitions of n into the decreasing range of lengths, lexicographically
+    decreasing, each multiplicity largest first. extend(prefixes, length, mult,
+    row) returns the prefixes built on the groups above (row rows) extended by
+    the group (length, mult), once per node of the partition trie; an empty
+    result prunes the branch. The last length takes whatever is left. Yields
+    each complete partition's prefixes."""
+    if not n:
+        yield prefixes
         return
-    step = 2 if odd else 1
-    first = min(n, max_part)
-    if odd and first % 2 == 0:
-        first -= 1
-    for part in range(first, 0, -step):
-        mult_step = 2 if paired and part % 2 == 0 else 1
-        mult = 1 if distinct else n // part
-        mult -= mult % mult_step
-        if part == 1:  # the last part must take all of n
-            if mult == n:
-                yield ((1, n),)
-            break
-        while mult:
-            for rest in _gen_partitions(n - part * mult, part - step, odd, distinct, paired):
-                yield ((part, mult),) + rest
-            mult -= mult_step
+    last = len(lengths) - 1
+    for i, length in enumerate(lengths):
+        if i < last:
+            mults = range(n // length, 0, -1)
+        else:  # the last length takes whatever is left
+            mults = (n // length,) if n % length == 0 else ()
+        for mult in mults:
+            if extended := extend(prefixes, length, mult, row):
+                if left := n - length * mult:
+                    yield from _walk(left, lengths[i + 1:], extend, extended, row + mult)
+                else:
+                    yield extended
+
+
+def _gen_partitions(n: int, odd: bool = False):
+    """Partitions of n (into odd parts if odd), lexicographically decreasing,
+    each as ((part, multiplicity), ...) with parts decreasing."""
+    def group(prefixes, length, mult, row):
+        return [groups + ((length, mult),) for groups in prefixes]
+    lengths = range(1, n + 1, 2)[::-1] if odd else range(n, 0, -1)
+    return (groups for groups, in _walk(n, lengths, group, [()]))
 
 
 def enum_partitions(n: int) -> list[Partition]:
@@ -92,7 +100,7 @@ def enum_partitions(n: int) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [Partition(tuple(part for part, mult in groups for _ in range(mult)))
-            for groups in _gen_partitions(n, n)]
+            for groups in _gen_partitions(n)]
 
 
 def _top(n: int) -> int:
@@ -102,9 +110,9 @@ def _top(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _count_table(top: int, odd: bool = False, distinct: bool = False) -> tuple[int, ...]:
-    """Counts of the partitions of 0..top in _gen_partitions' odd and distinct
-    modes, by dense integer DP over the allowed parts; independent of any
-    series expansion."""
+    """Counts of the partitions of 0..top, into odd parts if odd and distinct
+    parts if distinct, by dense integer DP over the allowed parts; independent
+    of any partition walk or series expansion."""
     table = [1] + [0] * top
     for part in range(1, top + 1, 2 if odd else 1):
         # descending totals use each part at most once, ascending any number of times
@@ -145,9 +153,10 @@ def count_distinct_odd_partitions(x) -> int:
 def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
     """Partitions of n into distinct odd parts whose count of parts congruent to
     1 mod 4 exceeds the count congruent to 3 mod 4 by exactly t (their balance)."""
-    return [Partition(tuple(p for p, _ in groups))
-            for groups in _gen_partitions(n, n, odd=True, distinct=True)
-            if sum(1 if p % 4 == 1 else -1 for p, _ in groups) == t]
+    def distinct(prefixes, length, mult, row):
+        return [parts + (length,) for parts in prefixes] if mult == 1 else []
+    return [Partition(parts) for parts, in _walk(n, range(1, n + 1, 2)[::-1], distinct, [()])
+            if sum(1 if p % 4 == 1 else -1 for p in parts) == t]
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +189,11 @@ def weighted_odd_partition_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    for groups in _gen_partitions(n, n, odd=True):
-        s = sum(mult for _, mult in groups)
-        gaps = above = 0
-        for (hi, mult), (lo, _) in zip(groups, groups[1:]):
-            above += mult
-            if hi - lo >= 4 and above % 2 == s % 2:
-                gaps += 1
-        total += 2 ** gaps
-    return total
+    def extend(prefixes, length, mult, row):
+        # gaps: the wide boundaries so far, by the parity of the rows above them
+        (above, _, gaps), = prefixes
+        if above - length >= 4:
+            gaps = (gaps[0] + 1, gaps[1]) if row % 2 == 0 else (gaps[0], gaps[1] + 1)
+        return [(length, row + mult, gaps)]
+    return sum(2 ** gaps[s % 2] for ((_, s, gaps),)
+               in _walk(n, range(1, n + 1, 2)[::-1], extend, [(0, 0, (0, 0))]))

@@ -25,8 +25,8 @@ from sheaf_census import diagrams, groups
 from sheaf_census.census import OrbitLabel, StratumEntry, theta_k0_count
 from sheaf_census.diagrams import DELTA_NAMES, SignedYoungDiagram, classify, diagram, mu_t
 from sheaf_census.groups import eta, pi_size
-from sheaf_census.partitions import (_gen_partitions, count_bipartitions,
-                                     count_distinct_partitions, count_partitions)
+from sheaf_census.partitions import (count_bipartitions, count_distinct_partitions,
+                                     count_partitions)
 
 
 def gen_partitions(n, max_part):
@@ -431,11 +431,14 @@ def _richardson_signings(groups, start):
 
 
 def sigma_by_signature(n):
-    """The per-diagram build of diagrams._sigma_by_signature(n)."""
-    return _by_signature(n, _gen_partitions(n, n, paired=True), _sigma_signings)
+    """The per-diagram build of diagrams._sigma_by_signature(n), over the
+    partitions of n whose even parts have even multiplicity."""
+    paired = (_group(p) for p in gen_partitions(n, n)
+              if all(p.count(part) % 2 == 0 for part in p if part % 2 == 0))
+    return _by_signature(n, paired, _sigma_signings)
 
 
 def sigma_b_by_signature(n):
     """The per-diagram build of diagrams._sigma_b_by_signature(n)."""
-    return _by_signature(n, _gen_partitions(n, n, odd=True) if n else (),
+    return _by_signature(n, map(_group, gen_odd_partitions(n, n)) if n else (),
                          lambda groups: _richardson_signings(groups, n % 2))

@@ -137,13 +137,19 @@ def test_cuspidal_counts():
     assert cs.cuspidal_counts(4, 2) == (0, 4)
     assert cs.cuspidal_counts(6, 1)[1] == 0
     assert cs.cuspidal_counts(2, 2)[0] == cs.theta_k0_count("split-D", 2) == 5
-    # cuspidal sheaves are a subset of the census on every pair
-    for total in range(12):
+    # cuspidal sheaves are a subset of the census on every pair; the trivial
+    # part counts the sheaves on one orbit over the full-support diagram
+    # 1+^p 1-^q, so times its orbits it is the k0 census's cuspidal total,
+    # off the split and near-split pairs too
+    for total in range(21):
         for p in range(total + 1):
             q = total - p
             c0, c1 = cs.cuspidal_counts(p, q)
-            assert c0 <= cs.census_bdi_k0(p, q).total
+            k0 = cs.census_bdi_k0(p, q)
+            assert c0 <= k0.total
             assert c1 <= cs.census_bdi_k1(p, q).total
+            orbits = dg.classify(dg.diagram((1, p, q))).orbits
+            assert c0 * orbits == cs.subset_report(k0, "cuspidal").total, (p, q)
 
 
 def test_nilpotent_counts():
@@ -155,6 +161,12 @@ def test_nilpotent_counts():
     assert cs.nilpotent_support_counts(6, 2)[1] == 0
     # both orbits over each class-2 diagram carry their characters
     assert cs.nilpotent_support_counts(1, 0)[0] == 2
+    # the nontrivial part is the k1 census's nilpotent total on every pair
+    for total in range(21):
+        for p in range(total + 1):
+            q = total - p
+            assert cs.nilpotent_support_counts(p, q)[1] == \
+                cs.subset_report(cs.census_bdi_k1(p, q), "nilpotent").total, (p, q)
 
 
 def test_aggregate_T():
@@ -364,7 +376,7 @@ ORBIT_SUMS = (cs.kappa0_orbit_sum, cs.kappa1_orbit_sum, cs.sigma23_r_sum)
 def _count_listing(monkeypatch):
     """Count the diagrams built and the partition walks started."""
     return (_count_calls(monkeypatch, "_unchecked", dg, cs),
-            _count_calls(monkeypatch, "_gen_partitions", dg, partitions))
+            _count_calls(monkeypatch, "_walk", dg, partitions))
 
 
 def test_orbit_sums_classify_no_diagram(monkeypatch):
@@ -400,9 +412,10 @@ def test_tables_build_no_diagram_and_read_each_option_once(monkeypatch):
     assert built == []
     assert all(len(rows) == 1 for rows, in reads)
     options = {(signings, length, mult, j > 0)
-               for signings, kind in ((dg._sigma_rows, {"paired": True}),
-                                      (dg._richardson_rows, {"odd": True}))
-               for groups in partitions._gen_partitions(24, 24, **kind)
+               for signings, odd in ((dg._sigma_rows, False), (dg._richardson_rows, True))
+               for groups in partitions._gen_partitions(24, odd)
+               # sigma lists no odd count of an even length
+               if odd or all(mult % 2 == 0 for length, mult in groups if length % 2 == 0)
                for j, (length, mult) in enumerate(groups)}
     assert len(reads) == sum(len(signings(length, mult)) for signings, length, mult, _ in options)
     # 551 reads, where one per group of each partition would be 4,164 and one

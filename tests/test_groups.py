@@ -64,6 +64,19 @@ def test_count_dim_square_invariant():
                 if data.count:
                     r = dg.classify(d).r
                     assert data.count * data.dim ** 2 == 2 ** r, str(d)
+    # where no odd length repeats a sign, count * dim^2 = 2^r is Frobenius'
+    # sum of squares over the kappa1 irreducibles of the cover's component
+    # group (Serre, Linear Representations of Finite Groups, 2.4): every
+    # class of every pair with p + q <= 24
+    cases = 0
+    for total in range(25):
+        for p in range(total + 1):
+            for cls, _ in dg.sigma_class_counts(p, total - p):
+                if not cls.repeated:
+                    data = gp._kappa1_data(cls, p, total - p)
+                    assert data.count * data.dim ** 2 == 2 ** cls.r, (p, total - p, cls)
+                    cases += 1
+    assert cases == 246
 
 
 def test_kappa1_diii():

@@ -28,12 +28,12 @@ def test_enum_matches_bruteforce():
         assert [p.parts for p in pt.enum_partitions(n)] == brute_partitions(n)
 
 
-def flat(n, m, **mode):
+def flat(n, odd=False):
     """The grouped generator's partitions with every group expanded, after
     checking that each has strictly decreasing parts and positive
     multiplicities."""
     out = []
-    for groups in pt._gen_partitions(n, m, **mode):
+    for groups in pt._gen_partitions(n, odd):
         parts = [part for part, _ in groups]
         assert parts == sorted(set(parts), reverse=True), groups
         assert all(mult >= 1 for _, mult in groups), groups
@@ -42,25 +42,33 @@ def flat(n, m, **mode):
 
 
 def test_generator_modes_match_oracles():
-    # each mode of the one generator against the separate generator it
-    # replaced: every n <= 30 at max_part = n, every max_part for n <= 12
-    cases = [(n, n) for n in range(31)] + [(n, m) for n in range(13) for m in range(n)]
-    for n, m in cases:
-        assert flat(n, m) == list(oracles.gen_partitions(n, m))
-        assert flat(n, m, odd=True) == list(oracles.gen_odd_partitions(n, m))
-        assert flat(n, m, odd=True, distinct=True) == list(oracles.gen_distinct_odd(n, m))
-        assert flat(n, m, distinct=True) == \
-            [p for p in oracles.gen_partitions(n, m) if len(set(p)) == len(p)]
+    # the grouped view of the one walk against the separate generators it
+    # replaced, plain and odd, every n <= 30
+    for n in range(31):
+        assert flat(n) == list(oracles.gen_partitions(n, n)), n
+        assert flat(n, odd=True) == list(oracles.gen_odd_partitions(n, n)), n
 
 
-def test_paired_mode_matches_filtered_oracle():
-    # the sigma walk's partitions: the full generator's, in its order, kept
-    # when every even part has an even multiplicity
-    cases = [(n, n) for n in range(31)] + [(n, m) for n in range(13) for m in range(n)]
-    for n, m in cases:
-        assert flat(n, m, paired=True) == [
-            p for p in oracles.gen_partitions(n, m)
-            if all(p.count(part) % 2 == 0 for part in p if part % 2 == 0)], (n, m)
+def test_walk_extends_each_group_prefix_once():
+    # extend runs once per node of the partition trie: a group prefix shared
+    # by many partitions is extended once, not once for each of them
+    for n in range(17):
+        for odd, oracle in ((False, oracles.gen_partitions), (True, oracles.gen_odd_partitions)):
+            calls = []
+
+            def extend(prefixes, length, mult, row):
+                (groups,) = prefixes
+                assert row == sum(m for _, m in groups)
+                calls.append(groups + ((length, mult),))
+                return [calls[-1]]
+
+            lengths = range(1, n + 1, 2)[::-1] if odd else range(n, 0, -1)
+            walked = [groups for groups, in pt._walk(n, lengths, extend, [()])]
+            expected = [tuple(oracles._group(p)) for p in oracle(n, n)]
+            assert walked == expected, (n, odd)
+            assert len(calls) == len(set(calls)), (n, odd)
+            assert set(calls) == {groups[:k] for groups in expected
+                                  for k in range(1, len(groups) + 1)}, (n, odd)
 
 
 def test_enum_examples():
