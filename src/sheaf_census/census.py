@@ -17,9 +17,10 @@ whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing, and
 ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
-its rows. A ``CensusReport`` holds them, and its total (summed once), JSON rows
-and sub-censuses read them; its ``entries`` build one validated ``StratumEntry``
-(mu and its support diagrams) per orbit on demand.
+its rows. A ``CensusReport`` holds them, and its total (summed once), ``rows()``
+(one per orbit, in ``ROW_KEYS``' order: the JSON, csv and table rows) and
+sub-censuses read them; its ``entries`` build one ``StratumEntry`` (mu and its
+support diagrams, through the checked constructor) per orbit on demand.
 ``census_k0_total``, the memoised k0 total that ``verify`` reads, sums ``richardson_pi_sums``
 over ``_k0_cells`` with no record built; the other memoised totals are their reports'.
 
@@ -40,7 +41,6 @@ from .diagrams import (
     _class_of,
     _group_text,
     _size,
-    _unchecked,
     classify,
     diagram,
     enum_sigma_b,  # unused here; perfbench's tests check that its tracer patches it here
@@ -61,6 +61,7 @@ from .partitions import (
 )
 
 LOW_RANK_WARNING = "low-rank pair: outside the stable range (total size < 5)"
+ROW_KEYS = ("support", "delta", "m", "k", "mu", "family", "count")  # a census row's columns
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,8 @@ class CensusReport:
     @property
     def entries(self) -> tuple[StratumEntry, ...]:
         """One StratumEntry per orbit over each stratum's support, labels validated."""
-        return tuple(StratumEntry(OrbitLabel(support, delta), m, k, _unchecked(mu), count, family)
+        return tuple(StratumEntry(OrbitLabel(support, delta), m, k, SignedYoungDiagram(mu),
+                                  count, family)
                      for m, k, mu, deltas, count, family, _ in self.strata
                      for support in (diagram(*mu, (1, m, m), (2, k, k)),) for delta in deltas)
 
@@ -223,15 +225,19 @@ class CensusReport:
         """The local systems over every orbit, summed on the first read."""
         return sum(count * len(deltas) for _, _, _, deltas, count, *_ in self.strata)
 
+    def rows(self):
+        """Each orbit's row, its values in ROW_KEYS' order: the support's text,
+        the delta, m, k, mu's text, the family and the count."""
+        return ((support, delta, m, k, mu_text, family, count)
+                for m, k, mu, deltas, count, family, mu_text in self.strata
+                for support in (_support_text(m, k, mu, mu_text),) for delta in deltas)
+
     def to_json_dict(self, strata=None) -> dict:
         """The report as JSON values, its strata a list of row dicts, one per
         orbit, or strata if given, which stands in for that list."""
         keys = ("type", "p", "q") if self.pair[0] == "bdi" else ("type", "n")
         if strata is None:
-            strata = [{"support": support, "delta": delta, "m": m, "k": k, "mu": mu_text,
-                       "family": family, "count": count}
-                      for m, k, mu, deltas, count, family, mu_text in self.strata
-                      for support in (_support_text(m, k, mu, mu_text),) for delta in deltas]
+            strata = [dict(zip(ROW_KEYS, row)) for row in self.rows()]
         return {"pair": dict(zip(keys, self.pair)), "central": self.central,
                 "strata": strata, "total": self.total, "warnings": list(self.warnings)}
 

@@ -226,39 +226,32 @@ def _cmd_census(args: argparse.Namespace) -> int:
             if r.total != expected:
                 mismatches.append(f"{r.pair} {r.central} {args.subset}: "
                                   f"census {r.total} != formula {expected}")
-    headers = ["central", "support", "delta", "m", "k", "mu", "family", "count"]
-    payload = {"reports": [r.to_json_dict(partial(_strata_chunks, r, headers[1:]))
-                           for r in reports]}
+    headers = ["central", *census.ROW_KEYS]
+    payload = {"reports": [r.to_json_dict(partial(_strata_chunks, r)) for r in reports]}
     if args.check:
         payload["check"] = {"passed": not mismatches, "mismatches": mismatches}
     warnings = sorted({w for r in reports for w in r.warnings})
 
     def rows():
-        for r in map(census.CensusReport.to_json_dict, reports):
-            for stratum in r["strata"]:
-                yield [r["central"], *(stratum[h] for h in headers[1:])]
-            yield [r["central"], "TOTAL", None, None, None, None, args.subset, r["total"]]
+        for r in reports:
+            yield from ([r.central, *row] for row in r.rows())
+            yield [r.central, "TOTAL", None, None, None, None, args.subset, r.total]
     _finish(args, payload, warnings, headers, rows)
     if mismatches:
         sys.stderr.write("\n".join(mismatches) + "\n")
     return 1 if mismatches else 0
 
 
-def _strata_chunks(report, keys: list[str], depth: int):
-    """The JSON text of report.to_json_dict()'s strata rows, keys their keys, at
-    depth, _CHUNK rows at a time: each stratum's texts fill a one-row template
-    once, and each of its deltas makes a row of it. Diagram texts and family
-    and delta names need no escaping."""
-    from .census import _support_text
+def _strata_chunks(report, depth: int):
+    """The JSON text of report.to_json_dict()'s strata rows at depth, _CHUNK rows
+    at a time: each of report.rows() fills one template of the census.ROW_KEYS.
+    Diagram texts and family and delta names need no escaping."""
+    from .census import ROW_KEYS
 
-    t0, t1, t2, t3, t4, t5, t6, t7 = _row_template(dict.fromkeys(keys, "\0"), depth)
-    def rows():
-        for m, k, mu, deltas, count, family, mu_text in report.strata:
-            head = f'{t0}"{_support_text(m, k, mu, mu_text)}"{t1}'
-            tail = f'{t2}{m}{t3}{k}{t4}"{mu_text}"{t5}"{family}"{t6}{count}{t7}'
-            for delta in deltas:
-                yield head + _json_name(delta) + tail
-    sep, rows = ",\n" + depth * "  ", rows()
+    t0, t1, t2, t3, t4, t5, t6, t7 = _row_template(dict.fromkeys(ROW_KEYS, "\0"), depth)
+    rows = (f'{t0}"{support}"{t1}{_json_name(delta)}{t2}{m}{t3}{k}{t4}"{mu}"{t5}"{family}"{t6}'
+            f'{count}{t7}' for support, delta, m, k, mu, family, count in report.rows())
+    sep = ",\n" + depth * "  "
     while chunk := list(islice(rows, _CHUNK)):
         yield sep.join(chunk)
 

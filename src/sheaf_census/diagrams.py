@@ -23,7 +23,7 @@ Every set is one ``partitions._walk`` over its row lengths (all up to p+q for
 sigma, the odd ones for sigma_b; all up to n for Lambda and Lambda_b and the
 even ones for the all-even Lambda, a group (length, mult) of these standing
 for 2*mult rows) under one extend rule, which signs a group prefix once for
-every partition sharing it: ``_signed`` takes each option of a per-group
+every partition sharing it: ``_signed`` takes each row of a per-group
 option function (``_sigma_rows``, ``_lambda_rows``, ``_lambda_b_rows``; a
 group with none prunes the branch), ``_richardson`` each sign bit that
 ``_richardson_bits`` allows, carrying the group above and omega's size
@@ -31,14 +31,14 @@ group with none prunes the branch), ``_richardson`` each sign bit that
 cached listing of rows, classes and texts (``sigma_listing``, and
 ``sigma_b_listing`` with each ``_pi``, by signature; ``lambda_listing``,
 ``lambda_b_listing``, ``lambda_even_listing``), from each group option's
-``_ab`` and text read once (``_options``), so no diagram is built.
-Enumerator output skips the checks (valid by construction); ``in_lambda``
-asks the same row rule, and ``_richardson_omega`` checks a diagram with both
-Richardson rules in one pass down its groups. ``sigma_class_counts`` counts
-sigma's classes without listing it, by a transfer-matrix DP (Stanley, EC1
-4.7) over ``_sigma_rows``' options, with the census's class rule
-``_class_of`` and nothing from the formula route; one pass, on vectors of
-ways by plus-box count, serves every size up to its top.
+``_plus_boxes``, ``_ab`` and text read once (``_options``), so no diagram is
+built; ``enum_*`` build each listed diagram through the checked constructor.
+``in_sigma`` and ``in_lambda`` ask the same row rules, and ``_richardson_omega``
+checks a diagram with both Richardson rules in one pass down its groups.
+``sigma_class_counts`` counts sigma's classes without listing it, by a
+transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with the
+census's class rule ``_class_of`` and nothing from the formula route; one
+pass, on vectors of ways by plus-box count, serves every size up to its top.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -79,12 +79,8 @@ class SignedYoungDiagram:
         return sum(length * (plus + minus) for length, plus, minus in self.rows)
 
     def signature(self) -> tuple[int, int]:
-        p = q = 0
-        for length, plus, minus in self.rows:
-            up, down = (length + 1) // 2, length // 2
-            p += plus * up + minus * down
-            q += plus * down + minus * up
-        return p, q
+        p = sum(map(_plus_boxes, self.rows))
+        return p, self.size - p
 
     def all_parts_even(self) -> bool:
         return all(length % 2 == 0 for length, _, _ in self.rows)
@@ -93,14 +89,10 @@ class SignedYoungDiagram:
         return format_diagram(self)
 
 
-_set_rows = SignedYoungDiagram.rows.__set__  # the slot's setter, past the frozen guard
-
-
-def _unchecked(rows: tuple[tuple[int, int, int], ...]) -> SignedYoungDiagram:
-    """SignedYoungDiagram(rows) without the checks, for enumerator output."""
-    d = object.__new__(SignedYoungDiagram)
-    _set_rows(d, rows)
-    return d
+def _plus_boxes(row: tuple[int, int, int]) -> int:
+    """The plus boxes of a group: ceil(L/2) per +row of length L, floor(L/2) per -row."""
+    length, plus, minus = row
+    return plus * ((length + 1) // 2) + minus * (length // 2)
 
 
 def format_diagram(d: SignedYoungDiagram) -> str:
@@ -157,16 +149,15 @@ def diagram(*groups: tuple[int, int, int]) -> SignedYoungDiagram:
 
 
 def in_sigma(d: SignedYoungDiagram) -> bool:
-    """Membership in the orthogonal classification set: even lengths must
-    carry equally many +rows and -rows."""
-    return all(plus == minus for length, plus, minus in d.rows if length % 2 == 0)
+    """Membership in the orthogonal classification set: every group is one of
+    _sigma_rows' signings of its rows (even lengths equally many + and -)."""
+    return all(row in _sigma_rows(row[0], row[1] + row[2]) for row in d.rows)
 
 
 def in_lambda(d: SignedYoungDiagram) -> bool:
     """Membership in the enum_lambda set: every group is one of _lambda_rows'
     signings of its rows (which have an even count)."""
-    return all((length, plus, minus) in [row for row, _ in _lambda_rows(length, (plus + minus) // 2)]
-               for length, plus, minus in d.rows)
+    return all(row in _lambda_rows(row[0], (row[1] + row[2]) // 2) for row in d.rows)
 
 
 DELTA_NAMES = ("I", "II", "III", "IV")
@@ -226,13 +217,12 @@ def classify(d: SignedYoungDiagram) -> DiagramClass:
     return _class_of(*_ab(d.rows))
 
 
-def _sigma_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
-    """(row, plus-box count) for each signing of a group: even lengths
-    balanced; odd lengths any split, plus descending."""
-    half = length // 2
+def _sigma_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
+    """Each signing of a group: even lengths balanced; odd lengths any split,
+    plus descending."""
     if length % 2 == 0:
-        return [((length, mult // 2, mult // 2), mult * half)] if mult % 2 == 0 else []
-    return [((length, plus, mult - plus), mult * half + plus) for plus in range(mult, -1, -1)]
+        return [(length, mult // 2, mult // 2)] if mult % 2 == 0 else []
+    return [(length, plus, mult - plus) for plus in range(mult, -1, -1)]
 
 
 def _by_signature(size: int, n: int, lengths: range, extend) -> dict:
@@ -254,10 +244,10 @@ def _by_signature(size: int, n: int, lengths: range, extend) -> dict:
 
 @lru_cache(maxsize=None)
 def _options(signings, length: int, mult: int, sep: str) -> tuple[tuple, ...]:
-    """(row, dp, da, db, drepeated, sep + its _group_text) for each (row, dp) in
-    signings(length, mult), where _ab((row,)) is what the group adds to a class key."""
-    return tuple((row, dp, *_ab((row,)), sep + _group_text(row))
-                 for row, dp in signings(length, mult))
+    """(row, dp, da, db, drepeated, sep + its _group_text) for each row in
+    signings(length, mult): dp its _plus_boxes, _ab((row,)) what it adds to a class key."""
+    return tuple((row, _plus_boxes(row), *_ab((row,)), sep + _group_text(row))
+                 for row in signings(length, mult))
 
 
 def _signed(signings):
@@ -291,7 +281,7 @@ def sigma_listing(p: int, q: int) -> tuple[tuple, tuple, tuple]:
 
 def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     """All diagrams of the orthogonal set with signature (p, q)."""
-    return list(map(_unchecked, sigma_listing(p, q)[0]))
+    return list(map(SignedYoungDiagram, sigma_listing(p, q)[0]))
 
 
 @lru_cache(maxsize=8)
@@ -304,8 +294,8 @@ def _class_count_block(top: int) -> dict:
     ways = [{} for _ in range(top + 1)]
     ways[0][0, 0, False] = [1]
     for length in range(1, top + 1, 2):
-        options = [(length * mult, dp, *_ab((row,)))
-                   for mult in range(1, top // length + 1) for row, dp in _sigma_rows(length, mult)]
+        options = [(length * mult, _plus_boxes(row), *_ab((row,)))
+                   for mult in range(1, top // length + 1) for row in _sigma_rows(length, mult)]
         for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
             for (a, b, rep), vec in ways[boxes].items():
                 for dn, dp, da, db, drep in options:
@@ -354,9 +344,9 @@ def _richardson_in_omega(row: int, start: int, above, bit: int, mu: int) -> bool
     return (row - start) % 2 == 0 and (above is None or above[1] >= mu + 2 or above[0] == bit)
 
 
-def _richardson_rows(length: int, mult: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
-    """(row, plus-box count) of an odd group signed + and signed -, by sign bit."""
-    return ((length, mult, 0), mult * (length // 2 + 1)), ((length, 0, mult), mult * (length // 2))
+def _richardson_rows(length: int, mult: int) -> tuple[tuple[int, int, int], ...]:
+    """An odd group signed + and signed -, by sign bit."""
+    return (length, mult, 0), (length, 0, mult)
 
 
 def _richardson(start: int):
@@ -418,23 +408,23 @@ def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple, tuple]:
 
 def enum_sigma_b(p: int, q: int) -> list[SignedYoungDiagram]:
     """Members of the Richardson subset with signature (p, q)."""
-    return list(map(_unchecked, sigma_b_listing(p, q)[0]))
+    return list(map(SignedYoungDiagram, sigma_b_listing(p, q)[0]))
 
 
-def _lambda_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
-    """(row, its mult * length plus boxes) for each signing of a group of 2*mult
-    rows: odd lengths matched, even lengths with even per-sign counts, plus descending."""
+def _lambda_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
+    """Each signing of a group of 2*mult rows: odd lengths matched, even lengths
+    with even per-sign counts, plus descending."""
     if length % 2:
-        return [((length, mult, mult), mult * length)]
-    return [((length, plus, 2 * mult - plus), mult * length) for plus in range(2 * mult, -1, -2)]
+        return [(length, mult, mult)]
+    return [(length, plus, 2 * mult - plus) for plus in range(2 * mult, -1, -2)]
 
 
-def _lambda_b_rows(length: int, mult: int) -> list[tuple[tuple[int, int, int], int]]:
+def _lambda_b_rows(length: int, mult: int) -> list[tuple[int, int, int]]:
     """The Richardson signings of a group of 2*mult rows, as _lambda_rows: an
     odd length holds one row of each sign, an even length a single sign, plus first."""
     if length % 2:
-        return [((length, 1, 1), length)] if mult == 1 else []
-    return [((length, 2 * mult, 0), mult * length), ((length, 0, 2 * mult), mult * length)]
+        return [(length, 1, 1)] if mult == 1 else []
+    return [(length, 2 * mult, 0), (length, 0, 2 * mult)]
 
 
 def _doubled_listing(n: int, lengths: range, signings) -> tuple[tuple, tuple, tuple]:
@@ -469,18 +459,18 @@ def enum_lambda(n: int) -> list[SignedYoungDiagram]:
     carrying even per-sign row counts (the signature is forced to (n, n)).
     Every row count is even, so the row lengths are a partition of n with
     each multiplicity doubled."""
-    return list(map(_unchecked, lambda_listing(n)[0]))
+    return list(map(SignedYoungDiagram, lambda_listing(n)[0]))
 
 
 def enum_lambda_even(n: int) -> list[SignedYoungDiagram]:
     """The all-even members of ``enum_lambda(n)``, in the same order."""
-    return list(map(_unchecked, lambda_even_listing(n)[0]))
+    return list(map(SignedYoungDiagram, lambda_even_listing(n)[0]))
 
 
 def enum_lambda_b(n: int) -> list[SignedYoungDiagram]:
     """The Richardson members of ``enum_lambda(n)``, in the same order: odd
     lengths carry exactly one row of each sign, even lengths one sign."""
-    return list(map(_unchecked, lambda_b_listing(n)[0]))
+    return list(map(SignedYoungDiagram, lambda_b_listing(n)[0]))
 
 
 def mu_t(t: int) -> SignedYoungDiagram:
@@ -503,9 +493,9 @@ def _kappa1_parts(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     second: list[int] = []
     for length, plus, minus in rows:
         if length % 2:
-            raise ValueError(f"{_unchecked(rows)} has an odd row length")
+            raise ValueError(f"{SignedYoungDiagram(rows)} has an odd row length")
         if plus % 2 or minus % 2:
-            raise ValueError(f"{_unchecked(rows)} has odd per-sign multiplicities")
+            raise ValueError(f"{SignedYoungDiagram(rows)} has odd per-sign multiplicities")
         first += [length // 2] * (plus // 2)
         second += [length // 2] * (minus // 2)
     return tuple(first), tuple(second)

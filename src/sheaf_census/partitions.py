@@ -86,21 +86,19 @@ def _walk(n: int, lengths: range, extend, prefixes: list, row: int = 0):
                     yield extended
 
 
-def _gen_partitions(n: int, odd: bool = False):
-    """Partitions of n (into odd parts if odd), lexicographically decreasing,
-    each as ((part, multiplicity), ...) with parts decreasing."""
-    def group(prefixes, length, mult, row):
-        return [groups + ((length, mult),) for groups in prefixes]
-    lengths = range(1, n + 1, 2)[::-1] if odd else range(n, 0, -1)
-    return (groups for groups, in _walk(n, lengths, group, [()]))
+def _partitions(n: int):
+    """The parts tuples of the partitions of n, lexicographically decreasing:
+    each group of the walk adds its length mult times."""
+    def flat(prefixes, length, mult, row):
+        return [parts + (length,) * mult for parts in prefixes]
+    return (parts for parts, in _walk(n, range(n, 0, -1), flat, [()]))
 
 
 def enum_partitions(n: int) -> list[Partition]:
     """All partitions of n, in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(tuple(part for part, mult in groups for _ in range(mult)))
-            for groups in _gen_partitions(n)]
+    return list(map(Partition, _partitions(n)))
 
 
 def _top(n: int) -> int:

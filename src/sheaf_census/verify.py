@@ -459,8 +459,7 @@ def _diii_k0_closure(order: int, sweep: int):
         "nontrivial-character census")
 def _diii_k1_bijection(order: int, sweep: int):
     bound = min(sweep, 20)
-    parts = [[tuple(part for part, mult in groups for _ in range(mult))
-              for groups in partitions._gen_partitions(k)] for k in range(bound // 2 + 1)]
+    parts = [list(partitions._partitions(k)) for k in range(bound // 2 + 1)]
     def cells():
         for n in range(2, bound + 1, 2):
             all_even = diagrams.lambda_even_listing(n)[0]  # rows

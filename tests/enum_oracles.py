@@ -13,10 +13,13 @@ orbit decorations branched out by hand, and the three orbit sums over the
 listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
 the per-size class-count DP that keyed each state by its box and plus-box
 counts, and the sigma and sigma_b size tables as built when every listed
-diagram was built and classified by an ``_ab`` walk of its own. They walk a
-superset and filter it, or count row by row or state by state, which is slow
-but easy to trust, and they must not change: the differential tests compare
-the library against them list for list, order included.
+diagram was built and classified by an ``_ab`` walk of its own (the DP and
+the sigma table counting a group's plus boxes box by box), and the Kleshchev
+bipartitions grown node by node, a representation-theoretic route to the
+Hecke counts. They walk a superset and filter it, or count row by row or state
+by state, which is slow but easy to trust, and they must not change: the
+differential tests compare the library against them list for list, order
+included.
 """
 import itertools
 from collections import Counter
@@ -357,15 +360,22 @@ def sigma23_r_sum(p, q):
                if classify(d).index in (2, 3))
 
 
+def plus_boxes(row):
+    """The plus boxes of a group, box by box: box j of a row has its row's
+    sign when j is even, the other when j is odd."""
+    length, plus, minus = row
+    return sum(plus if j % 2 == 0 else minus for j in range(length))
+
+
 def class_counts_by_signature(n):
     """The class counts of every signature of size n from a DP of its own,
     one dict update per state (boxes, p, a, b, repeated) over the odd
     lengths; even lengths fold in as p(m) ways at 4m boxes, 2m of them plus."""
     ways = {(0, 0, 0, 0, False): 1}
     for length in range(1, n + 1, 2):
-        options = [(length * mult, dp, *diagrams._ab((row,)))
+        options = [(length * mult, plus_boxes(row), *diagrams._ab((row,)))
                    for mult in range(1, n // length + 1)
-                   for row, dp in diagrams._sigma_rows(length, mult)]
+                   for row in diagrams._sigma_rows(length, mult)]
         step = dict(ways)  # the length left out
         for (boxes, p, a, b, rep), w in ways.items():
             for dn, dp, da, db, drep in options:
@@ -391,7 +401,7 @@ def _by_signature(n, partitions, signings):
     for groups in partitions:
         for rows, p, omega, text in signings(groups):
             ds, classes, texts, pis = table.get(p) or table.setdefault(p, ([], [], [], []))
-            ds.append(diagrams._unchecked(rows))
+            ds.append(SignedYoungDiagram(rows))
             classes.append(cls := diagrams._class_of(*diagrams._ab(rows)))
             texts.append(text or "0")
             if omega is not None:
@@ -404,8 +414,8 @@ def _sigma_signings(groups):
     first group varying slowest."""
     out, sep = [((), 0, None, "")], ""
     for length, mult in groups:
-        options = [(row, dp, sep + diagrams._group_text(row))
-                   for row, dp in diagrams._sigma_rows(length, mult)]
+        options = [(row, plus_boxes(row), sep + diagrams._group_text(row))
+                   for row in diagrams._sigma_rows(length, mult)]
         out = [(rows + (row,), p + dp, None, text + more)
                for rows, p, _, text in out for row, dp, more in options]
         sep = " "
@@ -442,3 +452,45 @@ def sigma_b_by_signature(n):
     """The per-diagram build of diagrams._sigma_b_by_signature(n)."""
     return _by_signature(n, map(_group, gen_odd_partitions(n, n)) if n else (),
                          lambda groups: _richardson_signings(groups, n % 2))
+
+
+def _good_node(bipartition, charge, residue, reverse):
+    """The bipartition with its good node of the residue added, or None: the
+    residue's addable (A) and removable (R) nodes, a node's residue being its
+    content plus its component's charge mod 2, listed by component and then
+    row from the top (reversed if reverse); each R cancels the nearest
+    uncancelled A before it, and the leftmost A left is the good node (the
+    Misra-Miwa signature rule, e = 2)."""
+    nodes = []
+    for c, part in enumerate(bipartition):
+        for i in range(len(part) + 1):
+            length = part[i] if i < len(part) else 0
+            if (i == 0 or part[i - 1] > length) and (length - i + charge[c]) % 2 == residue:
+                nodes.append(("A", c, i))
+            if length and (i + 1 == len(part) or part[i + 1] < length) \
+                    and (length - 1 - i + charge[c]) % 2 == residue:
+                nodes.append(("R", c, i))
+    left = []
+    for node in reversed(nodes) if reverse else nodes:
+        if node[0] == "R" and left and left[-1][0] == "A":
+            left.pop()
+        else:
+            left.append(node)
+    for kind, c, i in left:
+        if kind == "A":
+            part = bipartition[c]
+            grown = part[:i] + (part[i] + 1,) + part[i + 1:] if i < len(part) else part + (1,)
+            return bipartition[:c] + (grown,) + bipartition[c + 1:]
+    return None
+
+
+def kleshchev_count(charge, n, reverse=False):
+    """The e = 2 Kleshchev bipartitions of n with the charge: those reached
+    from (empty, empty) by adding good nodes, one level per box. By Ariki's
+    theorem (Ariki-Mathas, Math. Z. 233, 2000) they index the simple modules
+    of the type-B Hecke algebra at q = -1."""
+    level = {((), ())}
+    for _ in range(n):
+        level = {grown for bipartition in level for residue in (0, 1)
+                 if (grown := _good_node(bipartition, charge, residue, reverse)) is not None}
+    return len(level)

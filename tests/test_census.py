@@ -24,6 +24,16 @@ def test_hecke_counts():
             cs.hecke_count("E", n)
 
 
+def test_kleshchev_bipartitions_give_the_hecke_counts():
+    # a third route: the e = 2 Kleshchev bipartitions, grown by good nodes in
+    # either node order, count the type-B simple modules at q = -1; charge
+    # (0, 0) gives equal parameters, charge (0, 1) parameters (-1, 1)
+    for reverse in (False, True):
+        for n in range(25):
+            assert oracles.kleshchev_count((0, 0), n, reverse) == cs.hecke_count("B", n), n
+            assert oracles.kleshchev_count((0, 1), n, reverse) == cs._mixed_distinct_count(n), n
+
+
 def test_theta_k0_examples():
     assert cs.theta_k0_count("ind1-B", 2) == 5
     assert cs.theta_k0_count("split-B", 0) == 1
@@ -334,7 +344,7 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
         report = cs.census_diii(n)[0]
         rows = report.to_json_dict()["strata"]
         assert texts == []  # each support's text is read off its mu's
-        mus = [dg._unchecked(mu) for _, _, mu, *_ in report.strata]
+        mus = [dg.SignedYoungDiagram(mu) for _, _, mu, *_ in report.strata]
         assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
 
 
@@ -373,10 +383,18 @@ def _count_classify(monkeypatch):
 ORBIT_SUMS = (cs.kappa0_orbit_sum, cs.kappa1_orbit_sum, cs.sigma23_r_sum)
 
 
+def _count_diagrams(monkeypatch):
+    """Record the rows of every SignedYoungDiagram built: each one runs its checks."""
+    built = []
+    checks = dg.SignedYoungDiagram.__post_init__
+    monkeypatch.setattr(dg.SignedYoungDiagram, "__post_init__",
+                        lambda d: built.append(d.rows) or checks(d))
+    return built
+
+
 def _count_listing(monkeypatch):
     """Count the diagrams built and the partition walks started."""
-    return (_count_calls(monkeypatch, "_unchecked", dg, cs),
-            _count_calls(monkeypatch, "_walk", dg, partitions))
+    return _count_diagrams(monkeypatch), _count_calls(monkeypatch, "_walk", dg, partitions)
 
 
 def test_orbit_sums_classify_no_diagram(monkeypatch):
@@ -407,15 +425,17 @@ def test_tables_build_no_diagram_and_read_each_option_once(monkeypatch):
     # serves every diagram and every partition holding it), not once per diagram
     for cache in (dg._sigma_by_signature, dg._sigma_b_by_signature, dg._options):
         cache.cache_clear()
-    built, reads = _count_calls(monkeypatch, "_unchecked", dg), _count_calls(monkeypatch, "_ab", dg)
+    built, reads = _count_diagrams(monkeypatch), _count_calls(monkeypatch, "_ab", dg)
     tables = dg._sigma_by_signature(24), dg._sigma_b_by_signature(24)
     assert built == []
     assert all(len(rows) == 1 for rows, in reads)
     options = {(signings, length, mult, j > 0)
-               for signings, odd in ((dg._sigma_rows, False), (dg._richardson_rows, True))
-               for groups in partitions._gen_partitions(24, odd)
+               for signings, generator in ((dg._sigma_rows, oracles.gen_partitions),
+                                           (dg._richardson_rows, oracles.gen_odd_partitions))
+               for groups in map(oracles._group, generator(24, 24))
                # sigma lists no odd count of an even length
-               if odd or all(mult % 2 == 0 for length, mult in groups if length % 2 == 0)
+               if signings is dg._richardson_rows
+               or all(mult % 2 == 0 for length, mult in groups if length % 2 == 0)
                for j, (length, mult) in enumerate(groups)}
     assert len(reads) == sum(len(signings(length, mult)) for signings, length, mult, _ in options)
     # 551 reads, where one per group of each partition would be 4,164 and one
@@ -510,8 +530,8 @@ def test_support_classes_match_classify():
             strata += [((D - 4 * k) // 2, k, dg.mu_t(t).rows, dg.classify(dg.mu_t(t)))
                        for k in range(D // 4 + 1)]
             for m, k, mu, cls in strata:
-                assert cls == dg.classify(dg._unchecked(mu))
-                support = oracles.support_via_diagram(m, k, dg._unchecked(mu))
+                assert cls == dg.classify(dg.SignedYoungDiagram(mu))
+                support = oracles.support_via_diagram(m, k, dg.SignedYoungDiagram(mu))
                 assert cs._support_deltas(m, cls.deltas) == dg.classify(support).deltas, \
                     (p, q, m, k, mu)
 

@@ -694,7 +694,7 @@ def orbit_rows(family: str, size, richardson: bool = False, orbit_class=None) ->
                 for d in members]
     p, q = size
     listing = dg.sigma_b_listing if richardson else dg.sigma_listing
-    return [{"diagram": dg.format_diagram(dg._unchecked(rows)), "delta": delta, "a": cls.a,
+    return [{"diagram": dg.format_diagram(dg.SignedYoungDiagram(rows)), "delta": delta, "a": cls.a,
              "b": cls.b, "r": cls.r, "class": f"sigma{cls.index}", "k0_irreps": 2 ** cls.r,
              "k1_irreps": groups._kappa1_data(cls, p, q).count}
             for rows, cls in zip(*listing(p, q)[:2]) if orbit_class in (None, f"sigma{cls.index}")
@@ -804,12 +804,13 @@ def test_census_strata_stream_matches_the_row_dict_oracle():
     # the row dicts of to_json_dict() through row_chunks are the oracle for
     # the templated strata stream: the same pieces at each depth
     keys = ["support", "delta", "m", "k", "mu", "family", "count"]
+    assert list(census.ROW_KEYS) == keys
     empty = 0
     for report in stratum_reports():
         rows = report.to_json_dict()["strata"]
         assert all(list(row) == keys for row in rows)
         for depth in (1, 4):
-            assert list(cli._strata_chunks(report, keys, depth)) == \
+            assert list(cli._strata_chunks(report, depth)) == \
                 list(row_chunks(rows, depth)), (report.pair, report.central, depth)
         empty += not rows
     assert empty > 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import enum_oracles as oracles
 from sheaf_census import diagrams as dg
 from sheaf_census.partitions import count_bipartitions, enum_partitions
+from sheaf_census.qseries import BiSeries
 
 
 def test_format_diagram_matches_the_token_oracle():
@@ -312,6 +313,41 @@ def test_sigma_class_counts_match_the_per_size_dp():
             assert dict(dg.sigma_class_counts(p, q)) == dict(table.get((p, q), {})), (p, q)
 
 
+def _sigma_product(order, keep):
+    """The closed product over k >= 1 of 1/(1 - u^k v^(k-1)) for a +row of odd
+    length 2k - 1, 1/(1 - u^(k-1) v^k) for a -row, each if keep(k, sign), and
+    1/(1 - u^2k v^2k) for a pair 2k+ 2k-, to u and v order `order`."""
+    s = BiSeries.one(order, order)
+    for k in range(1, order + 1):
+        for sign, ue, ve in (("+", k, k - 1), ("-", k - 1, k)):
+            if keep(k, sign):
+                s = s.mul_binomial(-1, ue, ve, -1)
+        s = s.mul_binomial(-1, 2 * k, 2 * k, -1)
+    return s
+
+
+def test_sigma_counts_are_closed_products():
+    # a sigma diagram is a multiset of odd rows, each starting with either
+    # sign, and of +- pairs of even rows: |sigma(p, q)| is the u^p v^q
+    # coefficient of the full product. An odd length 2k - 1 is 1 mod 4 for odd
+    # k, so a = 0 drops the +rows of odd k and the -rows of even k, and b = 0
+    # the other two kinds; a class has 1 + [a = 0] + [b = 0] + [a = b = 0]
+    # orbits, so the orbit count is the sum of the four products
+    order = 24
+    rules = (lambda k, sign: True, lambda k, sign: (sign == "+") == (k % 2 == 0),
+             lambda k, sign: (sign == "+") == (k % 2 == 1), lambda k, sign: False)
+    full, *fewer = (_sigma_product(order, keep) for keep in rules)
+    for total in range(order + 1):
+        for p in range(total + 1):
+            q = total - p
+            _, classes, _ = dg.sigma_listing(p, q)
+            counts = dg.sigma_class_counts(p, q)
+            assert len(classes) == sum(n for _, n in counts) == full.coeff(p, q), (p, q)
+            orbits = full.coeff(p, q) + sum(s.coeff(p, q) for s in fewer)
+            assert sum(c.orbits for c in classes) == \
+                sum(c.orbits * n for c, n in counts) == orbits, (p, q)
+
+
 def test_one_class_count_walk_serves_a_block_of_sizes():
     # sizes 0..32 share the walk to 32, and a second sweep walks none
     dg._class_count_block.cache_clear()
@@ -339,7 +375,8 @@ def test_classes_are_shared_and_carry_their_orbits():
 
 
 def test_enumerated_diagrams_pass_the_public_checks():
-    # enumerator output skips the constructor's checks; it must pass them
+    # enumerator output is built through the constructor's checks, and a
+    # diagram rebuilt from its rows is equal to it
     pools = [dg.enum_lambda(n) + dg.enum_lambda_b(n) for n in range(11)]
     for total in range(21):
         for p in range(total + 1):
@@ -380,7 +417,7 @@ def test_table_keys_are_signatures():
     for n in range(25):
         for table in (dg._sigma_by_signature(n), dg._sigma_b_by_signature(n)):
             for sig, (listed, classes, *_) in table.items():
-                ds = tuple(map(dg._unchecked, listed))
+                ds = tuple(map(dg.SignedYoungDiagram, listed))
                 assert all(d.signature() == sig for d in ds), (n, sig)
                 assert classes == tuple(map(dg.classify, ds)), (n, sig)
     assert dg.sigma_listing(3, 2) == dg._sigma_by_signature(5)[3, 2]
@@ -413,7 +450,7 @@ def test_listed_texts_are_the_canonical_format():
         for p in range(N + 1):
             for listing in (dg.sigma_listing, dg.sigma_b_listing):
                 listed, _, texts = listing(p, N - p)[:3]
-                ds = map(dg._unchecked, listed)
+                ds = map(dg.SignedYoungDiagram, listed)
                 assert texts == tuple(map(dg.format_diagram, ds)), (listing.__name__, p, N - p)
     assert dg.sigma_listing(0, 0)[2] == ("0",)
 
@@ -426,7 +463,7 @@ def test_lambda_listings_list_the_canonical_texts():
         for n in range(bound + 1):
             rows, classes, texts = listing(n)
             assert len(rows) == len(classes) == len(texts), (listing.__name__, n)
-            assert texts == tuple(map(dg.format_diagram, map(dg._unchecked, rows))), \
+            assert texts == tuple(map(dg.format_diagram, map(dg.SignedYoungDiagram, rows))), \
                 (listing.__name__, n)
     assert dg.lambda_listing(0)[2] == dg.lambda_b_listing(0)[2] == ("0",)
     assert dg.lambda_even_listing(3) == ((), (), ())
@@ -443,7 +480,7 @@ def test_lambda_classes_give_the_kappa1_counts():
         for listing in (dg.lambda_listing, dg.lambda_b_listing):
             rows, classes, _ = listing(n)
             for row, cls in zip(rows, classes):
-                d = dg._unchecked(row)
+                d = dg.SignedYoungDiagram(row)
                 assert int(cls.index == 3) == kappa1_data_DIII(d).count, (n, str(d))
                 assert cls == dg._class_of(*dg._ab(row)), (n, str(d))
 

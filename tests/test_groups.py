@@ -143,7 +143,7 @@ def test_listed_pi_matches_pi_size_and_the_oracle_omega():
     for total in range(27):
         for p in range(total + 1):
             for rows, cls, _, pi in zip(*dg.sigma_b_listing(p, total - p)):
-                d = dg._unchecked(rows)
+                d = dg.SignedYoungDiagram(rows)
                 seen += 1
                 exponent = len(oracles.omega_set(d)) - (cls.index == 1) - (total % 2 == 0)
                 assert pi == gp.pi_size(d) == 2 ** exponent, str(d)

@@ -28,25 +28,18 @@ def test_enum_matches_bruteforce():
         assert [p.parts for p in pt.enum_partitions(n)] == brute_partitions(n)
 
 
-def flat(n, odd=False):
-    """The grouped generator's partitions with every group expanded, after
-    checking that each has strictly decreasing parts and positive
-    multiplicities."""
-    out = []
-    for groups in pt._gen_partitions(n, odd):
-        parts = [part for part, _ in groups]
-        assert parts == sorted(set(parts), reverse=True), groups
-        assert all(mult >= 1 for _, mult in groups), groups
-        out.append(tuple(part for part, mult in groups for _ in range(mult)))
-    return out
-
-
 def test_generator_modes_match_oracles():
-    # the grouped view of the one walk against the separate generators it
-    # replaced, plain and odd, every n <= 30
+    # enum_partitions and the flat parts it reads against the separate
+    # generator it replaced, and the same flat-parts rule on _walk over the
+    # odd lengths against the odd generator, every n <= 30
+    def flat(prefixes, length, mult, row):
+        return [parts + (length,) * mult for parts in prefixes]
     for n in range(31):
-        assert flat(n) == list(oracles.gen_partitions(n, n)), n
-        assert flat(n, odd=True) == list(oracles.gen_odd_partitions(n, n)), n
+        expected = list(oracles.gen_partitions(n, n))
+        assert list(pt._partitions(n)) == expected, n
+        assert [p.parts for p in pt.enum_partitions(n)] == expected, n
+        odd = [parts for parts, in pt._walk(n, range(1, n + 1, 2)[::-1], flat, [()])]
+        assert odd == list(oracles.gen_odd_partitions(n, n)), n
 
 
 def test_walk_extends_each_group_prefix_once():
