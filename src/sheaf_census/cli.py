@@ -14,6 +14,7 @@ import os
 import sys
 from functools import partial
 from itertools import chain, compress, islice
+from math import gcd
 
 from . import DEFAULT_SWEEP, SUBSETS, __version__
 
@@ -311,12 +312,18 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if args.coeff > series.order:
             raise ValueError(f"coefficient {args.coeff} beyond order {series.order}")
     exponents = range(series.order + 1) if args.coeff is None else [args.coeff]
-    values = [series.coeff(e) for e in exponents]
+    texts = [_fraction_text(series.nums[e], series.den) for e in exponents]
     payload = {"expr": args.expr, "order": args.order,
-               "coefficients": {str(e): str(v) for e, v in zip(exponents, values)}}
+               "coefficients": dict(zip(map(str, exponents), texts))}
     _emit(chain(_json_pieces(_envelope(args, payload, [])), ["\n"]) if args.format == "json"
-          else [", ".join(map(str, values)), "\n"], args.out)
+          else [", ".join(texts), "\n"], args.out)
     return 0
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1, read off one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _finish(args: argparse.Namespace, payload: dict, warnings: list[str],

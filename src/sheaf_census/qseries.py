@@ -5,13 +5,22 @@ reduced denominator and read back as Fractions, binary operations truncate
 to the smaller order, and infinite products are expanded factor by factor
 with early exit once a factor's lowest exponent passes the order. Every
 operation (sums, products, scaling, inverses, products of factors and
-bilateral sums) works on the int numerators and builds no Fraction. One
-slice-add kernel, `_mul_binomial`, multiplies by (1 + sign*x^e)^P: one
-C-level slice pass per unit factor, with two shapes for a divide (along
-residue classes mod e, or block by block), and one pass of the truncated
-binomial series for a power past the order's reach. The two-variable
-BiSeries (ints when new) offers `one`, `coeff` and `mul_binomial`; callers
-sum its cells.
+bilateral sums) works on the int numerators and builds no Fraction.
+
+`prod_series` expands a product on one packed int v = sum c_k*2^(k*B) mod
+2^((order+1)*B) (Kronecker substitution). As x -> 2^B is a ring map from
+Z[x]/(x^(order+1)) to that ring, a multiply by 1 + sign*x^e is one exact
+shift-and-add v +- (v << e*B), a divide multiplies by 1 - sign*x^e and by
+each 1 + x^(e*2^i) up to the order (1/(1-z) = prod 1 + z^(2^i)), and a
+power past the order's reach multiplies once by the truncated binomial
+series. Only the final coefficients must fit a digit, so `_width` takes B
+from a bound on them, and one biased to_bytes pass reads them back. Single
+factors (`FormalSeries.mul_binomial`, BiSeries' pure-v rows), where packing
+costs more than the factor, go through the slice-add kernel `_mul_binomial`:
+one C-level slice pass per unit factor, a divide along residue classes mod
+e or block by block, and one pass of the truncated binomial series for a
+power past the reach. BiSeries (ints when new) offers `one`, `coeff` and
+`mul_binomial`; callers sum its cells.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`). `inv()` of exactly one product is that
@@ -23,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, gcd, lcm
+from math import ceil, comb, exp, expm1, gcd, inf, lcm, log, log1p, pi, sqrt
 from operator import add, mul, sub
 from typing import Callable, Iterable
 
@@ -175,10 +184,46 @@ def _mul_binomial(vals: list, sign: int, exponent: int, power: int) -> None:
                 vals[b:b + exponent] = map(op, vals[b:b + exponent], vals[b - exponent:b])
 
 
+def _width(order: int, factors) -> int:
+    """Bits per packed coefficient of prod_series, in whole bytes: 3 past
+    log2 of a Cauchy bound M(r)*r^-order on every |c_k|, r = e^-t, where the
+    majorant M, the product of (1+x^e)^P over P > 0 and (1-x^e)^P over P < 0,
+    has nonnegative coefficients dominating |c_k|. A family of lowest
+    exponent e and stride d adds |P| times a bound on sum_s f(t*(e+d*s)) to
+    log M(r), f(u) = log(1+e^-u), or -log(1-e^-u) for P < 0: the smaller of
+    (1 - e/d)*f(t*e) + I/(d*t), I the integral of the decreasing f, and the
+    geometric tail of f(u) <= e^-u, or e^-u/(1-e^-u). t is the minimiser of
+    a/t + order*t (a sums the |P|*I/d), or, for large powers, where their
+    total times r^e for the least e falls to the order."""
+    # a stride past the order is cut to order+1, keeping the one exponent <= order
+    live = [(min(d, order + 1), d + o, p) for _, d, o, p in factors if p and d + o <= order]
+    n = max(order, 1)
+    a = sum(min(abs(p), 1e300) * pi * pi / (12 if p > 0 else 6) / d for d, _, p in live)
+    low = min((e for _, e, _ in live), default=1)
+    mass = sum(abs(p) for *_, p in live) * low
+    best = inf
+    for t in (sqrt(a / n), (log(mass) - log(n)) / low) if mass > n else (sqrt(a / n),):
+        nats = order * t
+        for d, e, p in live:
+            tail = -e * t - log(-expm1(-d * t))  # log r^e/(1 - r^d)
+            if p > 0:
+                head = (1 - e / d) * log1p(exp(-e * t)) + pi * pi / (12 * d * t)
+            else:
+                f = -log(-expm1(-e * t))  # -log(1 - r^e)
+                head, tail = (1 - e / d) * f + pi * pi / (6 * d * t), tail + f
+            # in logs, so that neither a huge power nor a vanishing tail overflows
+            nats += exp(log(abs(p)) + min(log(head), tail))
+        best = min(best, nats)
+    return (ceil(best / log(2)) + 10) // 8 * 8
+
+
 def prod_series(order: int, *factors: tuple[int, int, int, int],
                 scalar=1, shift: int = 0) -> FormalSeries:
     """Expand scalar * x^shift times, for each (sign, stride, offset, power)
-    factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order."""
+    factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order.
+
+    The product is worked on one int v = sum c_k*2^(k*B) mod 2^((order+1)*B),
+    the image of the coefficients under x -> 2^B (module docstring)."""
     for sign, stride, offset, _ in factors:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -189,10 +234,33 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
     if shift < 0:
         raise ValueError("negative exponents are not representable")
     _check_order(order)
-    vals = [1] + [0] * order
+    width = _width(order, factors)
+    mask = (1 << (order + 1) * width) - 1  # refuses an order no int can hold
+    v = 1
     for sign, stride, offset, power in factors:
+        m = abs(power)
         for exponent in range(stride + offset, order + 1, stride):
-            _mul_binomial(vals, sign, exponent, power)
+            reach = order // exponent
+            if m > reach:
+                # the truncated binomial series, with _mul_binomial's terms
+                terms = (comb(m, j) * sign ** j if power > 0 else comb(m + j - 1, j) * (-sign) ** j
+                         for j in range(reach + 1))
+                v = sum(c * v << j * exponent * width for j, c in enumerate(terms)) & mask
+                continue
+            # a divide by 1 - z, z = -sign*x^exponent, multiplies by 1 + z and
+            # by each 1 + z^(2^i) = 1 + x^(exponent*2^i) of exponent <= order
+            op = add if (sign > 0) == (power > 0) else sub
+            doubling = [] if power > 0 else range(1, reach.bit_length())
+            for _ in range(m):
+                v = op(v, v << exponent * width) & mask
+                for i in doubling:
+                    v = (v + (v << (exponent * width << i))) & mask
+    nbytes, half = width // 8, 1 << (width - 1)
+    # add half to every digit, so each byte group reads c_k + half in [0, 2^B)
+    raw = ((v + int.from_bytes((bytes(nbytes - 1) + b"\x80") * (order + 1), "little")) & mask
+           ).to_bytes((order + 1) * nbytes, "little")
+    vals = [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, len(raw), nbytes)]
     return FormalSeries(tuple(([0] * shift + vals)[: order + 1])).scale(scalar)
 
 

@@ -175,6 +175,11 @@ def test_series_examples(capsys):
     assert list(data["payload"]["coefficients"].values()) == ["1", "0", "0", "0"]
 
 
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+def test_series_coefficients_read_as_fractions_do(num, den):
+    assert cli._fraction_text(num, den) == str(Fraction(num, den))
+
+
 def test_series_parse_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "series", "--expr", "prod(1+y^{2s})")
     assert code == 2
@@ -316,6 +321,15 @@ ERROR_CASES = {
     "series-order-past-index": (["series", "--expr", "x^0", "--order", "10000000000000000000"],
                                 {}, {}, 2, "sheaf-census: series order 10000000000000000000 "
                                 "is too large to expand\n"),
+    # and a product at those orders refuses before its packed int is allocated
+    "series-product-order-out-of-memory": (["series", "--expr", "prod(1+x^{2s})", "--order",
+                                            "1000000000000000000"], {}, {}, 2,
+                                           "sheaf-census: series order 1000000000000000000 "
+                                           "is too large to expand\n"),
+    "series-product-order-past-index": (["series", "--expr", "prod(1+x^{2s})", "--order",
+                                         "10000000000000000000"], {}, {}, 2,
+                                        "sheaf-census: series order 10000000000000000000 "
+                                        "is too large to expand\n"),
     "series-parse": (["series", "--expr", "prod(1+y^{2s})"], {}, {},
                      2, "sheaf-census: series parse error"),
     "arithmetic-guard": (["census", "bdi", "--p", "3", "--q", "2", "--central", "k0",

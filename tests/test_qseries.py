@@ -243,6 +243,55 @@ def test_prod_series_matches_oracle(order, factors, scalar, shift):
     assert all(type(c) is Fraction for c in got.coeffs)
 
 
+# the factor families of the series-expand benchmark's two templates, every
+# sign pattern: one inverted product of two families, and two one-family products
+SERIES_EXPAND = ([((s, 2, 1, -1), (t, 3, -1, -1)) for s in (1, -1) for t in (1, -1)]
+                 + [((s, 2, 0, 1),) for s in (1, -1)] + [((s, 3, -1, 2),) for s in (1, -1)])
+
+
+def _assert_width_holds(order, factors):
+    """Every coefficient prod_series returns sits 2 bits inside its packed digit."""
+    width = qs._width(order, tuple(factors))
+    assert width % 8 == 0
+    nums = qs.prod_series(order, *factors).nums
+    assert max(abs(c) for c in nums) < 1 << (width - 2), (order, factors, width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 200), st.lists(factor_families, max_size=4))
+def test_packed_width_bounds_every_coefficient(order, factors):
+    _assert_width_holds(order, factors)
+
+
+@pytest.mark.parametrize("factors", [
+    *(((sign, 1, 0, power),) for sign in (1, -1) for power in (10 ** 9, -10 ** 9, 0)),
+    ((1, 1, 0, 10 ** 9), (-1, 2, 0, -10 ** 9), (1, 3, -2, 0))])
+def test_packed_width_bounds_huge_and_zero_powers(factors):
+    _assert_width_holds(10, factors)
+
+
+@pytest.mark.parametrize("order", [400, 1000])
+def test_packed_width_bounds_the_series_expand_families(order):
+    for factors in SERIES_EXPAND:
+        _assert_width_holds(order, factors)
+
+
+def _factor_by_factor(order, *factors):
+    """The product built one binomial factor at a time by the slice kernel."""
+    s = FormalSeries.from_values([1], order)
+    for sign, stride, offset, power in factors:
+        for exponent in range(stride + offset, order + 1, stride):
+            s = s.mul_binomial(sign, exponent, power)
+    return s
+
+
+def test_packed_product_matches_the_slice_kernel_on_large_coefficients():
+    # at order 400 prod (1-x^s)^-3 has 112-bit coefficients: the 3-coloured partitions
+    for factors in [*SERIES_EXPAND, ((-1, 1, 0, -3),)]:
+        assert qs.prod_series(400, *factors) == _factor_by_factor(400, *factors), factors
+    assert qs.prod_series(400, (-1, 1, 0, -3)).nums[400] == 4103192515711939324405364688418917
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=40),
        st.lists(rationals, min_size=1, max_size=40))
