@@ -21,8 +21,10 @@ its rows. A ``CensusReport`` holds them, and its total (summed once), ``rows()``
 (one per orbit, in ``ROW_KEYS``' order: the JSON, csv and table rows) and
 sub-censuses read them; its ``entries`` build one ``StratumEntry`` (mu and its
 support diagrams, through the checked constructor) per orbit on demand.
-``census_k0_total``, the memoised k0 total that ``verify`` reads, sums ``richardson_pi_sums``
-over ``_k0_cells`` with no record built; the other memoised totals are their reports'.
+The memoised totals that ``verify`` reads build no report: ``census_k0_total`` sums
+``richardson_pi_sums`` over ``_k0_cells``, ``census_k1_total`` the ``_k1_strata``
+records, and ``census_diii_totals`` counts Lambda_b by a knapsack with no diagram
+listed; ``count_formula_k0`` sums the bases' int coefficients.
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -40,6 +42,7 @@ from .diagrams import (
     SignedYoungDiagram,
     _class_of,
     _group_text,
+    _lambda_b_counts,
     _size,
     classify,
     diagram,
@@ -276,14 +279,15 @@ def _k0_cells(p: int, q: int):
     theta maps mu's class to its induced family's count at m, and empty is the
     empty mu's split-D count times p(k) (0 unless p1 == q1 == 0)."""
     N = _size(p, q)
-    side = "B" if N % 2 else "D"
+    # the induced module families depend on m and the parity only
+    ind1, ind2 = (f"ind{i}-{'B' if N % 2 else 'D'}" for i in (1, 2))
+    pks = [count_partitions(k) for k in range(min(p, q) // 2 + 1)]
     for m in range(min(p, q) + 1):
         if N % 2 == 0 and (m - q) % 2:
             continue
-        # the induced module families depend on m and the parity only
-        theta = {i: theta_k0_count(f"ind{i}-{side}", m) for i in (1, 2)}
+        theta = {1: theta_k0_count(ind1, m), 2: theta_k0_count(ind2, m)}
         for k in range((min(p, q) - m) // 2 + 1):
-            p1, q1, pk = p - m - 2 * k, q - m - 2 * k, count_partitions(k)
+            p1, q1, pk = p - m - 2 * k, q - m - 2 * k, pks[k]
             yield m, k, p1, q1, theta, pk, theta_k0_count("split-D", m) * pk if p1 == q1 == 0 else 0
 
 
@@ -347,8 +351,8 @@ def census_bdi_k1(p: int, q: int) -> CensusReport:
 
 @lru_cache(maxsize=None)
 def census_k1_total(p: int, q: int) -> int:
-    """census_bdi_k1(p, q).total, memoised."""
-    return census_bdi_k1(p, q).total
+    """census_bdi_k1(p, q).total, memoised, with no report built."""
+    return sum(count * len(deltas) for _, _, _, deltas, count, *_ in _k1_strata(p, q))
 
 
 def _diii_strata(n: int, central: str):
@@ -377,8 +381,13 @@ def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
 
 @lru_cache(maxsize=None)
 def census_diii_totals(n: int) -> tuple[int, int]:
-    """The (k0, k1) totals of census_diii(n), memoised; they format no diagram."""
-    return tuple(report.total for report in census_diii(n))
+    """The (k0, k1) totals of census_diii(n), memoised, with no diagram listed:
+    sum_k p(k) |Lambda_b(n - 2k)|, and the k1 stratum's p2(n/2) for even n >= 2."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    sizes = _lambda_b_counts(n)
+    return (sum(count_partitions(k) * sizes[n - 2 * k] for k in range(n // 2 + 1)),
+            count_bipartitions(n // 2) if n >= 2 and n % 2 == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +421,15 @@ def count_formula_k0(p: int, q: int) -> int:
     if p < q:
         p, q = q, p
     t = p - q
-    base1, base2, base3 = _k0_bases(q)
+    # 4 x^q of (base1 + 9 base3 + 6 base2)/4 at t = 0, else of base1/(2 (1+x^t)) + (3/2) base2
+    # (1+x^t)/(1+x^2t), x^it signed (-1)^i, (-1)^(i//2); bases at a block order serve many q
+    b1, b2, b3 = (base.nums for base in _k0_bases(max(-(-q // 16) * 16, 16)))
     if t == 0:
-        total = base1.scale(Fraction(1, 4)) + base3.scale(Fraction(9, 4))
+        four = b1[q] + 9 * b3[q] + 6 * b2[q]
     else:
-        total = base1.scale(Fraction(1, 2)).mul_binomial(1, t, -1)
-    return _as_count((total + _t_ratio(base2.scale(Fraction(3, 2)), t)).coeff(q), p, q)
+        four = sum((-1) ** i * 2 * a + (-1) ** (i // 2) * 6 * b
+                   for i, (a, b) in enumerate(zip(b1[q::-t], b2[q::-t])))
+    return _as_count(Fraction(four, 4), p, q)
 
 
 @lru_cache(maxsize=None)
@@ -597,7 +609,7 @@ def _diii_rules(n: int) -> dict:
     # the all-even diagrams of Lambda^{n,n} (diii-k1-bijection), not p2(n/2); none at n = 0
     all_even = lambda: len(lambda_even_listing(n)[0]) if n else 0
     return {
-        # one local system per orbit of Lambda^{n,n} (the census walks Lambda_b)
+        # one local system per orbit of Lambda^{n,n} (the census lists or counts Lambda_b)
         ("k0", "all"): (_EVERY, lambda: diii_closure_total(n)),
         # |Lambda_b(n)| = p(n): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
         ("k0", "nilpotent"): (lambda m, k, family: m == 0, lambda: count_partitions(n)),

@@ -39,6 +39,7 @@ checks a diagram with both Richardson rules in one pass down its groups.
 transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with the
 census's class rule ``_class_of`` and nothing from the formula route; one
 pass, on vectors of ways by plus-box count, serves every size up to its top.
+``_lambda_b_counts`` counts Lambda_b by size, a knapsack over ``_lambda_b_rows``.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -452,6 +453,18 @@ def lambda_even_listing(n: int) -> tuple[tuple, tuple, tuple]:
 def lambda_b_listing(n: int) -> tuple[tuple, tuple, tuple]:
     """enum_lambda_b(n)'s rows, and each diagram's class and text, in order."""
     return _doubled_listing(n, range(n, 0, -1), _lambda_b_rows)
+
+
+def _lambda_b_counts(top: int) -> list[int]:
+    """|Lambda_b(m)| for m = 0 .. top, with no diagram listed: a knapsack over the
+    lengths, a group (length, mult) weighted by its len(_lambda_b_rows) signings."""
+    ways = [1] + [0] * top
+    for length in range(1, top + 1):
+        signings = [len(_lambda_b_rows(length, mult)) for mult in range(1, top // length + 1)]
+        for m in range(top, length - 1, -1):  # larger first: each source read before it grows
+            ways[m] += sum(w * ways[m - length * mult]
+                           for mult, w in enumerate(signings[:m // length], 1))
+    return ways
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:

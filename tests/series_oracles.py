@@ -7,12 +7,15 @@ two series run on Fractions throughout, the two-variable binomial multiply
 makes one pass over the whole matrix per unit of power (or walks one line of
 cells at a time through the one-variable kernel), a bilateral sum
 adds a Fraction series for every term, and the two-variable product of the
-lemma-n1-2var check builds both its halves and adds them cell by cell. They are
+lemma-n1-2var check builds both its halves and adds them cell by cell. The
+trivial-character count formula reads its coefficient off FormalSeries
+operations, where the library sums the bases' int coefficients. They are
 slow but easy to trust, and they must not change: the differential tests
 compare the library against them coefficient for coefficient.
 """
 from fractions import Fraction
 
+from sheaf_census import census
 from sheaf_census.qseries import FormalSeries, _mul_binomial
 
 _ZERO = Fraction(0)
@@ -161,3 +164,21 @@ def antidiagonal_sums(matrix):
             if i + j <= n:
                 vals[i + j] += c
     return vals
+
+
+def count_formula_k0(p, q):
+    """The x^q coefficient of the trivial-character count formula as a Fraction,
+    by FormalSeries operations on the bases at order q: scale them, divide by
+    1+x^t and multiply by (1+x^t)/(1+x^2t); p < q is swapped first."""
+    if p < q:
+        p, q = q, p
+    t = p - q
+    base1, base2, base3 = census._k0_bases(q)
+    if t == 0:
+        total = base1.scale(Fraction(1, 4)) + base3.scale(Fraction(9, 4))
+    else:
+        total = base1.scale(Fraction(1, 2)).mul_binomial(1, t, -1)
+    rest = base2.scale(Fraction(3, 2))
+    if t:
+        rest = rest.mul_binomial(1, t, 1).mul_binomial(1, 2 * t, -1)
+    return (total + rest).coeff(q)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import enum_oracles as oracles
+import series_oracles
 from sheaf_census import census as cs
 from sheaf_census import diagrams as dg
 from sheaf_census import groups as gp
@@ -330,14 +331,15 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
 
 
 def test_a_diii_total_formats_no_diagram(monkeypatch):
-    # a total, cold listings or warm, formats no diagram: the Lambda_b
-    # listing joins each mu's text from its groups' texts; a rendered census
-    # reads each mu's text off that column
+    # a cold total lists no diagram: it counts Lambda_b by the knapsack. The
+    # Lambda_b listing joins each mu's text from its groups' texts; a rendered
+    # census reads each mu's text off that column
     for cache in (cs.census_diii_totals, dg.lambda_b_listing):
         cache.cache_clear()
     texts = _count_calls(monkeypatch, "format_diagram", cs, dg)
+    tables = _count_calls(monkeypatch, "_by_signature", dg)
     totals = [cs.census_diii_totals(n) for n in range(13)]
-    assert texts == []
+    assert texts == tables == []
     assert totals == [tuple(r.total for r in cs.census_diii(n)) for n in range(13)]
     for n in (0, 7, 12):
         texts.clear()
@@ -573,13 +575,21 @@ def test_memoised_totals_match_the_reports():
         for p in range(N + 1):
             assert cs.census_k0_total(p, N - p) == cs.census_bdi_k0(p, N - p).total, (p, N - p)
             assert cs.census_k1_total(p, N - p) == cs.census_bdi_k1(p, N - p).total, (p, N - p)
-    for n in range(25):
+    for n in range(31):
         assert cs.census_diii_totals(n) == tuple(r.total for r in cs.census_diii(n)), n
     for bad in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             cs.census_k0_total(*bad)
     with pytest.raises(ValueError):
         cs.census_diii_totals(-1)
+
+
+def test_the_k0_formula_matches_its_series_form():
+    # the int coefficient sums against the FormalSeries operations they replace
+    for N in range(61):
+        for p in range(N + 1):
+            assert cs.count_formula_k0(p, N - p) == series_oracles.count_formula_k0(p, N - p), \
+                (p, N - p)
 
 
 def test_number1_k1_walks_no_strata_when_warm(monkeypatch):
@@ -599,15 +609,17 @@ TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bij
 
 def test_verify_builds_no_stratum_and_then_reads_no_listing(monkeypatch):
     # the k0 totals sum the pi sums over the strata rule's cells: no stratum
-    # record is built, and a warm rerun reads the memoised totals and pi sums
+    # record is built, the diii totals count Lambda_b with no listing, and a
+    # warm rerun reads the memoised totals and pi sums
     for cache in TOTALS:
         cache.cache_clear()
     strata = _count_calls(monkeypatch, "_k0_strata", cs)
-    listings = [_count_calls(monkeypatch, name, cs) for name in ("sigma_b_listing", "lambda_b_listing")]
+    listings = [_count_calls(monkeypatch, name, cs, dg)
+                for name in ("sigma_b_listing", "lambda_b_listing")]
     tables = _count_calls(monkeypatch, "_by_signature", dg)
     first = run_suite(TOTAL_CHECKS, 12, 10)
     assert all(r.passed for r in first)
-    assert strata == []
+    assert strata == listings[1] == []
     # the pi sums read the sigma_b listing once per residual pair
     assert listings[0] and len(set(listings[0])) == len(listings[0])
     for calls in listings:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import enum_oracles as oracles
 from sheaf_census import diagrams as dg
-from sheaf_census.partitions import count_bipartitions, enum_partitions
+from sheaf_census.partitions import count_bipartitions, count_partitions, enum_partitions
 from sheaf_census.qseries import BiSeries
 
 
@@ -471,6 +471,14 @@ def test_lambda_listings_list_the_canonical_texts():
         with pytest.raises(ValueError, match="^n must be nonnegative$"):
             listing(-1)
 
+
+def test_the_lambda_b_knapsack_counts_the_listing():
+    # |Lambda_b(m)| from the knapsack over _lambda_b_rows' signings against the
+    # listing's length, and against p(m): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
+    sizes = dg._lambda_b_counts(30)
+    assert sizes == [len(dg.lambda_b_listing(m)[0]) for m in range(31)]
+    assert sizes == [count_partitions(m) for m in range(31)]
+    assert all(dg._lambda_b_counts(m) == sizes[:m + 1] for m in range(31))
 
 def test_lambda_classes_give_the_kappa1_counts():
     # an odd length holds rows of both signs, so a listed class is 3 exactly

@@ -161,10 +161,12 @@ ROWS = {
                                    {"diii-k1-bijection"},
                                    {("k1", "all"): _diii(range(2, 9, 2)),
                                     ("k1", "full"): _diii(range(2, 9, 2))}),
-    # the diii k0 census walks Lambda_b: it loses every diagram with an odd
-    # row (there is one at every n but 0 and 2; in the full stratum at odd n
-    # only), against the product series of diii_closure_total, p(n) and p(n/2).
-    # Gap: no k1 route reads it, as every k1 diagram is all even
+    # the diii k0 census lists Lambda_b, and its memoised total (which
+    # diii-k0-closure reads) counts it by a knapsack over the same signings:
+    # both lose every diagram with an odd row (there is one at every n but 0
+    # and 2; in the full stratum at odd n only), against the product series
+    # of diii_closure_total, p(n) and p(n/2). Gap: no k1 route reads it, as
+    # every k1 diagram is all even
     "lambda-b-rows-no-odd": ((dg,), "_lambda_b_rows",
                              lambda real: lambda length, mult: (
                                  [] if length % 2 else real(length, mult)),
