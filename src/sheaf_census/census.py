@@ -13,18 +13,18 @@ Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are built through ``diagram()`` for
 ``entries`` alone, their deltas read off mu's class and their texts off mu's text,
-whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing, and
-``theta_k0_count`` and ``count_formula_k0`` are memoised.
+whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing or once
+per t (``_staircase``); ``theta_k0_count`` and ``count_formula_k0`` are memoised.
 Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
 ``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
 its rows. A ``CensusReport`` holds them, and its total (summed once), ``rows()``
 (one per orbit, in ``ROW_KEYS``' order: the JSON, csv and table rows) and
 sub-censuses read them; its ``entries`` build one ``StratumEntry`` (mu and its
 support diagrams, through the checked constructor) per orbit on demand.
-The memoised totals that ``verify`` reads build no report: ``census_k0_total`` sums
-``richardson_pi_sums`` over ``_k0_cells``, ``census_k1_total`` the ``_k1_strata``
-records, and ``census_diii_totals`` counts Lambda_b by a knapsack with no diagram
-listed; ``count_formula_k0`` sums the bases' int coefficients.
+The memoised totals that ``verify`` reads build no report and list no diagram:
+``census_k0_total`` sums ``richardson_pi_sums`` (a knapsack) over ``_k0_cells``,
+``census_k1_total`` the ``_k1_strata`` records, and ``census_diii_totals`` counts
+Lambda_b by a knapsack; ``count_formula_k0`` sums the bases' int coefficients.
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -52,6 +52,7 @@ from .diagrams import (
     lambda_b_listing,
     lambda_even_listing,
     mu_t,
+    richardson_pi_sums,
     sigma_b_listing,
     sigma_class_counts,
 )
@@ -322,6 +323,12 @@ def census_k0_total(p: int, q: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _staircase(t: int) -> tuple:
+    """mu_t(t)'s rows, class and text, built once per t."""
+    return mu_t(t).rows, classify(mu_t(t)), format_diagram(mu_t(t))
+
+
 def _k1_strata(p: int, q: int):
     """(m, k, mu_t's rows, deltas, count, family, mu_text) for every stratum of the
     nontrivial-character census of (p, q): strata (m, k) with
@@ -331,8 +338,7 @@ def _k1_strata(p: int, q: int):
     is eta(0, t), their number)."""
     t = p - q
     D = _size(p, q) - t * t
-    staircase = mu_t(t)
-    cls, text, rows = classify(staircase), format_diagram(staircase), staircase.rows
+    rows, cls, text = _staircase(t)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
         deltas = _support_deltas(m, cls.deltas)
@@ -507,15 +513,6 @@ def nilpotent_support_counts(p: int, q: int) -> tuple[int, int]:
     t = p - q
     k1 = eta(0, t) if p + q == t * t else 0
     return b1 + 2 * b2, k1
-
-
-@lru_cache(maxsize=None)
-def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
-    """Sums of character counts over class-1 and class-2 Richardson diagrams, memoised."""
-    sums = {1: 0, 2: 0}
-    for _, cls, _, pi in zip(*sigma_b_listing(p, q)):
-        sums[cls.index] += pi
-    return sums[1], sums[2]
 
 
 def b_tilde(p: int, q: int) -> int:

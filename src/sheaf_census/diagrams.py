@@ -35,11 +35,11 @@ cached listing of rows, classes and texts (``sigma_listing``, and
 built; ``enum_*`` build each listed diagram through the checked constructor.
 ``in_sigma`` and ``in_lambda`` ask the same row rules, and ``_richardson_omega``
 checks a diagram with both Richardson rules in one pass down its groups.
-``sigma_class_counts`` counts sigma's classes without listing it, by a
-transfer-matrix DP (Stanley, EC1 4.7) over ``_sigma_rows``' options, with the
-census's class rule ``_class_of`` and nothing from the formula route; one
-pass, on vectors of ways by plus-box count, serves every size up to its top.
-``_lambda_b_counts`` counts Lambda_b by size, a knapsack over ``_lambda_b_rows``.
+The count-only routes list no diagram: transfer-matrix DPs (Stanley, EC1 4.7) that
+read the listing's rules and nothing from the formula route, one pass serving every
+size to a top: ``sigma_class_counts`` over ``_sigma_rows``' smallest groups and
+``richardson_pi_sums`` by (class, omega's size) with ``_pi``, both packing ways by
+plus-box count into one int (``_digit_width``), and ``_lambda_b_counts`` by size.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -52,9 +52,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
-from .partitions import BiPartition, Partition, _walk, count_partitions
+from .partitions import BiPartition, Partition, _walk, count_bipartitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,38 +284,38 @@ def enum_sigma(p: int, q: int) -> list[SignedYoungDiagram]:
     return list(map(SignedYoungDiagram, sigma_listing(p, q)[0]))
 
 
+def _digit_width(top: int) -> int:
+    """The bits of a packed digit of the count DPs to size top: a sigma diagram is
+    fixed by its + rows and its - rows, so no count exceeds count_bipartitions(top)."""
+    return count_bipartitions(top).bit_length()
+
+
 @lru_cache(maxsize=8)
 def _class_count_block(top: int) -> dict:
-    """sigma_class_counts of every size 0 .. top by signature, from one walk to
-    top (a size's rounded up to a multiple of 16, 32 at least). ways[boxes] maps
-    (a, b, repeated) to the ways at each plus-box count 0 .. boxes over the odd
-    lengths, each in every signing _sigma_rows gives it; even lengths add nothing
-    to a class, so they fold in as p(m) ways at 4m boxes, 2m of them plus."""
-    ways = [{} for _ in range(top + 1)]
-    ways[0][0, 0, False] = [1]
-    for length in range(1, top + 1, 2):
-        options = [(length * mult, _plus_boxes(row), *_ab((row,)))
-                   for mult in range(1, top // length + 1) for row in _sigma_rows(length, mult)]
-        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
-            for (a, b, rep), vec in ways[boxes].items():
-                for dn, dp, da, db, drep in options:
-                    if boxes + dn > top:
-                        break
-                    target, key = ways[boxes + dn], (a + da, b + db, rep or drep)
-                    if (out := target.get(key)) is None:
-                        out = target[key] = [0] * (boxes + dn + 1)
-                    out[dp:dp + boxes + 1] = map(add, out[dp:dp + boxes + 1], vec)
-    even = [count_partitions(m) for m in range(top // 4 + 1)]
+    """sigma_class_counts of every size 0 .. top by signature from one DP (a size's top
+    rounded up to a multiple of 16, 32 at least): ways[boxes] maps (a, b, repeated) to
+    packed ways. Each smallest group _sigma_rows signs (either sign's row of an odd
+    length, an even one's balanced pair) joins in any number of copies, adding their _ab."""
+    width, ways = _digit_width(top), [{(0, 0, False): 1}] + [{} for _ in range(top)]
+    for length in range(1, top + 1):
+        for _, plus, minus in _sigma_rows(length, 2 - length % 2):
+            step = length * (plus + minus)
+            copies = [(step * c, _plus_boxes(group) * width, *_ab((group,)))
+                      for c in range(1, top // step + 1) for group in [(length, c * plus, c * minus)]]
+            for boxes in range(top - step, -1, -1):  # larger first: each source read before it grows
+                fits = copies[:(top - boxes) // step]
+                for (a, b, rep), w in ways[boxes].items():
+                    for dn, shift, da, db, drep in fits:
+                        target, key = ways[boxes + dn], (a + da, b + db, rep or drep)
+                        target[key] = target.get(key, 0) + (w << shift)
     table: dict[tuple[int, int], list] = {}
-    for n in range(top + 1):
-        acc: dict = {}
-        for m, boxes in enumerate(range(n, -1, -4)):
-            for key, vec in ways[boxes].items():
-                for p, w in enumerate(vec, 2 * m):
-                    if w:
-                        acc[p, key] = acc.get((p, key), 0) + w * even[m]
-        for (p, key), w in acc.items():
-            table.setdefault((p, n - p), []).append((_class_of(*key), w))
+    for n, by_key in enumerate(ways):
+        for key, packed in by_key.items():
+            cls, p = _class_of(*key), 0
+            while packed:
+                if count := packed & (1 << width) - 1:
+                    table.setdefault((p, n - p), []).append((cls, count))
+                packed, p = packed >> width, p + 1
     return {sig: tuple(counts) for sig, counts in table.items()}
 
 
@@ -400,6 +399,50 @@ def _pi(text: str, cls: DiagramClass, omega: int, n: int) -> int:
 def _sigma_b_by_signature(n: int) -> dict:
     # the empty diagram (n = 0) is not Richardson
     return _by_signature(n, n, range(1, n + 1, 2)[::-1], _richardson(n % 2)) if n else {}
+
+
+@lru_cache(maxsize=16)
+def _richardson_block(start: int, top: int) -> list[dict]:
+    """[{(a > 0, b > 0, omega's size): packed ways}] by size n <= top over the Richardson
+    diagrams, if n > 0 has parity start: a knapsack over the odd lengths, largest first,
+    in each mult and sign bit _richardson_bits allows (p and the class key off _options),
+    a state adding the group above's (sign bit, half-length). The rules read a group's
+    first row as the parity of the boxes above, plus 2 past the first: the same answers."""
+    width, ways = _digit_width(top), [{(None, 0, 0, 0): 1}] + [{} for _ in range(top)]
+    for length in range(top - 1 + top % 2, 0, -2):
+        mu = (length - 1) // 2
+        groups = [[((bit, mu), length * mult, dp * width, da > 0, db > 0)
+                   for mult in range(1, top // length + 1)
+                   for _, dp, da, db, *_ in [_options(_richardson_rows, length, mult, "")[bit]]]
+                  for bit in (0, 1)]
+        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
+            row, fits = boxes % 2 + 2 if boxes else 0, [g[:(top - boxes) // length] for g in groups]
+            for (above, a, b, omega), w in ways[boxes].items():
+                for bit in _richardson_bits(row, start, above, mu):
+                    placed = omega + _richardson_in_omega(row, start, above, bit, mu)
+                    for group, dn, shift, da, db in fits[bit]:
+                        target, key = ways[boxes + dn], (group, a | da, b | db, placed)
+                        target[key] = target.get(key, 0) + (w << shift)
+    block = [{} for _ in ways]
+    for n in range(start or 2, top + 1, 2):
+        for (_, a, b, omega), w in ways[n].items():
+            block[n][a, b, omega] = block[n].get((a, b, omega), 0) + w
+    return block
+
+
+@lru_cache(maxsize=None)
+def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
+    """The pi_size sums over the class-1 and class-2 members of sigma_b(p, q), memoised,
+    none listed: each bucket of its size's _richardson_block (top a multiple of 8)
+    adds its ways at p times its _pi, which guards every bucket of the size."""
+    n = _size(p, q)
+    top = max(-(-n // 8) * 8, 8)
+    width, sums = _digit_width(top), [0, 0, 0]
+    for (a, b, omega), ways in _richardson_block(n % 2, top)[n].items():
+        cls = _class_of(a, b, False)
+        pi = _pi(f"a size-{n} diagram of class {cls.index}", cls, omega, n)
+        sums[cls.index] += pi * (ways >> p * width & (1 << width) - 1)
+    return sums[1], sums[2]
 
 
 def sigma_b_listing(p: int, q: int) -> tuple[tuple, tuple, tuple, tuple]:

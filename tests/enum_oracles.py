@@ -12,7 +12,9 @@ built through ``diagram()``'s merge, and the two bdi censuses with their
 orbit decorations branched out by hand, and the three orbit sums over the
 listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
 the per-size class-count DP that keyed each state by its box and plus-box
-counts, and the sigma and sigma_b size tables as built when every listed
+counts, the block class-count DP on lists of ways by plus-box count (one
+slice added per signing), the Richardson pi sums summed over the listed
+diagrams, and the sigma and sigma_b size tables as built when every listed
 diagram was built and classified by an ``_ab`` walk of its own (the DP and
 the sigma table counting a group's plus boxes box by box), and the Kleshchev
 bipartitions grown node by node, a representation-theoretic route to the
@@ -22,6 +24,7 @@ differential tests compare the library against them list for list, order
 included.
 """
 import itertools
+import operator
 from collections import Counter
 
 from sheaf_census import diagrams, groups
@@ -391,6 +394,50 @@ def class_counts_by_signature(n):
             counts = table.setdefault((p + 2 * m, n - p - 2 * m), Counter())
             counts[diagrams._class_of(a, b, rep)] += w * count_partitions(m)
     return table
+
+
+def class_count_block(top):
+    """The class counts of every size 0 .. top by signature as
+    diagrams._class_count_block built them before its ways were packed: ways[boxes]
+    maps (a, b, repeated) to a list of ways by plus-box count over the odd lengths,
+    each group in every signing _sigma_rows gives it, a slice added per option;
+    even lengths fold in as p(m) ways at 4m boxes, 2m of them plus."""
+    ways = [{} for _ in range(top + 1)]
+    ways[0][0, 0, False] = [1]
+    for length in range(1, top + 1, 2):
+        options = [(length * mult, diagrams._plus_boxes(row), *diagrams._ab((row,)))
+                   for mult in range(1, top // length + 1)
+                   for row in diagrams._sigma_rows(length, mult)]
+        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
+            for (a, b, rep), vec in ways[boxes].items():
+                for dn, dp, da, db, drep in options:
+                    if boxes + dn > top:
+                        break
+                    target, key = ways[boxes + dn], (a + da, b + db, rep or drep)
+                    if (out := target.get(key)) is None:
+                        out = target[key] = [0] * (boxes + dn + 1)
+                    out[dp:dp + boxes + 1] = map(operator.add, out[dp:dp + boxes + 1], vec)
+    even = [count_partitions(m) for m in range(top // 4 + 1)]
+    table = {}
+    for n in range(top + 1):
+        acc = {}
+        for m, boxes in enumerate(range(n, -1, -4)):
+            for key, vec in ways[boxes].items():
+                for p, w in enumerate(vec, 2 * m):
+                    if w:
+                        acc[p, key] = acc.get((p, key), 0) + w * even[m]
+        for (p, key), w in acc.items():
+            table.setdefault((p, n - p), []).append((diagrams._class_of(*key), w))
+    return {sig: tuple(counts) for sig, counts in table.items()}
+
+
+def richardson_pi_sums(p, q):
+    """The class-1 and class-2 sums of pi over the listed Richardson diagrams of
+    signature (p, q), each pi as its sigma_b listing computes it."""
+    sums = {1: 0, 2: 0}
+    for _, cls, _, pi in zip(*diagrams.sigma_b_listing(p, q)):
+        sums[cls.index] += pi
+    return sums[1], sums[2]
 
 
 def _by_signature(n, partitions, signings):

@@ -323,8 +323,8 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
     # no support diagram is built (only entries builds them, through
     # diagram()): each support's text comes from its mu's, and each mu's
     # with its record (a k0 mu's from its sigma_b listing, a k1 report's
-    # staircase formatted once)
-    assert (len(supports), len(texts)) == (0, 2)
+    # from its staircase, formatted once per t by the cold run)
+    assert (len(supports), len(texts)) == (0, 0)
     cs.census_bdi_k0(3, 2).entries  # the counters do see the view's objects
     assert set(built) == {cs.StratumEntry, cs.OrbitLabel}
     assert supports
@@ -464,6 +464,15 @@ def test_orbit_sums_agree_with_the_formulas_deep(total):
         assert cs.kappa1_orbit_sum(p, q) == cs.count_formula_k1(p, q), (p, q)
 
 
+@pytest.mark.parametrize("total", [64, 80, 100])
+def test_k0_totals_agree_with_the_formula_deep(total):
+    # the Richardson knapsack takes the census total where listing sigma_b
+    # took seconds and hundreds of MiB (p+q = 80: 9 s, 623 MiB)
+    for p in range(total + 1):
+        q = total - p
+        assert cs.census_k0_total(p, q) == cs.count_formula_k0(p, q), (p, q)
+
+
 # every public per-pair function of census, each refusing a negative entry
 PER_PAIR = (cs.census_bdi_k0, cs.census_bdi_k1, cs.census_k0_total, cs.census_k1_total,
             cs.count_formula_k0, cs.count_formula_k1, cs.cuspidal_counts,
@@ -481,15 +490,18 @@ def test_per_pair_functions_refuse_a_negative_signature(fn, pair):
 def test_censuses_classify_no_support(monkeypatch):
     # a support's class is read off its mu's: the k0 census and its total
     # read the classes of the cached Richardson table, the k1 census
-    # classifies its staircase once
+    # classifies its staircase once per t, for its report and its total
     p, q = 7, 6
     cs.census_bdi_k0(p, q)  # fills the cached Richardson table
-    cs.census_k0_total.cache_clear()
+    for cache in (cs.census_k0_total, cs.census_k1_total, cs._staircase):
+        cache.cache_clear()
     calls = _count_classify(monkeypatch)
     cs.census_bdi_k0(p, q)
     cs.census_k0_total(p, q)
     assert calls == []
     cs.census_bdi_k1(p, q)
+    cs.census_k1_total(p, q)
+    cs.census_bdi_k1(p + 2, q + 2)  # the same t
     assert calls == [(dg.mu_t(p - q),)]
 
 
@@ -604,38 +616,45 @@ def test_number1_k1_walks_no_strata_when_warm(monkeypatch):
     assert not calls
 
 
-TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bijection"]
+# the checks that read the memoised totals, and those that read the pi sums
+TOTAL_CHECKS = ["number1-k0", "numbert-closure", "diii-k0-closure", "diii-k1-bijection",
+                "bb-odd", "bb-even", "tb1", "b2-odd", "b2-even", "b2-weighted-oracle",
+                "nilcoro-k0-odd", "nilcoro-k0-even"]
 
 
 def test_verify_builds_no_stratum_and_then_reads_no_listing(monkeypatch):
     # the k0 totals sum the pi sums over the strata rule's cells: no stratum
-    # record is built, the diii totals count Lambda_b with no listing, and a
-    # warm rerun reads the memoised totals and pi sums
+    # record is built, and neither the pi sums nor the diii totals list a
+    # diagram (both count by DPs); a warm rerun reads the memoised totals and
+    # pi sums, and builds no count table either
     for cache in TOTALS:
         cache.cache_clear()
     strata = _count_calls(monkeypatch, "_k0_strata", cs)
     listings = [_count_calls(monkeypatch, name, cs, dg)
                 for name in ("sigma_b_listing", "lambda_b_listing")]
     tables = _count_calls(monkeypatch, "_by_signature", dg)
+    sigma_b = _count_calls(monkeypatch, "_sigma_b_by_signature", dg)
+    blocks = _count_calls(monkeypatch, "_richardson_block", dg)
     first = run_suite(TOTAL_CHECKS, 12, 10)
     assert all(r.passed for r in first)
-    assert strata == listings[1] == []
-    # the pi sums read the sigma_b listing once per residual pair
-    assert listings[0] and len(set(listings[0])) == len(listings[0])
-    for calls in listings:
-        del calls[:]
-    del tables[:]
+    assert strata == sigma_b == listings[0] == listings[1] == []
+    # the pi sums read a Richardson block per parity and top: sizes to 10 read tops 8 and 16
+    assert set(blocks) == {(start, top) for start in (0, 1) for top in (8, 16)}
+    del tables[:], blocks[:]
     assert run_suite(TOTAL_CHECKS, 12, 10) == first
-    assert strata == tables == [] and listings == [[], []]
+    assert strata == tables == blocks == [] and listings == [[], []]
 
 
 def test_the_default_suite_builds_no_record_and_walks_classes_once(monkeypatch):
-    # no check builds a stratum record or a Partition, and one class-count
-    # walk serves every size the suite reads
-    for cache in (*TOTALS, dg._class_count_block):
+    # no check builds a stratum record or a Partition or lists sigma or
+    # sigma_b, and one class-count DP serves every size the suite reads
+    for cache in (*TOTALS, dg._class_count_block, dg._sigma_by_signature,
+                  dg._sigma_b_by_signature):
         cache.cache_clear()
     strata = _count_calls(monkeypatch, "_k0_strata", cs)
     built = _count_calls(monkeypatch, "Partition", partitions, dg)
+    tables = [_count_calls(monkeypatch, name, dg)
+              for name in ("_sigma_by_signature", "_sigma_b_by_signature")]
     assert all(r.passed for r in run_suite("all", 40, 24))
-    assert strata == built == []
+    assert strata == built == tables[0] == tables[1] == []
     assert dg._class_count_block.cache_info().misses == 1

@@ -377,10 +377,11 @@ def refill(request):
     return clear
 
 
-# the memoised census totals and Richardson pi sums that verify reads: every
-# test that patches a helper feeding them refills them too
+# the memoised census totals and Richardson pi sums that verify reads, and the
+# Richardson count DP the pi sums read: every test that patches a helper
+# feeding them refills them too
 TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total,
-          census.richardson_pi_sums)
+          census.richardson_pi_sums, dg._richardson_block)
 
 
 def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):

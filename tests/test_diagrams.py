@@ -313,6 +313,48 @@ def test_sigma_class_counts_match_the_per_size_dp():
             assert dict(dg.sigma_class_counts(p, q)) == dict(table.get((p, q), {})), (p, q)
 
 
+@pytest.mark.parametrize("top", [32, 48, 64])
+def test_class_count_block_matches_the_slice_oracle(top):
+    # the packed DP against the slice DP it replaced: every signature, class and count
+    got, expected = dg._class_count_block(top), oracles.class_count_block(top)
+    assert got.keys() == expected.keys()
+    for sig, counts in expected.items():
+        assert len(got[sig]) == len(counts) and dict(got[sig]) == dict(counts), (top, sig)
+
+
+def test_richardson_pi_sums_match_the_listing_sums():
+    # the Richardson knapsack against pi summed over the sigma_b listing, every p+q <= 40
+    for total in range(41):
+        for p in range(total + 1):
+            q = total - p
+            assert dg.richardson_pi_sums(p, q) == oracles.richardson_pi_sums(p, q), (p, q)
+
+
+@pytest.mark.parametrize("top", [1, 8, 25, 96])
+def test_packed_digits_stay_inside_their_width(top):
+    # a digit holds count_bipartitions(top), which bounds every count of diagrams
+    # of size <= top: no digit either DP produces reaches its width, and the
+    # digits of each size sum to the size's count, so none carried into the next
+    width, bound = dg._digit_width(top), count_bipartitions(top)
+    sigma = [1] + [0] * top  # |sigma(n)|: any odd rows of either sign, even rows in +- pairs
+    for length in range(1, top + 1):
+        for step in (length, length) if length % 2 else (2 * length,):
+            for n in range(step, top + 1):
+                sigma[n] += sigma[n - step]
+    by_size = [0] * (top + 1)
+    for (p, q), counts in dg._class_count_block(top).items():
+        by_size[p + q] += sum(n for _, n in counts)
+        assert max(n for _, n in counts) <= bound < 1 << width, (top, p, q)
+    assert by_size == sigma
+    for n in range(1, top + 1):
+        buckets = dg._richardson_block(n % 2, top)[n].values()
+        digits = [packed >> p * width & (1 << width) - 1 for packed in buckets for p in range(n + 1)]
+        assert max(digits, default=0) <= bound and not any(w >> (n + 1) * width for w in buckets)
+        if n <= 30:  # the Richardson diagrams the size's sigma_b table lists
+            assert sum(digits) == sum(len(columns[0]) for columns in
+                                      dg._sigma_b_by_signature(n).values()), (top, n)
+
+
 def _sigma_product(order, keep):
     """The closed product over k >= 1 of 1/(1 - u^k v^(k-1)) for a +row of odd
     length 2k - 1, 1/(1 - u^(k-1) v^k) for a -row, each if keep(k, sign), and

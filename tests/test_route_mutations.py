@@ -130,7 +130,8 @@ ROWS = {
                                     if (p + q) and (p * q) % 2 == 0}}),
     # unforced signs list non-Richardson diagrams, and some of them have a
     # negative character-count exponent: building their size's table raises,
-    # and so does every cell of a pair that reads it
+    # and so does every cell of a pair that reads it; the checks' pi sums meet
+    # the same guard in the Richardson count DP's buckets of those sizes
     "richardson-never-forced": ((dg,), "_richardson_bits",
                                 lambda real: lambda row, start, above, mu: (0, 1),
                                 {"b2-even", "b2-odd", "b2-weighted-oracle", "bb-even", "bb-odd",
@@ -139,7 +140,8 @@ ROWS = {
                                 {("k0", subset): UNFORCED
                                  for subset in ("all", "cuspidal", "full", "nilpotent")}),
     # index 1 is in omega exactly on even sizes: without it, _pi's exponent
-    # guard trips on every even-size table with a Richardson diagram, so the
+    # guard trips on every even-size table with a Richardson diagram (and on
+    # the count DP's buckets of that size, which the checks read), so the
     # k0 report of each even-size pair that reads one fails to build;
     # membership is unchanged
     "omega-drop-1": ((dg,), "_richardson_in_omega",
