@@ -9,18 +9,16 @@ bilateral sums) works on the int numerators and builds no Fraction.
 
 `prod_series` expands a product on one packed int v = sum c_k*2^(k*B) mod
 2^((order+1)*B) (Kronecker substitution). As x -> 2^B is a ring map from
-Z[x]/(x^(order+1)) to that ring, a multiply by 1 + sign*x^e is one exact
-shift-and-add v +- (v << e*B), a divide multiplies by 1 - sign*x^e and by
-each 1 + x^(e*2^i) up to the order (1/(1-z) = prod 1 + z^(2^i)), and a
-power past the order's reach multiplies once by the truncated binomial
-series. Only the final coefficients must fit a digit, so `_width` takes B
-from a bound on them, and one biased to_bytes pass reads them back. Single
-factors (`FormalSeries.mul_binomial`, BiSeries' pure-v rows), where packing
-costs more than the factor, go through the slice-add kernel `_mul_binomial`:
-one C-level slice pass per unit factor, a divide along residue classes mod
-e or block by block, and one pass of the truncated binomial series for a
-power past the reach. BiSeries (ints when new) offers `one`, `coeff` and
-`mul_binomial`; callers sum its cells.
+Z[x]/(x^(order+1)) to that ring, `_expand` multiplies by a factor
+(1 + sign*x^e)^P: a multiply by 1 + sign*x^e is one exact shift-and-add
+v +- (v << e*B), a divide multiplies by 1 - sign*x^e and by each
+1 + x^(e*2^i) up to the order (1/(1-z) = prod 1 + z^(2^i)), and a power past
+the order's reach multiplies once by the truncated binomial series. Only the
+final coefficients must fit a digit, so B comes from a bound on them (`_width`
+for a product, the input's size times the largest binomial term for
+`FormalSeries.mul_binomial`), and one biased to_bytes pass reads them back.
+BiSeries (ints when new) offers `one`, `coeff` and `mul_binomial`; callers sum
+its cells.
 
 The module also owns the text grammar for product expressions used by the
 command line (`parse_series_expr`). `inv()` of exactly one product is that
@@ -31,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import ceil, comb, exp, expm1, gcd, inf, lcm, log, log1p, pi, sqrt
 from operator import add, mul, sub
 from typing import Callable, Iterable
@@ -139,49 +137,17 @@ class FormalSeries:
             raise ValueError("binomial factors need exponent >= 1")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        vals = list(self.nums)
-        _mul_binomial(vals, sign, exponent, power)
+        m, reach = abs(power), self.order // exponent
+        big = comb(m, min(reach, m // 2)) if power > 0 else comb(m + reach, reach)
+        # each product coefficient sums distinct input numerators, each times one
+        # binomial term of at most big: that bound's bits and a sign bit
+        width = ((sum(map(abs, self.nums)) * big).bit_length() + 8) // 8 * 8
+        vals = _expand(self.nums, self.order, width, [(sign, [exponent], power)])
         return FormalSeries(tuple(vals), self.den)
 
     def __str__(self) -> str:
         terms = [f"{c}*x^{k}" if k else f"{c}" for k, c in enumerate(self.coeffs) if c]
         return f"{' + '.join(terms) or '0'} + O(x^{self.order + 1})"
-
-
-def _mul_binomial(vals: list, sign: int, exponent: int, power: int) -> None:
-    """Multiply the coefficient list vals in place by (1 + sign*x^exponent)^power,
-    truncated to its length; the cost is bounded by the order, not by power.
-
-    Each unit factor is one C-level slice pass. Multiplying adds (or
-    subtracts) the list shifted by the exponent; unlike the series pass, it
-    copies nothing and multiplies no cell. Dividing is an ascending
-    recurrence: an accumulate along each residue class mod the exponent when
-    there are at most as many classes as blocks, otherwise a walk over blocks
-    of exponent cells, each block adjusted by the quotient block below it. A
-    power past the reach n // exponent multiplies once by the truncated
-    binomial series instead."""
-    n, m = len(vals) - 1, abs(power)
-    reach = n // exponent
-    if m > reach:
-        # the terms C(m, j)*sign^j, or C(m+j-1, j)*(-sign)^j when dividing, of x^(j*exponent)
-        src = vals[:]
-        for j in range(1, reach + 1):
-            c = comb(m, j) * sign ** j if power > 0 else comb(m + j - 1, j) * (-sign) ** j
-            vals[j * exponent:] = map(add, vals[j * exponent:], map(mul, repeat(c), src))
-    elif power > 0:
-        op = add if sign > 0 else sub
-        for _ in range(m):
-            vals[exponent:] = map(op, vals[exponent:], vals[:n + 1 - exponent])
-    elif exponent * exponent <= n:
-        step = None if sign < 0 else (lambda acc, x: x - acc)
-        for _ in range(m):
-            for r in range(exponent):
-                vals[r::exponent] = accumulate(vals[r::exponent], step)
-    else:
-        op = add if sign < 0 else sub
-        for _ in range(m):
-            for b in range(exponent, n + 1, exponent):
-                vals[b:b + exponent] = map(op, vals[b:b + exponent], vals[b - exponent:b])
 
 
 def _width(order: int, factors) -> int:
@@ -220,10 +186,7 @@ def _width(order: int, factors) -> int:
 def prod_series(order: int, *factors: tuple[int, int, int, int],
                 scalar=1, shift: int = 0) -> FormalSeries:
     """Expand scalar * x^shift times, for each (sign, stride, offset, power)
-    factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order.
-
-    The product is worked on one int v = sum c_k*2^(k*B) mod 2^((order+1)*B),
-    the image of the coefficients under x -> 2^B (module docstring)."""
+    factor, prod_{s>=1} (1 + sign*x^(stride*s+offset))^power to the order."""
     for sign, stride, offset, _ in factors:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -234,15 +197,31 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
     if shift < 0:
         raise ValueError("negative exponents are not representable")
     _check_order(order)
-    width = _width(order, factors)
+    vals = _expand([1], order, _width(order, factors),
+                   [(sign, range(stride + offset, order + 1, stride), power)
+                    for sign, stride, offset, power in factors])
+    return FormalSeries(tuple(([0] * shift + vals)[: order + 1])).scale(scalar)
+
+
+def _expand(nums, order: int, width: int, factors) -> list[int]:
+    """The ints nums, zero-padded to order + 1, times (1 + sign*x^e)^power for
+    each (sign, exponents, power) of factors and e of exponents, on one packed
+    int of width-bit digits (module docstring). Only nums and the product's
+    digits must lie in [-2^(width-1), 2^(width-1)); a factor's cost is bounded
+    by the order."""
+    nbytes, half = width // 8, 1 << (width - 1)
     mask = (1 << (order + 1) * width) - 1  # refuses an order no int can hold
-    v = 1
-    for sign, stride, offset, power in factors:
+    # half in every digit, so that each packed or read byte group is c_k + half in [0, 2^B)
+    half_digit = bytes(nbytes - 1) + b"\x80"
+    bias = int.from_bytes(half_digit * (order + 1), "little")
+    v = (int.from_bytes(b"".join((c + half).to_bytes(nbytes, "little") for c in nums), "little")
+         - int.from_bytes(half_digit * len(nums), "little"))
+    for sign, exponents, power in factors:
         m = abs(power)
-        for exponent in range(stride + offset, order + 1, stride):
+        for exponent in exponents:
             reach = order // exponent
             if m > reach:
-                # the truncated binomial series, with _mul_binomial's terms
+                # one pass of the binomial series, its terms x^(j*exponent) to the order
                 terms = (comb(m, j) * sign ** j if power > 0 else comb(m + j - 1, j) * (-sign) ** j
                          for j in range(reach + 1))
                 v = sum(c * v << j * exponent * width for j, c in enumerate(terms)) & mask
@@ -255,13 +234,9 @@ def prod_series(order: int, *factors: tuple[int, int, int, int],
                 v = op(v, v << exponent * width) & mask
                 for i in doubling:
                     v = (v + (v << (exponent * width << i))) & mask
-    nbytes, half = width // 8, 1 << (width - 1)
-    # add half to every digit, so each byte group reads c_k + half in [0, 2^B)
-    raw = ((v + int.from_bytes((bytes(nbytes - 1) + b"\x80") * (order + 1), "little")) & mask
-           ).to_bytes((order + 1) * nbytes, "little")
-    vals = [int.from_bytes(raw[i:i + nbytes], "little") - half
+    raw = ((v + bias) & mask).to_bytes((order + 1) * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
             for i in range(0, len(raw), nbytes)]
-    return FormalSeries(tuple(([0] * shift + vals)[: order + 1])).scale(scalar)
 
 
 def bilateral_sum(constant_term, terms: Callable[[int], Iterable[tuple[int, int]]],
@@ -314,21 +289,21 @@ class BiSeries:
 
     def mul_binomial(self, sign: int, ue: int, ve: int, power: int = 1) -> BiSeries:
         """Multiply by (1 + sign*u^ue*v^ve)^power; power may be negative.
-        Requires ue+ve >= 1. A pure-v factor (ue == 0) multiplies each row, a
-        series in v, by the one-variable kernel. Otherwise the factor is swept
-        over rows: each binomial term c*u^(t*ue)*v^(t*ve) within both orders
-        adds c times row i - t*ue, shifted t*ve along, to row i. Multiplying
-        walks from the last row back (earlier rows still hold the input);
-        dividing walks from the first (earlier rows already hold the quotient)."""
+        Requires ue+ve >= 1. The factor is swept over rows: each binomial
+        term c*u^(t*ue)*v^(t*ve) within both orders adds c times row
+        i - t*ue, shifted t*ve along, to row i. Multiplying walks from the
+        last row back (earlier rows still hold the input); dividing walks
+        from the first (earlier rows already hold the quotient). A pure-v
+        factor (ue == 0) sweeps the transpose as the pure-u factor (ve, 0)."""
         if ue < 0 or ve < 0 or ue + ve < 1:
             raise ValueError("factor exponents must be nonnegative with positive total")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        out = [row[:] for row in self.m]
         if ue == 0:
-            for row in out:
-                _mul_binomial(row, sign, ve, power)
-            return BiSeries(self.u_order, self.v_order, out)
+            transpose = BiSeries(self.v_order, self.u_order, [list(c) for c in zip(*self.m)])
+            transpose = transpose.mul_binomial(sign, ve, 0, power)
+            return BiSeries(self.u_order, self.v_order, [list(c) for c in zip(*transpose.m)])
+        out = [row[:] for row in self.m]
         m = abs(power)
         reach = min(m, self.u_order // ue, self.v_order // ve if ve else m)
         # dividing subtracts each term of the quotient instead of adding the input's

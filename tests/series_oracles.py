@@ -5,7 +5,7 @@ to Python ints: the product expansion seeds a monomial and multiplies by each
 binomial factor one pass per unit of power, the inverse and the product of
 two series run on Fractions throughout, the two-variable binomial multiply
 makes one pass over the whole matrix per unit of power (or walks one line of
-cells at a time through the one-variable kernel), a bilateral sum
+cells at a time through this module's `mul_binomial`), a bilateral sum
 adds a Fraction series for every term, and the two-variable product of the
 lemma-n1-2var check builds both its halves and adds them cell by cell. The
 trivial-character count formula reads its coefficient off FormalSeries
@@ -16,7 +16,7 @@ compare the library against them coefficient for coefficient.
 from fractions import Fraction
 
 from sheaf_census import census
-from sheaf_census.qseries import FormalSeries, _mul_binomial
+from sheaf_census.qseries import FormalSeries
 
 _ZERO = Fraction(0)
 
@@ -107,8 +107,7 @@ def bi_mul_binomial_by_lines(matrix, sign, ue, ve, power=1):
             line = [out[i][j] for i, j in cells]
             # a line that is zero before its last cell is unchanged
             if any(line[:-1]):
-                _mul_binomial(line, sign, 1, power)
-                for (i, j), c in zip(cells, line):
+                for (i, j), c in zip(cells, mul_binomial(line, sign, 1, power)):
                     out[i][j] = c
     return out
 

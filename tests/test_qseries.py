@@ -276,19 +276,20 @@ def test_packed_width_bounds_the_series_expand_families(order):
         _assert_width_holds(order, factors)
 
 
-def _factor_by_factor(order, *factors):
-    """The product built one binomial factor at a time by the slice kernel."""
-    s = FormalSeries.from_values([1], order)
+def _oracle_factor_by_factor(order, *factors):
+    """The product's int coefficients, one binomial factor at a time by the oracle."""
+    vals = [1] + [0] * order
     for sign, stride, offset, power in factors:
         for exponent in range(stride + offset, order + 1, stride):
-            s = s.mul_binomial(sign, exponent, power)
-    return s
+            vals = oracles.mul_binomial(vals, sign, exponent, power)
+    return vals
 
 
-def test_packed_product_matches_the_slice_kernel_on_large_coefficients():
+def test_packed_product_matches_the_factor_oracle_on_large_coefficients():
     # at order 400 prod (1-x^s)^-3 has 112-bit coefficients: the 3-coloured partitions
     for factors in [*SERIES_EXPAND, ((-1, 1, 0, -3),)]:
-        assert qs.prod_series(400, *factors) == _factor_by_factor(400, *factors), factors
+        expected = _oracle_factor_by_factor(400, *factors)
+        assert list(qs.prod_series(400, *factors).nums) == expected, factors
     assert qs.prod_series(400, (-1, 1, 0, -3)).nums[400] == 4103192515711939324405364688418917
 
 
@@ -314,6 +315,11 @@ def test_inverse_non_unit_constant_term(c0):
     assert s * t == oracles.product(s, t)
 
 
+def _assert_mul_binomial_matches_oracle(vals, sign, exponent, power):
+    got = FormalSeries.from_values(vals).mul_binomial(sign, exponent, power)
+    assert got.coeffs == tuple(oracles.mul_binomial(vals, sign, exponent, power))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 40), st.integers(1, 45), st.sampled_from((1, -1)), st.integers(-12, 12),
        st.sampled_from((int, Fraction)), st.data())
@@ -321,26 +327,45 @@ def test_mul_binomial_kernel_matches_oracle(n, exponent, sign, power, kind, data
     # exponents below and past the order, powers on both sides of n // exponent
     values = st.integers(-9, 9) if kind is int else rationals
     vals = data.draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-    got = list(vals)
-    qs._mul_binomial(got, sign, exponent, power)
-    assert got == oracles.mul_binomial(vals, sign, exponent, power)
-    assert all(type(c) is kind for c in got)
+    _assert_mul_binomial_matches_oracle(vals, sign, exponent, power)
 
 
 @pytest.mark.parametrize("exponent, power", [
     (3, 2), (3, 12),      # multiply, below and past the reach 30 // 3
-    (1, -3), (5, -2), (5, -8),  # divide along residue classes (5*5 <= 30)
-    (6, -2), (6, -7),     # divide block by block (6*6 > 30)
+    (1, -3), (5, -2), (5, -8), (6, -2), (6, -7),  # divide, below and past the reach
     (1, -31), (30, -1), (31, 3), (31, -3),
+    (3, 0),               # power 0 is the identity
 ])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_mul_binomial_kernel_shapes(exponent, power, sign):
     ints = [(7 * k) % 11 - 5 for k in range(31)]
     for vals in (ints, [Fraction(v, 1 + k % 4) for k, v in enumerate(ints)]):
-        got = list(vals)
-        qs._mul_binomial(got, sign, exponent, power)
-        assert got == oracles.mul_binomial(vals, sign, exponent, power)
-        assert all(type(c) is type(vals[0]) for c in got)
+        _assert_mul_binomial_matches_oracle(vals, sign, exponent, power)
+
+
+@pytest.mark.parametrize("power", [10 ** 9, -10 ** 9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mul_binomial_huge_powers(sign, power):
+    # too many unit passes for the oracle: the closed binomial series instead
+    ints = [(7 * k) % 11 - 5 for k in range(31)]
+    for exponent in (1, 4, 31):
+        for vals in (ints, [Fraction(v, 1 + k % 4) for k, v in enumerate(ints)]):
+            got = FormalSeries.from_values(vals).mul_binomial(sign, exponent, power)
+            expected = [sum(_binomial(power, j) * sign ** j * vals[k - j * exponent]
+                            for j in range(k // exponent + 1)) for k in range(31)]
+            assert got.coeffs == tuple(expected), exponent
+
+
+@pytest.mark.parametrize("power", [40, -40])
+def test_mul_binomial_digit_width_on_large_numerators(power):
+    # the product's digits reach C(40, 20) times the 40-digit numerators; a lone
+    # 2*10^39 reaches 2*10^39*C(40, 20) at x^20, a 168-bit digit that needs the sign bit
+    assert (2 * 10 ** 39 * comb(40, 20)).bit_length() == 168
+    dense = [(-1) ** k * (10 ** 39 + 7919 * k) for k in range(41)]
+    fractions = [Fraction(v, 3 + k % 5) for k, v in enumerate(dense)]
+    for vals in (dense, [2 * 10 ** 39] + [0] * 40, fractions):
+        for sign in (1, -1):
+            _assert_mul_binomial_matches_oracle(vals, sign, 1, power)
 
 
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
@@ -377,8 +402,8 @@ def _dense(u_order, v_order):
 @pytest.mark.parametrize("ue,ve", [(0, 1), (0, 3), (1, 0), (4, 0)])
 @pytest.mark.parametrize("power", [-3, -1, 1, 2])
 def test_biseries_mul_binomial_one_variable_factors(ue, ve, power):
-    # a pure-v factor runs the one-variable kernel on each row; a pure-u factor
-    # is swept over rows with no shift along them
+    # a pure-v factor sweeps the transpose as a pure-u factor, which is swept
+    # over rows with no shift along them, so each row is multiplied on its own
     matrix = _dense(6, 7)
     got = _assert_matches_both_oracles(matrix, -1, ue, ve, power)
     if ue == 0:
