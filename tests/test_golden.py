@@ -68,6 +68,13 @@ COMMANDS = {
                                       "both", "--subset", "full", "--check", "--format", "csv"],
     "census_diii_4_full_check_table": ["census", "diii", "--n", "4", "--central", "both",
                                        "--subset", "full", "--check", "--format", "table"],
+    # larger censuses: empty-mu rows, decorated m = 0 supports, 2-row merges and
+    # Lambda_b supports, in all three formats
+    "census_bdi_10_10_both_check_csv": ["census", "bdi", "--p", "10", "--q", "10", "--central",
+                                        "both", "--check", "--format", "csv"],
+    "census_bdi_9_7_both_check": ["census", "bdi", "--p", "9", "--q", "7", "--central", "both",
+                                  "--check"],
+    "census_diii_10_check_table": ["census", "diii", "--n", "10", "--check", "--format", "table"],
 }
 
 
