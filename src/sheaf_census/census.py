@@ -12,18 +12,18 @@ Two fully independent routes are kept apart on purpose:
 Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once: supports are built through ``diagram()`` for
-``entries`` alone, their deltas read off mu's class and their texts off mu's text,
-whose rows, class, text (and pi) come with the sigma_b or Lambda_b listing or once
-per t (``_staircase``); ``theta_k0_count`` and ``count_formula_k0`` are memoised.
-Each family's strata rule is one generator (``_k0_strata``, ``_k1_strata``,
-``_diii_strata``) of (m, k, mu, deltas, count, family, mu_text) records, mu as
-its rows. A ``CensusReport`` holds them, and its total (summed once), ``rows()``
-(one per orbit, in ``ROW_KEYS``' order: the JSON, csv and table rows) and
-sub-censuses read them; its ``entries`` build one ``StratumEntry`` (mu and its
-support diagrams, through the checked constructor) per orbit on demand.
-The memoised totals that ``verify`` reads build no report and list no diagram:
+``entries`` alone, their deltas read off mu's class and their texts joined from
+mu's head (its text but its 1-row group) and the merged 2- and 1-row groups;
+``_column`` cuts the heads once per listing (memoised for sigma_b). Each family's
+strata rule is one generator (``_k0_blocks``, ``_k1_blocks``, ``_diii_blocks``)
+of blocks, one cell (m, k) over a listing's column, each mu's kind picking a cell
+(family, count, deltas). A ``CensusReport`` holds them; its total (summed once
+off the blocks it renders), ``rows()`` (one per orbit, in ``ROW_KEYS``' order),
+``json_rows`` (those rows as JSON, from pieces built per block and cell) and
+sub-censuses read them, and ``entries`` builds a checked ``StratumEntry`` per
+orbit. The memoised totals ``verify`` reads build no report and list no diagram:
 ``census_k0_total`` sums ``richardson_pi_sums`` (a knapsack) over ``_k0_cells``,
-``census_k1_total`` the ``_k1_strata`` records, and ``census_diii_totals`` counts
+``census_k1_total`` the ``_k1_blocks``' cells, ``census_diii_totals`` counts
 Lambda_b by a knapsack; ``count_formula_k0`` sums the bases' int coefficients.
 
 Each sub-census is one rule per (family, central character, subset): the
@@ -33,6 +33,7 @@ only the latter evaluates the route.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -208,12 +209,12 @@ class StratumEntry:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """A census as its (m, k, mu's rows, deltas, count, family, mu_text) records:
-    each orbit over the support of (m, k, mu), one per delta, carries count local systems."""
+    """A census as its blocks (m, k, column, cells): strata (m, k, mu) over a _column's mus,
+    each mu's cell (family, count, deltas) giving count local systems to each orbit."""
 
     pair: tuple  # ("bdi", p, q) or ("diii", n)
     central: str  # "k0" | "k1"
-    strata: tuple[tuple, ...]
+    blocks: tuple[tuple, ...]
     warnings: tuple[str, ...] = ()
 
     @property
@@ -221,20 +222,35 @@ class CensusReport:
         """One StratumEntry per orbit over each stratum's support, labels validated."""
         return tuple(StratumEntry(OrbitLabel(support, delta), m, k, SignedYoungDiagram(mu),
                                   count, family)
-                     for m, k, mu, deltas, count, family, _ in self.strata
+                     for m, k, (mus, keys, *_), cells in self.blocks
+                     for mu, (family, count, deltas) in zip(mus, map(cells.__getitem__, keys))
                      for support in (diagram(*mu, (1, m, m), (2, k, k)),) for delta in deltas)
 
     @cached_property
     def total(self) -> int:
-        """The local systems over every orbit, summed on the first read."""
-        return sum(count * len(deltas) for _, _, _, deltas, count, *_ in self.strata)
+        """The local systems over every orbit of the blocks, summed on the first read."""
+        return sum(sum(map([count * len(deltas) for _, count, deltas in cells].__getitem__, keys))
+                   for _, _, (_, keys, *_), cells in self.blocks)
 
     def rows(self):
         """Each orbit's row, its values in ROW_KEYS' order: the support's text,
         the delta, m, k, mu's text, the family and the count."""
-        return ((support, delta, m, k, mu_text, family, count)
-                for m, k, mu, deltas, count, family, mu_text in self.strata
-                for support in (_support_text(m, k, mu, mu_text),) for delta in deltas)
+        return ((head + tail, delta, m, k, text, family, count)
+                for m, k, column, cells in self.blocks
+                for text, head, tail, (family, count, deltas) in _block_mus(m, k, column, cells)
+                for delta in deltas)
+
+    def json_rows(self, template: list[str]):
+        """rows() as JSON texts in template, a ROW_KEYS row cut at each value, from pieces
+        built once per cell of a block, (m, k, delta) and (family, count); none needs escaping."""
+        t0, t1, t2, t3, t4, t5, t6, t7 = template
+        for m, k, column, cells in self.blocks:
+            pieces = [([f'"{t1}{name}{t2}{m}{t3}{k}{t4}"'
+                        for name in (f'"{d}"' if d else "null" for d in deltas)],
+                       f'"{t5}"{family}"{t6}{count}{t7}') for family, count, deltas in cells]
+            for text, head, tail, (mids, end) in _block_mus(m, k, column, pieces):
+                for middle in mids:
+                    yield f'{t0}"{head}{tail}{middle}{text}{end}'
 
     def to_json_dict(self, strata=None) -> dict:
         """The report as JSON values, its strata a list of row dicts, one per
@@ -246,19 +262,28 @@ class CensusReport:
                 "strata": strata, "total": self.total, "warnings": list(self.warnings)}
 
 
-def _support_text(m: int, k: int, mu: tuple, mu_text: str) -> str:
-    """format_diagram(diagram(*mu, (1, m, m), (2, k, k))), the support, from
-    mu_text, mu's, with no diagram built: mu's tokens but those of its 1- and
-    2-row groups, then the merged groups'."""
-    n, cut, tail = len(mu), 0, []
-    for length, added in ((1, m), (2, k)):
-        plus, minus = mu[n - 1][1:] if n and mu[n - 1][0] == length else (0, 0)
-        if plus + minus:  # mu's own group of this length: cut its tokens
-            n, cut = n - 1, cut + (plus > 0) + (minus > 0)
-        if plus + minus + added:
-            tail.insert(0, _group_text((length, plus + added, minus + added)))
-    head = [mu_text.rsplit(" ", cut)[0]] if n else []
-    return " ".join(head + tail) or "0"
+def _column(mus, texts, kinds) -> tuple:
+    """(mus, keys, kinds, texts, heads, ones, shapes) of a listing: a mu's head is its text but
+    its 1-row group's tokens, its key indexes kinds and its one shapes (head != "", 1-rows)."""
+    shapes, seen, heads, ones, keys = {}, {}, [], [], []
+    for mu, text, kind in zip(mus, texts, kinds):
+        one = mu[-1][1:] if mu and mu[-1][0] == 1 else (0, 0)
+        head = text.rsplit(" ", (one[0] > 0) + (one[1] > 0))[0] if len(mu) > any(one) else ""
+        heads.append(sys.intern(head))  # mus of one listing share most heads
+        ones.append(shapes.setdefault((head != "", *one), len(shapes)))
+        keys.append(seen.setdefault(kind, len(seen)))
+    return mus, tuple(keys), tuple(seen), texts, tuple(heads), tuple(ones), tuple(shapes)
+
+
+def _block_mus(m: int, k: int, column: tuple, cells) -> zip:
+    """(text, head, tail, cell) of each mu: its support diagram(*mu, (1, m, m), (2, k, k))
+    is head, then 2+^k 2-^k (k is 0 if mu has 2-rows) and the merged 1-rows, as text."""
+    _, keys, _, texts, heads, ones, shapes = column
+    two = f" {_group_text((2, k, k))}" if k else ""
+    tails = [tail if head else tail[1:] or "0" for head, plus, minus in shapes
+             for tail in (f"{two} {_group_text((1, plus + m, minus + m))}" if plus + minus + m
+                          else two,)]
+    return zip(texts, heads, map(tails.__getitem__, ones), map(cells.__getitem__, keys))
 
 
 def _support_deltas(m: int, deltas: tuple) -> tuple:
@@ -268,9 +293,9 @@ def _support_deltas(m: int, deltas: tuple) -> tuple:
     return (None,) if m else deltas
 
 
-def _report(pair: tuple, central: str, size: int, strata) -> CensusReport:
-    """The report of the strata; the low-rank rule (total size below 5) lives here."""
-    return CensusReport(pair, central, tuple(strata), (LOW_RANK_WARNING,) if size < 5 else ())
+def _report(pair: tuple, central: str, size: int, blocks) -> CensusReport:
+    """The report of the blocks; the low-rank rule (total size below 5) lives here."""
+    return CensusReport(pair, central, tuple(blocks), (LOW_RANK_WARNING,) if size < 5 else ())
 
 
 def _k0_cells(p: int, q: int):
@@ -292,22 +317,29 @@ def _k0_cells(p: int, q: int):
             yield m, k, p1, q1, theta, pk, theta_k0_count("split-D", m) * pk if p1 == q1 == 0 else 0
 
 
-def _k0_strata(p: int, q: int):
-    """(m, k, mu, deltas, count, family, mu_text) for each stratum of the k0 census
-    of (p, q), over _k0_cells: each orbit over its support carries count = theta *
-    p(k) * pi(mu) local systems (split-D, and pi = 1, for an empty mu)."""
+@lru_cache(maxsize=1024)  # every signature of the sizes to 43; each keeps its listing
+def _sigma_b_column(p: int, q: int) -> tuple:
+    """The _column of sigma_b_listing(p, q), each mu's kind (family, class index, deltas, pi)."""
+    mus, classes, texts, pis = sigma_b_listing(p, q)
+    mus, keys, kinds, *rest = _column(mus, texts, zip(classes, pis))
+    return mus, keys, tuple((f"sigma-b{c.index}", c.index, c.deltas, pi) for c, pi in kinds), *rest
+
+
+def _k0_blocks(p: int, q: int):
+    """(m, k, column, cells) for each cell of _k0_cells: an orbit over a support carries
+    theta * p(k) * pi(mu) local systems, the split-D count for the empty mu."""
     for m, k, p1, q1, theta, pk, empty in _k0_cells(p, q):
         if empty:  # no Richardson diagram of signature (0, 0): the empty mu, class 3
-            yield (m, k, (), _support_deltas(m, _class_of(0, 0, False).deltas), empty,
-                   "empty-mu", "0")
-        for mu, cls, text, pi in zip(*sigma_b_listing(p1, q1)):
-            yield (m, k, mu, _support_deltas(m, cls.deltas),
-                   theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
+            yield (m, k, _column(((),), ("0",), (0,)),
+                   (("empty-mu", empty, _support_deltas(m, _class_of(0, 0, False).deltas)),))
+        column = _sigma_b_column(p1, q1)
+        yield m, k, column, tuple((family, theta[i] * pk * pi, _support_deltas(m, deltas))
+                                  for family, i, deltas, pi in column[2])
 
 
 def census_bdi_k0(p: int, q: int) -> CensusReport:
     """Direct stratum-by-stratum census at the trivial central character."""
-    return _report(("bdi", p, q), "k0", p + q, _k0_strata(p, q))
+    return _report(("bdi", p, q), "k0", p + q, _k0_blocks(p, q))
 
 
 @lru_cache(maxsize=None)
@@ -325,20 +357,19 @@ def census_k0_total(p: int, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _staircase(t: int) -> tuple:
-    """mu_t(t)'s rows, class and text, built once per t."""
-    return mu_t(t).rows, classify(mu_t(t)), format_diagram(mu_t(t))
+    """mu_t(t)'s _column and class, built once per t."""
+    return _column((mu_t(t).rows,), (format_diagram(mu_t(t)),), (None,)), classify(mu_t(t))
 
 
-def _k1_strata(p: int, q: int):
-    """(m, k, mu_t's rows, deltas, count, family, mu_text) for every stratum of the
-    nontrivial-character census of (p, q): strata (m, k) with
-    2m + 4k = N - t^2 over the uniform staircase, none when N < t^2. The
-    stratum's base * theta_k1(m, t) local systems are shared evenly by the
-    orbits over its support (there are several only at m = 0, where theta_k1
-    is eta(0, t), their number)."""
+def _k1_blocks(p: int, q: int):
+    """(m, k, mu_t's column, cells) for every stratum of the nontrivial-character
+    census of (p, q): strata (m, k) with 2m + 4k = N - t^2 over the uniform
+    staircase, none when N < t^2. The stratum's base * theta_k1(m, t) local
+    systems are shared evenly by the orbits over its support (there are several
+    only at m = 0, where theta_k1 is eta(0, t), their number)."""
     t = p - q
     D = _size(p, q) - t * t
-    rows, cls, text = _staircase(t)
+    column, cls = _staircase(t)
     for k in range(D // 4 + 1):
         m = (D - 4 * k) // 2
         deltas = _support_deltas(m, cls.deltas)
@@ -346,42 +377,40 @@ def _k1_strata(p: int, q: int):
         if count % len(deltas):
             raise ArithmeticError(f"{count} local systems do not share evenly among the "
                                   f"{len(deltas)} orbits over "
-                                  f"{_support_text(m, k, rows, text)}")
-        yield m, k, rows, deltas, count // len(deltas), "kappa1-staircase", text
+                                  f"{''.join(next(_block_mus(m, k, column, (None,)))[1:3])}")
+        yield m, k, column, (("kappa1-staircase", count // len(deltas), deltas),)
 
 
 def census_bdi_k1(p: int, q: int) -> CensusReport:
     """Direct census at the nontrivial central character."""
-    return _report(("bdi", p, q), "k1", p + q, _k1_strata(p, q))
+    return _report(("bdi", p, q), "k1", p + q, _k1_blocks(p, q))
 
 
 @lru_cache(maxsize=None)
 def census_k1_total(p: int, q: int) -> int:
     """census_bdi_k1(p, q).total, memoised, with no report built."""
-    return sum(count * len(deltas) for _, _, _, deltas, count, *_ in _k1_strata(p, q))
+    return sum(count * len(deltas) for *_, ((_, count, deltas),) in _k1_blocks(p, q))
 
 
-def _diii_strata(n: int, central: str):
-    """(m, 0, mu's rows, (None,), count, "diii", mu_text) for every stratum of one
-    equal-signature census: k0 strata (2k, mu) with mu in Lambda_b(n - 2k),
-    each carrying p(k); for even n >= 2 one k1 stratum (n, empty) carrying
-    p2(n/2). The n=n family never splits, so each support is one orbit.
-    A k0 mu's rows and text are read off the Lambda_b listing."""
+def _diii_blocks(n: int, central: str):
+    """(m, 0, column, cells) for every stratum of one equal-signature census: k0
+    strata (2k, mu) with mu in Lambda_b(n - 2k), each carrying p(k); for even
+    n >= 2 one k1 stratum (n, empty) carrying p2(n/2). The n=n family never
+    splits, so each support is one orbit; all mus of a Lambda_b listing share one cell."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if central == "k0":
         for k in range(n // 2 + 1):
-            pk = count_partitions(k)
             mus, _, texts = lambda_b_listing(n - 2 * k)
-            for mu, text in zip(mus, texts):
-                yield 2 * k, 0, mu, (None,), pk, "diii", text
+            yield (2 * k, 0, _column(mus, texts, [None] * len(mus)),
+                   (("diii", count_partitions(k), (None,)),))
     elif n >= 2 and n % 2 == 0:
-        yield n, 0, (), (None,), count_bipartitions(n // 2), "diii", "0"
+        yield n, 0, _column(((),), ("0",), (0,)), (("diii", count_bipartitions(n // 2), (None,)),)
 
 
 def census_diii(n: int) -> tuple[CensusReport, CensusReport]:
     """Both central-character censuses for the equal-signature pair."""
-    return tuple(_report(("diii", n), central, 2 * n, _diii_strata(n, central))
+    return tuple(_report(("diii", n), central, 2 * n, _diii_blocks(n, central))
                  for central in ("k0", "k1"))
 
 
@@ -633,9 +662,11 @@ def subset_report(report: CensusReport, subset: str) -> CensusReport:
     """The report cut down to one sub-census's strata; "all" is the report itself."""
     if subset == "all":
         return report
-    keep, _ = _subset_rule(report, subset)
-    strata = tuple(s for s in report.strata if keep(s[0], s[1], s[5]))
-    return CensusReport(report.pair, report.central, strata, report.warnings)
+    keep, _ = _subset_rule(report, subset)  # a cell not kept keeps no orbit
+    blocks = ((m, k, column, tuple((f, n, d if keep(m, k, f) else ()) for f, n, d in cells))
+              for m, k, column, cells in report.blocks)
+    return CensusReport(report.pair, report.central,
+                        tuple(b for b in blocks if any(cell[2] for cell in b[3])), report.warnings)
 
 
 def expected_subset_total(report: CensusReport, subset: str) -> int:

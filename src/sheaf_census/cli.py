@@ -4,10 +4,7 @@ Subcommands: orbits, census, verify, series. Output formats: json (default),
 csv, table. Exit codes: 0 success / all checks pass, 1 verification
 mismatch, 2 usage or parse error.
 """
-from __future__ import annotations
-
 import argparse
-import csv
 import io
 import json
 import os
@@ -112,6 +109,7 @@ def _render_table(headers: list[str], rows, title: str) -> str:
 
 
 def _render_csv(headers: list[str], rows) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(headers)
@@ -183,11 +181,6 @@ def _row_template(row: dict, depth: int) -> list[str]:
     return pieces
 
 
-def _json_name(name: str | None) -> str:
-    """The JSON text of a name that needs no escaping (a delta), or null."""
-    return "null" if name is None else f'"{name}"'
-
-
 def _orbit_chunks(texts, keys, cells: dict, headers: list[str], depth: int):
     """The JSON text of the orbit rows at depth, _CHUNK diagrams at a time: a
     diagram's rows are its text joined with its key's pieces, the key's rows (one
@@ -197,7 +190,7 @@ def _orbit_chunks(texts, keys, cells: dict, headers: list[str], depth: int):
     pieces = {}
     for key, (deltas, *rest) in cells.items():
         head, middle, tail = _row_template(dict(zip(headers, ("\0", "\0", *rest))), depth)
-        pieces[key] = sep.join(f'{head}"\0"{middle}{_json_name(delta)}{tail}'
+        pieces[key] = sep.join(f'{head}"\0"{middle}{json.dumps(delta)}{tail}'
                                for delta in deltas).split("\0")
     for start in range(0, len(texts), _CHUNK):
         yield sep.join(map(str.join, texts[start:start + _CHUNK],
@@ -245,13 +238,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _strata_chunks(report, depth: int):
     """The JSON text of report.to_json_dict()'s strata rows at depth, _CHUNK rows
-    at a time: each of report.rows() fills one template of the census.ROW_KEYS.
-    Diagram texts and family and delta names need no escaping."""
+    at a time, report.json_rows filling one template of the census.ROW_KEYS."""
     from .census import ROW_KEYS
 
-    t0, t1, t2, t3, t4, t5, t6, t7 = _row_template(dict.fromkeys(ROW_KEYS, "\0"), depth)
-    rows = (f'{t0}"{support}"{t1}{_json_name(delta)}{t2}{m}{t3}{k}{t4}"{mu}"{t5}"{family}"{t6}'
-            f'{count}{t7}' for support, delta, m, k, mu, family, count in report.rows())
+    rows = report.json_rows(_row_template(dict.fromkeys(ROW_KEYS, "\0"), depth))
     sep = ",\n" + depth * "  "
     while chunk := list(islice(rows, _CHUNK)):
         yield sep.join(chunk)

@@ -43,9 +43,8 @@ plus-box count into one int (``_digit_width``), and ``_lambda_b_counts`` by size
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
-diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The census's rows merge a
-support's 1- and 2-row groups into mu's text themselves, for speed
-(``census._support_text``), checked against ``diagram()``'s merge.
+diagrams' rows is ``diagram(*d1.rows, *d2.rows)``. The census's rows join a
+support's text from mu's and the merged groups' (``census._block_mus``), for speed.
 """
 from __future__ import annotations
 

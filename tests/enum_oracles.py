@@ -8,7 +8,10 @@ three separate partition generators that the library used before its
 enumerators built their sets directly, the per-row gap-weighted odd-partition sum, the
 admissible set walked from the last group up, and the direct enumeration
 of sign characters on a class-2 Richardson orbit, the stratum support
-built through ``diagram()``'s merge, and the two bdi censuses with their
+built through ``diagram()``'s merge, the census as one (m, k, mu, deltas,
+count, family, mu_text) record per stratum with each support's text merged
+into mu's token by token (the library's rows before it rendered whole
+blocks), and the two bdi censuses with their
 orbit decorations branched out by hand, and the three orbit sums over the
 listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
 the per-size class-count DP that keyed each state by its box and plus-box
@@ -27,7 +30,7 @@ import itertools
 import operator
 from collections import Counter
 
-from sheaf_census import diagrams, groups
+from sheaf_census import census, diagrams, groups
 from sheaf_census.census import OrbitLabel, StratumEntry, theta_k0_count
 from sheaf_census.diagrams import DELTA_NAMES, SignedYoungDiagram, classify, diagram, mu_t
 from sheaf_census.groups import eta, pi_size
@@ -337,6 +340,62 @@ def census_bdi_k1(p, q):
                         entries.append(StratumEntry(OrbitLabel(support, delta), m, k,
                                                     staircase, base, "kappa1-staircase"))
     return tuple(entries)
+
+
+def support_text(m, k, mu, mu_text):
+    """format_diagram(diagram(*mu, (1, m, m), (2, k, k))), the support, from
+    mu_text, mu's, with no diagram built: mu's tokens but those of its 1- and
+    2-row groups, then the merged groups'."""
+    n, cut, tail = len(mu), 0, []
+    for length, added in ((1, m), (2, k)):
+        plus, minus = mu[n - 1][1:] if n and mu[n - 1][0] == length else (0, 0)
+        if plus + minus:  # mu's own group of this length: cut its tokens
+            n, cut = n - 1, cut + (plus > 0) + (minus > 0)
+        if plus + minus + added:
+            tail.insert(0, diagrams._group_text((length, plus + added, minus + added)))
+    head = [mu_text.rsplit(" ", cut)[0]] if n else []
+    return " ".join(head + tail) or "0"
+
+
+def census_records(pair, central):
+    """The (m, k, mu's rows, deltas, count, family, mu_text) record of each stratum
+    of a census, in the census's order: mu's rows, class, text and pi off the
+    sigma_b or Lambda_b listing, or the staircase's; each support's deltas off
+    mu's class."""
+    if pair[0] == "diii":
+        n = pair[1]
+        if central == "k0":
+            for k in range(n // 2 + 1):
+                mus, _, texts = diagrams.lambda_b_listing(n - 2 * k)
+                yield from ((2 * k, 0, mu, (None,), count_partitions(k), "diii", text)
+                            for mu, text in zip(mus, texts))
+        elif n >= 2 and n % 2 == 0:
+            yield n, 0, (), (None,), count_bipartitions(n // 2), "diii", "0"
+        return
+    _, p, q = pair
+    if central == "k0":
+        for m, k, p1, q1, theta, pk, empty in census._k0_cells(p, q):
+            if empty:
+                yield (m, k, (), census._support_deltas(m, DELTA_NAMES), empty, "empty-mu", "0")
+            for mu, cls, text, pi in zip(*diagrams.sigma_b_listing(p1, q1)):
+                yield (m, k, mu, census._support_deltas(m, cls.deltas),
+                       theta[cls.index] * pk * pi, f"sigma-b{cls.index}", text)
+        return
+    t = p - q
+    staircase, D = mu_t(t), p + q - t * t
+    for k in range(D // 4 + 1):
+        m = (D - 4 * k) // 2
+        deltas = census._support_deltas(m, classify(staircase).deltas)
+        count = count_bipartitions(k) * census.theta_k1_count(m, t)
+        yield (m, k, staircase.rows, deltas, count // len(deltas), "kappa1-staircase",
+               diagrams.format_diagram(staircase))
+
+
+def record_rows(records):
+    """Each orbit's row off the records, in ROW_KEYS' order, each support's
+    text merged by support_text."""
+    return [(support_text(m, k, mu, text), delta, m, k, text, family, count)
+            for m, k, mu, deltas, count, family, text in records for delta in deltas]
 
 
 def kappa1_orbit_sum(p, q):

@@ -287,10 +287,10 @@ def test_orbit_label_validation():
 
 
 def test_entries_validate_their_labels():
-    # records are stored as given; the per-orbit view checks each decoration
+    # blocks are stored as given; the per-orbit view checks each decoration
     mu = dg.parse_diagram("1+^3 1-^2")  # a single orbit, so no decoration names one
-    report = cs.CensusReport(("bdi", 3, 2), "k0",
-                             ((0, 0, mu.rows, ("I",), 1, "sigma-b1", "1+^3 1-^2"),))
+    column = cs._column((mu.rows,), ("1+^3 1-^2",), (None,))
+    report = cs.CensusReport(("bdi", 3, 2), "k0", ((0, 0, column, (("sigma-b1", 1, ("I",)),)),))
     assert report.total == 1
     with pytest.raises(ValueError, match="names no orbit"):
         report.entries
@@ -305,8 +305,8 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
     assert [cli.main(argv) for argv in argvs] == [0, 0]
     reports = [make(p, q) for p, q in ((15, 15), (16, 14))
                for make in (cs.census_bdi_k0, cs.census_bdi_k1)]
-    strata = sum(len(r.strata) for r in reports)
-    assert strata < sum(len(r.entries) for r in reports)
+    blocks = sum(len(r.blocks) for r in reports)
+    assert blocks < sum(len(r.entries) for r in reports)
     built = []
     for kind in (cs.StratumEntry, cs.OrbitLabel):
         def counting_init(self, *args, init=kind.__init__, **kwargs):
@@ -346,7 +346,8 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
         report = cs.census_diii(n)[0]
         rows = report.to_json_dict()["strata"]
         assert texts == []  # each support's text is read off its mu's
-        mus = [dg.SignedYoungDiagram(mu) for _, _, mu, *_ in report.strata]
+        mus = [dg.SignedYoungDiagram(mu) for _, _, (block_mus, *_), _ in report.blocks
+               for mu in block_mus]
         assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
 
 
@@ -563,8 +564,8 @@ def test_k0_census_builds_supports_directly_and_theta_once(monkeypatch):
 
 
 def test_supports_match_the_merging_builder():
-    # _support_text merges mu's text itself, and entries builds each support
-    # through diagram(); the oracle merges, sorts and checks
+    # the per-stratum oracle merges mu's text itself, and entries builds each
+    # support through diagram(); the diagram oracle merges, sorts and checks
     reports = [r for N in range(17) for p in range(N + 1)
                for r in (cs.census_bdi_k0(p, N - p), cs.census_bdi_k1(p, N - p))]
     reports += [r for n in range(13) for r in cs.census_diii(n)]
@@ -572,9 +573,9 @@ def test_supports_match_the_merging_builder():
     # mu with length-2 rows (the diii strata) under added 2+ 2- rows too
     strata |= {(m, k, mu) for n in range(7) for mu in dg.enum_lambda_b(n)
                for m in range(3) for k in range(3)}
-    for m, k, mu in strata:  # _support_text reads mu's rows and its text
+    for m, k, mu in strata:  # support_text reads mu's rows and its text
         support = oracles.support_via_diagram(m, k, mu)
-        assert cs._support_text(m, k, mu.rows, dg.format_diagram(mu)) == \
+        assert oracles.support_text(m, k, mu.rows, dg.format_diagram(mu)) == \
             dg.format_diagram(support), (m, k, str(mu))
     for r in reports:
         for e in r.entries:
@@ -606,7 +607,7 @@ def test_the_k0_formula_matches_its_series_form():
 
 def test_number1_k1_walks_no_strata_when_warm(monkeypatch):
     cs.census_k1_total.cache_clear()
-    calls = _count_calls(monkeypatch, "_k1_strata", cs)
+    calls = _count_calls(monkeypatch, "_k1_blocks", cs)
     first = run_suite(["number1-k1"], 12, 10)
     assert first[0].passed
     # one walk per pair p + q <= 10, then none
@@ -629,7 +630,7 @@ def test_verify_builds_no_stratum_and_then_reads_no_listing(monkeypatch):
     # pi sums, and builds no count table either
     for cache in TOTALS:
         cache.cache_clear()
-    strata = _count_calls(monkeypatch, "_k0_strata", cs)
+    strata = _count_calls(monkeypatch, "_k0_blocks", cs)
     listings = [_count_calls(monkeypatch, name, cs, dg)
                 for name in ("sigma_b_listing", "lambda_b_listing")]
     tables = _count_calls(monkeypatch, "_by_signature", dg)
@@ -651,7 +652,7 @@ def test_the_default_suite_builds_no_record_and_walks_classes_once(monkeypatch):
     for cache in (*TOTALS, dg._class_count_block, dg._sigma_by_signature,
                   dg._sigma_b_by_signature):
         cache.cache_clear()
-    strata = _count_calls(monkeypatch, "_k0_strata", cs)
+    strata = _count_calls(monkeypatch, "_k0_blocks", cs)
     built = _count_calls(monkeypatch, "Partition", partitions, dg)
     tables = [_count_calls(monkeypatch, name, dg)
               for name in ("_sigma_by_signature", "_sigma_b_by_signature")]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import enum_oracles as oracles
 from sheaf_census import SUBSETS, __version__, census, cli, diagrams as dg, groups, verify
 from sheaf_census.cli import _CHUNK, _json_pieces, _row_template, main
 from sheaf_census.qseries import FormalSeries
@@ -377,11 +378,11 @@ def refill(request):
     return clear
 
 
-# the memoised census totals and Richardson pi sums that verify reads, and the
-# Richardson count DP the pi sums read: every test that patches a helper
-# feeding them refills them too
+# the memoised census totals and Richardson pi sums that verify reads, the
+# Richardson count DP the pi sums read, and the census's columns of the sigma_b
+# listings: every test that patches a helper feeding them refills them too
 TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total,
-          census.richardson_pi_sums, dg._richardson_block)
+          census.richardson_pi_sums, dg._richardson_block, census._sigma_b_column)
 
 
 def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):
@@ -829,6 +830,77 @@ def test_census_strata_stream_matches_the_row_dict_oracle():
                 list(row_chunks(rows, depth)), (report.pair, report.central, depth)
         empty += not rows
     assert empty > 0
+
+
+def _census_commands():
+    """The census command of every bdi pair with p+q <= 20 (both centrals) and
+    of every diii n <= 14, each with the reports it builds."""
+    for N in range(21):
+        for p in range(N + 1):
+            yield (["census", "bdi", "--p", str(p), "--q", str(N - p)],
+                   [census.census_bdi_k0(p, N - p), census.census_bdi_k1(p, N - p)])
+    for n in range(15):
+        yield ["census", "diii", "--n", str(n)], list(census.census_diii(n))
+
+
+def _entry_rows(report) -> list[tuple]:
+    """Each orbit's row of the report, in ROW_KEYS' order, off its checked
+    entries: every diagram built by diagram() and formatted anew."""
+    return [(dg.format_diagram(e.support.diagram), e.support.delta, e.m, e.k,
+             dg.format_diagram(e.mu), e.family, e.count) for e in report.entries]
+
+
+def test_census_rows_match_the_entry_and_record_oracles(capsys):
+    # every census row, in every subset and all three formats, against the
+    # rows of the checked entries; those against the per-stratum records' rows
+    # with each support merged token by token, and the total against their sum
+    headers = ["central", *census.ROW_KEYS]
+    for command, built in _census_commands():
+        for subset in SUBSETS:
+            argv = [*command, "--subset", subset]
+            reports = [census.subset_report(r, subset) for r in built]
+            expected = [_entry_rows(r) for r in reports]
+            for report, made, rows in zip(reports, built, expected):
+                keep = census._subset_rule(made, subset)[0]
+                records = [record for record in oracles.census_records(made.pair, made.central)
+                           if keep(record[0], record[1], record[5])]
+                assert oracles.record_rows(records) == rows == list(report.rows()), argv
+                assert report.total == sum(row[-1] for row in rows), argv
+            code, out, _ = run_cli(capsys, *argv)
+            data = json.loads(out)
+            for listed, rows in zip(data["payload"]["reports"], expected):
+                listed["strata"] = [dict(zip(census.ROW_KEYS, row)) for row in rows]
+                listed["total"] = sum(row[-1] for row in rows)
+            assert (code, out) == (0, json.dumps(data, indent=2) + "\n"), argv
+            table = [[r.central, *row] for r, rows in zip(reports, expected)
+                     for row in [*rows, ("TOTAL", None, None, None, None, subset,
+                                         sum(row[-1] for row in rows))]]
+            assert run_cli(capsys, *argv, "--format", "csv")[:2] == \
+                (0, cli._render_csv(headers, table)), argv
+            title = " ".join(["sheaf-census", *argv, "--format", "table"])
+            warnings = "".join(f"\nwarning: {w}" for w in sorted({w for r in reports
+                                                                  for w in r.warnings}))
+            assert run_cli(capsys, *argv, "--format", "table")[:2] == \
+                (0, cli._render_table(headers, table, title) + warnings + "\n"), argv
+
+
+def test_a_census_total_is_summed_from_its_printed_rows(capsys, monkeypatch):
+    # the count-only totals that verify reads are not the census's: with them
+    # raising, a census still renders and passes --check, each total the sum
+    # of its printed rows
+    def raising(*args):
+        raise AssertionError("a count-only total was read")
+    for module, name in ((census, "census_k0_total"), (census, "richardson_pi_sums"),
+                         (dg, "richardson_pi_sums")):
+        monkeypatch.setattr(module, name, raising)
+    for argv in (["census", "bdi", "--p", "9", "--q", "7", "--check"],
+                 ["census", "bdi", "--p", "8", "--q", "8", "--subset", "nilpotent", "--check"]):
+        code, data, _ = run_json(capsys, *argv)
+        assert (code, data["payload"]["check"]["passed"]) == (0, True), argv
+        totals = [report["total"] for report in data["payload"]["reports"]]
+        assert totals == [sum(row["count"] for row in report["strata"])
+                          for report in data["payload"]["reports"]], argv
+        assert totals[0] > 0, argv
 
 
 def _template_calls(capsys, monkeypatch, *argv) -> int:

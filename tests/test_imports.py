@@ -63,6 +63,14 @@ def test_a_bare_import_loads_no_submodule_and_reads_one_on_first_use():
     assert proc.stdout == "['sheaf_census']\n11\n"
 
 
+def test_the_front_end_imports_csv_only_to_write_csv():
+    # csv costs the import of every command; only --format csv renders with it
+    code = "import sys, sheaf_census.cli\nprint('csv' in sys.modules)"
+    assert _fresh(code).stdout == "False\n"
+    assert _fresh(code + "\nsheaf_census.cli.main(sys.argv[1:])\nprint('csv' in sys.modules)",
+                  "census", "diii", "--n", "2", "--format", "csv").stdout.endswith("True\n")
+
+
 # prints, after a command's own output, the sheaf_census modules it loaded
 LOADED = ("import sys\n"
           "from sheaf_census.cli import main\n"
