@@ -11,18 +11,15 @@ Two fully independent routes are kept apart on purpose:
 
 Their agreement over sweeps is the artifact's central correctness check.
 
-Each piece is computed once: supports are built through ``diagram()`` for
-``entries`` alone, their deltas read off mu's class and their texts joined from
-mu's head (its text but its 1-row group) and the merged 2- and 1-row groups;
-``_column`` cuts the heads once per listing (memoised for sigma_b). Each family's
-strata rule is one generator (``_k0_blocks``, ``_k1_blocks``, ``_diii_blocks``)
-of blocks, one cell (m, k) over a listing's column, each mu's kind picking a cell
-(family, count, deltas). A ``CensusReport`` holds them; its total (summed once
-off the blocks it renders), ``rows()`` (one per orbit, in ``ROW_KEYS``' order),
-``json_rows`` (those rows as JSON, from pieces built per block and cell) and
-sub-censuses read them, and ``entries`` builds a checked ``StratumEntry`` per
-orbit. The memoised totals ``verify`` reads build no report and list no diagram:
-``census_k0_total`` sums ``richardson_pi_sums`` (a knapsack) over ``_k0_cells``,
+Each piece is computed once. ``_k0_blocks``, ``_k1_blocks`` and ``_diii_blocks``
+yield blocks: one cell (m, k) over a listing's ``_column`` (each mu's head, its text
+but its 1-row group, cut once per listing, memoised for sigma_b), each mu's kind
+picking a cell (family, count, deltas); a support's text is mu's head and the merged
+2- and 1-row groups'. Only this module reads that layout: a ``CensusReport``'s total
+(summed once off the rendered blocks), ``rows()`` and ``json_rows`` (one per orbit,
+in ``ROW_KEYS``' order), ``orbit_counts()``, ``entries`` (a checked ``StratumEntry``
+per orbit) and sub-censuses. The memoised totals ``verify`` reads list no diagram:
+``census_k0_total`` sums ``richardson_pi_sums`` over ``_k0_cells``,
 ``census_k1_total`` the ``_k1_blocks``' cells, ``census_diii_totals`` counts
 Lambda_b by a knapsack; ``count_formula_k0`` sums the bases' int coefficients.
 
@@ -33,7 +30,6 @@ only the latter evaluates the route.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -232,6 +228,10 @@ class CensusReport:
         return sum(sum(map([count * len(deltas) for _, count, deltas in cells].__getitem__, keys))
                    for _, _, (_, keys, *_), cells in self.blocks)
 
+    def orbit_counts(self) -> list[int]:
+        """The orbits over each stratum's support in rows()' order, 0 where a sub-census cut it."""
+        return [len(cells[key][2]) for _, _, (_, keys, *_), cells in self.blocks for key in keys]
+
     def rows(self):
         """Each orbit's row, its values in ROW_KEYS' order: the support's text,
         the delta, m, k, mu's text, the family and the count."""
@@ -269,7 +269,7 @@ def _column(mus, texts, kinds) -> tuple:
     for mu, text, kind in zip(mus, texts, kinds):
         one = mu[-1][1:] if mu and mu[-1][0] == 1 else (0, 0)
         head = text.rsplit(" ", (one[0] > 0) + (one[1] > 0))[0] if len(mu) > any(one) else ""
-        heads.append(sys.intern(head))  # mus of one listing share most heads
+        heads.append(head)
         ones.append(shapes.setdefault((head != "", *one), len(shapes)))
         keys.append(seen.setdefault(kind, len(seen)))
     return mus, tuple(keys), tuple(seen), texts, tuple(heads), tuple(ones), tuple(shapes)

@@ -286,12 +286,13 @@ def test_orbit_label_validation():
     cs.OrbitLabel(dg.parse_diagram("5+"), "II")
 
 
-def test_entries_validate_their_labels():
-    # blocks are stored as given; the per-orbit view checks each decoration
-    mu = dg.parse_diagram("1+^3 1-^2")  # a single orbit, so no decoration names one
-    column = cs._column((mu.rows,), ("1+^3 1-^2",), (None,))
-    report = cs.CensusReport(("bdi", 3, 2), "k0", ((0, 0, column, (("sigma-b1", 1, ("I",)),)),))
-    assert report.total == 1
+def test_entries_validate_their_labels(monkeypatch):
+    # reports are stored as given; the per-orbit view checks each decoration.
+    # Every support of (3, 2) at m >= 1 is a single orbit, so no decoration names one
+    monkeypatch.setattr(cs, "_support_deltas", lambda m, deltas: ("I",))
+    report = cs.census_bdi_k0(3, 2)
+    assert set(report.orbit_counts()) == {1} and report.total > 0
+    assert {row[1] for row in report.rows()} == {"I"}
     with pytest.raises(ValueError, match="names no orbit"):
         report.entries
 
@@ -305,8 +306,10 @@ def test_a_warm_census_builds_no_orbit_objects(monkeypatch, capsys):
     assert [cli.main(argv) for argv in argvs] == [0, 0]
     reports = [make(p, q) for p, q in ((15, 15), (16, 14))
                for make in (cs.census_bdi_k0, cs.census_bdi_k1)]
-    blocks = sum(len(r.blocks) for r in reports)
-    assert blocks < sum(len(r.entries) for r in reports)
+    counts = [n for r in reports for n in r.orbit_counts()]  # one per stratum
+    assert len(counts) == sum(len({row[2:5] for row in r.rows()}) for r in reports)
+    assert 0 not in counts and sum(counts) == sum(len(r.entries) for r in reports)
+    assert len(counts) < sum(counts)
     built = []
     for kind in (cs.StratumEntry, cs.OrbitLabel):
         def counting_init(self, *args, init=kind.__init__, **kwargs):
@@ -346,9 +349,7 @@ def test_a_diii_total_formats_no_diagram(monkeypatch):
         report = cs.census_diii(n)[0]
         rows = report.to_json_dict()["strata"]
         assert texts == []  # each support's text is read off its mu's
-        mus = [dg.SignedYoungDiagram(mu) for _, _, (block_mus, *_), _ in report.blocks
-               for mu in block_mus]
-        assert [row["mu"] for row in rows] == list(map(dg.format_diagram, mus))
+        assert [row["mu"] for row in rows] == [dg.format_diagram(e.mu) for e in report.entries]
 
 
 def test_cross_route_sweep_25_to_40():

@@ -866,6 +866,9 @@ def test_census_rows_match_the_entry_and_record_oracles(capsys):
                            if keep(record[0], record[1], record[5])]
                 assert oracles.record_rows(records) == rows == list(report.rows()), argv
                 assert report.total == sum(row[-1] for row in rows), argv
+                # one orbit count per stratum, 0 for a stratum the sub-census cut
+                assert [n for n in report.orbit_counts() if n] == \
+                    [len(record[3]) for record in records], argv
             code, out, _ = run_cli(capsys, *argv)
             data = json.loads(out)
             for listed, rows in zip(data["payload"]["reports"], expected):
