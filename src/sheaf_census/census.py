@@ -13,15 +13,15 @@ Their agreement over sweeps is the artifact's central correctness check.
 
 Each piece is computed once. ``_k0_blocks``, ``_k1_blocks`` and ``_diii_blocks``
 yield blocks: one cell (m, k) over a listing's ``_column`` (each mu's head, its text
-but its 1-row group, cut once per listing, memoised for sigma_b), each mu's kind
+but its 1-row group, cut once per listing and memoised), each mu's kind
 picking a cell (family, count, deltas); a support's text is mu's head and the merged
 2- and 1-row groups'. Only this module reads that layout: a ``CensusReport``'s total
 (summed once off the rendered blocks), ``rows()`` and ``json_rows`` (one per orbit,
 in ``ROW_KEYS``' order), ``orbit_counts()``, ``entries`` (a checked ``StratumEntry``
 per orbit) and sub-censuses. The memoised totals ``verify`` reads list no diagram:
 ``census_k0_total`` sums ``richardson_pi_sums`` over ``_k0_cells``,
-``census_k1_total`` the ``_k1_blocks``' cells, ``census_diii_totals`` counts
-Lambda_b by a knapsack; ``count_formula_k0`` sums the bases' int coefficients.
+``census_k1_total`` the ``_k1_blocks``' cells, ``census_diii_totals`` reads
+``_lambda_b_counts``; ``count_formula_k0`` sums the bases' int coefficients.
 
 Each sub-census is one rule per (family, central character, subset): the
 strata it keeps and the route, apart from the census, that its ``--check``
@@ -55,6 +55,7 @@ from .diagrams import (
 )
 from .groups import _kappa1_data, eta, kappa1_data_BDI
 from .partitions import (
+    _top,
     count_bipartitions,
     count_distinct_odd_partitions,
     count_distinct_partitions,
@@ -392,6 +393,13 @@ def census_k1_total(p: int, q: int) -> int:
     return sum(count * len(deltas) for *_, ((_, count, deltas),) in _k1_blocks(p, q))
 
 
+@lru_cache(maxsize=64)  # as lambda_b_listing's
+def _lambda_b_column(n: int) -> tuple:
+    """The _column of lambda_b_listing(n), every mu of one kind."""
+    mus, _, texts = lambda_b_listing(n)
+    return _column(mus, texts, [None] * len(mus))
+
+
 def _diii_blocks(n: int, central: str):
     """(m, 0, column, cells) for every stratum of one equal-signature census: k0
     strata (2k, mu) with mu in Lambda_b(n - 2k), each carrying p(k); for even
@@ -401,9 +409,7 @@ def _diii_blocks(n: int, central: str):
         raise ValueError("n must be nonnegative")
     if central == "k0":
         for k in range(n // 2 + 1):
-            mus, _, texts = lambda_b_listing(n - 2 * k)
-            yield (2 * k, 0, _column(mus, texts, [None] * len(mus)),
-                   (("diii", count_partitions(k), (None,)),))
+            yield 2 * k, 0, _lambda_b_column(n - 2 * k), (("diii", count_partitions(k), (None,)),)
     elif n >= 2 and n % 2 == 0:
         yield n, 0, _column(((),), ("0",), (0,)), (("diii", count_bipartitions(n // 2), (None,)),)
 
@@ -420,7 +426,7 @@ def census_diii_totals(n: int) -> tuple[int, int]:
     sum_k p(k) |Lambda_b(n - 2k)|, and the k1 stratum's p2(n/2) for even n >= 2."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sizes = _lambda_b_counts(n)
+    sizes = _lambda_b_counts(_top(n, 16))
     return (sum(count_partitions(k) * sizes[n - 2 * k] for k in range(n // 2 + 1)),
             count_bipartitions(n // 2) if n >= 2 and n % 2 == 0 else 0)
 
@@ -458,7 +464,7 @@ def count_formula_k0(p: int, q: int) -> int:
     t = p - q
     # 4 x^q of (base1 + 9 base3 + 6 base2)/4 at t = 0, else of base1/(2 (1+x^t)) + (3/2) base2
     # (1+x^t)/(1+x^2t), x^it signed (-1)^i, (-1)^(i//2); bases at a block order serve many q
-    b1, b2, b3 = (base.nums for base in _k0_bases(max(-(-q // 16) * 16, 16)))
+    b1, b2, b3 = (base.nums for base in _k0_bases(_top(q, 16)))
     if t == 0:
         four = b1[q] + 9 * b3[q] + 6 * b2[q]
     else:

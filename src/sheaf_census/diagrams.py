@@ -35,11 +35,12 @@ cached listing of rows, classes and texts (``sigma_listing``, and
 built; ``enum_*`` build each listed diagram through the checked constructor.
 ``in_sigma`` and ``in_lambda`` ask the same row rules, and ``_richardson_omega``
 checks a diagram with both Richardson rules in one pass down its groups.
-The count-only routes list no diagram: transfer-matrix DPs (Stanley, EC1 4.7) that
-read the listing's rules and nothing from the formula route, one pass serving every
-size to a top: ``sigma_class_counts`` over ``_sigma_rows``' smallest groups and
-``richardson_pi_sums`` by (class, omega's size) with ``_pi``, both packing ways by
-plus-box count into one int (``_digit_width``), and ``_lambda_b_counts`` by size.
+The count-only routes list no diagram: each is the one fold ``partitions._knapsack``
+under its own moves, read off the listing's rules (nothing from the formula route),
+one cached pass serving every size to a top: ``sigma_class_counts`` over
+``_sigma_rows``' smallest groups and ``richardson_pi_sums`` by (class, omega's size)
+with ``_pi``, both packing ways by plus-box count into one int (``_digit_width``),
+and ``_lambda_b_counts`` by size.
 
 ``diagram()`` merges groups of equal length: the parser and the census's
 entries view (each stratum support) build through it, and the union of two
@@ -52,7 +53,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import BiPartition, Partition, _walk, count_bipartitions
+from .partitions import BiPartition, Partition, _knapsack, _top, _walk, count_bipartitions
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,22 +292,20 @@ def _digit_width(top: int) -> int:
 
 @lru_cache(maxsize=8)
 def _class_count_block(top: int) -> dict:
-    """sigma_class_counts of every size 0 .. top by signature from one DP (a size's top
-    rounded up to a multiple of 16, 32 at least): ways[boxes] maps (a, b, repeated) to
-    packed ways. Each smallest group _sigma_rows signs (either sign's row of an odd
-    length, an even one's balanced pair) joins in any number of copies, adding their _ab."""
-    width, ways = _digit_width(top), [{(0, 0, False): 1}] + [{} for _ in range(top)]
-    for length in range(1, top + 1):
-        for _, plus, minus in _sigma_rows(length, 2 - length % 2):
-            step = length * (plus + minus)
-            copies = [(step * c, _plus_boxes(group) * width, *_ab((group,)))
-                      for c in range(1, top // step + 1) for group in [(length, c * plus, c * minus)]]
-            for boxes in range(top - step, -1, -1):  # larger first: each source read before it grows
-                fits = copies[:(top - boxes) // step]
-                for (a, b, rep), w in ways[boxes].items():
-                    for dn, shift, da, db, drep in fits:
-                        target, key = ways[boxes + dn], (a + da, b + db, rep or drep)
-                        target[key] = target.get(key, 0) + (w << shift)
+    """sigma_class_counts of every size 0 .. top by signature from one _knapsack (a size's
+    top rounded up to a multiple of 16, 32 at least) keyed by (a, b, repeated), its ways
+    packed by plus-box count: each smallest group _sigma_rows signs (either sign's row of an
+    odd length, an even one's balanced pair) is a step, joining in any number of copies."""
+    width = _digit_width(top)
+    def copies(length, plus, minus):
+        step, runs = length * (plus + minus), {}
+        for c in range(1, top // step + 1):
+            group = (length, c * plus, c * minus)
+            runs.setdefault(_ab((group,)), []).append((step * c, _plus_boxes(group) * width))
+        return step, lambda key: [((key[0] + da, key[1] + db, key[2] or drep), run)
+                                  for (da, db, drep), run in runs.items()]
+    ways = _knapsack(top, (copies(*row) for length in range(1, top + 1)
+                           for row in _sigma_rows(length, 2 - length % 2)), (0, 0, False))
     table: dict[tuple[int, int], list] = {}
     for n, by_key in enumerate(ways):
         for key, packed in by_key.items():
@@ -320,7 +319,7 @@ def _class_count_block(top: int) -> dict:
 
 def sigma_class_counts(p: int, q: int) -> tuple[tuple[DiagramClass, int], ...]:
     """(class, multiplicity) over enum_sigma(p, q), without listing it."""
-    return _class_count_block(max(-(-_size(p, q) // 16) * 16, 32)).get((p, q), ())
+    return _class_count_block(max(_top(_size(p, q), 16), 32)).get((p, q), ())
 
 
 def _richardson_bits(row: int, start: int, above, mu: int) -> tuple[int, ...]:
@@ -403,28 +402,28 @@ def _sigma_b_by_signature(n: int) -> dict:
 @lru_cache(maxsize=16)
 def _richardson_block(start: int, top: int) -> list[dict]:
     """[{(a > 0, b > 0, omega's size): packed ways}] by size n <= top over the Richardson
-    diagrams, if n > 0 has parity start: a knapsack over the odd lengths, largest first,
+    diagrams, if n > 0 has parity start: a _knapsack over the odd lengths, largest first,
     in each mult and sign bit _richardson_bits allows (p and the class key off _options),
-    a state adding the group above's (sign bit, half-length). The rules read a group's
-    first row as the parity of the boxes above, plus 2 past the first: the same answers."""
-    width, ways = _digit_width(top), [{(None, 0, 0, 0): 1}] + [{} for _ in range(top)]
-    for length in range(top - 1 + top % 2, 0, -2):
-        mu = (length - 1) // 2
-        groups = [[((bit, mu), length * mult, dp * width, da > 0, db > 0)
-                   for mult in range(1, top // length + 1)
-                   for _, dp, da, db, *_ in [_options(_richardson_rows, length, mult, "")[bit]]]
-                  for bit in (0, 1)]
-        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
-            row, fits = boxes % 2 + 2 if boxes else 0, [g[:(top - boxes) // length] for g in groups]
-            for (above, a, b, omega), w in ways[boxes].items():
-                for bit in _richardson_bits(row, start, above, mu):
-                    placed = omega + _richardson_in_omega(row, start, above, bit, mu)
-                    for group, dn, shift, da, db in fits[bit]:
-                        target, key = ways[boxes + dn], (group, a | da, b | db, placed)
-                        target[key] = target.get(key, 0) + (w << shift)
+    keyed also by the group above's (sign bit, half-length) and the next group's first row,
+    read as the parity of the boxes above, plus 2 past the first: the same answers."""
+    width = _digit_width(top)
+    def signed(length):
+        mu, runs = (length - 1) // 2, {}
+        for mult in range(1, top // length + 1):
+            for bit, (_, dp, da, db, *_) in enumerate(_options(_richardson_rows, length, mult, "")):
+                run = runs.setdefault((bit, mult % 2, da > 0, db > 0), [])
+                run.append((length * mult, dp * width))
+        def moves(key):
+            above, row, a, b, omega = key
+            bits = _richardson_bits(row, start, above, mu)
+            return [(((bit, mu), (row + odd) % 2 + 2, a | da, b | db,
+                      omega + _richardson_in_omega(row, start, above, bit, mu)), run)
+                    for (bit, odd, da, db), run in runs.items() if bit in bits]
+        return length, moves
+    ways = _knapsack(top, map(signed, range(top - 1 + top % 2, 0, -2)), (None, 0, 0, 0, 0))
     block = [{} for _ in ways]
     for n in range(start or 2, top + 1, 2):
-        for (_, a, b, omega), w in ways[n].items():
+        for (_, _, a, b, omega), w in ways[n].items():
             block[n][a, b, omega] = block[n].get((a, b, omega), 0) + w
     return block
 
@@ -435,7 +434,7 @@ def richardson_pi_sums(p: int, q: int) -> tuple[int, int]:
     none listed: each bucket of its size's _richardson_block (top a multiple of 8)
     adds its ways at p times its _pi, which guards every bucket of the size."""
     n = _size(p, q)
-    top = max(-(-n // 8) * 8, 8)
+    top = _top(n, 8)
     width, sums = _digit_width(top), [0, 0, 0]
     for (a, b, omega), ways in _richardson_block(n % 2, top)[n].items():
         cls = _class_of(a, b, False)
@@ -497,16 +496,16 @@ def lambda_b_listing(n: int) -> tuple[tuple, tuple, tuple]:
     return _doubled_listing(n, range(n, 0, -1), _lambda_b_rows)
 
 
-def _lambda_b_counts(top: int) -> list[int]:
-    """|Lambda_b(m)| for m = 0 .. top, with no diagram listed: a knapsack over the
-    lengths, a group (length, mult) weighted by its len(_lambda_b_rows) signings."""
-    ways = [1] + [0] * top
-    for length in range(1, top + 1):
-        signings = [len(_lambda_b_rows(length, mult)) for mult in range(1, top // length + 1)]
-        for m in range(top, length - 1, -1):  # larger first: each source read before it grows
-            ways[m] += sum(w * ways[m - length * mult]
-                           for mult, w in enumerate(signings[:m // length], 1))
-    return ways
+@lru_cache(maxsize=8)
+def _lambda_b_counts(top: int) -> tuple[int, ...]:
+    """|Lambda_b(m)| for m = 0 .. top, with no diagram listed: a _knapsack over the lengths,
+    a group (length, mult) joining once per signing _lambda_b_rows gives it."""
+    def signings(length):
+        moves = [(None, [(length * mult, 0) for mult in range(1, top // length + 1)
+                         for _ in _lambda_b_rows(length, mult)])]
+        return length, lambda key: moves
+    ways = _knapsack(top, map(signings, range(1, top + 1)), None)
+    return tuple(sum(by_size.values()) for by_size in ways)
 
 
 def enum_lambda(n: int) -> list[SignedYoungDiagram]:

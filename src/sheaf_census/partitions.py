@@ -1,10 +1,11 @@
 """Integer partitions, bipartitions, and the balanced/weighted variants.
 
 Every listing, here and in ``diagrams``, is the one walk ``_walk`` under its
-own extend rule. Counting functions accept arbitrary rational arguments and
-return 0 off the nonnegative integers, so convolution sums need no boundary
-cases; they read one cached integer DP table per kind of part, sized to a
-multiple of 64.
+own extend rule, and every keyed count, here and in ``diagrams``, the one fold
+``_knapsack`` under its own moves. Counting functions accept arbitrary rational
+arguments and return 0 off the nonnegative integers, so convolution sums need no
+boundary cases; the plain counts read one cached dense DP table per kind of part
+(``_count_table``), sized to a multiple of 64.
 """
 from __future__ import annotations
 
@@ -101,9 +102,32 @@ def enum_partitions(n: int) -> list[Partition]:
     return list(map(Partition, _partitions(n)))
 
 
-def _top(n: int) -> int:
-    """The size of the one table that serves n: n rounded up to a multiple of 64."""
-    return max(-(-n // 64), 1) * 64
+def _top(n: int, block: int = 64) -> int:
+    """The size of the one table that serves n: n rounded up to a multiple of block."""
+    return max(-(-n // block), 1) * block
+
+
+def _knapsack(top: int, steps, start) -> list[dict]:
+    """[{key: ways}] by size 0..top, from {start: 1} at size 0: the one keyed fold of the
+    count-only routes, a transfer matrix (Stanley, EC1 4.7) over the counting semiring. A
+    step (least boxes, moves) joins at most once: moves(key), read once per key, gives each
+    key' with its (boxes, shift) pairs, boxes ascending, a pair adding ways << shift at
+    size + boxes under key'."""
+    ways = [{start: 1}] + [{} for _ in range(top)]
+    for least, moves in steps:
+        memo = {}
+        for size in range(top - least, -1, -1):  # larger first: each source read before it grows
+            room = top - size
+            for key, w in ways[size].items():
+                if (found := memo.get(key)) is None:
+                    found = memo[key] = moves(key)
+                for then, run in found:
+                    for boxes, shift in run:
+                        if boxes > room:
+                            break
+                        target = ways[size + boxes]
+                        target[then] = target.get(then, 0) + (w << shift)
+    return ways
 
 
 @lru_cache(maxsize=None)
@@ -158,21 +182,36 @@ def enum_distinct_odd_balanced(n: int, t: int) -> list[Partition]:
 
 
 @lru_cache(maxsize=None)
-def _balanced_counts(top: int) -> dict[tuple[int, int], int]:
-    """{(total, balance): count} over the distinct-odd partitions of the totals
-    0..top, by one integer DP over the parts, each taken at most once."""
-    counts = {(0, 0): 1}
-    for part in range(1, top + 1, 2):
-        for (total, balance), c in list(counts.items()):  # a snapshot: part once
-            if total + part <= top:
-                key = total + part, balance + (1 if part % 4 == 1 else -1)
-                counts[key] = counts.get(key, 0) + c
-    return counts
+def _balanced_counts(top: int) -> list[dict]:
+    """[{balance: count}] by total 0..top over the distinct-odd partitions: a _knapsack
+    taking each odd part at most once, keyed by the balance the part moves by one."""
+    def part(length):
+        sign, run = 1 if length % 4 == 1 else -1, [(length, 0)]
+        return length, lambda balance: ((balance + sign, run),)
+    return _knapsack(top, map(part, range(1, top + 1, 2)), 0)
 
 
 def count_distinct_odd_balanced(n: int, t: int) -> int:
     """len(enum_distinct_odd_balanced(n, t)), counted from one table, not listed."""
-    return _balanced_counts(_top(n)).get((n, t), 0)
+    return _balanced_counts(_top(n))[n].get(t, 0) if n >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _weighted_sums(top: int) -> tuple[int, ...]:
+    """weighted_odd_partition_sum of 0..top from one _knapsack over the odd lengths, largest
+    first, each group (length, mult) keyed by the group above's length, the parity of the
+    rows so far and the wide boundaries so far by the parity of the rows above them."""
+    def group(length):
+        runs = [[(length * mult, 0) for mult in range(2 - flip, top // length + 1, 2)]
+                for flip in (0, 1)]  # the even mults, then the odd ones
+        def moves(key):
+            above, odd, gaps = key
+            if above - length >= 4:
+                gaps = (gaps[0] + 1, gaps[1]) if odd == 0 else (gaps[0], gaps[1] + 1)
+            return [((length, odd ^ flip, gaps), run) for flip, run in enumerate(runs)]
+        return length, moves
+    ways = _knapsack(top, map(group, range(top - 1 + top % 2, 0, -2)), (0, 0, (0, 0)))
+    return tuple(sum(w << gaps[odd] for (_, odd, gaps), w in by_key.items()) for by_key in ways)
 
 
 def weighted_odd_partition_sum(n: int) -> int:
@@ -187,11 +226,4 @@ def weighted_odd_partition_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    def extend(prefixes, length, mult, row):
-        # gaps: the wide boundaries so far, by the parity of the rows above them
-        (above, _, gaps), = prefixes
-        if above - length >= 4:
-            gaps = (gaps[0] + 1, gaps[1]) if row % 2 == 0 else (gaps[0], gaps[1] + 1)
-        return [(length, row + mult, gaps)]
-    return sum(2 ** gaps[s % 2] for ((_, s, gaps),)
-               in _walk(n, range(1, n + 1, 2)[::-1], extend, [(0, 0, (0, 0))]))
+    return _weighted_sums(_top(n, 16))[n]

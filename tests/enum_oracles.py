@@ -16,7 +16,8 @@ orbit decorations branched out by hand, and the three orbit sums over the
 listed diagrams, the kappa1 sum with its row-by-row repeated-sign rule, and
 the per-size class-count DP that keyed each state by its box and plus-box
 counts, the block class-count DP on lists of ways by plus-box count (one
-slice added per signing), the Richardson pi sums summed over the listed
+slice added per signing), the packed Richardson knapsack as its own loop
+(before the one keyed fold), the Richardson pi sums summed over the listed
 diagrams, and the sigma and sigma_b size tables as built when every listed
 diagram was built and classified by an ``_ab`` walk of its own (the DP and
 the sigma table counting a group's plus boxes box by box), and the Kleshchev
@@ -497,6 +498,37 @@ def richardson_pi_sums(p, q):
     for _, cls, _, pi in zip(*diagrams.sigma_b_listing(p, q)):
         sums[cls.index] += pi
     return sums[1], sums[2]
+
+
+def richardson_block(start, top):
+    """diagrams._richardson_block as its own loop built it before the one keyed fold:
+    [{(a > 0, b > 0, omega's size): packed ways}] by size n <= top of parity start,
+    a knapsack over the odd lengths, largest first, each state keyed by the group
+    above's (sign bit, half-length), each mult and sign bit _richardson_bits allows
+    tried at every state, the row read as the parity of the boxes above, plus 2."""
+    width = diagrams._digit_width(top)
+    ways = [{(None, 0, 0, 0): 1}] + [{} for _ in range(top)]
+    for length in range(top - 1 + top % 2, 0, -2):
+        mu = (length - 1) // 2
+        groups = [[((bit, mu), length * mult, dp * width, da > 0, db > 0)
+                   for mult in range(1, top // length + 1)
+                   for _, dp, da, db, *_ in
+                   [diagrams._options(diagrams._richardson_rows, length, mult, "")[bit]]]
+                  for bit in (0, 1)]
+        for boxes in range(top - length, -1, -1):  # larger first: each source read before it grows
+            row = boxes % 2 + 2 if boxes else 0
+            fits = [g[:(top - boxes) // length] for g in groups]
+            for (above, a, b, omega), w in ways[boxes].items():
+                for bit in diagrams._richardson_bits(row, start, above, mu):
+                    placed = omega + diagrams._richardson_in_omega(row, start, above, bit, mu)
+                    for group, dn, shift, da, db in fits[bit]:
+                        target, key = ways[boxes + dn], (group, a | da, b | db, placed)
+                        target[key] = target.get(key, 0) + (w << shift)
+    block = [{} for _ in ways]
+    for n in range(start or 2, top + 1, 2):
+        for (_, a, b, omega), w in ways[n].items():
+            block[n][a, b, omega] = block[n].get((a, b, omega), 0) + w
+    return block
 
 
 def _by_signature(n, partitions, signings):

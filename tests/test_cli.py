@@ -379,10 +379,12 @@ def refill(request):
 
 
 # the memoised census totals and Richardson pi sums that verify reads, the
-# Richardson count DP the pi sums read, and the census's columns of the sigma_b
-# listings: every test that patches a helper feeding them refills them too
+# Richardson and Lambda_b count DPs they read, and the census's columns of the
+# sigma_b and Lambda_b listings: every test that patches a helper feeding them
+# refills them too
 TOTALS = (census.census_k0_total, census.census_diii_totals, census.diii_closure_total,
-          census.richardson_pi_sums, dg._richardson_block, census._sigma_b_column)
+          census.richardson_pi_sums, dg._richardson_block, dg._lambda_b_counts,
+          census._sigma_b_column, census._lambda_b_column)
 
 
 def test_diii_nilpotent_check_catches_a_broken_enumerator(capsys, monkeypatch, refill):

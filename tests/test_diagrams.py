@@ -330,6 +330,13 @@ def test_richardson_pi_sums_match_the_listing_sums():
             assert dg.richardson_pi_sums(p, q) == oracles.richardson_pi_sums(p, q), (p, q)
 
 
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("top", [24, 48, 80])
+def test_richardson_block_matches_its_own_loop(start, top):
+    # the keyed fold against the knapsack loop it replaced: every bucket of every size
+    assert dg._richardson_block(start, top) == oracles.richardson_block(start, top)
+
+
 @pytest.mark.parametrize("top", [1, 8, 25, 96])
 def test_packed_digits_stay_inside_their_width(top):
     # a digit holds count_bipartitions(top), which bounds every count of diagrams
@@ -518,8 +525,8 @@ def test_the_lambda_b_knapsack_counts_the_listing():
     # |Lambda_b(m)| from the knapsack over _lambda_b_rows' signings against the
     # listing's length, and against p(m): prod(1+x^s)/prod(1-x^(2s)) = prod 1/(1-x^s)
     sizes = dg._lambda_b_counts(30)
-    assert sizes == [len(dg.lambda_b_listing(m)[0]) for m in range(31)]
-    assert sizes == [count_partitions(m) for m in range(31)]
+    assert sizes == tuple(len(dg.lambda_b_listing(m)[0]) for m in range(31))
+    assert sizes == tuple(count_partitions(m) for m in range(31))
     assert all(dg._lambda_b_counts(m) == sizes[:m + 1] for m in range(31))
 
 def test_lambda_classes_give_the_kappa1_counts():

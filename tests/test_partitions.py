@@ -190,7 +190,7 @@ def test_weighted_odd_sum_oracle():
 
 
 def test_weighted_odd_sum_matches_per_row_oracle():
-    for n in range(41):
+    for n in range(61):
         assert pt.weighted_odd_partition_sum(n) == oracles.weighted_odd_partition_sum(n), n
 
 
